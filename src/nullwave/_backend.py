@@ -1,11 +1,10 @@
 """Backend selection for the hot kernels.
 
-The march and the frame transport have two implementations with identical
-arithmetic: a numba-jitted scalar version and a pure-numpy version
-vectorized over anti-diagonal wavefronts.  The jitted path is used when
-numba imports cleanly and the environment variable NULLWAVE_NUMBA is not
-set to 0/false/off.  Results agree to round-off; the benchmark script in
-benchmarks/ measures the gap in speed.
+The march has two implementations with identical arithmetic: a
+numba-jitted scalar sweep and a pure-numpy sweep vectorized over
+anti-diagonal wavefronts.  The jitted path is used when numba imports
+cleanly and the environment variable NULLWAVE_NUMBA is not set to
+0/false/off.  Results agree bit for bit.
 """
 
 import os

@@ -19,8 +19,10 @@ not reached tolerance (fixed counts keep the two backends bit-identical).
 
 Two implementations with identical arithmetic: a numba-jitted scalar sweep
 and a pure-numpy sweep vectorized over anti-diagonal fronts.  The linear
-solves of the global iteration reuse the same kernels with the right side
-frozen (frozen=True): the fixed point loop then collapses to a single pass.
+solves of the global iteration (picard._frozen_solve) satisfy the same
+per-cell equations with F known on every node, which makes them closed
+form: cumulative trapezoids of F for the derivatives and cumulative sums of
+the four-corner mixed differences for the field, with no front sweep.
 
 The right side of the system, with zp = zeta'(ubar), zpp = zeta''(ubar):
 
@@ -92,33 +94,30 @@ def _rhs_scalar(code, pa, pb, pc, zp, zpp,
 
 
 @njit(cache=True)
-def _march_numba(h, N, direction, frozen, code, pa, pb, pc, zp, zpp,
+def _march_numba(h, N, direction, code, pa, pb, pc, zp, zpp,
                  P, B, X, S, PU, PUB, BU, BUB, XU, XUB, FP, FB, FX):
     """Sweep one time direction; returns (status, bad_i, bad_j).
 
     direction = +1 fills the future triangle i+j > N, -1 the past one.
-    With frozen=True the F arrays are inputs on every node and each cell is
-    a single explicit update (the linear quadrature solve).
     """
     d = direction
     hh = 0.5 * h * d
     qq = 0.25 * h * h
 
-    if not frozen:
-        # right side on the diagonal (also records sigma there)
-        for i in range(N + 1):
-            j = N - i
-            ok, sig, f1, f2, f3 = _rhs_scalar(
-                code, pa, pb, pc, zp[j], zpp[j],
-                P[i, j], B[i, j], PU[i, j], PUB[i, j],
-                BU[i, j], BUB[i, j], XU[i, j], XUB[i, j],
-            )
-            if not ok:
-                return STATUS_BAD_SIGMA, i, j
-            S[i, j] = sig
-            FP[i, j] = f1
-            FB[i, j] = f2
-            FX[i, j] = f3
+    # right side on the diagonal (also records sigma there)
+    for i in range(N + 1):
+        j = N - i
+        ok, sig, f1, f2, f3 = _rhs_scalar(
+            code, pa, pb, pc, zp[j], zpp[j],
+            P[i, j], B[i, j], PU[i, j], PUB[i, j],
+            BU[i, j], BUB[i, j], XU[i, j], XUB[i, j],
+        )
+        if not ok:
+            return STATUS_BAD_SIGMA, i, j
+        S[i, j] = sig
+        FP[i, j] = f1
+        FB[i, j] = f2
+        FX[i, j] = f3
 
     for m in range(1, N + 1):
         k = N + d * m
@@ -129,41 +128,6 @@ def _march_numba(h, N, direction, frozen, code, pa, pb, pc, zp, zpp,
             j = k - i
             iw = i - d
             js = j - d
-            if frozen:
-                f1 = FP[i, j]
-                f2 = FB[i, j]
-                f3 = FX[i, j]
-                pub = PUB[iw, j] + hh * (FP[iw, j] + f1)
-                pu = PU[i, js] + hh * (FP[i, js] + f1)
-                bub = BUB[iw, j] + hh * (FB[iw, j] + f2)
-                bu = BU[i, js] + hh * (FB[i, js] + f2)
-                xub = XUB[iw, j] + hh * (FX[iw, j] + f3)
-                xu = XU[i, js] + hh * (FX[i, js] + f3)
-                if first:
-                    p = 0.5 * (P[i, js] + hh * (PUB[i, js] + pub)) \
-                        + 0.5 * (P[iw, j] + hh * (PU[iw, j] + pu))
-                    b = 0.5 * (B[i, js] + hh * (BUB[i, js] + bub)) \
-                        + 0.5 * (B[iw, j] + hh * (BU[iw, j] + bu))
-                    x = 0.5 * (X[i, js] + hh * (XUB[i, js] + xub)) \
-                        + 0.5 * (X[iw, j] + hh * (XU[iw, j] + xu))
-                else:
-                    p = P[iw, j] + P[i, js] - P[iw, js] \
-                        + qq * (f1 + FP[iw, j] + FP[i, js] + FP[iw, js])
-                    b = B[iw, j] + B[i, js] - B[iw, js] \
-                        + qq * (f2 + FB[iw, j] + FB[i, js] + FB[iw, js])
-                    x = X[iw, j] + X[i, js] - X[iw, js] \
-                        + qq * (f3 + FX[iw, j] + FX[i, js] + FX[iw, js])
-                P[i, j] = p
-                B[i, j] = b
-                X[i, j] = x
-                PU[i, j] = pu
-                PUB[i, j] = pub
-                BU[i, j] = bu
-                BUB[i, j] = bub
-                XU[i, j] = xu
-                XUB[i, j] = xub
-                continue
-
             # self-consistent cell: fixed-point loop on the 9 unknowns
             p = P[iw, j] + P[i, js] - P[iw, js]
             b = B[iw, j] + B[i, js] - B[iw, js]
@@ -320,7 +284,7 @@ def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub, xi_u,
     return okm, sig, f_psi, f_psib, f_xi
 
 
-def _march_numpy(h, N, direction, frozen, model, zp, zpp,
+def _march_numpy(h, N, direction, model, zp, zpp,
                  P, B, X, S, PU, PUB, BU, BUB, XU, XUB, FP, FB, FX):
     """Front-vectorized twin of _march_numba; identical arithmetic."""
     d = direction
@@ -328,20 +292,19 @@ def _march_numpy(h, N, direction, frozen, model, zp, zpp,
     qq = 0.25 * h * h
     diag = np.arange(N + 1)
 
-    if not frozen:
-        jd = N - diag
-        okm, sig, f1, f2, f3 = _rhs_arrays(
-            model, zp[jd], zpp[jd],
-            P[diag, jd], B[diag, jd], PU[diag, jd], PUB[diag, jd],
-            BU[diag, jd], BUB[diag, jd], XU[diag, jd], XUB[diag, jd],
-        )
-        if not np.all(okm):
-            bad = int(np.argmin(okm))
-            return STATUS_BAD_SIGMA, bad, N - bad
-        S[diag, jd] = sig
-        FP[diag, jd] = f1
-        FB[diag, jd] = f2
-        FX[diag, jd] = f3
+    jd = N - diag
+    okm, sig, f1, f2, f3 = _rhs_arrays(
+        model, zp[jd], zpp[jd],
+        P[diag, jd], B[diag, jd], PU[diag, jd], PUB[diag, jd],
+        BU[diag, jd], BUB[diag, jd], XU[diag, jd], XUB[diag, jd],
+    )
+    if not np.all(okm):
+        bad = int(np.argmin(okm))
+        return STATUS_BAD_SIGMA, bad, N - bad
+    S[diag, jd] = sig
+    FP[diag, jd] = f1
+    FB[diag, jd] = f2
+    FX[diag, jd] = f3
 
     for m in range(1, N + 1):
         k = N + d * m
@@ -353,32 +316,7 @@ def _march_numpy(h, N, direction, frozen, model, zp, zpp,
         iw = ii - d
         js = jj - d
 
-        w = (iw, jj)   # u-predecessor
-        s_ = (ii, js)  # ubar-predecessor
-        dg = (iw, js)  # across corner
         here = (ii, jj)
-
-        if frozen:
-            f1, f2, f3 = FP[here], FB[here], FX[here]
-            pub = PUB[w] + hh * (FP[w] + f1)
-            pu = PU[s_] + hh * (FP[s_] + f1)
-            bub = BUB[w] + hh * (FB[w] + f2)
-            bu = BU[s_] + hh * (FB[s_] + f2)
-            xub = XUB[w] + hh * (FX[w] + f3)
-            xu = XU[s_] + hh * (FX[s_] + f3)
-            if first:
-                p = 0.5 * (P[s_] + hh * (PUB[s_] + pub)) + 0.5 * (P[w] + hh * (PU[w] + pu))
-                b = 0.5 * (B[s_] + hh * (BUB[s_] + bub)) + 0.5 * (B[w] + hh * (BU[w] + bu))
-                x = 0.5 * (X[s_] + hh * (XUB[s_] + xub)) + 0.5 * (X[w] + hh * (XU[w] + xu))
-            else:
-                p = P[w] + P[s_] - P[dg] + qq * (f1 + FP[w] + FP[s_] + FP[dg])
-                b = B[w] + B[s_] - B[dg] + qq * (f2 + FB[w] + FB[s_] + FB[dg])
-                x = X[w] + X[s_] - X[dg] + qq * (f3 + FX[w] + FX[s_] + FX[dg])
-            P[here], B[here], X[here] = p, b, x
-            PU[here], PUB[here] = pu, pub
-            BU[here], BUB[here] = bu, bub
-            XU[here], XUB[here] = xu, xub
-            continue
 
         def solve_subset(sel, damp, n_it):
             """Fixed-point iterations for the selected front cells.

@@ -117,13 +117,12 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
         if which == "numba":
             pa, pb, pc = _kernel_params(model)
             status, bi, bj = _kernels._march_numba(
-                grid.h, grid.N, direction, False,
+                grid.h, grid.N, direction,
                 model.kernel_code, pa, pb, pc, zp, zpp, *field_args,
             )
         else:
             status, bi, bj = _kernels._march_numpy(
-                grid.h, grid.N, direction, False,
-                model, zp, zpp, *field_args,
+                grid.h, grid.N, direction, model, zp, zpp, *field_args,
             )
         _raise_for_status(status, bi, bj, grid)
     return state.freeze()

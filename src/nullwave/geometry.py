@@ -66,7 +66,7 @@ from .background import (
 )
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, GridMismatch, InnerFixedPointDivergence
-from .grid import DNGrid
+from .grid import DNGrid, cumtrap_cols, cumtrap_rows
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import DNState, dsigma_u_of, dsigma_ub_of
 
@@ -388,17 +388,6 @@ class CoordMap:
     jac_ub_x: np.ndarray
 
 
-def _cumtrap_rows(F, h, anchor_j):
-    """Cumulative trapezoid along axis 1, zeroed at per-row anchor columns."""
-    S = np.zeros_like(F)
-    np.cumsum((0.5 * h) * (F[:, 1:] + F[:, :-1]), axis=1, out=S[:, 1:])
-    return S - np.take_along_axis(S, np.asarray(anchor_j)[:, None], axis=1)
-
-
-def _cumtrap_cols(F, h, anchor_i):
-    return _cumtrap_rows(np.ascontiguousarray(F.T), h, anchor_i).T
-
-
 def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
                        profile: WaveProfile, tol: float = 1e-10) -> CoordMap:
     """Integrate the inverse map (u, ubar) -> (t, x) from the data diagonal.
@@ -445,10 +434,10 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     dev_t_diag = 0.0 - tbg[diag, jd]       # pins t = 0.0 on the diagonal
     dev_x_diag = grid.u - xbg[diag, jd]    # pins x = u on the diagonal
 
-    r1_t = dev_t_diag[:, None] + _cumtrap_rows(devB_t, h, jd)
-    r1_x = dev_x_diag[:, None] + _cumtrap_rows(devB_x, h, jd)
-    r2_t = dev_t_diag[::-1][None, :] + _cumtrap_cols(devU_t, h, jd)
-    r2_x = dev_x_diag[::-1][None, :] + _cumtrap_cols(devU_x, h, jd)
+    r1_t = dev_t_diag[:, None] + cumtrap_rows(devB_t, h, jd)
+    r1_x = dev_x_diag[:, None] + cumtrap_rows(devB_x, h, jd)
+    r2_t = dev_t_diag[::-1][None, :] + cumtrap_cols(devU_t, h, jd)
+    r2_x = dev_x_diag[::-1][None, :] + cumtrap_cols(devU_x, h, jd)
 
     curl_sup = max(float(np.max(np.abs(r1_t - r2_t))),
                    float(np.max(np.abs(r1_x - r2_x))))
@@ -514,7 +503,7 @@ def solve_model_system(gauge: GaugeSlice, grid: DNGrid, model: Nonlinearity,
     w = 2.0 + (w0 - 2.0)[:, None] * np.exp(expo)
 
     integrand = ((-H0) * (zp * zpp))[None, :] * (w - 2.0) * cbp[:, None]
-    y = y0[:, None] + _cumtrap_rows(integrand, grid.h, jd)
+    y = y0[:, None] + cumtrap_rows(integrand, grid.h, jd)
 
     L0 = 0.5 * (y + (w - 2.0))
     L1 = 0.5 * (y - (w - 2.0))

@@ -80,3 +80,16 @@ class DNGrid:
                 f"grids differ: [{self.u_min},{self.u_max}]/{self.N} vs "
                 f"[{other.u_min},{other.u_max}]/{other.N}"
             )
+
+
+def cumtrap_rows(F, h, anchor_j):
+    """Cumulative trapezoid along axis 1, zeroed at per-row anchor columns."""
+    S = np.zeros_like(F)
+    np.cumsum((0.5 * h) * (F[:, 1:] + F[:, :-1]), axis=1, out=S[:, 1:])
+    S -= np.take_along_axis(S, np.asarray(anchor_j)[:, None], axis=1)
+    return S
+
+
+def cumtrap_cols(F, h, anchor_i):
+    """Cumulative trapezoid along axis 0, zeroed at per-column anchor rows."""
+    return cumtrap_rows(np.ascontiguousarray(F.T), h, anchor_i).T

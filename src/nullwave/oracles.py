@@ -3,7 +3,7 @@
 Everything in this module recomputes quantities the solvers also produce,
 but by a different route: symbolic differentiation and matrix inversion
 instead of the closed-form coefficient algebra, polynomial root finding
-instead of the quadratic formula, exact antiderivatives instead of grid
+instead of the quadratic formula, closed forms instead of grid
 quadrature.  The test suite freezes the numbers these functions return;
 `nullwave oracle` regenerates the tables so drift is visible.
 
@@ -145,54 +145,6 @@ def eikonal_roots_via_polynomial(fp: float, phit: float, phix: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# d'Alembert reference solution
-# ---------------------------------------------------------------------------
-
-def bump_antiderivative(amplitude: float, center: float = 0.0, width: float = 1.0):
-    """Exact antiderivative of the C^3 bump A (1 - y^2)^4, vanishing at -inf."""
-    A, c, w = float(amplitude), float(center), float(width)
-    # expand (1-y^2)^4 and integrate term by term
-    edge = 2.0 * (1.0 - 4.0 / 3.0 + 6.0 / 5.0 - 4.0 / 7.0 + 1.0 / 9.0)
-
-    def F(x):
-        y = np.clip((np.asarray(x, dtype=float) - c) / w, -1.0, 1.0)
-        poly = y - 4.0 * y**3 / 3.0 + 6.0 * y**5 / 5.0 - 4.0 * y**7 / 7.0 + y**9 / 9.0
-        val = A * w * (poly + 0.5 * edge)
-        return val if np.ndim(x) else float(val)
-
-    return F
-
-
-def dalembert_solution(phi0, phi1_antideriv, t, x):
-    """phi(t,x) for the flat wave equation from position/velocity data.
-
-    phi = [phi0(x+t) + phi0(x-t)]/2 + [P(x+t) - P(x-t)]/2 with P an exact
-    antiderivative of the velocity datum.
-    """
-    xp = np.asarray(x, dtype=float) + t
-    xm = np.asarray(x, dtype=float) - t
-    return 0.5 * (phi0(xp) + phi0(xm)) + 0.5 * (phi1_antideriv(xp) - phi1_antideriv(xm))
-
-
-def dalembert_time_derivative(phi0_derivative, phi1, t, x):
-    """d_t phi for the flat wave equation (for Phi0 comparisons)."""
-    xp = np.asarray(x, dtype=float) + t
-    xm = np.asarray(x, dtype=float) - t
-    return 0.5 * (phi0_derivative(xp) - phi0_derivative(xm)) + 0.5 * (
-        phi1(xp) + phi1(xm)
-    )
-
-
-def dalembert_space_derivative(phi0_derivative, phi1, t, x):
-    """d_x phi for the flat wave equation (for Phi1 comparisons)."""
-    xp = np.asarray(x, dtype=float) + t
-    xm = np.asarray(x, dtype=float) - t
-    return 0.5 * (phi0_derivative(xp) + phi0_derivative(xm)) + 0.5 * (
-        phi1(xp) - phi1(xm)
-    )
-
-
-# ---------------------------------------------------------------------------
 # reduced frame transport along outgoing rays
 # ---------------------------------------------------------------------------
 
@@ -204,21 +156,6 @@ def reduced_transport_exact(w0: float, cbm: float, H0: float, zp1: float, zp0: f
     d(ubar) = 2 + (d0 - 2) exp(-H0 cbm (zeta'(ubar)^2 - zeta'(ubar0)^2)/2).
     """
     return 2.0 + (w0 - 2.0) * math.exp(-H0 * cbm * (zp1**2 - zp0**2) / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# background coordinate map
-# ---------------------------------------------------------------------------
-
-def background_coords_exact(V_u: float, Z_ub: float, ubar: float) -> tuple:
-    """(t, x) of the background map from V(u), Z(ubar) and ubar.
-
-    Inverting u_matched = t + x + Z(t - x), ubar = t - x with
-    V(u) = u + Z(-u) gives t = (V - Z + ubar)/2, x = (V - Z - ubar)/2.
-    """
-    t = 0.5 * (V_u - Z_ub + ubar)
-    x = 0.5 * (V_u - Z_ub - ubar)
-    return t, x
 
 
 # ---------------------------------------------------------------------------

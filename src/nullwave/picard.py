@@ -11,11 +11,14 @@ well defined on pairs (psi, psib):
      and the current psib, and the remaining psib jets from the current
      iterate.
 
-Each stage is a single linear wave solve with a fully known source, i.e.
-one pass of the marching kernel in frozen-source mode.  The map is applied
-by picard_apply; its fixed point satisfies exactly the same per-cell
-discrete equations as the nonlinear march, so the two routes must agree to
-rounding -- a genuinely independent cross-check of the solver.
+Each stage is a single linear wave solve with a fully known source.  Its
+discrete equations are the march's per-cell scheme with the source frozen,
+which makes them closed form: _frozen_solve integrates only the field the
+stage needs, by anchored cumulative sums over whole arrays, without the
+march's front-by-front sweep.  The map is applied by picard_apply; its
+fixed point satisfies exactly the same per-cell discrete equations as the
+nonlinear march, so the two routes must agree to rounding -- a genuinely
+independent cross-check of the solver.
 
 Iteration is controlled in the weighted sup metric
 
@@ -52,13 +55,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .background import WaveProfile
-from .dn_core import _kernel_params, _raise_for_status, pick_backend, rhs_wave
-from .errors import GridMismatch, InnerFixedPointDivergence
-from .grid import DNGrid
+from .dn_core import rhs_wave
+from .errors import FixedPointDivergence, GridMismatch
+from .grid import DNGrid, cumtrap_cols, cumtrap_rows
 from .nonlinearity import Nonlinearity, range_certificate
-from .state import FIELD_NAMES, DiagonalData, DNState, sigma_of
+from .state import DiagonalData, DNState, sigma_of
 
 __all__ = [
     "PicardConfig",
@@ -141,43 +143,61 @@ def delta_from_smallness(eps0: float, gamma_bar: float) -> float:
     return float(np.sqrt(6.0 * (1.0 + 1.0 / gamma_bar) * eps0) * (1.0 + 1e-12))
 
 
-def _frozen_solve(grid, data, model, zp, zpp, f_psi, f_psib, f_xi, backend):
-    """One pass of the marching kernel with fully prescribed sources.
+def _frozen_solve(grid, data, sources):
+    """Closed-form linear wave solves with fully prescribed sources.
 
-    Mirrors dn_core.march's kernel invocation, but with frozen=True the
-    kernel never evaluates the nonlinearity: it just integrates the three
-    linear wave equations d_u d_ub (field) = f_field by the trapezoid rule
-    from the diagonal data.  The source arrays must be filled at every node
-    (the diagonal included).  Such a pass cannot fail hyperbolicity.
+    sources maps each field to integrate ("psi", "psib" or "xi") to its
+    source F = d_u d_ub field, filled at every node (the diagonal
+    included).  Returns the field and its two null derivatives for each
+    entry, keyed as in DNState, on both triangles at once.  The result
+    satisfies the march's per-cell equations (see _kernels) to rounding:
+
+      * d_u field and d_ub field are trapezoid integrals of F along ubar
+        and along u, anchored on the diagonal data;
+      * every cell's mixed difference is h^2/4 times the four-corner sum
+        of F.  On the strip of cells straddling the diagonal the march
+        takes both first-front corners from the averaged one-leg rule
+        instead, but with the two transports substituted that rule gives
+        the same four-corner sum;
+      * summing the mixed differences along ubar from the past first front
+        (one-leg rule) gives field[i] - field[i-1], and summing those along
+        u from the diagonal gives the field.
+
+    Such a solve cannot fail.
     """
-    state = DNState.zeros(grid)
-    ii = np.arange(grid.N + 1)
-    jj = grid.N - ii
-    for name in FIELD_NAMES + ("sigma",):
-        getattr(state, name)[ii, jj] = getattr(data, name)
+    N, h = grid.N, grid.h
+    half, qq = 0.5 * h, 0.25 * h * h
+    ii = np.arange(N + 1)
+    jd = N - ii
+    lo = ii[:-1]
+    out = {}
+    for name, F in sources.items():
+        f_d = getattr(data, name)
+        du_d = getattr(data, f"d{name}_u")
+        dub_d = getattr(data, f"d{name}_ub")
+        du = du_d[:, None] + cumtrap_rows(F, h, jd)
+        dub = dub_d[::-1][None, :] + cumtrap_cols(F, h, jd)
 
-    field_args = (
-        state.psi, state.psib, state.xi, state.sigma,
-        state.dpsi_u, state.dpsi_ub, state.dpsib_u, state.dpsib_ub,
-        state.dxi_u, state.dxi_ub,
-        np.ascontiguousarray(f_psi), np.ascontiguousarray(f_psib),
-        np.ascontiguousarray(f_xi),
-    )
-    which = pick_backend(model, backend)
-    for direction in (1, -1):
-        if which == "numba":
-            pa, pb, pc = _kernel_params(model)
-            status, bi, bj = _kernels._march_numba(
-                grid.h, grid.N, direction, True,
-                model.kernel_code, pa, pb, pc, zp, zpp, *field_args,
-            )
-        else:
-            status, bi, bj = _kernels._march_numpy(
-                grid.h, grid.N, direction, True,
-                model, zp, zpp, *field_args,
-            )
-        _raise_for_status(status, bi, bj, grid)
-    return state
+        # one-leg rule on the past first front, node (i, N-1-i)
+        past = 0.5 * (f_d[:-1] - half * (dub_d[:-1] + dub[lo, jd[:-1] - 1])) \
+            + 0.5 * (f_d[1:] - half * (du_d[1:] + du[lo, jd[:-1] - 1]))
+
+        # mixed difference of the cell with lower corner (a, b)
+        pair = F[1:] + F[:-1]
+        mixed = qq * (pair[:, 1:] + pair[:, :-1])
+        # step[a] = field[a+1] - field[a], known in column N-1-a where row
+        # a is on the past first front and row a+1 on the diagonal
+        step = np.zeros((N, N + 1))
+        np.cumsum(mixed, axis=1, out=step[:, 1:])
+        step += (f_d[1:] - past - step[lo, jd[1:]])[:, None]
+        field = np.zeros((N + 1, N + 1))
+        np.cumsum(step, axis=0, out=field[1:])
+        field -= field[jd, ii][None, :]
+        field += f_d[::-1][None, :]
+        out[name] = field
+        out[f"d{name}_u"] = du
+        out[f"d{name}_ub"] = dub
+    return out
 
 
 def picard_apply(
@@ -187,7 +207,6 @@ def picard_apply(
     model: Nonlinearity,
     profile: WaveProfile,
     order: str = "forward",
-    backend: str | None = None,
 ) -> DNState:
     """One application of the two-stage substitution map to (psi, psib).
 
@@ -212,7 +231,6 @@ def picard_apply(
 
     zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.ascontiguousarray(profile.d2zeta(grid.ub), dtype=float)
-    zeros = np.zeros((grid.n_nodes, grid.n_nodes))
 
     def stage_psi(psib_src, dpsib_u_src, dpsib_ub_src):
         # Source for psi, every ingredient taken from the supplied jets.
@@ -221,7 +239,7 @@ def picard_apply(
             state.dpsi_u, state.dpsi_ub, dpsib_u_src, dpsib_ub_src,
             state.dxi_u, state.dxi_ub,
         )
-        return _frozen_solve(grid, data, model, zp, zpp, f1, zeros, zeros, backend)
+        return _frozen_solve(grid, data, {"psi": f1})
 
     def stage_psib(psi_src, dpsi_u_src, dpsi_ub_src):
         # Source for psib: sigma mixes the supplied psi with the current
@@ -232,30 +250,24 @@ def picard_apply(
             dpsi_u_src, dpsi_ub_src, state.dpsib_u, state.dpsib_ub,
             state.dxi_u, state.dxi_ub,
         )
-        return _frozen_solve(grid, data, model, zp, zpp, zeros, f2, zeros, backend)
+        return _frozen_solve(grid, data, {"psib": f2})
 
     if order == "forward":
-        first = stage_psi(state.psib, state.dpsib_u, state.dpsib_ub)
-        second = stage_psib(first.psi, first.dpsi_u, first.dpsi_ub)
-        psi_state, psib_state = first, second
+        fields = stage_psi(state.psib, state.dpsib_u, state.dpsib_ub)
+        fields.update(stage_psib(fields["psi"], fields["dpsi_u"], fields["dpsi_ub"]))
     else:
-        first = stage_psib(state.psi, state.dpsi_u, state.dpsi_ub)
-        second = stage_psi(first.psib, first.dpsib_u, first.dpsib_ub)
-        psi_state, psib_state = second, first
+        fields = stage_psib(state.psi, state.dpsi_u, state.dpsi_ub)
+        fields.update(stage_psi(fields["psib"], fields["dpsib_u"], fields["dpsib_ub"]))
 
-    psi = psi_state.psi
-    psib = psib_state.psib
     out = DNState(
-        grid, psi, psib, state.xi.copy(),
-        sigma_of(psi, psib, zp[None, :]),
-        psi_state.dpsi_u, psi_state.dpsi_ub,
-        psib_state.dpsib_u, psib_state.dpsib_ub,
-        state.dxi_u.copy(), state.dxi_ub.copy(),
+        grid, xi=state.xi.copy(),
+        sigma=sigma_of(fields["psi"], fields["psib"], zp[None, :]),
+        dxi_u=state.dxi_u.copy(), dxi_ub=state.dxi_ub.copy(), **fields,
     )
     return out.freeze()
 
 
-def _solve_xi(pair, data, grid, model, profile, tol, max_iter, backend):
+def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
     """Complete a converged (psi, psib) pair with the slaved xi transport.
 
     The xi equation is linear in xi for a fixed pair, but its source
@@ -273,9 +285,12 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter, backend):
             pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub,
             cur.dxi_u, cur.dxi_ub,
         )
-        new = _frozen_solve(grid, data, model, zp, zpp, f1, f2, f3, backend)
+        fields = _frozen_solve(grid, data, {"psi": f1, "psib": f2, "xi": f3})
         # Re-slave sigma to the integrated pair so the output is algebraic.
-        np.copyto(new.sigma, sigma_of(new.psi, new.psib, zp[None, :]))
+        new = DNState(
+            grid, sigma=sigma_of(fields["psi"], fields["psib"], zp[None, :]),
+            **fields,
+        )
         gap = max(
             np.max(np.abs(new.xi - cur.xi)),
             np.max(np.abs(new.dxi_u - cur.dxi_u)),
@@ -284,7 +299,7 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter, backend):
         cur = new
         if gap <= tol:
             return cur.freeze()
-    raise InnerFixedPointDivergence(
+    raise FixedPointDivergence(
         f"xi completion stalled above tol={tol:g} after {max_iter} passes"
     )
 
@@ -297,20 +312,19 @@ def picard_fixed_point(
     cfg: PicardConfig,
     order: str = "forward",
     include_xi: bool = True,
-    backend: str | None = None,
 ):
     """Iterate the substitution map from zero until the metric stalls.
 
     Returns (state, info) where info carries the iteration count and the
     per-step metric residuals.  With include_xi the converged pair is
     completed by the xi transport so the result is comparable field by
-    field with dn_core.march.  Raises InnerFixedPointDivergence if
-    cfg.max_iter steps do not reach cfg.tol.
+    field with dn_core.march.  Raises FixedPointDivergence if cfg.max_iter
+    steps do not reach cfg.tol, or if the xi completion stalls.
     """
     cur = DNState.zeros(grid).freeze()
     residuals = []
     for step in range(cfg.max_iter):
-        new = picard_apply(cur, data, grid, model, profile, order, backend)
+        new = picard_apply(cur, data, grid, model, profile, order)
         dist = picard_metric(new, cur, data.gamma_bar)
         residuals.append(float(dist))
         cur = new
@@ -323,10 +337,10 @@ def picard_fixed_point(
             }
             if include_xi:
                 cur = _solve_xi(
-                    cur, data, grid, model, profile, cfg.tol, cfg.max_iter, backend
+                    cur, data, grid, model, profile, cfg.tol, cfg.max_iter
                 )
             return cur, info
-    raise InnerFixedPointDivergence(
+    raise FixedPointDivergence(
         f"no fixed point below tol={cfg.tol:g} within {cfg.max_iter} steps "
         f"(last residual {residuals[-1]:.3e})"
     )
@@ -384,7 +398,6 @@ def contraction_ratio(
     order: str = "forward",
     n_seeds: int = 6,
     seed: int = 0,
-    backend: str | None = None,
 ) -> dict:
     """Empirical Lipschitz ratios of one map application inside X_delta.
 
@@ -404,7 +417,7 @@ def contraction_ratio(
 
     seeds = [_seed_state(grid, zp, cfg.delta, gb, rng) for _ in range(n_seeds)]
     images = [
-        picard_apply(s, data, grid, model, profile, order, backend) for s in seeds
+        picard_apply(s, data, grid, model, profile, order) for s in seeds
     ]
 
     ratios = []

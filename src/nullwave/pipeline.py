@@ -133,8 +133,7 @@ def run_pipeline(scenario: Scenario) -> RunResult:
         try:
             cfg = PicardConfig(delta=delta, max_iter=sv["max_iter"],
                                tol=sv["tol"])
-            fixed, info = picard_fixed_point(
-                data, grid, model, profile, cfg, backend=sv["backend"])
+            fixed, info = picard_fixed_point(data, grid, model, profile, cfg)
             sec = {
                 "iterations": info["iterations"],
                 "residuals": [float(r) for r in info["residuals"]],
@@ -145,8 +144,7 @@ def run_pipeline(scenario: Scenario) -> RunResult:
             if sv["contraction_seeds"] >= 2:
                 sec["contraction"] = contraction_ratio(
                     grid, data, profile, model, cfg,
-                    n_seeds=sv["contraction_seeds"], seed=scenario.seed,
-                    backend=sv["backend"])
+                    n_seeds=sv["contraction_seeds"], seed=scenario.seed)
             report["stages"]["picard"] = sec
         except NullwaveError as exc:
             failed("picard", exc)

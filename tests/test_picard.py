@@ -8,10 +8,16 @@ from conftest import make_compatible_data, make_zero_data
 from nullwave.background import bump_profile
 from nullwave.data_gauge import build_diagonal_data, perturbed_data
 from nullwave.dn_core import march
-from nullwave.errors import GridMismatch
+from nullwave.errors import (
+    FixedPointDivergence,
+    GridMismatch,
+    InnerFixedPointDivergence,
+)
 from nullwave.grid import DNGrid
 from nullwave.picard import (
     PicardConfig,
+    _frozen_solve,
+    _solve_xi,
     contraction_ratio,
     delta_from_smallness,
     in_ball,
@@ -19,7 +25,9 @@ from nullwave.picard import (
     picard_fixed_point,
     picard_metric,
 )
-from nullwave.state import DNState
+from nullwave.pipeline import run_pipeline
+from nullwave.scenario import scenario_from_dict
+from nullwave.state import FIELD_NAMES, DiagonalData, DNState
 
 
 def _scenario(model, profile, radius=3.0, h=0.1, eps=1e-3):
@@ -134,6 +142,59 @@ def test_apply_rejects_bad_order_and_grid(membrane, bump03):
         picard_apply(state, other, grid, membrane, bump03)
 
 
+# ------------------------------------------------------------ frozen solve
+
+
+def test_frozen_solve_satisfies_box_scheme():
+    # The closed-form solve must meet the march's per-cell equations on
+    # every cell of both triangles, checked front by front as the sweep
+    # would apply them.
+    grid = DNGrid.square(2.0, 0.1)
+    N, h = grid.N, grid.h
+    qq = 0.25 * h * h
+    rng = np.random.default_rng(11)
+    u, ub = grid.u[:, None], grid.ub[None, :]
+
+    def smooth():
+        a, b, c = rng.uniform(-1.5, 1.5, size=3)
+        return np.sin(a * u + b * ub + c) * np.exp(-0.1 * (u * u + ub * ub))
+
+    diag = {
+        name: np.cos(rng.uniform(0.5, 2.0) * grid.u + rng.uniform(0.0, 3.0))
+        for name in FIELD_NAMES
+    }
+    data = DiagonalData(s=grid.u, sigma=np.zeros(grid.n_nodes),
+                        gamma_bar=1.0, eps0=1.0, **diag)
+    sources = {name: smooth() for name in ("psi", "psib", "xi")}
+    out = _frozen_solve(grid, data, sources)
+    assert set(out) == set(FIELD_NAMES)
+
+    ii = np.arange(N + 1)
+    for name, F in sources.items():
+        f, fu, fub = out[name], out[f"d{name}_u"], out[f"d{name}_ub"]
+        for arr, key in ((f, name), (fu, f"d{name}_u"), (fub, f"d{name}_ub")):
+            assert np.array_equal(arr[ii, N - ii], diag[key])
+        tol = 1e-13 * max(np.max(np.abs(a)) for a in (f, fu, fub, F))
+        for d in (1, -1):
+            hh = 0.5 * h * d
+            for m in range(1, N + 1):
+                k = N + d * m
+                i = np.arange(max(k - N, 0), min(N, k) + 1)
+                j = k - i
+                iw, js = i - d, j - d
+                u_transport = fub[i, j] - fub[iw, j] - hh * (F[iw, j] + F[i, j])
+                ub_transport = fu[i, j] - fu[i, js] - hh * (F[i, js] + F[i, j])
+                assert np.max(np.abs(u_transport)) <= tol
+                assert np.max(np.abs(ub_transport)) <= tol
+                if m == 1:
+                    want = 0.5 * (f[i, js] + hh * (fub[i, js] + fub[i, j])) \
+                        + 0.5 * (f[iw, j] + hh * (fu[iw, j] + fu[i, j]))
+                else:
+                    want = f[iw, j] + f[i, js] - f[iw, js] \
+                        + qq * (F[i, j] + F[iw, j] + F[i, js] + F[iw, js])
+                assert np.max(np.abs(f[i, j] - want)) <= tol
+
+
 # ------------------------------------------------------------- fixed point
 
 
@@ -165,6 +226,40 @@ def test_fixed_point_order_independent(membrane, bump03):
     rev, info = picard_fixed_point(data, grid, membrane, bump03, cfg, order="reversed")
     assert info["order"] == "reversed"
     assert picard_metric(fwd, rev, data.gamma_bar) <= 10.0 * cfg.tol
+
+
+def test_fixed_point_divergence_is_its_own_error(membrane, bump03):
+    # A missed global tolerance is the iteration's failure, not a march
+    # cell's: the two error types must stay distinguishable.
+    grid, data = _scenario(membrane, bump03, radius=2.0)
+    delta = delta_from_smallness(data.eps0, data.gamma_bar)
+    with pytest.raises(FixedPointDivergence) as exc:
+        picard_fixed_point(data, grid, membrane, bump03,
+                           PicardConfig(delta=delta, max_iter=1))
+    assert not isinstance(exc.value, InnerFixedPointDivergence)
+    # The xi completion stalls the same way: one pass from xi = 0 cannot
+    # meet the tolerance when the data carry xi.
+    pair = DNState.zeros(grid).freeze()
+    assert np.max(np.abs(data.xi)) > 0.0
+    with pytest.raises(FixedPointDivergence):
+        _solve_xi(pair, data, grid, membrane, bump03, tol=1e-12, max_iter=1)
+
+
+def test_pipeline_records_fixed_point_divergence():
+    scen = scenario_from_dict({
+        "name": "picard-budget",
+        "model": "membrane",
+        "profile": {"bump": {"A": 0.3, "width": 6.0}},
+        "perturbation": {"eps": 1e-3, "center": 0.5, "width": 1.2},
+        "grid": {"radius": 2.0, "h": 0.1},
+        "solver": {"max_iter": 1, "rect_t_max": 0.5},
+    })
+    rep = run_pipeline(scen).report
+    assert rep["errors"][0]["stage"] == "picard"
+    assert rep["errors"][0]["type"] == "FixedPointDivergence"
+    assert len(rep["errors"]) == 1
+    assert "picard" not in rep["stages"]
+    assert {"march", "geometry", "crossval"} <= set(rep["stages"])
 
 
 # -------------------------------------------------------------- contraction
