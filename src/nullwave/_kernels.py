@@ -7,20 +7,19 @@ given by the semilinear system is integrated with
 
     d_ub field (P) = d_ub field (W) + h/2 (F_W + F_P)       (u transport)
     d_u  field (P) = d_u  field (S) + h/2 (F_S + F_P)       (ubar transport)
-    fieldersatz(P) = field(W) + field(S) - field(D)
+    field (P)      = field(W) + field(S) - field(D)
                      + h^2/4 (F_P + F_W + F_S + F_D)        (cell integral)
 
 (all signs flip on the backward sweep into the past triangle).  On the first
 front off the diagonal the across-corner D is not available and the value is
 taken as the average of the two one-leg trapezoid integrations instead.  F_P
-depends on the unknowns at P, so each cell runs a small fixed-point loop:
-a fixed count of plain iterations, then a damped retry for any cell that has
-not reached tolerance (fixed counts keep the two backends bit-identical).
+depends on the unknowns at P, so each front runs a small fixed-point loop
+vectorized over its cells: plain iterations until every cell's update is
+within CELL_TOL of its size (N_PLAIN caps them), then a damped retry from the
+predictor for any cell that has not converged (N_DAMPED caps that).
 
-Two implementations with identical arithmetic: a numba-jitted scalar sweep
-and a pure-numpy sweep vectorized over anti-diagonal fronts.  The linear
-solves of the global iteration (picard._frozen_solve) satisfy the same
-per-cell equations with F known on every node, which makes them closed
+The linear solves of the global iteration (picard._frozen_solve) satisfy the
+same per-cell equations with F known on every node, which makes them closed
 form: cumulative trapezoids of F for the derivatives and cumulative sums of
 the four-corner mixed differences for the field, with no front sweep.
 
@@ -36,9 +35,7 @@ The right side of the system, with zp = zeta'(ubar), zpp = zeta''(ubar):
 
 import numpy as np
 
-from ._backend import njit
 from .nonlinearity import (
-    KERNEL_CUSTOM,
     KERNEL_LINEAR,
     KERNEL_MEMBRANE,
     KERNEL_POLYNOMIAL,
@@ -51,190 +48,6 @@ STATUS_OK = 0
 STATUS_INNER_DIVERGENCE = 1
 STATUS_BAD_SIGMA = 2
 
-
-# ---------------------------------------------------------------------------
-# numba path
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _coeffs_scalar(code, pa, pb, pc, s):
-    """(ok, G, c_xi) at one sigma for the jit-able model families."""
-    if code == KERNEL_LINEAR:
-        return True, 0.0, 0.0
-    if code == KERNEL_MEMBRANE:
-        if s <= -1.0:
-            return False, 0.0, 0.0
-        fp = -0.5 / (1.0 + s)
-        fpp = 0.5 / ((1.0 + s) * (1.0 + s))
-    else:
-        fp = pa + 2.0 * pb * s + 3.0 * pc * s * s
-        fpp = 2.0 * pb + 6.0 * pc * s
-    kap = 1.0 + 2.0 * fp * s
-    if kap <= 0.0:
-        return False, 0.0, 0.0
-    G = (fpp * s + fp) / kap + fp
-    Hp = -2.0 * (fpp - 2.0 * fp * fp) / (kap * kap)
-    return True, G, 0.25 * s * kap * Hp
-
-
-@njit(cache=True)
-def _rhs_scalar(code, pa, pb, pc, zp, zpp,
-                psi, psib, psi_u, psi_ub, psib_u, psib_ub, xi_u, xi_ub):
-    """(ok, sigma, F_psi, F_psib, F_xi) at one node."""
-    sig = -psi * (2.0 * zp + psib)
-    ok, G, cxi = _coeffs_scalar(code, pa, pb, pc, sig)
-    if not ok:
-        return False, sig, 0.0, 0.0, 0.0
-    s_u = -psi_u * (2.0 * zp + psib) - psi * psib_u
-    s_ub = -psi_ub * (2.0 * zp + psib) - psi * (2.0 * zpp + psib_ub)
-    f_psi = -0.5 * G * (s_u * psi_ub + psi_u * s_ub)
-    f_psib = -G * s_u * zpp - 0.5 * G * (s_u * psib_ub + psib_u * s_ub)
-    f_xi = -cxi * (s_u * xi_ub + xi_u * s_ub + zp * s_u)
-    return True, sig, f_psi, f_psib, f_xi
-
-
-@njit(cache=True)
-def _march_numba(h, N, direction, code, pa, pb, pc, zp, zpp,
-                 P, B, X, S, PU, PUB, BU, BUB, XU, XUB, FP, FB, FX):
-    """Sweep one time direction; returns (status, bad_i, bad_j).
-
-    direction = +1 fills the future triangle i+j > N, -1 the past one.
-    """
-    d = direction
-    hh = 0.5 * h * d
-    qq = 0.25 * h * h
-
-    # right side on the diagonal (also records sigma there)
-    for i in range(N + 1):
-        j = N - i
-        ok, sig, f1, f2, f3 = _rhs_scalar(
-            code, pa, pb, pc, zp[j], zpp[j],
-            P[i, j], B[i, j], PU[i, j], PUB[i, j],
-            BU[i, j], BUB[i, j], XU[i, j], XUB[i, j],
-        )
-        if not ok:
-            return STATUS_BAD_SIGMA, i, j
-        S[i, j] = sig
-        FP[i, j] = f1
-        FB[i, j] = f2
-        FX[i, j] = f3
-
-    for m in range(1, N + 1):
-        k = N + d * m
-        i_lo = k - N if k > N else 0
-        i_hi = N if k > N else k
-        first = m == 1
-        for i in range(i_lo, i_hi + 1):
-            j = k - i
-            iw = i - d
-            js = j - d
-            # self-consistent cell: fixed-point loop on the 9 unknowns
-            p = P[iw, j] + P[i, js] - P[iw, js]
-            b = B[iw, j] + B[i, js] - B[iw, js]
-            x = X[iw, j] + X[i, js] - X[iw, js]
-            pu = PU[i, js]
-            pub = PUB[iw, j]
-            bu = BU[i, js]
-            bub = BUB[iw, j]
-            xu = XU[i, js]
-            xub = XUB[iw, j]
-            ok = True
-            converged = False
-            for attempt in range(2):
-                damp = 0.5 if attempt == 1 else 1.0
-                n_it = N_DAMPED if attempt == 1 else N_PLAIN
-                change = 0.0
-                for _ in range(n_it):
-                    ok, sig, f1, f2, f3 = _rhs_scalar(
-                        code, pa, pb, pc, zp[j], zpp[j],
-                        p, b, pu, pub, bu, bub, xu, xub,
-                    )
-                    if not ok:
-                        break
-                    n_pub = PUB[iw, j] + hh * (FP[iw, j] + f1)
-                    n_pu = PU[i, js] + hh * (FP[i, js] + f1)
-                    n_bub = BUB[iw, j] + hh * (FB[iw, j] + f2)
-                    n_bu = BU[i, js] + hh * (FB[i, js] + f2)
-                    n_xub = XUB[iw, j] + hh * (FX[iw, j] + f3)
-                    n_xu = XU[i, js] + hh * (FX[i, js] + f3)
-                    if first:
-                        n_p = 0.5 * (P[i, js] + hh * (PUB[i, js] + n_pub)) \
-                            + 0.5 * (P[iw, j] + hh * (PU[iw, j] + n_pu))
-                        n_b = 0.5 * (B[i, js] + hh * (BUB[i, js] + n_bub)) \
-                            + 0.5 * (B[iw, j] + hh * (BU[iw, j] + n_bu))
-                        n_x = 0.5 * (X[i, js] + hh * (XUB[i, js] + n_xub)) \
-                            + 0.5 * (X[iw, j] + hh * (XU[iw, j] + n_xu))
-                    else:
-                        n_p = P[iw, j] + P[i, js] - P[iw, js] \
-                            + qq * (f1 + FP[iw, j] + FP[i, js] + FP[iw, js])
-                        n_b = B[iw, j] + B[i, js] - B[iw, js] \
-                            + qq * (f2 + FB[iw, j] + FB[i, js] + FB[iw, js])
-                        n_x = X[iw, j] + X[i, js] - X[iw, js] \
-                            + qq * (f3 + FX[iw, j] + FX[i, js] + FX[iw, js])
-                    if damp != 1.0:
-                        n_p = p + damp * (n_p - p)
-                        n_b = b + damp * (n_b - b)
-                        n_x = x + damp * (n_x - x)
-                        n_pu = pu + damp * (n_pu - pu)
-                        n_pub = pub + damp * (n_pub - pub)
-                        n_bu = bu + damp * (n_bu - bu)
-                        n_bub = bub + damp * (n_bub - bub)
-                        n_xu = xu + damp * (n_xu - xu)
-                        n_xub = xub + damp * (n_xub - xub)
-                    change = abs(n_p - p)
-                    for dv in (
-                        abs(n_b - b), abs(n_x - x), abs(n_pu - pu),
-                        abs(n_pub - pub), abs(n_bu - bu), abs(n_bub - bub),
-                        abs(n_xu - xu), abs(n_xub - xub),
-                    ):
-                        if dv > change:
-                            change = dv
-                    p, b, x = n_p, n_b, n_x
-                    pu, pub, bu, bub, xu, xub = n_pu, n_pub, n_bu, n_bub, n_xu, n_xub
-                if not ok:
-                    return STATUS_BAD_SIGMA, i, j
-                scale = 1.0 + max(abs(p), max(abs(b), abs(x)))
-                if change <= CELL_TOL * scale:
-                    converged = True
-                    break
-                # reset to the predictor before the damped retry
-                if attempt == 0:
-                    p = P[iw, j] + P[i, js] - P[iw, js]
-                    b = B[iw, j] + B[i, js] - B[iw, js]
-                    x = X[iw, j] + X[i, js] - X[iw, js]
-                    pu = PU[i, js]
-                    pub = PUB[iw, j]
-                    bu = BU[i, js]
-                    bub = BUB[iw, j]
-                    xu = XU[i, js]
-                    xub = XUB[iw, j]
-            if not converged:
-                return STATUS_INNER_DIVERGENCE, i, j
-            ok, sig, f1, f2, f3 = _rhs_scalar(
-                code, pa, pb, pc, zp[j], zpp[j],
-                p, b, pu, pub, bu, bub, xu, xub,
-            )
-            if not ok:
-                return STATUS_BAD_SIGMA, i, j
-            P[i, j] = p
-            B[i, j] = b
-            X[i, j] = x
-            S[i, j] = sig
-            PU[i, j] = pu
-            PUB[i, j] = pub
-            BU[i, j] = bu
-            BUB[i, j] = bub
-            XU[i, j] = xu
-            XUB[i, j] = xub
-            FP[i, j] = f1
-            FB[i, j] = f2
-            FX[i, j] = f3
-    return STATUS_OK, -1, -1
-
-
-# ---------------------------------------------------------------------------
-# numpy path (vectorized over anti-diagonal fronts)
-# ---------------------------------------------------------------------------
 
 def _coeffs_arrays(model, s):
     """(ok_mask, G, c_xi) on an array of sigma, custom models included."""
@@ -286,7 +99,10 @@ def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub, xi_u,
 
 def _march_numpy(h, N, direction, model, zp, zpp,
                  P, B, X, S, PU, PUB, BU, BUB, XU, XUB, FP, FB, FX):
-    """Front-vectorized twin of _march_numba; identical arithmetic."""
+    """Sweep one time direction front by front; returns (status, bad_i, bad_j).
+
+    direction = +1 fills the future triangle i+j > N, -1 the past one.
+    """
     d = direction
     hh = 0.5 * h * d
     qq = 0.25 * h * h
@@ -319,10 +135,12 @@ def _march_numpy(h, N, direction, model, zp, zpp,
         here = (ii, jj)
 
         def solve_subset(sel, damp, n_it):
-            """Fixed-point iterations for the selected front cells.
+            """At most n_it fixed-point iterations for the selected cells.
 
-            Every cell's arithmetic matches the scalar kernel exactly, so
-            a cell's result never depends on which subset it runs in.
+            The loop stops once every selected cell's update is within
+            CELL_TOL * scale.  The stop is front-wide: a cell that converged
+            early keeps iterating until the slowest cell has, so its result
+            depends on the subset it runs in, but only below that tolerance.
             """
             wS = (iw[sel], jj[sel])
             sS = (ii[sel], js[sel])
@@ -337,7 +155,7 @@ def _march_numpy(h, N, direction, model, zp, zpp,
             bub = BUB[wS].copy()
             xu = XU[sS].copy()
             xub = XUB[wS].copy()
-            change = np.zeros(p.shape)
+            good = np.zeros(p.shape, dtype=bool)
             for _ in range(n_it):
                 okm, sig, f1, f2, f3 = _rhs_arrays(
                     model, zp[jjS], zpp[jjS], p, b, pu, pub, bu, bub, xu, xub,
@@ -376,8 +194,10 @@ def _march_numpy(h, N, direction, model, zp, zpp,
                     np.maximum(change, np.abs(new - old), out=change)
                 p, b, x = n_p, n_b, n_x
                 pu, pub, bu, bub, xu, xub = n_pu, n_pub, n_bu, n_bub, n_xu, n_xub
-            scale = 1.0 + np.maximum(np.abs(p), np.maximum(np.abs(b), np.abs(x)))
-            good = change <= CELL_TOL * scale
+                scale = 1.0 + np.maximum(np.abs(p), np.maximum(np.abs(b), np.abs(x)))
+                good = change <= CELL_TOL * scale
+                if np.all(good):
+                    break
             return (p, b, x, pu, pub, bu, bub, xu, xub, good), -1
 
         full = np.ones(ii.shape, dtype=bool)

@@ -20,7 +20,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from ._backend import thread_count
 from .errors import NullwaveError, ScenarioError
 from .oracles import oracle_tables
 from .pipeline import STAGES, run_pipeline
@@ -28,6 +27,18 @@ from .report import (summary_row, write_json, write_run_outputs,
                      write_summary_csv)
 from .scenario import (load_scenario, scenario_from_dict, scenario_to_dict,
                        validate_scenario)
+
+
+def thread_count() -> int:
+    """Worker count for parameter sweeps (NULLWAVE_THREADS caps it)."""
+    n = os.cpu_count() or 1
+    raw = os.environ.get("NULLWAVE_THREADS", "").strip()
+    if raw:
+        try:
+            n = max(1, min(n, int(raw)))
+        except ValueError:
+            pass
+    return n
 
 
 def _load_checked(path):

@@ -14,11 +14,8 @@ with sigma slaved algebraically, never integrated:
 
 Data lives on the anti-diagonal i + j = N (the t=0 slice, where u = s and
 ubar = -s); march() fills the future and past triangles of the square with
-the trapezoid/four-corner scheme in _kernels and returns a frozen DNState.
-
-Both backends (numba scalar sweep, vectorized numpy) produce bit-identical
-arrays; the default is picked by the NULLWAVE_NUMBA environment flag.
-Models with callable coefficient functions always run on the numpy path.
+the trapezoid/four-corner scheme in _kernels, one numpy sweep vectorized
+over anti-diagonal fronts, and returns a frozen DNState.
 """
 
 from __future__ import annotations
@@ -26,28 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._backend import use_numba
 from .background import WaveProfile
 from .errors import GridMismatch, HyperbolicityLoss, InnerFixedPointDivergence
 from .grid import DNGrid
-from .nonlinearity import KERNEL_CUSTOM, Nonlinearity, eval_coeffs
+from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import FIELD_NAMES, DiagonalData, DNState
-
-
-def pick_backend(model: Nonlinearity, backend=None) -> str:
-    """Resolve the requested backend name to "numba" or "numpy"."""
-    if backend not in (None, "numba", "numpy"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if model.kernel_code == KERNEL_CUSTOM:
-        return "numpy"
-    if backend is None:
-        return "numba" if use_numba() else "numpy"
-    return backend
-
-
-def _kernel_params(model):
-    pars = tuple(float(p) for p in (model.kernel_params or ()))
-    return (pars + (0.0, 0.0, 0.0))[:3]
 
 
 def _raise_for_status(status, i, j, grid):
@@ -65,7 +45,7 @@ def _raise_for_status(status, i, j, grid):
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
-          profile: WaveProfile, backend=None) -> DNState:
+          profile: WaveProfile) -> DNState:
     """Solve the double-null system on the full square from diagonal data.
 
     Parameters
@@ -79,8 +59,6 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     profile : WaveProfile
         Background travelling profile zeta entering through zeta'(ubar),
         zeta''(ubar).
-    backend : {None, "numba", "numpy"}
-        None picks numba when available and enabled (NULLWAVE_NUMBA).
 
     Returns
     -------
@@ -101,8 +79,8 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     for name in FIELD_NAMES + ("sigma",):
         getattr(state, name)[ii, jj] = getattr(data, name)
 
-    zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
-    zpp = np.ascontiguousarray(profile.d2zeta(grid.ub), dtype=float)
+    zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
+    zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
     f_psi = np.zeros((grid.n_nodes, grid.n_nodes))
     f_psib = np.zeros_like(f_psi)
     f_xi = np.zeros_like(f_psi)
@@ -112,18 +90,10 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
         state.dpsi_u, state.dpsi_ub, state.dpsib_u, state.dpsib_ub,
         state.dxi_u, state.dxi_ub, f_psi, f_psib, f_xi,
     )
-    which = pick_backend(model, backend)
     for direction in (1, -1):
-        if which == "numba":
-            pa, pb, pc = _kernel_params(model)
-            status, bi, bj = _kernels._march_numba(
-                grid.h, grid.N, direction,
-                model.kernel_code, pa, pb, pc, zp, zpp, *field_args,
-            )
-        else:
-            status, bi, bj = _kernels._march_numpy(
-                grid.h, grid.N, direction, model, zp, zpp, *field_args,
-            )
+        status, bi, bj = _kernels._march_numpy(
+            grid.h, grid.N, direction, model, zp, zpp, *field_args,
+        )
         _raise_for_status(status, bi, bj, grid)
     return state.freeze()
 

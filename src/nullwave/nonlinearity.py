@@ -40,7 +40,7 @@ from .errors import DomainError, HyperbolicityLoss
 
 ArrayLike = Union[float, np.ndarray]
 
-# kernel codes understood by the jitted march/transport kernels
+# kernel codes: the closed-form coefficient branch _kernels._coeffs_arrays takes
 KERNEL_LINEAR = 0
 KERNEL_MEMBRANE = 1
 KERNEL_POLYNOMIAL = 2
@@ -60,9 +60,10 @@ class Nonlinearity:
     sigma_min, sigma_max : float
         Open admissible interval for sigma (inf allowed).
     kernel_code : int
-        Integer tag used by the jitted kernels; -1 means numpy-only.
+        Selects the closed-form coefficient branch of the march kernel;
+        -1 (custom) evaluates fp and fpp instead.
     kernel_params : tuple of float
-        Up to three parameters consumed by the jitted kernels.
+        The polynomial branch's (a, b, c).
     """
 
     name: str

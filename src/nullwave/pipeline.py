@@ -22,7 +22,7 @@ import numpy as np
 
 from . import crossval as cv
 from .data_gauge import build_diagonal_data, closeness_certificate
-from .dn_core import march, pick_backend, sigma_wave_residual, verify_envelopes
+from .dn_core import march, sigma_wave_residual, verify_envelopes
 from .errors import InsufficientDomain, NullwaveError
 from .geometry import (degeneracy_monitor, integrate_frame, nullity_residual,
                        reconstruct_coords)
@@ -111,10 +111,10 @@ def run_pipeline(scenario: Scenario) -> RunResult:
     state = None
     if data is not None:
         try:
-            state = march(data, grid, model, profile, backend=sv["backend"])
+            state = march(data, grid, model, profile)
             resid = sigma_wave_residual(state, model, profile)
             report["stages"]["march"] = {
-                "backend": pick_backend(model, sv["backend"]),
+                "backend": "numpy",
                 "envelope_fits": verify_envelopes(state, gb),
                 "sigma_wave_residual_sup": float(np.max(np.abs(resid))),
                 "field_sup": {

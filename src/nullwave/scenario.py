@@ -37,7 +37,6 @@ PERTURBATION_DEFAULTS = {
 }
 
 SOLVER_DEFAULTS = {
-    "backend": None,          # None / "numba" / "numpy"
     "picard": True,           # run the fixed-point route next to the march
     "crossval": True,         # run the rectangular solver comparison
     "tol": 1e-12,             # fixed-point stopping tolerance
@@ -56,7 +55,6 @@ _TOP_KEYS = frozenset(
      "grid", "solver", "seed")
 )
 _GRID_KEYS = frozenset(("radius", "h"))
-_BACKENDS = (None, "numba", "numpy")
 
 
 @dataclass(frozen=True)
@@ -133,7 +131,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):
         raise ScenarioError("solver must be a mapping")
-    solver = _merge_defaults("solver", solver, SOLVER_DEFAULTS)
+    # legacy key from when the march had two backends: a valid value is
+    # dropped, an invalid one is kept so validate_scenario reports it
+    legacy = solver.get("backend")
+    solver = _merge_defaults(
+        "solver", {k: v for k, v in solver.items() if k != "backend"},
+        SOLVER_DEFAULTS)
+    if legacy not in (None, "numba", "numpy"):
+        solver["backend"] = legacy
 
     seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
@@ -236,9 +241,9 @@ def validate_scenario(s: Scenario) -> list:
             problems.append(f"perturbation: gamma must be positive, got {p['gamma']}")
 
     sv = s.solver
-    if sv["backend"] not in _BACKENDS:
-        problems.append(f"solver: backend must be one of {_BACKENDS}, "
-                        f"got {sv['backend']!r}")
+    if "backend" in sv:
+        problems.append(f"solver: unknown legacy backend {sv['backend']!r} "
+                        "(the march has one numpy kernel)")
     if not sv["tol"] > 0.0:
         problems.append(f"solver: tol must be positive, got {sv['tol']}")
     if not (isinstance(sv["max_iter"], int) and sv["max_iter"] >= 1):

@@ -4,16 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_compatible_data, make_zero_data
+from nullwave import _kernels
+from nullwave.data_gauge import build_diagonal_data, perturbed_data
 from nullwave.dn_core import (
     march,
-    pick_backend,
     rhs_wave,
     sigma_wave_residual,
     verify_envelopes,
 )
-from nullwave.errors import GridMismatch, HyperbolicityLoss
+from nullwave.errors import (GridMismatch, HyperbolicityLoss,
+                             InnerFixedPointDivergence)
 from nullwave.grid import DNGrid
-from nullwave.nonlinearity import custom_model, membrane_model
 from nullwave.state import DiagonalData, DNState, sigma_of
 
 
@@ -57,7 +58,7 @@ def test_march_linear_dalembert(linear, zero_prof):
     for h in (0.05, 0.025):
         grid = DNGrid.square(2.0, h)
         data, exact = dalembert_data(grid)
-        st_ = march(data, grid, linear, zero_prof, backend="numpy")
+        st_ = march(data, grid, linear, zero_prof)
         U, UB = grid.u[:, None], grid.ub[None, :]
         errs[h] = max(
             np.max(np.abs(st_.psi - exact["psi"](U, UB))),
@@ -73,7 +74,7 @@ def test_march_linear_derivatives_exact(linear, zero_prof):
     # with F == 0 the derivative transports are exact copies
     grid = DNGrid.square(1.5, 0.05)
     data, _ = dalembert_data(grid)
-    st_ = march(data, grid, linear, zero_prof, backend="numpy")
+    st_ = march(data, grid, linear, zero_prof)
     shape = st_.psi.shape
     assert np.array_equal(st_.dpsi_u, np.broadcast_to(data.dpsi_u[:, None], shape))
     assert np.array_equal(st_.dpsib_ub,
@@ -84,31 +85,87 @@ def test_march_linear_derivatives_exact(linear, zero_prof):
 
 def test_march_zero_data_stays_zero(membrane, bump03):
     grid = DNGrid.square(3.0, 0.1)
-    st_ = march(make_zero_data(grid), grid, membrane, bump03, backend="numpy")
+    st_ = march(make_zero_data(grid), grid, membrane, bump03)
     for name, arr in st_.arrays().items():
         assert np.all(arr == 0.0), name
 
 
-def test_march_backends_bit_identical(membrane, bump03):
+def test_march_satisfies_box_scheme(membrane, bump03):
+    # Every stored cell must meet the scheme's per-cell equations with F
+    # recomputed from the stored fields, to within the cell tolerance: a
+    # front that stopped iterating too early would leave a larger residual.
     grid = DNGrid.square(2.0, 0.05)
-    data = make_compatible_data(grid, bump03)
-    a = march(data, grid, membrane, bump03, backend="numpy")
-    b = march(data, grid, membrane, bump03, backend="numba")
-    for name in a.arrays():
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    N, h = grid.N, grid.h
+    qq = 0.25 * h * h
+    st_ = march(make_compatible_data(grid, bump03), grid, membrane, bump03)
+    _, *sources = rhs_wave(
+        membrane, bump03.dzeta(grid.ub)[None, :], bump03.d2zeta(grid.ub)[None, :],
+        st_.psi, st_.psib, st_.dpsi_u, st_.dpsi_ub, st_.dpsib_u, st_.dpsib_ub,
+        st_.dxi_u, st_.dxi_ub,
+    )
+    tol = _kernels.CELL_TOL * (1.0 + max(
+        np.max(np.abs(getattr(st_, name))) for name in ("psi", "psib", "xi")))
+    for name, F in zip(("psi", "psib", "xi"), sources):
+        f = getattr(st_, name)
+        fu, fub = getattr(st_, f"d{name}_u"), getattr(st_, f"d{name}_ub")
+        for d in (1, -1):
+            hh = 0.5 * h * d
+            for m in range(1, N + 1):
+                k = N + d * m
+                i = np.arange(max(k - N, 0), min(N, k) + 1)
+                j = k - i
+                iw, js = i - d, j - d
+                u_transport = fub[i, j] - fub[iw, j] - hh * (F[iw, j] + F[i, j])
+                ub_transport = fu[i, j] - fu[i, js] - hh * (F[i, js] + F[i, j])
+                if m == 1:  # averaged one-leg rule
+                    cell = f[i, j] \
+                        - 0.5 * (f[i, js] + hh * (fub[i, js] + fub[i, j])) \
+                        - 0.5 * (f[iw, j] + hh * (fu[iw, j] + fu[i, j]))
+                else:  # four-corner rule
+                    cell = f[i, j] - f[iw, j] - f[i, js] + f[iw, js] \
+                        - qq * (F[i, j] + F[iw, j] + F[i, js] + F[iw, js])
+                for resid in (u_transport, ub_transport, cell):
+                    assert np.max(np.abs(resid)) <= tol, (name, d, m)
+
+
+def _retry_case(membrane, bump03):
+    grid = DNGrid.square(2.0, 0.05)
+    data, _ = build_diagonal_data(perturbed_data(bump03, eps=1e-3),
+                                  grid, membrane, bump03)
+    return data, grid
+
+
+def test_march_damped_retry_rescues_short_plain_budget(membrane, bump03,
+                                                       monkeypatch):
+    data, grid = _retry_case(membrane, bump03)
+    ref = march(data, grid, membrane, bump03)
+    monkeypatch.setattr(_kernels, "N_PLAIN", 2)
+    monkeypatch.setattr(_kernels, "N_DAMPED", 40)
+    st_ = march(data, grid, membrane, bump03)
+    for name in ref.arrays():
+        gap = np.max(np.abs(getattr(st_, name) - getattr(ref, name)))
+        assert gap <= 1e-10, name
+
+
+def test_march_retry_exhausted_names_the_node(membrane, bump03, monkeypatch):
+    data, grid = _retry_case(membrane, bump03)
+    monkeypatch.setattr(_kernels, "N_PLAIN", 1)
+    monkeypatch.setattr(_kernels, "N_DAMPED", 1)
+    with pytest.raises(InnerFixedPointDivergence, match=r"node \(u=.*, ubar=.*\)"):
+        march(data, grid, membrane, bump03)
 
 
 def test_march_sigma_slaved(membrane, bump03):
     grid = DNGrid.square(2.0, 0.05)
     data = make_compatible_data(grid, bump03)
-    st_ = march(data, grid, membrane, bump03, backend="numpy")
+    st_ = march(data, grid, membrane, bump03)
     zp = bump03.dzeta(grid.ub)
     assert np.array_equal(st_.sigma, sigma_of(st_.psi, st_.psib, zp[None, :]))
 
 
 def test_march_output_frozen(membrane, bump03):
     grid = DNGrid.square(1.0, 0.1)
-    st_ = march(make_zero_data(grid), grid, membrane, bump03, backend="numpy")
+    st_ = march(make_zero_data(grid), grid, membrane, bump03)
     with pytest.raises(ValueError):
         st_.psi[0, 0] = 1.0
 
@@ -134,7 +191,7 @@ def test_march_domain_wall_raises(membrane, zero_prof):
         gamma_bar=0.5,
     )
     with pytest.raises(HyperbolicityLoss):
-        march(data, grid, membrane, zero_prof, backend="numpy")
+        march(data, grid, membrane, zero_prof)
 
 
 def test_domain_of_dependence_two_quadrants(membrane, zero_prof):
@@ -155,8 +212,8 @@ def test_domain_of_dependence_two_quadrants(membrane, zero_prof):
                                zero_prof.dzeta(-grid.u))
     edited = DiagonalData(**bumped)
 
-    st_a = march(base, grid, membrane, zero_prof, backend="numpy")
-    st_b = march(edited, grid, membrane, zero_prof, backend="numpy")
+    st_a = march(base, grid, membrane, zero_prof)
+    st_b = march(edited, grid, membrane, zero_prof)
 
     ii = np.arange(grid.N + 1)[:, None]
     jj = np.arange(grid.N + 1)[None, :]
@@ -178,7 +235,7 @@ def test_sigma_wave_residual_second_order(membrane, bump03):
     for h in (0.05, 0.025):
         grid = DNGrid.square(2.0, h)
         data = make_compatible_data(grid, bump03)
-        st_ = march(data, grid, membrane, bump03, backend="numpy")
+        st_ = march(data, grid, membrane, bump03)
         sups[h] = np.max(np.abs(sigma_wave_residual(st_, membrane, bump03)))
     order = np.log2(sups[0.05] / sups[0.025])
     assert 1.6 < order < 2.4
@@ -261,24 +318,9 @@ def test_verify_envelopes_hand_values():
 def test_verify_envelopes_linear_in_amplitude(membrane, bump03):
     grid = DNGrid.square(1.5, 0.05)
     data = make_compatible_data(grid, bump03, amp=1e-3)
-    st_ = march(data, grid, membrane, bump03, backend="numpy")
+    st_ = march(data, grid, membrane, bump03)
     fit1 = verify_envelopes(st_, 0.5)
     doubled = DNState(grid, *[2.0 * a for a in st_.arrays().values()])
     fit2 = verify_envelopes(doubled, 0.5)
     for key in ("psi", "psib", "xi", "delta"):
         assert fit2[key] == pytest.approx(2.0 * fit1[key], rel=1e-12)
-
-
-def test_pick_backend_rules(membrane):
-    assert pick_backend(membrane, "numpy") == "numpy"
-    assert pick_backend(membrane, "numba") == "numba"
-    assert pick_backend(membrane, None) in ("numba", "numpy")
-    zero = lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    bespoke = custom_model(
-        f=lambda s: 0.1 * np.asarray(s, dtype=float),
-        fp=lambda s: 0.1 * np.ones_like(np.asarray(s, dtype=float)),
-        fpp=zero, fppp=zero, name="bespoke",
-    )
-    assert pick_backend(bespoke, "numba") == "numpy"
-    with pytest.raises(ValueError):
-        pick_backend(membrane, "fortran")

@@ -117,6 +117,18 @@ def test_stages_switch_off():
     assert set(rep["stages"]) == {"data_gauge", "march", "geometry"}
 
 
+def test_legacy_numba_backend_runs_numpy_march():
+    # scenario files from when the march had a numba twin still load; the
+    # key is dropped from the normalized record and the numpy march runs
+    s = scenario(solver={"backend": "numba", "picard": False,
+                         "crossval": False})
+    assert "backend" not in s.solver
+    rep = run_pipeline(s).report
+    assert rep["ok"] is True
+    assert "backend" not in rep["scenario"]["solver"]
+    assert rep["stages"]["march"]["backend"] == "numpy"
+
+
 def test_background_scenario_is_quiet():
     res = run_pipeline(scenario(perturbation=None, seed=0))
     rep = res.report
