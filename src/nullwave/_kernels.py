@@ -16,7 +16,11 @@ taken as the average of the two one-leg trapezoid integrations instead.  F_P
 depends on the unknowns at P, so each front runs a small fixed-point loop
 vectorized over its cells: plain iterations until every cell's update is
 within CELL_TOL of its size (N_PLAIN caps them), then a damped retry from the
-predictor for any cell that has not converged (N_DAMPED caps that).
+predictor for any cell that has not converged (N_DAMPED caps that).  The
+sweep fills a DNState in place and raises the named errors itself, at the
+first failing node of the front: HyperbolicityLoss where sigma leaves the
+model's admissible range, InnerFixedPointDivergence where a cell is still
+unconverged after the retry.
 
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
@@ -35,104 +39,80 @@ The right side of the system, with zp = zeta'(ubar), zpp = zeta''(ubar):
 
 import numpy as np
 
-from .nonlinearity import (
-    KERNEL_LINEAR,
-    KERNEL_MEMBRANE,
-    KERNEL_POLYNOMIAL,
-)
+from .errors import HyperbolicityLoss, InnerFixedPointDivergence
+from .nonlinearity import coeff_arrays
+from .state import dsigma_u_of, dsigma_ub_of, sigma_of
 
 N_PLAIN = 8
 N_DAMPED = 8
 CELL_TOL = 1e-12
-STATUS_OK = 0
-STATUS_INNER_DIVERGENCE = 1
-STATUS_BAD_SIGMA = 2
-
-
-def _coeffs_arrays(model, s):
-    """(ok_mask, G, c_xi) on an array of sigma, custom models included."""
-    s = np.asarray(s, dtype=float)
-    if model.kernel_code == KERNEL_LINEAR:
-        z = np.zeros_like(s)
-        return np.ones(s.shape, dtype=bool), z, z
-    if model.kernel_code == KERNEL_MEMBRANE:
-        okm = s > -1.0
-        safe = np.where(okm, s, 0.0)
-        fp = -0.5 / (1.0 + safe)
-        fpp = 0.5 / ((1.0 + safe) * (1.0 + safe))
-    elif model.kernel_code == KERNEL_POLYNOMIAL:
-        pa, pb, pc = model.kernel_params
-        okm = np.ones(s.shape, dtype=bool)
-        fp = pa + 2.0 * pb * s + 3.0 * pc * s * s
-        fpp = 2.0 * pb + 6.0 * pc * s
-    else:
-        okm = (s > model.sigma_min) & (s < model.sigma_max)
-        if np.isfinite(model.sigma_min) and np.isfinite(model.sigma_max):
-            fallback = 0.5 * (model.sigma_min + model.sigma_max)
-        elif np.isfinite(model.sigma_min):
-            fallback = model.sigma_min + 1.0
-        elif np.isfinite(model.sigma_max):
-            fallback = model.sigma_max - 1.0
-        else:
-            fallback = 0.0
-        safe = np.where(okm, s, fallback)
-        fp = np.asarray(model.fp(safe), dtype=float)
-        fpp = np.asarray(model.fpp(safe), dtype=float)
-    kap = 1.0 + 2.0 * fp * s
-    okm = okm & (kap > 0.0)
-    kap_safe = np.where(okm, kap, 1.0)
-    G = (fpp * s + fp) / kap_safe + fp
-    Hp = -2.0 * (fpp - 2.0 * fp * fp) / (kap_safe * kap_safe)
-    return okm, G, 0.25 * s * kap_safe * Hp
 
 
 def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub, xi_u, xi_ub):
-    sig = -psi * (2.0 * zp + psib)
-    okm, G, cxi = _coeffs_arrays(model, sig)
-    s_u = -psi_u * (2.0 * zp + psib) - psi * psib_u
-    s_ub = -psi_ub * (2.0 * zp + psib) - psi * (2.0 * zpp + psib_ub)
+    sig = sigma_of(psi, psib, zp)
+    s_u = dsigma_u_of(psi, psib, psi_u, psib_u, zp)
+    s_ub = dsigma_ub_of(psi, psib, psi_ub, psib_ub, zp, zpp)
+    okm, _, _, kappa, G, _, Hp = coeff_arrays(model, sig)
     f_psi = -0.5 * G * (s_u * psi_ub + psi_u * s_ub)
     f_psib = -G * s_u * zpp - 0.5 * G * (s_u * psib_ub + psib_u * s_ub)
-    f_xi = -cxi * (s_u * xi_ub + xi_u * s_ub + zp * s_u)
+    f_xi = -(0.25 * sig * kappa * Hp) * (s_u * xi_ub + xi_u * s_ub + zp * s_u)
     return okm, sig, f_psi, f_psib, f_xi
 
 
-def _march_numpy(h, N, direction, model, zp, zpp,
-                 P, B, X, S, PU, PUB, BU, BUB, XU, XUB, FP, FB, FX):
-    """Sweep one time direction front by front; returns (status, bad_i, bad_j).
+def _where(grid, i, j):
+    return f"node (u={grid.u[i]:.6g}, ubar={grid.ub[j]:.6g})"
 
-    direction = +1 fills the future triangle i+j > N, -1 the past one.
-    """
-    d = direction
-    hh = 0.5 * h * d
-    qq = 0.25 * h * h
-    diag = np.arange(N + 1)
 
-    jd = N - diag
-    okm, sig, f1, f2, f3 = _rhs_arrays(
-        model, zp[jd], zpp[jd],
-        P[diag, jd], B[diag, jd], PU[diag, jd], PUB[diag, jd],
-        BU[diag, jd], BUB[diag, jd], XU[diag, jd], XUB[diag, jd],
-    )
+def _require_admissible(okm, grid, ii, jj):
+    """Raise HyperbolicityLoss at the first node (ii, jj) outside okm."""
     if not np.all(okm):
         bad = int(np.argmin(okm))
-        return STATUS_BAD_SIGMA, bad, N - bad
-    S[diag, jd] = sig
-    FP[diag, jd] = f1
-    FB[diag, jd] = f2
-    FX[diag, jd] = f3
+        raise HyperbolicityLoss(
+            "sigma left the admissible range (domain wall or kappa <= 0) at "
+            + _where(grid, ii[bad], jj[bad])
+        )
+
+
+def _march_numpy(grid, direction, model, zp, zpp, state, FP, FB, FX):
+    """Sweep one time direction front by front, filling state in place.
+
+    direction = +1 fills the future triangle i+j > N, -1 the past one.
+    FP, FB, FX receive the sources F_psi, F_psib, F_xi at every node filled.
+    The unknowns of a set of cells are held as one (3, 3, cells) array:
+    field (psi, psib, xi) by component (value, d_u, d_ub).
+    """
+    h, N, d = grid.h, grid.N, direction
+    hh = 0.5 * h * d
+    qq = 0.25 * h * h
+    fields = [
+        (getattr(state, name), getattr(state, f"d{name}_u"),
+         getattr(state, f"d{name}_ub"), F)
+        for name, F in (("psi", FP), ("psib", FB), ("xi", FX))
+    ]
+
+    def rhs(j, U):
+        (p, pu, pub), (b, bu, bub), (_, xu, xub) = U
+        return _rhs_arrays(model, zp[j], zpp[j], p, b, pu, pub, bu, bub, xu, xub)
+
+    def store(here, U):
+        okm, sig, *sources = rhs(here[1], U)
+        _require_admissible(okm, grid, *here)
+        state.sigma[here] = sig
+        for (V, VU, VUB, F), (v, vu, vub), f in zip(fields, U, sources):
+            V[here], VU[here], VUB[here], F[here] = v, vu, vub, f
+
+    diag = np.arange(N + 1)
+    here = (diag, N - diag)
+    store(here, np.array([(V[here], VU[here], VUB[here])
+                          for V, VU, VUB, _ in fields]))
 
     for m in range(1, N + 1):
-        k = N + d * m
-        i_lo = k - N if k > N else 0
-        i_hi = N if k > N else k
-        first = m == 1
-        ii = np.arange(i_lo, i_hi + 1)
-        jj = k - ii
+        front = N + d * m
+        ii = np.arange(max(front - N, 0), min(front, N) + 1)
+        jj = front - ii
         iw = ii - d
         js = jj - d
-
-        here = (ii, jj)
+        first = m == 1
 
         def solve_subset(sel, damp, n_it):
             """At most n_it fixed-point iterations for the selected cells.
@@ -141,95 +121,45 @@ def _march_numpy(h, N, direction, model, zp, zpp,
             CELL_TOL * scale.  The stop is front-wide: a cell that converged
             early keeps iterating until the slowest cell has, so its result
             depends on the subset it runs in, but only below that tolerance.
+            Returns the unknowns and the mask of converged cells.
             """
-            wS = (iw[sel], jj[sel])
-            sS = (ii[sel], js[sel])
-            dS = (iw[sel], js[sel])
-            jjS = jj[sel]
-            p = P[wS] + P[sS] - P[dS]
-            b = B[wS] + B[sS] - B[dS]
-            x = X[wS] + X[sS] - X[dS]
-            pu = PU[sS].copy()
-            pub = PUB[wS].copy()
-            bu = BU[sS].copy()
-            bub = BUB[wS].copy()
-            xu = XU[sS].copy()
-            xub = XUB[wS].copy()
-            good = np.zeros(p.shape, dtype=bool)
+            i, j = ii[sel], jj[sel]
+            w, s, c = (iw[sel], j), (i, js[sel]), (iw[sel], js[sel])
+            cur = np.array([(V[w] + V[s] - V[c], VU[s], VUB[w])
+                            for V, VU, VUB, _ in fields])
+            new = np.empty_like(cur)
+            good = np.zeros(i.shape, dtype=bool)
             for _ in range(n_it):
-                okm, sig, f1, f2, f3 = _rhs_arrays(
-                    model, zp[jjS], zpp[jjS], p, b, pu, pub, bu, bub, xu, xub,
-                )
-                if not np.all(okm):
-                    return None, int(np.argmin(okm))
-                n_pub = PUB[wS] + hh * (FP[wS] + f1)
-                n_pu = PU[sS] + hh * (FP[sS] + f1)
-                n_bub = BUB[wS] + hh * (FB[wS] + f2)
-                n_bu = BU[sS] + hh * (FB[sS] + f2)
-                n_xub = XUB[wS] + hh * (FX[wS] + f3)
-                n_xu = XU[sS] + hh * (FX[sS] + f3)
-                if first:
-                    n_p = 0.5 * (P[sS] + hh * (PUB[sS] + n_pub)) + 0.5 * (P[wS] + hh * (PU[wS] + n_pu))
-                    n_b = 0.5 * (B[sS] + hh * (BUB[sS] + n_bub)) + 0.5 * (B[wS] + hh * (BU[wS] + n_bu))
-                    n_x = 0.5 * (X[sS] + hh * (XUB[sS] + n_xub)) + 0.5 * (X[wS] + hh * (XU[wS] + n_xu))
-                else:
-                    n_p = P[wS] + P[sS] - P[dS] + qq * (f1 + FP[wS] + FP[sS] + FP[dS])
-                    n_b = B[wS] + B[sS] - B[dS] + qq * (f2 + FB[wS] + FB[sS] + FB[dS])
-                    n_x = X[wS] + X[sS] - X[dS] + qq * (f3 + FX[wS] + FX[sS] + FX[dS])
+                okm, _, *sources = rhs(j, cur)
+                _require_admissible(okm, grid, i, j)
+                for out, (V, VU, VUB, F), f in zip(new, fields, sources):
+                    n_u = VU[s] + hh * (F[s] + f)
+                    n_ub = VUB[w] + hh * (F[w] + f)
+                    if first:
+                        out[0] = 0.5 * (V[s] + hh * (VUB[s] + n_ub)) \
+                            + 0.5 * (V[w] + hh * (VU[w] + n_u))
+                    else:
+                        out[0] = V[w] + V[s] - V[c] + qq * (f + F[w] + F[s] + F[c])
+                    out[1], out[2] = n_u, n_ub
                 if damp != 1.0:
-                    n_p = p + damp * (n_p - p)
-                    n_b = b + damp * (n_b - b)
-                    n_x = x + damp * (n_x - x)
-                    n_pu = pu + damp * (n_pu - pu)
-                    n_pub = pub + damp * (n_pub - pub)
-                    n_bu = bu + damp * (n_bu - bu)
-                    n_bub = bub + damp * (n_bub - bub)
-                    n_xu = xu + damp * (n_xu - xu)
-                    n_xub = xub + damp * (n_xub - xub)
-                change = np.abs(n_p - p)
-                for new, old in (
-                    (n_b, b), (n_x, x), (n_pu, pu), (n_pub, pub),
-                    (n_bu, bu), (n_bub, bub), (n_xu, xu), (n_xub, xub),
-                ):
-                    np.maximum(change, np.abs(new - old), out=change)
-                p, b, x = n_p, n_b, n_x
-                pu, pub, bu, bub, xu, xub = n_pu, n_pub, n_bu, n_bub, n_xu, n_xub
-                scale = 1.0 + np.maximum(np.abs(p), np.maximum(np.abs(b), np.abs(x)))
+                    new = cur + damp * (new - cur)
+                change = np.max(np.abs(new - cur), axis=(0, 1))
+                cur, new = new, cur
+                scale = 1.0 + np.max(np.abs(cur[:, 0]), axis=0)
                 good = change <= CELL_TOL * scale
                 if np.all(good):
                     break
-            return (p, b, x, pu, pub, bu, bub, xu, xub, good), -1
+            return cur, good
 
-        full = np.ones(ii.shape, dtype=bool)
-        res, bad = solve_subset(full, 1.0, N_PLAIN)
-        if res is None:
-            return STATUS_BAD_SIGMA, int(ii[bad]), int(jj[bad])
-        sol = list(res[:9])
-        good = res[9]
+        sol, good = solve_subset(np.ones(ii.shape, dtype=bool), 1.0, N_PLAIN)
         if not np.all(good):
             fail = ~good
-            res2, bad2 = solve_subset(fail, 0.5, N_DAMPED)
-            if res2 is None:
-                sub = np.flatnonzero(fail)[bad2]
-                return STATUS_BAD_SIGMA, int(ii[sub]), int(jj[sub])
-            for arr, fresh in zip(sol, res2[:9]):
-                arr[fail] = fresh
-            good = good.copy()
-            good[fail] = res2[9]
+            sol[:, :, fail], good[fail] = solve_subset(fail, 0.5, N_DAMPED)
             if not np.all(good):
-                bad3 = int(np.argmin(good))
-                return STATUS_INNER_DIVERGENCE, int(ii[bad3]), int(jj[bad3])
-        p, b, x, pu, pub, bu, bub, xu, xub = sol
-        okm, sig, f1, f2, f3 = _rhs_arrays(
-            model, zp[jj], zpp[jj], p, b, pu, pub, bu, bub, xu, xub,
-        )
-        if not np.all(okm):
-            bad = int(np.argmin(okm))
-            return STATUS_BAD_SIGMA, int(ii[bad]), int(jj[bad])
-        P[here], B[here], X[here] = p, b, x
-        S[here] = sig
-        PU[here], PUB[here] = pu, pub
-        BU[here], BUB[here] = bu, bub
-        XU[here], XUB[here] = xu, xub
-        FP[here], FB[here], FX[here] = f1, f2, f3
-    return STATUS_OK, -1, -1
+                bad = int(np.argmin(good))
+                raise InnerFixedPointDivergence(
+                    "cell fixed point did not converge at "
+                    f"{_where(grid, ii[bad], jj[bad])}; "
+                    "reduce h or the data amplitude"
+                )
+        store((ii, jj), sol)

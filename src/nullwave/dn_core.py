@@ -24,24 +24,10 @@ import numpy as np
 
 from . import _kernels
 from .background import WaveProfile
-from .errors import GridMismatch, HyperbolicityLoss, InnerFixedPointDivergence
-from .grid import DNGrid
+from .errors import GridMismatch, HyperbolicityLoss
+from .grid import DNGrid, decay_sup
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import FIELD_NAMES, DiagonalData, DNState
-
-
-def _raise_for_status(status, i, j, grid):
-    if status == _kernels.STATUS_OK:
-        return
-    where = f"node (u={grid.u[i]:.6g}, ubar={grid.ub[j]:.6g})"
-    if status == _kernels.STATUS_BAD_SIGMA:
-        raise HyperbolicityLoss(
-            f"sigma left the admissible range (domain wall or kappa <= 0) at {where}"
-        )
-    raise InnerFixedPointDivergence(
-        f"cell fixed point did not converge at {where}; "
-        "reduce h or the data amplitude"
-    )
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
@@ -64,6 +50,11 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     -------
     DNState with read-only arrays; state.sigma holds the slaved null form
     at every node.
+
+    Raises
+    ------
+    HyperbolicityLoss, InnerFixedPointDivergence
+        From the sweep in _kernels, naming the first failing node.
     """
     if data.s.shape != grid.u.shape:
         raise GridMismatch(
@@ -85,16 +76,9 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     f_psib = np.zeros_like(f_psi)
     f_xi = np.zeros_like(f_psi)
 
-    field_args = (
-        state.psi, state.psib, state.xi, state.sigma,
-        state.dpsi_u, state.dpsi_ub, state.dpsib_u, state.dpsib_ub,
-        state.dxi_u, state.dxi_ub, f_psi, f_psib, f_xi,
-    )
     for direction in (1, -1):
-        status, bi, bj = _kernels._march_numpy(
-            grid.h, grid.N, direction, model, zp, zpp, *field_args,
-        )
-        _raise_for_status(status, bi, bj, grid)
+        _kernels._march_numpy(grid, direction, model, zp, zpp, state,
+                              f_psi, f_psib, f_xi)
     return state.freeze()
 
 
@@ -127,18 +111,18 @@ def verify_envelopes(state: DNState, gamma_bar: float) -> dict:
     ubar-derivative weighted by (1+|ubar|)^(1+gamma_bar).  The fits are
     linear in the field amplitudes (doubling the solution doubles them).
     """
-    wu = (1.0 + np.abs(state.grid.u)) ** (1.0 + gamma_bar)
-    wub = (1.0 + np.abs(state.grid.ub)) ** (1.0 + gamma_bar)
+    g = state.grid
     out = {"gamma_bar": float(gamma_bar)}
     for name, du, dub in (
         ("psi", "dpsi_u", "dpsi_ub"),
         ("psib", "dpsib_u", "dpsib_ub"),
         ("xi", "dxi_u", "dxi_ub"),
     ):
-        plain = float(np.max(np.abs(getattr(state, name))))
-        wgt_u = float(np.max(np.abs(getattr(state, du)) * wu[:, None]))
-        wgt_ub = float(np.max(np.abs(getattr(state, dub)) * wub[None, :]))
-        out[name] = max(plain, wgt_u, wgt_ub)
+        out[name] = max(
+            float(np.max(np.abs(getattr(state, name)))),
+            decay_sup(g, getattr(state, du), gamma_bar, 0),
+            decay_sup(g, getattr(state, dub), gamma_bar, 1),
+        )
     out["delta"] = max(out["psi"], out["psib"], out["xi"])
     return out
 

@@ -93,3 +93,16 @@ def cumtrap_rows(F, h, anchor_j):
 def cumtrap_cols(F, h, anchor_i):
     """Cumulative trapezoid along axis 0, zeroed at per-column anchor rows."""
     return cumtrap_rows(np.ascontiguousarray(F.T), h, anchor_i).T
+
+
+def decay_sup(grid, f, gamma_bar, axis):
+    """Sup of (1+|x|)^(1+gamma_bar) |f| on the grid.
+
+    x is u for axis=0 and ubar for axis=1.  The max along the other axis
+    is taken first and weighted after: the weights are positive and
+    rounding is monotone, so this is the sup of the weighted array bit for
+    bit without forming it.
+    """
+    x = grid.u if axis == 0 else grid.ub
+    w = (1.0 + np.abs(x)) ** (1.0 + gamma_bar)
+    return float(np.max(w * np.max(np.abs(f), axis=1 - axis)))

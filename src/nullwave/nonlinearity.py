@@ -26,25 +26,21 @@ of dphi with itself against g^{-1} collapses to sigma + 2 f'(sigma) sigma^2.
 Three families are built in: "linear" (f = 0), "membrane"
 (f = -1/2 log(1+sigma), defined for sigma > -1, for which H == 1), and
 "polynomial" (f = a s + b s^2 + c s^3).  Custom models supply their own
-derivative callables.
+derivative callables.  Every model must admit sigma = 0 (the background
+value): coeff_arrays, the one evaluator of the coefficient algebra, uses it
+as the stand-in at nodes outside the admissible range.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, HyperbolicityLoss
 
 ArrayLike = Union[float, np.ndarray]
-
-# kernel codes: the closed-form coefficient branch _kernels._coeffs_arrays takes
-KERNEL_LINEAR = 0
-KERNEL_MEMBRANE = 1
-KERNEL_POLYNOMIAL = 2
-KERNEL_CUSTOM = -1
 
 
 @dataclass(frozen=True)
@@ -58,12 +54,8 @@ class Nonlinearity:
     f, fp, fpp, fppp : callables
         f and its derivatives, vectorized over numpy arrays.
     sigma_min, sigma_max : float
-        Open admissible interval for sigma (inf allowed).
-    kernel_code : int
-        Selects the closed-form coefficient branch of the march kernel;
-        -1 (custom) evaluates fp and fpp instead.
-    kernel_params : tuple of float
-        The polynomial branch's (a, b, c).
+        Open admissible interval for sigma (inf allowed); it must
+        contain 0.
     """
 
     name: str
@@ -73,8 +65,6 @@ class Nonlinearity:
     fppp: Callable[[ArrayLike], ArrayLike]
     sigma_min: float = -np.inf
     sigma_max: float = np.inf
-    kernel_code: int = KERNEL_CUSTOM
-    kernel_params: tuple = (0.0, 0.0, 0.0)
 
     def check_domain(self, sigma: ArrayLike) -> None:
         """Raise DomainError if any sigma leaves the admissible interval."""
@@ -137,7 +127,6 @@ def linear_model() -> Nonlinearity:
         fp=_zero,
         fpp=_zero,
         fppp=_zero,
-        kernel_code=KERNEL_LINEAR,
     )
 
 
@@ -150,7 +139,6 @@ def membrane_model() -> Nonlinearity:
         fpp=lambda s: 0.5 / (1.0 + np.asarray(s, dtype=float)) ** 2,
         fppp=lambda s: -1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3,
         sigma_min=-1.0,
-        kernel_code=KERNEL_MEMBRANE,
     )
 
 
@@ -163,8 +151,6 @@ def polynomial_model(a: float, b: float = 0.0, c: float = 0.0) -> Nonlinearity:
         fp=lambda s: a + 2.0 * b * np.asarray(s, dtype=float) + 3.0 * c * np.asarray(s, dtype=float) ** 2,
         fpp=lambda s: 2.0 * b + 6.0 * c * np.asarray(s, dtype=float),
         fppp=lambda s: 6.0 * c * np.ones_like(np.asarray(s, dtype=float)),
-        kernel_code=KERNEL_POLYNOMIAL,
-        kernel_params=(a, b, c),
     )
 
 
@@ -186,8 +172,29 @@ def custom_model(
         fppp=fppp,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
-        kernel_code=KERNEL_CUSTOM,
     )
+
+
+def coeff_arrays(model: Nonlinearity, sigma: ArrayLike):
+    """(ok, f', f'', kappa, G, H, H') at sigma, without raising.
+
+    ok marks the nodes inside the model's open interval where kappa > 0.
+    Nodes outside the interval are evaluated at sigma = 0 instead, and G,
+    H, H' divide by 1 where kappa <= 0, so every entry is finite but only
+    the entries under ok are coefficients of the model.
+    """
+    s = np.asarray(sigma, dtype=float)
+    ok = (s > model.sigma_min) & (s < model.sigma_max)
+    s = np.where(ok, s, 0.0)
+    fp = model.fp(s)
+    fpp = model.fpp(s)
+    kappa = 1.0 + 2.0 * fp * s
+    ok = ok & (kappa > 0.0)
+    k = np.where(ok, kappa, 1.0)
+    G = (fpp * s + fp) / k + fp
+    H = -2.0 * fp / k
+    Hp = -2.0 * (fpp - 2.0 * fp * fp) / (k * k)
+    return ok, fp, fpp, kappa, G, H, Hp
 
 
 def eval_coeffs(model: Nonlinearity, sigma: ArrayLike) -> CoefficientBundle:
@@ -212,16 +219,11 @@ def eval_coeffs(model: Nonlinearity, sigma: ArrayLike) -> CoefficientBundle:
     """
     model.check_domain(sigma)
     s = np.asarray(sigma, dtype=float)
-    fv = model.f(s)
-    fp = model.fp(s)
-    fpp = model.fpp(s)
-    kappa = 1.0 + 2.0 * fp * s
+    _, fp, fpp, kappa, G, H, Hp = coeff_arrays(model, s)
     if np.any(kappa <= 0.0):
         kmin = float(np.min(kappa))
         raise HyperbolicityLoss(f"{model.name}: kappa={kmin:.6g} <= 0")
-    G = (fpp * s + fp) / kappa + fp
-    H = -2.0 * fp / kappa
-    Hp = -2.0 * (fpp - 2.0 * fp * fp) / kappa**2
+    fv = model.f(s)
     if np.ndim(sigma) == 0:
         return CoefficientBundle(
             float(s), float(fv), float(fp), float(fpp),

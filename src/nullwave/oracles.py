@@ -45,7 +45,7 @@ def coeffs_via_cas(model_name: str, sigma: float, params=()) -> dict:
     fp = sp.diff(f, s)
     fpp = sp.diff(f, s, 2)
     kappa = 1 + 2 * fp * s
-    G = (fpp * s + fp) / kappa + fp
+    G = sp.diff(fp * s, s) / kappa + fp
     H = -2 * fp / kappa
     Hp = sp.diff(H, s)
     subs = {s: sp.Float(sigma, 30)}

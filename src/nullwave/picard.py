@@ -58,7 +58,7 @@ import numpy as np
 from .background import WaveProfile
 from .dn_core import rhs_wave
 from .errors import FixedPointDivergence, GridMismatch
-from .grid import DNGrid, cumtrap_cols, cumtrap_rows
+from .grid import DNGrid, cumtrap_cols, cumtrap_rows, decay_sup
 from .nonlinearity import Nonlinearity, range_certificate
 from .state import DiagonalData, DNState, sigma_of
 
@@ -93,38 +93,32 @@ class PicardConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-def _weights(grid: DNGrid, gamma_bar: float):
-    wu = (1.0 + np.abs(grid.u)) ** (1.0 + gamma_bar)
-    wub = (1.0 + np.abs(grid.ub)) ** (1.0 + gamma_bar)
-    return wu, wub
-
-
 def picard_metric(a: DNState, b: DNState, gamma_bar: float = 1.0) -> float:
     """Weighted sup distance between two iterates (psi/psib jets only)."""
     a.grid.require_same(b.grid)
-    wu, wub = _weights(a.grid, gamma_bar)
+    g = a.grid
     sups = (
         np.max(np.abs(a.psi - b.psi)),
         np.max(np.abs(a.psib - b.psib)),
-        np.max(wu[:, None] * np.abs(a.dpsi_u - b.dpsi_u)),
-        np.max(wu[:, None] * np.abs(a.dpsib_u - b.dpsib_u)),
-        np.max(wub[None, :] * np.abs(a.dpsi_ub - b.dpsi_ub)),
-        np.max(wub[None, :] * np.abs(a.dpsib_ub - b.dpsib_ub)),
+        decay_sup(g, a.dpsi_u - b.dpsi_u, gamma_bar, 0),
+        decay_sup(g, a.dpsib_u - b.dpsib_u, gamma_bar, 0),
+        decay_sup(g, a.dpsi_ub - b.dpsi_ub, gamma_bar, 1),
+        decay_sup(g, a.dpsib_ub - b.dpsib_ub, gamma_bar, 1),
     )
     return float(max(sups))
 
 
 def in_ball(state: DNState, delta: float, gamma_bar: float = 1.0) -> bool:
     """Whether the psi/psib jets satisfy the X_delta envelope bounds."""
-    wu, wub = _weights(state.grid, gamma_bar)
+    g = state.grid
     d2 = delta * delta
     return bool(
         np.max(np.abs(state.psi)) <= d2
         and np.max(np.abs(state.psib)) <= delta
-        and np.max(wu[:, None] * np.abs(state.dpsi_u)) <= d2
-        and np.max(wub[None, :] * np.abs(state.dpsi_ub)) <= d2
-        and np.max(wu[:, None] * np.abs(state.dpsib_u)) <= delta
-        and np.max(wub[None, :] * np.abs(state.dpsib_ub)) <= delta
+        and decay_sup(g, state.dpsi_u, gamma_bar, 0) <= d2
+        and decay_sup(g, state.dpsi_ub, gamma_bar, 1) <= d2
+        and decay_sup(g, state.dpsib_u, gamma_bar, 0) <= delta
+        and decay_sup(g, state.dpsib_ub, gamma_bar, 1) <= delta
     )
 
 
@@ -311,14 +305,13 @@ def picard_fixed_point(
     profile: WaveProfile,
     cfg: PicardConfig,
     order: str = "forward",
-    include_xi: bool = True,
 ):
     """Iterate the substitution map from zero until the metric stalls.
 
     Returns (state, info) where info carries the iteration count and the
-    per-step metric residuals.  With include_xi the converged pair is
-    completed by the xi transport so the result is comparable field by
-    field with dn_core.march.  Raises FixedPointDivergence if cfg.max_iter
+    per-step metric residuals.  The converged pair is always completed by
+    the xi transport, so the result is comparable field by field with
+    dn_core.march.  Raises FixedPointDivergence if cfg.max_iter
     steps do not reach cfg.tol, or if the xi completion stalls.
     """
     cur = DNState.zeros(grid).freeze()
@@ -335,10 +328,9 @@ def picard_fixed_point(
                 "order": order,
                 "converged": True,
             }
-            if include_xi:
-                cur = _solve_xi(
-                    cur, data, grid, model, profile, cfg.tol, cfg.max_iter
-                )
+            cur = _solve_xi(
+                cur, data, grid, model, profile, cfg.tol, cfg.max_iter
+            )
             return cur, info
     raise FixedPointDivergence(
         f"no fixed point below tol={cfg.tol:g} within {cfg.max_iter} steps "
@@ -354,8 +346,6 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
     same factor) so the tightest of its three envelope bounds sits at 0.8
     of the ball boundary.
     """
-    wu, wub = _weights(grid, gamma_bar)
-
     def bump():
         mu_u, mu_b = rng.uniform(-0.5, 0.5, size=2) * grid.u_max
         w_u, w_b = rng.uniform(0.35, 0.9, size=2) * (grid.u_max + 1.0)
@@ -369,8 +359,8 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
         f_ub = sign * gu[:, None] * dgb[None, :]
         tight = max(
             np.max(np.abs(f)),
-            np.max(wu[:, None] * np.abs(f_u)),
-            np.max(wub[None, :] * np.abs(f_ub)),
+            decay_sup(grid, f_u, gamma_bar, 0),
+            decay_sup(grid, f_ub, gamma_bar, 1),
         )
         return f, f_u, f_ub, tight
 

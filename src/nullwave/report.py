@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .state import write_state_csv
+from .state import CSV_COLUMNS, write_grid_csv
 
 FRAME_COLUMNS = (
     "u", "ubar", "L0", "L1", "Lb0", "Lb1", "Omega", "t", "x", "detj",
@@ -57,26 +57,6 @@ def write_json(path, obj) -> None:
         f.write("\n")
 
 
-def write_frame_csv(frame, coords, path) -> None:
-    """Frame components and reconstructed coordinates, row-major in (u, ubar)."""
-    g = frame.grid
-    n = g.n_nodes
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(FRAME_COLUMNS)
-        for i in range(n):
-            for j in range(n):
-                wr.writerow(
-                    [repr(float(v)) for v in (
-                        g.u[i], g.ub[j],
-                        frame.L0[i, j], frame.L1[i, j],
-                        frame.Lb0[i, j], frame.Lb1[i, j],
-                        frame.Omega[i, j],
-                        coords.t[i, j], coords.x[i, j], coords.detj[i, j],
-                    )]
-                )
-
-
 def write_run_outputs(out_dir, result) -> dict:
     """Emit every artifact a run produced; returns {kind: path}.
 
@@ -92,12 +72,16 @@ def write_run_outputs(out_dir, result) -> dict:
     paths["timings"] = os.path.join(out_dir, "timings.json")
     write_json(paths["timings"], result.timings)
 
-    if result.state is not None:
+    state, frame, coords = result.state, result.frame, result.coords
+    if state is not None:
         paths["state"] = os.path.join(out_dir, "state.csv")
-        write_state_csv(result.state, paths["state"])
-    if result.frame is not None and result.coords is not None:
+        write_grid_csv(paths["state"], state.grid,
+                       {c: getattr(state, c) for c in CSV_COLUMNS[2:]})
+    if frame is not None and coords is not None:
         paths["frame"] = os.path.join(out_dir, "frame.csv")
-        write_frame_csv(result.frame, result.coords, paths["frame"])
+        columns = {c: getattr(frame, c) for c in FRAME_COLUMNS[2:7]}
+        columns.update((c, getattr(coords, c)) for c in FRAME_COLUMNS[7:])
+        write_grid_csv(paths["frame"], frame.grid, columns)
     return paths
 
 

@@ -124,22 +124,16 @@ class DiagonalData:
         return worst
 
 
-def write_state_csv(state: DNState, path) -> None:
-    """Dump a state row-major in u then ubar, with the pinned column set."""
-    g = state.grid
-    n = g.n_nodes
+def write_grid_csv(path, grid: DNGrid, columns) -> None:
+    """Per-node table, row-major in u then ubar, every float written by repr.
+
+    The header is u, ubar and then the keys of columns, which maps each
+    name to an (N+1, N+1) array on grid.
+    """
+    ub = list(map(repr, grid.ub.tolist()))
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(CSV_COLUMNS)
-        for i in range(n):
-            for j in range(n):
-                wr.writerow(
-                    [repr(float(v)) for v in (
-                        g.u[i], g.ub[j],
-                        state.psi[i, j], state.psib[i, j],
-                        state.sigma[i, j], state.xi[i, j],
-                        state.dpsi_u[i, j], state.dpsi_ub[i, j],
-                        state.dpsib_u[i, j], state.dpsib_ub[i, j],
-                        state.dxi_u[i, j], state.dxi_ub[i, j],
-                    )]
-                )
+        wr.writerow(("u", "ubar", *columns))
+        for i, u in enumerate(map(repr, grid.u.tolist())):
+            rows = [map(repr, a[i].tolist()) for a in columns.values()]
+            wr.writerows(zip([u] * len(ub), ub, *rows))

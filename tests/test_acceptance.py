@@ -64,15 +64,6 @@ def _march_setup(model, profile, radius, h, eps, center=0.5, width=1.2, **kw):
     return grid, rect, data, gauge, state
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels(membrane, linear, bump03, zero_prof):
-    """Trigger kernel compilation outside the timed regions."""
-    _march_setup(linear, zero_prof, 1.0, 0.5, 1e-2)
-    _march_setup(membrane, bump03, 1.0, 0.5, 1e-2)
-    rg = cv.RectGrid(-2.0, 2.0, 0.5, 0.5, cfl=0.45)
-    cv.rect_solve(background_data(zero_prof), linear, rg, zero_prof)
-
-
 # ---------------------------------------------------------------------------
 # 1. linear oracle, both routes
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from nullwave.dn_core import (
 from nullwave.errors import (GridMismatch, HyperbolicityLoss,
                              InnerFixedPointDivergence)
 from nullwave.grid import DNGrid
+from nullwave.nonlinearity import custom_model, membrane_model, polynomial_model
 from nullwave.state import DiagonalData, DNState, sigma_of
 
 
@@ -90,16 +93,20 @@ def test_march_zero_data_stays_zero(membrane, bump03):
         assert np.all(arr == 0.0), name
 
 
-def test_march_satisfies_box_scheme(membrane, bump03):
+@pytest.mark.parametrize("model", [
+    membrane_model(),
+    polynomial_model(0.15, -0.05, 0.02),  # H' != 0: F_xi is live
+], ids=["membrane", "polynomial"])
+def test_march_satisfies_box_scheme(model, bump03):
     # Every stored cell must meet the scheme's per-cell equations with F
     # recomputed from the stored fields, to within the cell tolerance: a
     # front that stopped iterating too early would leave a larger residual.
     grid = DNGrid.square(2.0, 0.05)
     N, h = grid.N, grid.h
     qq = 0.25 * h * h
-    st_ = march(make_compatible_data(grid, bump03), grid, membrane, bump03)
+    st_ = march(make_compatible_data(grid, bump03), grid, model, bump03)
     _, *sources = rhs_wave(
-        membrane, bump03.dzeta(grid.ub)[None, :], bump03.d2zeta(grid.ub)[None, :],
+        model, bump03.dzeta(grid.ub)[None, :], bump03.d2zeta(grid.ub)[None, :],
         st_.psi, st_.psib, st_.dpsi_u, st_.dpsi_ub, st_.dpsib_u, st_.dpsib_ub,
         st_.dxi_u, st_.dxi_ub,
     )
@@ -192,6 +199,38 @@ def test_march_domain_wall_raises(membrane, zero_prof):
     )
     with pytest.raises(HyperbolicityLoss):
         march(data, grid, membrane, zero_prof)
+
+
+def test_march_into_custom_wall_names_the_node(zero_prof):
+    # f = 0 with a wall at sigma = 1e-6: two d'Alembert pulses, psi moving
+    # along u = 0.6 and psib along ubar = 0.6, keep sigma below the wall on
+    # the data slice but meet at (0.6, 0.6), where sigma = 0.04.
+    walled = custom_model(np.zeros_like, np.zeros_like, np.zeros_like,
+                          np.zeros_like, sigma_max=1e-6)
+
+    def bump(x):
+        return 0.2 * np.exp(-(((x - 0.6) / 0.15) ** 2))
+
+    grid = DNGrid.square(1.5, 0.05)
+    s, z = grid.u, np.zeros(grid.n_nodes)
+    pulse = bump(s)
+    dpulse = -2.0 * (s - 0.6) / 0.15**2 * pulse
+    mirrored = pulse[::-1]  # the pulse at ubar = -s
+    data = DiagonalData(
+        s=s.copy(), psi=pulse, psib=-mirrored, xi=z.copy(),
+        sigma=pulse * mirrored,
+        dpsi_u=dpulse, dpsi_ub=z.copy(), dpsib_u=z.copy(),
+        dpsib_ub=-dpulse[::-1], dxi_u=z.copy(), dxi_ub=z.copy(),
+        gamma_bar=0.5,
+    )
+    assert np.max(data.sigma) < 1e-6
+    with pytest.raises(HyperbolicityLoss,
+                       match=r"at node \(u=(\S+), ubar=(\S+)\)") as err:
+        march(data, grid, walled, zero_prof)
+    u, ub = (float(v) for v in
+             re.search(r"u=(\S+), ubar=(\S+)\)", str(err.value)).groups())
+    # the exact solution has sigma = bump(u) bump(ubar) past the wall there
+    assert bump(u) * bump(ub) > 1e-6
 
 
 def test_domain_of_dependence_two_quadrants(membrane, zero_prof):

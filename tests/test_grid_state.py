@@ -12,7 +12,7 @@ from nullwave.state import (
     dsigma_u_of,
     dsigma_ub_of,
     sigma_of,
-    write_state_csv,
+    write_grid_csv,
 )
 
 
@@ -108,12 +108,16 @@ def test_diagonal_data_measures_eps0():
     assert data.eps0 == pytest.approx(0.8, rel=1e-12)
 
 
+def _write_state_csv(st, path):
+    write_grid_csv(path, st.grid, {c: getattr(st, c) for c in CSV_COLUMNS[2:]})
+
+
 def test_state_csv_round_trip(tmp_path):
     g = DNGrid.square(0.5, 0.25)
     st = DNState.zeros(g)
     st.psi[:] = np.arange(st.psi.size).reshape(st.psi.shape) * (1.0 / 3.0)
     path = tmp_path / "state.csv"
-    write_state_csv(st, path)
+    _write_state_csv(st, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == CSV_COLUMNS
@@ -132,6 +136,6 @@ def test_state_csv_deterministic(tmp_path):
     st = DNState.zeros(g)
     st.xi[:] = 0.1 * np.sin(np.arange(st.xi.size)).reshape(st.xi.shape)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_state_csv(st, p1)
-    write_state_csv(st, p2)
+    _write_state_csv(st, p1)
+    _write_state_csv(st, p2)
     assert p1.read_bytes() == p2.read_bytes()
