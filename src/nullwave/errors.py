@@ -19,7 +19,7 @@ class HyperbolicityLoss(NullwaveError):
 
 
 class QuadratureFailure(NullwaveError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive Simpson (envelope_integral) ran out of evaluations."""
 
 
 class GridMismatch(NullwaveError):

@@ -389,7 +389,7 @@ class CoordMap:
 
 
 def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
-                       profile: WaveProfile, tol: float = 1e-10) -> CoordMap:
+                       profile: WaveProfile) -> CoordMap:
     """Integrate the inverse map (u, ubar) -> (t, x) from the data diagonal.
 
     The travelling-wave part is closed form,
@@ -410,8 +410,8 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     h = grid.h
     vp = frame.v_prime
 
-    V = np.asarray(phase_relabel(profile, model, grid.u, tol), dtype=float)
-    Z = np.asarray(phase_function(profile, model, grid.ub, tol), dtype=float)
+    V = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
+    Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
     _, ring0, ring1 = _background_rows(model, profile, grid.ub)
 
     tbg = 0.5 * (V[:, None] - Z[None, :] + grid.ub[None, :])

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from nullwave.background import (
     WaveProfile,
@@ -17,7 +22,7 @@ from nullwave.background import (
     zero_profile,
 )
 from nullwave.errors import DomainError, QuadratureFailure
-from nullwave.nonlinearity import membrane_model, polynomial_model
+from nullwave.nonlinearity import eval_coeffs, membrane_model, polynomial_model
 from nullwave.oracles import (
     background_frame_exact,
     envelope_integral_exact,
@@ -87,6 +92,107 @@ def test_phase_function_zero_for_linear_profile():
     ub = np.linspace(-5, 5, 11)
     assert np.all(phase_function(gaussian_slope_profile(),
                                  polynomial_model(0.0), ub) == 0.0)
+
+
+def _bump_phase_exact(A, c, w, H0, ubar):
+    """Closed-form Z of the bump: -H0 int 64 A^2 y^2 (1-y^2)^6 / w dy, |y| <= 1."""
+    y = Polynomial([0.0, 1.0])
+    antider = (64.0 * A * A / w * y**2 * (1.0 - y**2) ** 6).integ()
+    y_end = np.clip((np.asarray(ubar, dtype=float) - c) / w, -1.0, 1.0)
+    y_zero = np.clip(-c / w, -1.0, 1.0)
+    return -H0 * (antider(y_end) - antider(y_zero)), -H0 * (antider(1.0) - antider(-1.0))
+
+
+def _table_phase_exact(xs, dv, d2v, H0, ubar):
+    """Closed-form Z of table_profile: zeta' is cubic Hermite per interval."""
+    t = Polynomial([0.0, 1.0])
+    basis = ((1 + 2 * t) * (1 - t) ** 2, t * (1 - t) ** 2,
+             t**2 * (3 - 2 * t), t**2 * (t - 1))
+    pieces = []
+    for i in range(xs.size - 1):
+        h = xs[i + 1] - xs[i]
+        dz = (basis[0] * dv[i] + basis[1] * h * d2v[i]
+              + basis[2] * dv[i + 1] + basis[3] * h * d2v[i + 1])
+        pieces.append((h * dz**2).integ())
+    before = np.concatenate([[0.0], np.cumsum([p(1.0) for p in pieces])])
+
+    def mass(x):  # int_{xs[0]}^x zeta'^2
+        if x <= xs[0]:
+            return 0.0
+        if x >= xs[-1]:
+            return before[-1]
+        i = int(np.searchsorted(xs, x)) - 1
+        return before[i] + pieces[i]((x - xs[i]) / (xs[i + 1] - xs[i]))
+
+    return -H0 * (mass(ubar) - mass(0.0)), abs(H0) * before[-1]
+
+
+@given(
+    A=st.floats(0.01, 1.0),
+    c=st.floats(-8.0, 8.0),
+    w=st.floats(0.2, 10.0),
+    y=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+)
+def test_bump_phase_matches_closed_form(A, c, w, y):
+    # zeta'^2 is a degree-14 polynomial inside the support and 0 outside,
+    # and the panels never cross c -+ w: Gauss-Legendre is exact to rounding
+    model = membrane_model()
+    H0 = eval_coeffs(model, 0.0).H
+    ubar = c + w * np.asarray(y)  # inside and outside the support
+    got = phase_function(bump_profile(A, center=c, width=w), model, ubar)
+    exact, total = _bump_phase_exact(A, c, w, H0, ubar)
+    assert np.max(np.abs(got - exact)) <= 1e-13 * abs(total)
+
+
+@given(
+    x0=st.floats(-6.0, 2.0),
+    gaps=st.lists(st.floats(0.2, 3.0), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_table_phase_matches_closed_form(x0, gaps, data):
+    xs = x0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    # no magnitudes whose squares underflow: the bound is relative
+    value = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+    column = st.lists(value, min_size=xs.size, max_size=xs.size)
+    dv = np.asarray(data.draw(column))
+    d2v = np.asarray(data.draw(column))
+    prof = table_profile(xs, np.zeros_like(xs), dv, d2v)
+    model = polynomial_model(0.2)  # H(0) = -0.4: the sign plays no role
+    H0 = eval_coeffs(model, 0.0).H
+    ubar = data.draw(st.floats(-15.0, 15.0))
+    exact, total = _table_phase_exact(xs, dv, d2v, H0, ubar)
+    got = phase_function(prof, model, ubar)
+    assert abs(got - exact) <= 1e-13 * total
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_phase_function_rejects_non_finite_ubar(bad):
+    prof = bump_profile(0.3, width=6.0)
+    with pytest.raises(DomainError, match="finite ubar"):
+        phase_function(prof, membrane_model(), bad)
+    # phase_relabel evaluates Z(-u)
+    with pytest.raises(DomainError, match=f"got {-bad!r} at flat index 2"):
+        phase_relabel(prof, membrane_model(), np.array([0.0, 1.5, bad, 2.0]))
+
+
+def test_phase_function_far_point_is_support_edge_value():
+    # beyond c + w the integrand vanishes, and the dyadic panels reach
+    # 1e12 with a few hundred integrand evaluations, not millions
+    bump = bump_profile(0.3, center=1.0, width=6.0)
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return bump.dzeta(x)
+
+    prof = dataclasses.replace(bump, dzeta=counted)
+    model = membrane_model()
+    far = phase_function(prof, model, 1e12)
+    edge = phase_function(bump, model, 7.0)
+    assert far == pytest.approx(edge, rel=1e-14, abs=0.0)
+    H0 = eval_coeffs(model, 0.0).H
+    assert far == pytest.approx(_bump_phase_exact(0.3, 1.0, 6.0, H0, 7.0)[0], rel=1e-14)
+    assert sum(calls) < 8 * 400
 
 
 @pytest.mark.parametrize("make,where", [
@@ -208,8 +314,8 @@ def test_phase_relabel_velocity_formula():
     u = np.linspace(-4, 4, 17)
     vp = phase_relabel_velocity(prof, model, u)
     assert np.max(np.abs(vp - (1.0 + np.exp(-u**2) ** 2))) < 1e-14
-    # V' is the derivative of V (tolerance limited by the quadrature tol
-    # of each V evaluation divided by the step)
+    # V' is the derivative of V (tolerance limited by the O(h^2) error of
+    # the central difference and the rounding of V divided by the step)
     h = 1e-4
     fd = (phase_relabel(prof, model, u + h) - phase_relabel(prof, model, u - h)) / (2 * h)
     assert np.max(np.abs(fd - vp)) < 1e-5

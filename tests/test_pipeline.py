@@ -1,9 +1,15 @@
 """End-to-end pipeline: stage orchestration, partial failure, refinement."""
 
+import json
+
 import pytest
 
-from nullwave.pipeline import MIN_PICARD_DELTA, RunResult, run_pipeline
-from nullwave.scenario import scenario_from_dict
+import nullwave.cli as cli
+from nullwave.errors import (FixedPointDivergence, FrameDegenerate,
+                             HyperbolicityLoss, InversionFailure,
+                             SliceNotSpacelike)
+from nullwave.pipeline import MIN_PICARD_DELTA, STAGES, RunResult, run_pipeline
+from nullwave.scenario import scenario_from_dict, scenario_to_dict
 
 BASE = {
     "name": "pipe",
@@ -204,3 +210,46 @@ def test_refinement_table_orders():
         coarse, fine = table["measurements"][label]
         assert fine < coarse
         assert 1.2 < table["orders"][label] < 3.0
+
+
+# (entry point looked up in nullwave.pipeline, typical error, the stage it
+# fails, the stages that need its products and must be skipped)
+STAGE_FAILURES = [
+    ("build_diagonal_data", SliceNotSpacelike, "data_gauge",
+     ("march", "picard", "geometry")),
+    ("march", HyperbolicityLoss, "march", ("geometry",)),
+    ("picard_fixed_point", FixedPointDivergence, "picard", ()),
+    ("integrate_frame", FrameDegenerate, "geometry", ()),
+    ("cv.pullback_compare", InversionFailure, "crossval", ()),
+]
+
+
+@pytest.mark.parametrize("target,error,stage,skipped", STAGE_FAILURES,
+                         ids=[case[2] for case in STAGE_FAILURES])
+def test_stage_failure_matrix(target, error, stage, skipped, tmp_path,
+                              monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error(f"injected {error.__name__}")
+
+    monkeypatch.setattr(f"nullwave.pipeline.{target}", fail)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario(
+        grid={"radius": 2.0, "h": 0.2},
+        solver={"contraction_seeds": 0, "rect_t_max": 0.5}))))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["ok"] is False
+    assert rep["errors"] == [{"stage": stage, "type": error.__name__,
+                              "message": f"injected {error.__name__}"}]
+    # skipped stages have neither a section nor an error; the rest ran
+    assert set(rep["stages"]) == set(STAGES) - {stage, *skipped}
+    if "crossval" in rep["stages"]:
+        # the pullback needs both the march and the coordinate map
+        needs_map = stage in ("data_gauge", "march", "geometry")
+        assert (rep["stages"]["crossval"]["comparison"] is None) == needs_map
+    lines = capsys.readouterr().out.splitlines()
+    assert f"[failed]  {stage}: {error.__name__}: injected {error.__name__}" in lines
+    for name in skipped:
+        assert f"[skipped] {name}" in lines
