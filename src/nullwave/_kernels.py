@@ -48,15 +48,30 @@ N_DAMPED = 8
 CELL_TOL = 1e-12
 
 
-def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub, xi_u, xi_ub):
+SOURCES = ("psi", "psib", "xi")
+
+
+def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub,
+                xi_u, xi_ub, sources=SOURCES):
+    """(okm, sigma, *F) with okm the admissible mask of coeff_arrays.
+
+    sources selects which of F_psi, F_psib, F_xi are formed; they are
+    returned in that fixed order, whatever the order of the selector.  Each
+    selected source is evaluated by the same expression whatever else is
+    selected, so a partial selection is bitwise a slice of the full one.
+    """
     sig = sigma_of(psi, psib, zp)
     s_u = dsigma_u_of(psi, psib, psi_u, psib_u, zp)
     s_ub = dsigma_ub_of(psi, psib, psi_ub, psib_ub, zp, zpp)
     okm, _, _, kappa, G, _, Hp = coeff_arrays(model, sig)
-    f_psi = -0.5 * G * (s_u * psi_ub + psi_u * s_ub)
-    f_psib = -G * s_u * zpp - 0.5 * G * (s_u * psib_ub + psib_u * s_ub)
-    f_xi = -(0.25 * sig * kappa * Hp) * (s_u * xi_ub + xi_u * s_ub + zp * s_u)
-    return okm, sig, f_psi, f_psib, f_xi
+    out = [okm, sig]
+    if "psi" in sources:
+        out.append(-0.5 * G * (s_u * psi_ub + psi_u * s_ub))
+    if "psib" in sources:
+        out.append(-G * s_u * zpp - 0.5 * G * (s_u * psib_ub + psib_u * s_ub))
+    if "xi" in sources:
+        out.append(-(0.25 * sig * kappa * Hp) * (s_u * xi_ub + xi_u * s_ub + zp * s_u))
+    return tuple(out)
 
 
 def _where(grid, i, j):

@@ -83,24 +83,30 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
 
 
 def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
-             dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub):
+             dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub,
+             sources=_kernels.SOURCES):
     """Right side of the system at given field values.
 
     zp, zpp are zeta'(ubar), zeta''(ubar) at the same points as the fields
-    (scalars or broadcastable arrays).  Returns (sigma, F_psi, F_psib, F_xi);
-    raises HyperbolicityLoss where the slaved sigma leaves the admissible
-    range.
+    (scalars or broadcastable arrays).  Returns (sigma, F_psi, F_psib, F_xi)
+    by default; sources names a subset of ("psi", "psib", "xi") to form
+    only those, and the return is then sigma followed by the selected
+    sources in that order, each bitwise equal to its full-selection value.
+    Raises HyperbolicityLoss where the slaved sigma leaves the admissible
+    range, ValueError for an unknown source name.
     """
-    okm, sig, f1, f2, f3 = _kernels._rhs_arrays(
+    if not set(sources) <= set(_kernels.SOURCES):
+        raise ValueError(f"sources must be drawn from {_kernels.SOURCES}, got {sources!r}")
+    okm, sig, *formed = _kernels._rhs_arrays(
         model, np.asarray(zp, dtype=float), np.asarray(zpp, dtype=float),
-        psi, psib, dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub,
+        psi, psib, dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub, sources,
     )
     if not np.all(okm):
         bad = np.asarray(sig)[~okm]
         raise HyperbolicityLoss(
             f"sigma outside admissible range in rhs_wave (first bad value {bad.flat[0]:.6g})"
         )
-    return sig, f1, f2, f3
+    return (sig, *formed)
 
 
 def verify_envelopes(state: DNState, gamma_bar: float) -> dict:

@@ -141,6 +141,7 @@ def run_pipeline(scenario: Scenario) -> RunResult:
             }
             if state is not None:
                 sec["metric_vs_march"] = picard_metric(fixed, state, gb)
+            del fixed  # nothing later reads it; free it before the seeds
             if sv["contraction_seeds"] >= 2:
                 sec["contraction"] = contraction_ratio(
                     grid, data, profile, model, cfg,

@@ -85,9 +85,6 @@ class DNState:
             a.flags.writeable = False
         return self
 
-    def copy(self) -> "DNState":
-        return DNState(self.grid, *[a.copy() for a in self.arrays().values()])
-
 
 @dataclass
 class DiagonalData:

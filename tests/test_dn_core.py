@@ -302,6 +302,33 @@ def test_rhs_wave_membrane_spot_value(membrane):
     assert f3 == 0.0  # membrane H' == 0 decouples xi
 
 
+@pytest.mark.parametrize("sources", [
+    ("psi",), ("psib",), ("xi",), ("xi", "psi"), ("psib", "xi"),
+])
+def test_rhs_wave_selector_is_a_bitwise_slice(bump03, sources):
+    # A partial selection returns sigma and the chosen sources in the
+    # fixed psi, psib, xi order, each bitwise equal to the full call's.
+    model = polynomial_model(0.15, -0.05, 0.02)  # H' != 0: F_xi is live
+    grid = DNGrid.square(1.0, 0.1)
+    rng = np.random.default_rng(4)
+    jets = [0.05 * rng.standard_normal((grid.n_nodes, grid.n_nodes))
+            for _ in range(8)]
+    zp = bump03.dzeta(grid.ub)[None, :]
+    zpp = bump03.d2zeta(grid.ub)[None, :]
+    sig, *full = rhs_wave(model, zp, zpp, *jets)
+    got = rhs_wave(model, zp, zpp, *jets, sources=sources)
+    want = [f for name, f in zip(("psi", "psib", "xi"), full) if name in sources]
+    assert len(got) == 1 + len(want)
+    assert np.array_equal(got[0], sig)
+    for a, b in zip(got[1:], want):
+        assert np.array_equal(a, b)
+
+
+def test_rhs_wave_rejects_unknown_source(membrane):
+    with pytest.raises(ValueError):
+        rhs_wave(membrane, 0.0, 0.0, 0.1, 0.1, 0, 0, 0, 0, 0, 0, sources=("phi",))
+
+
 def test_rhs_wave_raises_outside_domain(membrane):
     with pytest.raises(HyperbolicityLoss):
         rhs_wave(membrane, 0.0, 0.0, 1.3, 1.3, 0, 0, 0, 0, 0, 0)

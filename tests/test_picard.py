@@ -1,5 +1,7 @@
 """Substitution-map solver: metric, ball, contraction, march agreement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,16 +9,18 @@ from conftest import make_compatible_data, make_zero_data
 
 from nullwave.background import bump_profile
 from nullwave.data_gauge import build_diagonal_data, perturbed_data
-from nullwave.dn_core import march
+from nullwave.dn_core import march, rhs_wave
 from nullwave.errors import (
     FixedPointDivergence,
     GridMismatch,
     InnerFixedPointDivergence,
 )
 from nullwave.grid import DNGrid
+from nullwave.nonlinearity import polynomial_model
 from nullwave.picard import (
     PicardConfig,
     _frozen_solve,
+    _seed_state,
     _solve_xi,
     contraction_ratio,
     delta_from_smallness,
@@ -27,7 +31,7 @@ from nullwave.picard import (
 )
 from nullwave.pipeline import run_pipeline
 from nullwave.scenario import scenario_from_dict
-from nullwave.state import FIELD_NAMES, DiagonalData, DNState
+from nullwave.state import FIELD_NAMES, DiagonalData, DNState, sigma_of
 
 
 def _scenario(model, profile, radius=3.0, h=0.1, eps=1e-3):
@@ -129,6 +133,19 @@ def test_apply_zero_iterate_propagates_linearly(membrane, bump03):
     assert np.array_equal(out.dpsi_ub, want_ub)
     # xi passes through untouched.
     assert np.all(out.xi == 0.0) and np.all(out.dxi_u == 0.0)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+def test_apply_shares_xi_with_its_input(membrane, bump03, order):
+    # The map never touches xi: the image holds the input's own read-only
+    # arrays rather than copies.
+    grid = DNGrid.square(2.0, 0.25)
+    data = make_compatible_data(grid, bump03)
+    state = DNState.zeros(grid).freeze()
+    out = picard_apply(state, data, grid, membrane, bump03, order)
+    for name in ("xi", "dxi_u", "dxi_ub"):
+        assert getattr(out, name) is getattr(state, name)
+        assert not getattr(out, name).flags.writeable
 
 
 def test_apply_rejects_bad_order_and_grid(membrane, bump03):
@@ -245,6 +262,57 @@ def test_fixed_point_divergence_is_its_own_error(membrane, bump03):
         _solve_xi(pair, data, grid, membrane, bump03, tol=1e-12, max_iter=1)
 
 
+def _xi_completion_reference(pair, data, grid, model, profile, tol, max_iter):
+    # Every pass forms all three sources and re-integrates psi and psib
+    # along with xi, although their sources depend on the pair alone.
+    zp = profile.dzeta(grid.ub)
+    zpp = profile.d2zeta(grid.ub)
+    cur = pair
+    for n in range(1, max_iter + 1):
+        _, f1, f2, f3 = rhs_wave(
+            model, zp, zpp, pair.psi, pair.psib,
+            pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub,
+            cur.dxi_u, cur.dxi_ub,
+        )
+        fields = _frozen_solve(grid, data, {"psi": f1, "psib": f2, "xi": f3})
+        new = DNState(grid, sigma=sigma_of(fields["psi"], fields["psib"],
+                                           zp[None, :]), **fields)
+        gap = max(np.max(np.abs(getattr(new, k) - getattr(cur, k)))
+                  for k in ("xi", "dxi_u", "dxi_ub"))
+        cur = new
+        if gap <= tol:
+            return cur, n
+    raise AssertionError("reference xi completion did not settle")
+
+
+def test_xi_completion_integrates_the_pair_once(bump03):
+    # H' != 0, so xi needs several passes; the pair is a few map
+    # applications from zero and need not be converged.
+    model = polynomial_model(0.15, -0.05, 0.02)
+    grid = DNGrid.square(2.0, 0.1)
+    data = make_compatible_data(grid, bump03)
+    pair = DNState.zeros(grid).freeze()
+    for _ in range(3):
+        pair = picard_apply(pair, data, grid, model, bump03)
+    out = _solve_xi(pair, data, grid, model, bump03, tol=1e-12, max_iter=40)
+
+    zp, zpp = bump03.dzeta(grid.ub), bump03.d2zeta(grid.ub)
+    _, f1, f2, _ = rhs_wave(
+        model, zp, zpp, pair.psi, pair.psib,
+        pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub,
+        pair.dxi_u, pair.dxi_ub,
+    )
+    direct = _frozen_solve(grid, data, {"psi": f1, "psib": f2})
+    for name, arr in direct.items():
+        assert np.array_equal(getattr(out, name), arr), name
+
+    ref, passes = _xi_completion_reference(pair, data, grid, model, bump03,
+                                           1e-12, 40)
+    assert passes >= 3
+    for name, arr in ref.arrays().items():
+        assert np.array_equal(getattr(out, name), arr), name
+
+
 def test_pipeline_records_fixed_point_divergence():
     scen = scenario_from_dict({
         "name": "picard-budget",
@@ -296,6 +364,59 @@ def test_contraction_zero_data_linear_model_is_constant_map(linear, zero_prof):
     res = contraction_ratio(grid, data, zero_prof, linear, cfg, seed=2)
     assert res["ratios"] == [0.0] * 5
     assert res["in_ball"] is True
+
+
+def _contraction_reference(grid, data, profile, model, cfg, order, n_seeds, seed):
+    # Every seed drawn first, then every image formed, all held at once.
+    gb = data.gamma_bar
+    rng = np.random.default_rng(seed)
+    zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
+    seeds = [_seed_state(grid, zp, cfg.delta, gb, rng) for _ in range(n_seeds)]
+    images = [picard_apply(s, data, grid, model, profile, order) for s in seeds]
+    ratios = []
+    for a, b, ta, tb in zip(seeds[:-1], seeds[1:], images[:-1], images[1:]):
+        den = picard_metric(a, b, gb)
+        num = picard_metric(ta, tb, gb)
+        ratios.append(float(num / den) if den > 0.0 else 0.0)
+    inside = all(in_ball(s, cfg.delta, gb) for s in seeds + images)
+    return ratios, inside
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("shrink", [1.0, 0.1], ids=["ball", "outside"])
+def test_streamed_contraction_matches_all_at_once(membrane, bump03, order,
+                                                  seed, shrink):
+    # shrink = 0.1 puts delta^2 well below the data size, so the images
+    # leave the ball and in_ball must come out False both ways.
+    grid, data = _scenario(membrane, bump03)
+    cfg = PicardConfig(
+        delta=shrink * delta_from_smallness(data.eps0, data.gamma_bar))
+    res = contraction_ratio(grid, data, bump03, membrane, cfg, order=order,
+                            n_seeds=5, seed=seed)
+    ratios, inside = _contraction_reference(grid, data, bump03, membrane, cfg,
+                                            order, 5, seed)
+    assert res["ratios"] == ratios
+    assert res["in_ball"] is inside
+    assert inside is (shrink == 1.0)
+
+
+def test_contraction_memory_does_not_grow_with_seeds(membrane, bump03):
+    grid, data = _scenario(membrane, bump03, radius=3.0, h=0.05)
+    cfg = PicardConfig(delta=delta_from_smallness(data.eps0, data.gamma_bar))
+    field = 8 * grid.n_nodes ** 2
+
+    def peak(n_seeds):
+        tracemalloc.start()
+        try:
+            contraction_ratio(grid, data, bump03, membrane, cfg,
+                              n_seeds=n_seeds, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # warm any one-time allocations
+    assert peak(12) <= peak(2) + 2 * field
 
 
 def test_reversed_order_degrades_contraction(membrane):
