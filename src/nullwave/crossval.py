@@ -20,11 +20,13 @@ three ghost cells.
 pullback_compare closes the loop: it inverts the reconstructed coordinate
 map (t, x)(u, ub) by Newton refinement of a bilinear interpolant, pulls
 the double-null solution back onto the rectangular nodes, and reports sup
-and L1 differences.  flux_residual applies the divergence-form equation
-d_t(-e^f Phi0) + d_x(e^f Phi1) = 0 to any rectangular state by centered
-differences.  phase_shift extracts the asymptotic offset between the
-reconstructed u-level sets and the background relation u = V^{-1}(t + x +
-Z(t - x)) across the wave zone.
+and L1 differences.  Each Newton iteration evaluates only the live
+walkers: a node leaves once its residual converges, or once a step leaves
+it bitwise in place (a walker pinned at the collar).  flux_residual
+applies the divergence-form equation d_t(-e^f Phi0) + d_x(e^f Phi1) = 0
+to any rectangular state by centered differences.  phase_shift extracts
+the asymptotic offset between the reconstructed u-level sets and the
+background relation u = V^{-1}(t + x + Z(t - x)) across the wave zone.
 
 Spatial work per step is vectorized over the grid; time stepping is
 inherently sequential.
@@ -273,8 +275,9 @@ class ComparisonReport:
     sup_diff / l1_diff are per-field dictionaries over phi, Phi0, Phi1 on
     the compared nodes; interp_error estimates the bilinear sampling
     floor; orders, phase_shift and degeneracy are filled by refinement
-    studies and the reporting layer.  as_dict() emits exactly the
-    exported JSON shape.
+    studies and the reporting layer.  newton counts the pullback's Newton
+    iterations and the walkers evaluated at each.  as_dict() emits exactly
+    the exported JSON shape.
     """
 
     sup_diff: dict
@@ -285,6 +288,7 @@ class ComparisonReport:
     orders: list | None = None
     phase_shift: float | None = None
     degeneracy: dict | None = field(default=None)
+    newton: dict | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -307,6 +311,47 @@ def _bilinear(F: np.ndarray, iu, jb, su, rb):
         + f01 * (1 - su) * rb
         + f11 * su * rb
     )
+
+
+def _locate(grid, u, ub):
+    """Cell indices (iu, jb) and in-cell offsets (su, rb) of points (u, ub)."""
+    qu = (u - grid.u_min) / grid.h
+    qb = (ub - grid.ub_min) / grid.h
+    iu = np.clip(qu.astype(int), 0, grid.n_nodes - 2)
+    jb = np.clip(qb.astype(int), 0, grid.n_nodes - 2)
+    return iu, jb, qu - iu, qb - jb
+
+
+def _map_residual(cmap: CoordMap, u, ub, t, x):
+    """(t, x)(u, ub) - (t, x) on the bilinear interpolant of the map."""
+    cell = _locate(cmap.grid, u, ub)
+    return _bilinear(cmap.t, *cell) - t, _bilinear(cmap.x, *cell) - x
+
+
+def _newton_step(cmap: CoordMap, u, ub, rt, rx):
+    """Walkers at (u, ub) with map residual (rt, rx) after one Newton step.
+
+    A singular Jacobian sends a walker to the collar corner.
+    """
+    grid, h = cmap.grid, cmap.grid.h
+    cell = _locate(grid, u, ub)
+    jut = _bilinear(cmap.jac_u_t, *cell)
+    jbt = _bilinear(cmap.jac_ub_t, *cell)
+    jux = _bilinear(cmap.jac_u_x, *cell)
+    jbx = _bilinear(cmap.jac_ub_x, *cell)
+    det = jut * jbx - jbt * jux
+    det = np.where(np.abs(det) < 1e-300, np.nan, det)
+    du = (jbx * rt - jbt * rx) / det
+    db = (-jux * rt + jut * rx) / det
+    # confine walkers to a one-cell collar: points leaving the square
+    # are heading out of the image and will be skipped by containment
+    u = u - du
+    ub = ub - db
+    u = np.clip(np.where(np.isfinite(u), u, grid.u_min - 2 * h),
+                grid.u_min - 2 * h, grid.u_max + 2 * h)
+    ub = np.clip(np.where(np.isfinite(ub), ub, grid.ub_min - 2 * h),
+                 grid.ub_min - 2 * h, grid.ub_max + 2 * h)
+    return u, ub
 
 
 def _second_difference_sup(F: np.ndarray) -> float:
@@ -332,10 +377,19 @@ def pullback_compare(
     ub = t - x.  Nodes whose preimage leaves the square are skipped and
     counted; OutOfImage fires only when nothing overlaps.  Unconverged
     interior nodes raise InversionFailure, the near-degeneracy signal.
+
+    Each iteration evaluates the residual and Jacobian on the live
+    walkers only, starting from every node.  A walker leaves the live set
+    when its residual passes newton_tol * (1 + |t| + |x|), or when its
+    clipped (u, ub) come out of a step bitwise unchanged: the update is a
+    pure function of (u, ub, t, x) and the map, so it sits at a fixed
+    point and keeps the verdict of its last evaluation.  At the
+    max_newton cap a live walker keeps its last verdict and its (u, ub)
+    after the last step, so the result is that of iterating every node
+    max_newton times.  ComparisonReport.newton records the iterations and
+    the live walkers evaluated at each.
     """
     grid = cmap.grid
-    n = grid.n_nodes
-    h = grid.h
 
     jet = full_field_jet(dn, model, profile)
     fields_dn = {"phi": dn.xi, "Phi0": jet["Phi0"], "Phi1": jet["Phi1"]}
@@ -343,43 +397,30 @@ def pullback_compare(
     T = np.repeat(rect.t, rect.x.size)
     X = np.tile(rect.x, rect.t.size)
 
-    ub0 = T - X
+    ub = np.clip(T - X, grid.ub_min, grid.ub_max)
     Vg = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
-    Zg = np.asarray(phase_function(profile, model, np.clip(ub0, grid.ub_min, grid.ub_max)), dtype=float)
-    u0 = np.interp(T + X + Zg, Vg, grid.u)
-    u = np.clip(u0, grid.u_min, grid.u_max)
-    ub = np.clip(ub0, grid.ub_min, grid.ub_max)
+    Zg = np.asarray(phase_function(profile, model, ub), dtype=float)
+    u = np.clip(np.interp(T + X + Zg, Vg, grid.u), grid.u_min, grid.u_max)
 
-    scale = 1.0 + np.abs(T) + np.abs(X)
+    tol = newton_tol * (1.0 + np.abs(T) + np.abs(X))
     active = np.ones(T.shape, dtype=bool)
-    for _ in range(max_newton):
-        iu = np.clip(((u - grid.u_min) / h).astype(int), 0, n - 2)
-        jb = np.clip(((ub - grid.ub_min) / h).astype(int), 0, n - 2)
-        su = (u - grid.u_min) / h - iu
-        rb = (ub - grid.ub_min) / h - jb
-        rt = _bilinear(cmap.t, iu, jb, su, rb) - T
-        rx = _bilinear(cmap.x, iu, jb, su, rb) - X
-        res = np.maximum(np.abs(rt), np.abs(rx))
-        active = res > newton_tol * scale
-        if not np.any(active):
-            break
-        a = active
-        jut = _bilinear(cmap.jac_u_t, iu[a], jb[a], su[a], rb[a])
-        jbt = _bilinear(cmap.jac_ub_t, iu[a], jb[a], su[a], rb[a])
-        jux = _bilinear(cmap.jac_u_x, iu[a], jb[a], su[a], rb[a])
-        jbx = _bilinear(cmap.jac_ub_x, iu[a], jb[a], su[a], rb[a])
-        det = jut * jbx - jbt * jux
-        det = np.where(np.abs(det) < 1e-300, np.nan, det)
-        du = (jbx * rt[a] - jbt * rx[a]) / det
-        db = (-jux * rt[a] + jut * rx[a]) / det
-        u[a] -= du
-        ub[a] -= db
-        # confine walkers to a one-cell collar: points leaving the square
-        # are heading out of the image and will be skipped by containment
-        u = np.clip(np.where(np.isfinite(u), u, grid.u_min - 2 * h),
-                    grid.u_min - 2 * h, grid.u_max + 2 * h)
-        ub = np.clip(np.where(np.isfinite(ub), ub, grid.ub_min - 2 * h),
-                     grid.ub_min - 2 * h, grid.ub_max + 2 * h)
+    live = np.arange(T.size)
+    n_live = []
+    while live.size and len(n_live) < max_newton:
+        n_live.append(int(live.size))
+        ul, bl = u[live], ub[live]
+        rt, rx = _map_residual(cmap, ul, bl, T[live], X[live])
+        a = np.maximum(np.abs(rt), np.abs(rx)) > tol[live]
+        active[live] = a
+        live, ul, bl = live[a], ul[a], bl[a]
+        un, bn = _newton_step(cmap, ul, bl, rt[a], rx[a])
+        u[live] = un
+        ub[live] = bn
+        # a walker whose step left it bitwise in place sits at a fixed
+        # point of the update: it retires with its last active flag
+        moved = ((un.view(np.int64) != ul.view(np.int64))
+                 | (bn.view(np.int64) != bl.view(np.int64)))
+        live = live[moved]
 
     slack = 1e-9 * (1.0 + abs(grid.u_max))
     inside = (
@@ -402,17 +443,14 @@ def pullback_compare(
 
     uc = np.clip(u[covered], grid.u_min, grid.u_max)
     bc = np.clip(ub[covered], grid.ub_min, grid.ub_max)
-    iu = np.clip(((uc - grid.u_min) / h).astype(int), 0, n - 2)
-    jb = np.clip(((bc - grid.ub_min) / h).astype(int), 0, n - 2)
-    su = (uc - grid.u_min) / h - iu
-    rb = (bc - grid.ub_min) / h - jb
+    at = _locate(grid, uc, bc)
 
     zeta_b = np.asarray(profile.zeta(bc), dtype=float)
     zp_b = np.asarray(profile.dzeta(bc), dtype=float)
-    psi_s = _bilinear(dn.psi, iu, jb, su, rb)
-    psib_s = _bilinear(dn.psib, iu, jb, su, rb)
+    psi_s = _bilinear(dn.psi, *at)
+    psib_s = _bilinear(dn.psib, *at)
     samples = {
-        "phi": zeta_b + _bilinear(dn.xi, iu, jb, su, rb),
+        "phi": zeta_b + _bilinear(dn.xi, *at),
         "Phi0": 0.5 * (psi_s + psib_s) + zp_b,
         "Phi1": 0.5 * (psi_s - psib_s) - zp_b,
     }
@@ -435,6 +473,7 @@ def pullback_compare(
         interp_error=float(interp),
         n_compared=n_compared,
         n_skipped=n_skipped,
+        newton={"iterations": len(n_live), "live": n_live},
     )
 
 

@@ -45,13 +45,13 @@ ArrayLike = Union[float, np.ndarray]
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """A concrete choice of f together with its first three derivatives.
+    """A concrete choice of f together with its first two derivatives.
 
     Attributes
     ----------
     name : str
         Human-readable family name.
-    f, fp, fpp, fppp : callables
+    f, fp, fpp : callables
         f and its derivatives, vectorized over numpy arrays.
     sigma_min, sigma_max : float
         Open admissible interval for sigma (inf allowed); it must
@@ -62,7 +62,6 @@ class Nonlinearity:
     f: Callable[[ArrayLike], ArrayLike]
     fp: Callable[[ArrayLike], ArrayLike]
     fpp: Callable[[ArrayLike], ArrayLike]
-    fppp: Callable[[ArrayLike], ArrayLike]
     sigma_min: float = -np.inf
     sigma_max: float = np.inf
 
@@ -126,7 +125,6 @@ def linear_model() -> Nonlinearity:
         f=_zero,
         fp=_zero,
         fpp=_zero,
-        fppp=_zero,
     )
 
 
@@ -137,7 +135,6 @@ def membrane_model() -> Nonlinearity:
         f=lambda s: -0.5 * np.log1p(np.asarray(s, dtype=float)),
         fp=lambda s: -0.5 / (1.0 + np.asarray(s, dtype=float)),
         fpp=lambda s: 0.5 / (1.0 + np.asarray(s, dtype=float)) ** 2,
-        fppp=lambda s: -1.0 / (1.0 + np.asarray(s, dtype=float)) ** 3,
         sigma_min=-1.0,
     )
 
@@ -150,7 +147,6 @@ def polynomial_model(a: float, b: float = 0.0, c: float = 0.0) -> Nonlinearity:
         f=lambda s: a * s + b * np.asarray(s, dtype=float) ** 2 + c * np.asarray(s, dtype=float) ** 3,
         fp=lambda s: a + 2.0 * b * np.asarray(s, dtype=float) + 3.0 * c * np.asarray(s, dtype=float) ** 2,
         fpp=lambda s: 2.0 * b + 6.0 * c * np.asarray(s, dtype=float),
-        fppp=lambda s: 6.0 * c * np.ones_like(np.asarray(s, dtype=float)),
     )
 
 
@@ -158,7 +154,6 @@ def custom_model(
     f: Callable,
     fp: Callable,
     fpp: Callable,
-    fppp: Callable,
     name: str = "custom",
     sigma_min: float = -np.inf,
     sigma_max: float = np.inf,
@@ -169,7 +164,6 @@ def custom_model(
         f=f,
         fp=fp,
         fpp=fpp,
-        fppp=fppp,
         sigma_min=sigma_min,
         sigma_max=sigma_max,
     )

@@ -198,6 +198,7 @@ def run_pipeline(scenario: Scenario) -> RunResult:
                 sec["comparison"] = comp.as_dict()
                 sec["n_compared"] = comp.n_compared
                 sec["n_skipped"] = comp.n_skipped
+                sec["newton"] = comp.newton
                 sec["interp_error"] = comp.interp_error
             report["stages"]["crossval"] = sec
         except NullwaveError as exc:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from nullwave.background import bump_profile
+from nullwave.background import bump_profile, phase_function, phase_relabel
 from nullwave.crossval import (
     RectGrid,
     RectState,
+    _bilinear,
     background_rect_state,
     flux_residual,
     phase_shift,
@@ -26,6 +27,7 @@ from nullwave.errors import (
     CFLViolation,
     HyperbolicityLoss,
     InsufficientDomain,
+    InversionFailure,
     OutOfImage,
 )
 from nullwave.geometry import integrate_frame, reconstruct_coords
@@ -233,6 +235,139 @@ def test_pullback_disjoint_domains_raise(membrane, bump03):
     rect = background_rect_state(bump03, RectGrid(20.0, 24.0, 0.5, 1.0), n_t=4)
     with pytest.raises(OutOfImage):
         pullback_compare(state, coords, rect, membrane, bump03)
+
+
+@pytest.fixture(scope="module")
+def pinned_case(membrane, bump03):
+    # The rect domain is far wider than the radius-3 image: 3,496 nodes are
+    # skipped, so walkers run into the collar and sit pinned there.
+    data = perturbed_data(bump03, eps=1e-2, center=0.5, width=1.2)
+    state, coords = _dn_pipeline(membrane, bump03, 3.0, 0.1, data)
+    rect = rect_solve(data, membrane, RectGrid(-8.0, 8.0, 0.1, 1.2), bump03)
+    return state, coords, rect
+
+
+def _pullback_all_nodes(dn, cmap, rect, profile, model, max_newton,
+                        newton_tol=1e-11):
+    """Reference pullback that re-evaluates every node on every iteration.
+
+    Returns (n_compared, n_skipped, sup_diff, l1_diff).
+    """
+    grid = cmap.grid
+    n, h = grid.n_nodes, grid.h
+    T = np.repeat(rect.t, rect.x.size)
+    X = np.tile(rect.x, rect.t.size)
+    ub0 = T - X
+    Vg = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
+    Zg = np.asarray(phase_function(profile, model,
+                                   np.clip(ub0, grid.ub_min, grid.ub_max)), dtype=float)
+    u = np.clip(np.interp(T + X + Zg, Vg, grid.u), grid.u_min, grid.u_max)
+    ub = np.clip(ub0, grid.ub_min, grid.ub_max)
+
+    scale = 1.0 + np.abs(T) + np.abs(X)
+    active = np.ones(T.shape, dtype=bool)
+    for _ in range(max_newton):
+        iu = np.clip(((u - grid.u_min) / h).astype(int), 0, n - 2)
+        jb = np.clip(((ub - grid.ub_min) / h).astype(int), 0, n - 2)
+        su = (u - grid.u_min) / h - iu
+        rb = (ub - grid.ub_min) / h - jb
+        rt = _bilinear(cmap.t, iu, jb, su, rb) - T
+        rx = _bilinear(cmap.x, iu, jb, su, rb) - X
+        active = np.maximum(np.abs(rt), np.abs(rx)) > newton_tol * scale
+        if not np.any(active):
+            break
+        a = active
+        jut = _bilinear(cmap.jac_u_t, iu[a], jb[a], su[a], rb[a])
+        jbt = _bilinear(cmap.jac_ub_t, iu[a], jb[a], su[a], rb[a])
+        jux = _bilinear(cmap.jac_u_x, iu[a], jb[a], su[a], rb[a])
+        jbx = _bilinear(cmap.jac_ub_x, iu[a], jb[a], su[a], rb[a])
+        det = jut * jbx - jbt * jux
+        det = np.where(np.abs(det) < 1e-300, np.nan, det)
+        u[a] -= (jbx * rt[a] - jbt * rx[a]) / det
+        ub[a] -= (-jux * rt[a] + jut * rx[a]) / det
+        u = np.clip(np.where(np.isfinite(u), u, grid.u_min - 2 * h),
+                    grid.u_min - 2 * h, grid.u_max + 2 * h)
+        ub = np.clip(np.where(np.isfinite(ub), ub, grid.ub_min - 2 * h),
+                     grid.ub_min - 2 * h, grid.ub_max + 2 * h)
+
+    slack = 1e-9 * (1.0 + abs(grid.u_max))
+    inside = ((u >= grid.u_min - slack) & (u <= grid.u_max + slack)
+              & (ub >= grid.ub_min - slack) & (ub <= grid.ub_max + slack))
+    stuck = inside & active
+    if np.any(stuck):
+        k = int(np.argmax(stuck))
+        raise InversionFailure(
+            f"map inversion stalled at (t, x) = ({T[k]:.4g}, {X[k]:.4g}); "
+            "the reconstructed map is close to degenerate there"
+        )
+    covered = inside & ~active
+    uc = np.clip(u[covered], grid.u_min, grid.u_max)
+    bc = np.clip(ub[covered], grid.ub_min, grid.ub_max)
+    iu = np.clip(((uc - grid.u_min) / h).astype(int), 0, n - 2)
+    jb = np.clip(((bc - grid.ub_min) / h).astype(int), 0, n - 2)
+    su = (uc - grid.u_min) / h - iu
+    rb = (bc - grid.ub_min) / h - jb
+    zp_b = np.asarray(profile.dzeta(bc), dtype=float)
+    psi_s = _bilinear(dn.psi, iu, jb, su, rb)
+    psib_s = _bilinear(dn.psib, iu, jb, su, rb)
+    samples = {
+        "phi": np.asarray(profile.zeta(bc), dtype=float)
+               + _bilinear(dn.xi, iu, jb, su, rb),
+        "Phi0": 0.5 * (psi_s + psib_s) + zp_b,
+        "Phi1": 0.5 * (psi_s - psib_s) - zp_b,
+    }
+    cell = rect.dt * rect.dx
+    sup_diff, l1_diff = {}, {}
+    for name in ("phi", "Phi0", "Phi1"):
+        d = np.abs(samples[name] - getattr(rect, name).ravel()[covered])
+        sup_diff[name] = float(np.max(d))
+        l1_diff[name] = float(cell * np.sum(d))
+    n_compared = int(np.count_nonzero(covered))
+    return n_compared, covered.size - n_compared, sup_diff, l1_diff
+
+
+@pytest.mark.parametrize("max_newton", [3, 40])
+def test_pullback_live_walkers_match_all_nodes(pinned_case, membrane, bump03,
+                                               max_newton):
+    state, coords, rect = pinned_case
+    rep = pullback_compare(state, coords, rect, membrane, bump03,
+                           max_newton=max_newton)
+    want = _pullback_all_nodes(state, coords, rect, bump03, membrane, max_newton)
+    assert rep.n_skipped > 0
+    assert (rep.n_compared, rep.n_skipped, rep.sup_diff, rep.l1_diff) == want
+
+
+# Capped before convergence, and an unreachable tolerance: interior
+# walkers whose steps round to nothing retire still unconverged.
+@pytest.mark.parametrize("max_newton, newton_tol", [(1, 1e-11), (2, 1e-11),
+                                                    (40, 0.0)])
+def test_pullback_cap_fails_like_all_nodes(pinned_case, membrane, bump03,
+                                           max_newton, newton_tol):
+    state, coords, rect = pinned_case
+    with pytest.raises(InversionFailure) as want:
+        _pullback_all_nodes(state, coords, rect, bump03, membrane, max_newton,
+                            newton_tol)
+    with pytest.raises(InversionFailure) as got:
+        pullback_compare(state, coords, rect, membrane, bump03,
+                         newton_tol=newton_tol, max_newton=max_newton)
+    assert str(got.value) == str(want.value)
+
+
+def test_pullback_newton_cap_raises_inversion_failure(pinned_case, membrane,
+                                                      bump03):
+    state, coords, rect = pinned_case
+    with pytest.raises(InversionFailure, match=r"at \(t, x\) = \(0\.04, -2\.9\)"):
+        pullback_compare(state, coords, rect, membrane, bump03, max_newton=1)
+
+
+def test_pullback_newton_counters(pinned_case, membrane, bump03):
+    state, coords, rect = pinned_case
+    newton = pullback_compare(state, coords, rect, membrane, bump03).newton
+    live = newton["live"]
+    assert live[0] == rect.phi.size
+    assert all(b <= a for a, b in zip(live, live[1:]))
+    assert newton["iterations"] == len(live) <= 40
+    assert all(isinstance(k, int) for k in live)
 
 
 # ------------------------------------------------------------- phase shift

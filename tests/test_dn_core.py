@@ -206,7 +206,7 @@ def test_march_into_custom_wall_names_the_node(zero_prof):
     # along u = 0.6 and psib along ubar = 0.6, keep sigma below the wall on
     # the data slice but meet at (0.6, 0.6), where sigma = 0.04.
     walled = custom_model(np.zeros_like, np.zeros_like, np.zeros_like,
-                          np.zeros_like, sigma_max=1e-6)
+                          sigma_max=1e-6)
 
     def bump(x):
         return 0.2 * np.exp(-(((x - 0.6) / 0.15) ** 2))
