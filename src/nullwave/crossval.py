@@ -22,11 +22,12 @@ map (t, x)(u, ub) by Newton refinement of a bilinear interpolant, pulls
 the double-null solution back onto the rectangular nodes, and reports sup
 and L1 differences.  Each Newton iteration evaluates only the live
 walkers: a node leaves once its residual converges, or once a step leaves
-it bitwise in place (a walker pinned at the collar).  flux_residual
-applies the divergence-form equation d_t(-e^f Phi0) + d_x(e^f Phi1) = 0
-to any rectangular state by centered differences.  phase_shift extracts
-the asymptotic offset between the reconstructed u-level sets and the
-background relation u = V^{-1}(t + x + Z(t - x)) across the wave zone.
+it bitwise in place (mostly a walker that the collar clip holds on one
+point).  flux_residual applies the divergence-form equation
+d_t(-e^f Phi0) + d_x(e^f Phi1) = 0 to any rectangular state by centered
+differences.  phase_shift extracts the asymptotic offset between the
+reconstructed u-level sets and the background relation
+u = V^{-1}(t + x + Z(t - x)) across the wave zone.
 
 Spatial work per step is vectorized over the grid; time stepping is
 inherently sequential.
@@ -275,8 +276,9 @@ class ComparisonReport:
     sup_diff / l1_diff are per-field dictionaries over phi, Phi0, Phi1 on
     the compared nodes; interp_error estimates the bilinear sampling
     floor; orders, phase_shift and degeneracy are filled by refinement
-    studies and the reporting layer.  newton counts the pullback's Newton
-    iterations and the walkers evaluated at each.  as_dict() emits exactly
+    studies and the reporting layer.  newton["live"] lists the walkers
+    the pullback evaluated at each Newton iteration; newton["iterations"]
+    is its length, kept for readers of the report.  as_dict() emits exactly
     the exported JSON shape.
     """
 
@@ -383,11 +385,13 @@ def pullback_compare(
     when its residual passes newton_tol * (1 + |t| + |x|), or when its
     clipped (u, ub) come out of a step bitwise unchanged: the update is a
     pure function of (u, ub, t, x) and the map, so it sits at a fixed
-    point and keeps the verdict of its last evaluation.  At the
-    max_newton cap a live walker keeps its last verdict and its (u, ub)
-    after the last step, so the result is that of iterating every node
-    max_newton times.  ComparisonReport.newton records the iterations and
-    the live walkers evaluated at each.
+    point and keeps the verdict of its last evaluation.  Such walkers
+    are mostly ones the collar clip holds on one point; walkers that
+    keep moving along the collar stay live.  At the max_newton cap a
+    live walker keeps its last verdict and its (u, ub) after the last
+    step, so the result is that of iterating every node max_newton
+    times.  ComparisonReport.newton records the live walkers evaluated
+    at each iteration.
     """
     grid = cmap.grid
 

@@ -240,7 +240,7 @@ def test_pullback_disjoint_domains_raise(membrane, bump03):
 @pytest.fixture(scope="module")
 def pinned_case(membrane, bump03):
     # The rect domain is far wider than the radius-3 image: 3,496 nodes are
-    # skipped, so walkers run into the collar and sit pinned there.
+    # skipped, so walkers run into the collar.
     data = perturbed_data(bump03, eps=1e-2, center=0.5, width=1.2)
     state, coords = _dn_pipeline(membrane, bump03, 3.0, 0.1, data)
     rect = rect_solve(data, membrane, RectGrid(-8.0, 8.0, 0.1, 1.2), bump03)
@@ -351,13 +351,8 @@ def test_pullback_cap_fails_like_all_nodes(pinned_case, membrane, bump03,
         pullback_compare(state, coords, rect, membrane, bump03,
                          newton_tol=newton_tol, max_newton=max_newton)
     assert str(got.value) == str(want.value)
-
-
-def test_pullback_newton_cap_raises_inversion_failure(pinned_case, membrane,
-                                                      bump03):
-    state, coords, rect = pinned_case
-    with pytest.raises(InversionFailure, match=r"at \(t, x\) = \(0\.04, -2\.9\)"):
-        pullback_compare(state, coords, rect, membrane, bump03, max_newton=1)
+    if max_newton == 1:
+        assert "at (t, x) = (0.04, -2.9)" in str(got.value)
 
 
 def test_pullback_newton_counters(pinned_case, membrane, bump03):

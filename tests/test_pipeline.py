@@ -101,7 +101,6 @@ def test_crossval_section(full_run):
     assert comp["degeneracy"]["ok"] is True
     assert sec["n_compared"] > 100
     assert sec["newton"]["live"][0] == sec["rect"]["n_t"] * sec["rect"]["n_x"]
-    assert sec["newton"]["iterations"] == len(sec["newton"]["live"])
     assert sec["flux_residual"] < 1e-2
 
 
