@@ -12,15 +12,19 @@ given by the semilinear system is integrated with
 
 (all signs flip on the backward sweep into the past triangle).  On the first
 front off the diagonal the across-corner D is not available and the value is
-taken as the average of the two one-leg trapezoid integrations instead.  F_P
-depends on the unknowns at P, so each front runs a small fixed-point loop
-vectorized over its cells: plain iterations until every cell's update is
-within CELL_TOL of its size (N_PLAIN caps them), then a damped retry from the
-predictor for any cell that has not converged (N_DAMPED caps that).  The
-sweep fills a DNState in place and raises the named errors itself, at the
-first failing node of the front: HyperbolicityLoss where sigma leaves the
-model's admissible range, InnerFixedPointDivergence where a cell is still
-unconverged after the retry.
+taken as the average of the two one-leg trapezoid integrations instead.
+
+The fronts i + j = N +- m come from DNGrid.fronts, the helper that the frame
+transport (geometry.integrate_frame) walks as well, and both sweeps hold a
+set of cells as one (field, component, cell) array.  F_P depends on the
+unknowns at P, so each front runs a small fixed-point loop vectorized over
+its cells and fields, with the predecessor values gathered once per front:
+plain iterations until every cell's update is within CELL_TOL of its size
+(N_PLAIN caps them), then a damped retry from the predictor for any cell
+that has not converged (N_DAMPED caps that).  The sweep fills a DNState in
+place and raises the named errors itself, at the first failing node of the
+front: HyperbolicityLoss where sigma leaves the model's admissible range,
+InnerFixedPointDivergence where a cell is still unconverged after the retry.
 
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
@@ -96,7 +100,7 @@ def _march_numpy(grid, direction, model, zp, zpp, state, FP, FB, FX):
     The unknowns of a set of cells are held as one (3, 3, cells) array:
     field (psi, psib, xi) by component (value, d_u, d_ub).
     """
-    h, N, d = grid.h, grid.N, direction
+    h, d = grid.h, direction
     hh = 0.5 * h * d
     qq = 0.25 * h * h
     fields = [
@@ -116,15 +120,15 @@ def _march_numpy(grid, direction, model, zp, zpp, state, FP, FB, FX):
         for (V, VU, VUB, F), (v, vu, vub), f in zip(fields, U, sources):
             V[here], VU[here], VUB[here], F[here] = v, vu, vub, f
 
-    diag = np.arange(N + 1)
-    here = (diag, N - diag)
+    def gather(at):
+        """(V, VU, VUB, F) at the nodes at, each a (field, cell) array."""
+        return np.array([[A[at] for A in fld] for fld in fields]).swapaxes(0, 1)
+
+    here = grid.diagonal()
     store(here, np.array([(V[here], VU[here], VUB[here])
                           for V, VU, VUB, _ in fields]))
 
-    for m in range(1, N + 1):
-        front = N + d * m
-        ii = np.arange(max(front - N, 0), min(front, N) + 1)
-        jj = front - ii
+    for m, (ii, jj) in enumerate(grid.fronts(d), 1):
         iw = ii - d
         js = jj - d
         first = m == 1
@@ -136,26 +140,31 @@ def _march_numpy(grid, direction, model, zp, zpp, state, FP, FB, FX):
             CELL_TOL * scale.  The stop is front-wide: a cell that converged
             early keeps iterating until the slowest cell has, so its result
             depends on the subset it runs in, but only below that tolerance.
-            Returns the unknowns and the mask of converged cells.
+            The predecessor values do not change inside the loop, so they
+            are gathered once.  Returns the unknowns and the mask of
+            converged cells.
             """
             i, j = ii[sel], jj[sel]
-            w, s, c = (iw[sel], j), (i, js[sel]), (iw[sel], js[sel])
-            cur = np.array([(V[w] + V[s] - V[c], VU[s], VUB[w])
-                            for V, VU, VUB, _ in fields])
+            c = (iw[sel], js[sel])
+            V_w, VU_w, VUB_w, F_w = gather((c[0], j))
+            V_s, VU_s, VUB_s, F_s = gather((i, c[1]))
+            V_c, _, _, F_c = gather(c)
+            corner = V_w + V_s - V_c
+            cur = np.stack((corner, VU_s, VUB_w), axis=1)
             new = np.empty_like(cur)
             good = np.zeros(i.shape, dtype=bool)
             for _ in range(n_it):
                 okm, _, *sources = rhs(j, cur)
                 _require_admissible(okm, grid, i, j)
-                for out, (V, VU, VUB, F), f in zip(new, fields, sources):
-                    n_u = VU[s] + hh * (F[s] + f)
-                    n_ub = VUB[w] + hh * (F[w] + f)
-                    if first:
-                        out[0] = 0.5 * (V[s] + hh * (VUB[s] + n_ub)) \
-                            + 0.5 * (V[w] + hh * (VU[w] + n_u))
-                    else:
-                        out[0] = V[w] + V[s] - V[c] + qq * (f + F[w] + F[s] + F[c])
-                    out[1], out[2] = n_u, n_ub
+                f = np.array(sources)
+                n_u = VU_s + hh * (F_s + f)
+                n_ub = VUB_w + hh * (F_w + f)
+                if first:
+                    new[:, 0] = 0.5 * (V_s + hh * (VUB_s + n_ub)) \
+                        + 0.5 * (V_w + hh * (VU_w + n_u))
+                else:
+                    new[:, 0] = corner + qq * (f + F_w + F_s + F_c)
+                new[:, 1], new[:, 2] = n_u, n_ub
                 if damp != 1.0:
                     new = cur + damp * (new - cur)
                 change = np.max(np.abs(new - cur), axis=(0, 1))

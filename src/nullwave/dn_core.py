@@ -27,7 +27,8 @@ from .background import WaveProfile
 from .errors import GridMismatch, HyperbolicityLoss
 from .grid import DNGrid, decay_sup
 from .nonlinearity import Nonlinearity, eval_coeffs
-from .state import FIELD_NAMES, DiagonalData, DNState
+from .state import (FIELD_NAMES, DiagonalData, DNState, dsigma_u_of,
+                    dsigma_ub_of)
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
@@ -65,10 +66,9 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
         raise GridMismatch("diagonal data nodes do not coincide with grid.u")
 
     state = DNState.zeros(grid)
-    ii = np.arange(grid.N + 1)
-    jj = grid.N - ii
+    diag = grid.diagonal()
     for name in FIELD_NAMES + ("sigma",):
-        getattr(state, name)[ii, jj] = getattr(data, name)
+        getattr(state, name)[diag] = getattr(data, name)
 
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
@@ -151,9 +151,9 @@ def sigma_wave_residual(state: DNState, model: Nonlinearity,
     g = state.grid
     zp = np.asarray(profile.dzeta(g.ub), dtype=float)[None, :]
     zpp = np.asarray(profile.d2zeta(g.ub), dtype=float)[None, :]
-    hold = 2.0 * zp + state.psib
-    s_u = -state.dpsi_u * hold - state.psi * state.dpsib_u
-    s_ub = -state.dpsi_ub * hold - state.psi * (2.0 * zpp + state.dpsib_ub)
+    s_u = dsigma_u_of(state.psi, state.psib, state.dpsi_u, state.dpsib_u, zp)
+    s_ub = dsigma_ub_of(state.psi, state.psib, state.dpsi_ub, state.dpsib_ub,
+                        zp, zpp)
     d_u_d_ub = (s_ub[2:, :] - s_ub[:-2, :]) / (2.0 * g.h)
     G = eval_coeffs(model, state.sigma).G
     null_form = (G * s_u * s_ub

@@ -66,6 +66,7 @@ from .background import (
 )
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, GridMismatch, InnerFixedPointDivergence
+from ._kernels import _where
 from .grid import DNGrid, cumtrap_cols, cumtrap_rows
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import DNState, dsigma_u_of, dsigma_ub_of
@@ -134,7 +135,12 @@ def full_field_jet(state: DNState, model: Nonlinearity,
     return jet
 
 
-def _transport_coeffs(jet: dict) -> dict:
+# order of the coefficient grids stacked by _transport_coeffs
+_CF_KEYS = ("Phi0", "Phi1", "dPhi0_u", "dPhi1_u", "dPhi0_ub", "dPhi1_ub", "H",
+           "HU", "HUB", "q1_ub", "q2_ub", "q1_u", "q2_u")
+
+
+def _transport_coeffs(jet: dict) -> np.ndarray:
     """Frame-independent coefficient grids of the transport right-hand side.
 
     The RHS is linear in (L, Lbar) for fixed scalar coefficients:
@@ -143,47 +149,42 @@ def _transport_coeffs(jet: dict) -> dict:
         d_u  Lbar = -[(S_Lb HUB + Om_inv q1_u ) Lbar + (S_Lb HU + Om_inv q2_u) L]
 
     with HU = H d_u phi, HUB = H d_ub phi and the q's carrying the H' part.
+    Returns one array stacking the 13 grids in the order of _CF_KEYS, filled
+    slot by slot so that no second set of them is ever alive.
     """
     H, Hp = jet["H"], jet["Hp"]
     pu, pub = jet["phi_u"], jet["phi_ub"]
     su, sub = jet["sig_u"], jet["sig_ub"]
-    return {
-        "Phi0": jet["Phi0"],
-        "Phi1": jet["Phi1"],
-        "dPhi0_u": jet["dPhi0_u"],
-        "dPhi1_u": jet["dPhi1_u"],
-        "dPhi0_ub": jet["dPhi0_ub"],
-        "dPhi1_ub": jet["dPhi1_ub"],
-        "H": H,
-        "HU": H * pu,
-        "HUB": H * pub,
-        "q1_ub": Hp * pub * (pu * sub - 0.5 * su * pub),
-        "q2_ub": Hp * pub * (0.5 * sub * pub),
-        "q1_u": Hp * pu * (pub * su - 0.5 * sub * pu),
-        "q2_u": Hp * pu * (0.5 * su * pu),
-    }
+    cf = np.empty((len(_CF_KEYS),) + np.broadcast_shapes(
+        *(np.shape(v) for v in jet.values())))
+    for row, key in zip(cf, _CF_KEYS[:7]):
+        row[...] = jet[key]
+    cf[7] = H * pu
+    cf[8] = H * pub
+    cf[9] = Hp * pub * (pu * sub - 0.5 * su * pub)
+    cf[10] = Hp * pub * (0.5 * sub * pub)
+    cf[11] = Hp * pu * (pub * su - 0.5 * sub * pu)
+    cf[12] = Hp * pu * (0.5 * su * pu)
+    return cf
 
 
-def _slice_cf(cf: dict, idx) -> dict:
-    return {k: v[idx] for k, v in cf.items()}
+def _frame_rhs(cf, L, Lb):
+    """Full transport RHS from stacked coefficients and (t, x)-stacked frames.
 
-
-def _frame_rhs(cf: dict, L0, L1, Lb0, Lb1):
-    """Full transport RHS (d_ub of L and d_u of Lbar) from coefficient grids."""
-    phiL = cf["Phi0"] * L0 + cf["Phi1"] * L1
-    phiLb = cf["Phi0"] * Lb0 + cf["Phi1"] * Lb1
-    om_inv = -(L0 * Lb0) + L1 * Lb1 + cf["H"] * phiL * phiLb
-    SL = L0 * cf["dPhi0_ub"] + L1 * cf["dPhi1_ub"]
-    SB = Lb0 * cf["dPhi0_u"] + Lb1 * cf["dPhi1_u"]
-    aL = SL * cf["HU"] + om_inv * cf["q1_ub"]
-    bL = SL * cf["HUB"] + om_inv * cf["q2_ub"]
-    aB = SB * cf["HUB"] + om_inv * cf["q1_u"]
-    bB = SB * cf["HU"] + om_inv * cf["q2_u"]
-    RL0 = -(aL * L0 + bL * Lb0)
-    RL1 = -(aL * L1 + bL * Lb1)
-    RB0 = -(aB * Lb0 + bB * L0)
-    RB1 = -(aB * Lb1 + bB * L1)
-    return RL0, RL1, RB0, RB1
+    Returns one array: [0] is d_ub L, [1] is d_u Lbar, each by component.
+    """
+    Phi0, Phi1, dPhi0_u, dPhi1_u, dPhi0_ub, dPhi1_ub, H, \
+        HU, HUB, q1_ub, q2_ub, q1_u, q2_u = cf
+    phiL = Phi0 * L[0] + Phi1 * L[1]
+    phiLb = Phi0 * Lb[0] + Phi1 * Lb[1]
+    om_inv = -(L[0] * Lb[0]) + L[1] * Lb[1] + H * phiL * phiLb
+    SL = L[0] * dPhi0_ub + L[1] * dPhi1_ub
+    SB = Lb[0] * dPhi0_u + Lb[1] * dPhi1_u
+    aL = SL * HU + om_inv * q1_ub
+    bL = SL * HUB + om_inv * q2_ub
+    aB = SB * HUB + om_inv * q1_u
+    bB = SB * HU + om_inv * q2_u
+    return -np.array([aL * L + bL * Lb, aB * Lb + bB * L])
 
 
 def transport_rhs(model: Nonlinearity, jet: dict, L0, L1, Lb0, Lb1,
@@ -196,16 +197,13 @@ def transport_rhs(model: Nonlinearity, jet: dict, L0, L1, Lb0, Lb1,
     passed, the conformal factor is recomputed internally.
     """
     del model  # coefficients already evaluated into the jet
+    if along not in ("ubar", "u"):
+        raise ValueError(f"along must be 'ubar' or 'u', got {along!r}")
     cf = _transport_coeffs(jet)
-    RL0, RL1, RB0, RB1 = _frame_rhs(cf, np.asarray(L0, dtype=float),
-                                    np.asarray(L1, dtype=float),
-                                    np.asarray(Lb0, dtype=float),
-                                    np.asarray(Lb1, dtype=float))
-    if along == "ubar":
-        return RL0, RL1
-    if along == "u":
-        return RB0, RB1
-    raise ValueError(f"along must be 'ubar' or 'u', got {along!r}")
+    L0, L1, Lb0, Lb1, _ = np.broadcast_arrays(L0, L1, Lb0, Lb1, cf[0])
+    R = _frame_rhs(cf, np.array([L0, L1], dtype=float),
+                   np.array([Lb0, Lb1], dtype=float))
+    return tuple(R[0 if along == "ubar" else 1])
 
 
 # ---------------------------------------------------------------------------
@@ -238,119 +236,93 @@ def _background_rows(model, profile, ub):
 
 
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
-                    profile: WaveProfile, tol: float = FRAME_TOL,
-                    max_iter: int = FRAME_MAX_ITER) -> NullFrame:
+                    profile: WaveProfile) -> NullFrame:
     """Transport the null frame from the data diagonal over the whole grid.
 
     Works on the deviations lam = L_A - Lring_A, lamb = Lbar - Lbar_ring in
-    the grid normalization; each anti-diagonal front is advanced by the
-    trapezoid rule and the implicit endpoint is resolved by a fixed point
-    (the RHS is quadratic in the frame, the cell coupling is O(h)).
-    Converged RHS values are cached per node so every cell costs one front
-    sweep.  Publishes the background-matched frame; see the module
-    docstring for the normalization bookkeeping.
+    the grid normalization, held as one (frame, component, cell) array:
+    frame (L, Lbar) by component (t, x).  The fronts are those of the march,
+    walked by DNGrid.fronts; each is advanced by the trapezoid rule and the
+    implicit endpoint is resolved by a fixed point (the RHS is quadratic in
+    the frame, the cell coupling is O(h)) that stops once the front's update
+    is within FRAME_TOL of its size, at most FRAME_MAX_ITER iterations.
+    Converged RHS values are cached per node, in the same layout, so every
+    cell costs one front sweep.  The 13 coefficient grids of
+    _transport_coeffs are stacked and gathered with one index per front.
+    Publishes the background-matched frame; see the module docstring for
+    the normalization bookkeeping.
 
-    Raises InnerFixedPointDivergence if a front stalls, FrameDegenerate if
-    g(L, Lbar) reaches zero (the two null directions collapse).
+    Raises InnerFixedPointDivergence naming the node with the largest last
+    update if a front stalls, FrameDegenerate if g(L, Lbar) reaches zero
+    (the two null directions collapse).
     """
     grid = state.grid
     n = grid.n_nodes
-    N = grid.N
     if gauge.x.shape != grid.u.shape or not np.array_equal(gauge.x, grid.u):
         raise GridMismatch("gauge slice nodes do not coincide with grid.u")
 
-    jet = full_field_jet(state, model, profile)
-    cf = _transport_coeffs(jet)
+    cf = _transport_coeffs(full_field_jet(state, model, profile))
 
     H0, ring0, ring1 = _background_rows(model, profile, grid.ub)
+    ring = np.array([ring0, ring1])                  # Lring_B by component
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
+    rbg = (-2.0 * H0) * (zp * zpp)                   # d_ub Lring_B, both comps
     vp = np.asarray(phase_relabel_velocity(profile, model, grid.u), dtype=float)
     inv_vp = 1.0 / vp
 
-    bg0 = np.outer(inv_vp, ring0)                   # Lring_A
-    bg1 = np.outer(inv_vp, ring1)
-    rbg = np.outer(inv_vp, (-2.0 * H0) * (zp * zpp))  # d_ub Lring_A, both comps
+    def deviation_rhs(i, j):
+        """The deviations' RHS on the nodes (i, j), as a function of them."""
+        cfh = cf[:, i, j]
+        bg = inv_vp[i] * ring[:, j]                  # Lring_A
+        rbg_h = inv_vp[i] * rbg[j]                   # d_ub Lring_A
 
-    lamU0 = np.zeros((n, n)); lamU1 = np.zeros((n, n))
-    lamB0 = np.zeros((n, n)); lamB1 = np.zeros((n, n))
-    cRU0 = np.zeros((n, n)); cRU1 = np.zeros((n, n))   # cached deviation RHS
-    cRB0 = np.zeros((n, n)); cRB1 = np.zeros((n, n))
+        def rhs(dev):
+            R = _frame_rhs(cfh, bg + dev[0], -1.0 + dev[1])
+            R[0] -= rbg_h
+            return R
+        return rhs, bg
 
-    diag = np.arange(n)
-    jd = N - diag
-    lamU0[diag, jd] = gauge.L0 * inv_vp - bg0[diag, jd]
-    lamU1[diag, jd] = gauge.L1 * inv_vp - bg1[diag, jd]
-    lamB0[diag, jd] = gauge.Lb0 + 1.0
-    lamB1[diag, jd] = gauge.Lb1 + 1.0
+    lam = np.zeros((2, 2, n, n))
+    cache = np.zeros_like(lam)                       # converged deviation RHS
 
-    def dev_rhs(cfh, b0, b1, rb, lu0, lu1, lb0, lb1):
-        rl0, rl1, rb0_, rb1_ = _frame_rhs(cfh, b0 + lu0, b1 + lu1,
-                                          -1.0 + lb0, -1.0 + lb1)
-        return rl0 - rb, rl1 - rb, rb0_, rb1_
-
-    at = (diag, jd)
-    cRU0[at], cRU1[at], cRB0[at], cRB1[at] = dev_rhs(
-        _slice_cf(cf, at), bg0[at], bg1[at], rbg[at],
-        lamU0[at], lamU1[at], lamB0[at], lamB1[at])
+    i, j = grid.diagonal()
+    rhs, bg = deviation_rhs(i, j)
+    dev = np.array([[gauge.L0, gauge.L1], [gauge.Lb0, gauge.Lb1]])
+    dev[0] = dev[0] * inv_vp - bg
+    dev[1] += 1.0
+    lam[..., i, j] = dev
+    cache[..., i, j] = rhs(dev)
 
     for d in (1, -1):
         hh = 0.5 * grid.h * d
-        for m in range(1, N + 1):
-            k = N + d * m
-            i_lo = k - N if k > N else 0
-            i_hi = N if k > N else k
-            ii = np.arange(i_lo, i_hi + 1)
-            jj = k - ii
-            here = (ii, jj)
-            s_ = (ii, jj - d)      # ubar-predecessor, feeds lam
-            w = (ii - d, jj)       # u-predecessor, feeds lamb
-
-            cfh = _slice_cf(cf, here)
-            hb0, hb1, hrbg = bg0[here], bg1[here], rbg[here]
-            baseU0 = lamU0[s_] + hh * cRU0[s_]
-            baseU1 = lamU1[s_] + hh * cRU1[s_]
-            baseB0 = lamB0[w] + hh * cRB0[w]
-            baseB1 = lamB1[w] + hh * cRB1[w]
-
-            curU0, curU1 = lamU0[s_], lamU1[s_]
-            curB0, curB1 = lamB0[w], lamB1[w]
-            for _ in range(max_iter):
-                rl0, rl1, rb0_, rb1_ = dev_rhs(cfh, hb0, hb1, hrbg,
-                                               curU0, curU1, curB0, curB1)
-                newU0 = baseU0 + hh * rl0
-                newU1 = baseU1 + hh * rl1
-                newB0 = baseB0 + hh * rb0_
-                newB1 = baseB1 + hh * rb1_
-                delta = max(float(np.max(np.abs(newU0 - curU0))),
-                            float(np.max(np.abs(newU1 - curU1))),
-                            float(np.max(np.abs(newB0 - curB0))),
-                            float(np.max(np.abs(newB1 - curB1))))
-                scale = max(float(np.max(np.abs(newU0))),
-                            float(np.max(np.abs(newU1))),
-                            float(np.max(np.abs(newB0))),
-                            float(np.max(np.abs(newB1))))
-                curU0, curU1, curB0, curB1 = newU0, newU1, newB0, newB1
-                if delta <= tol * (1.0 + scale):
+        for ii, jj in grid.fronts(d):
+            rhs, _ = deviation_rhs(ii, jj)
+            # L from the ubar-predecessor, Lbar from the u-predecessor
+            cur = np.array([lam[0][:, ii, jj - d], lam[1][:, ii - d, jj]])
+            base = cur + hh * np.array([cache[0][:, ii, jj - d],
+                                        cache[1][:, ii - d, jj]])
+            for _ in range(FRAME_MAX_ITER):
+                new = base + hh * rhs(cur)
+                change = np.max(np.abs(new - cur), axis=(0, 1))
+                cur = new
+                if change.max() <= FRAME_TOL * (1.0 + np.max(np.abs(cur))):
                     break
             else:
+                bad = int(np.argmax(change))
                 raise InnerFixedPointDivergence(
-                    f"frame transport stalled on front i+j={k} "
-                    f"(last update {delta:.3e})")
+                    f"frame transport stalled at {_where(grid, ii[bad], jj[bad])} "
+                    f"(last update {change[bad]:.3e})")
+            cache[..., ii, jj] = rhs(cur)
+            lam[..., ii, jj] = cur
+    del cache
 
-            cRU0[here], cRU1[here], cRB0[here], cRB1[here] = dev_rhs(
-                cfh, hb0, hb1, hrbg, curU0, curU1, curB0, curB1)
-            lamU0[here], lamU1[here] = curU0, curU1
-            lamB0[here], lamB1[here] = curB0, curB1
-
-    L0 = ring0[None, :] + vp[:, None] * lamU0
-    L1 = ring1[None, :] + vp[:, None] * lamU1
-    Lb0 = -1.0 + lamB0
-    Lb1 = -1.0 + lamB1
-
-    phiL = jet["Phi0"] * L0 + jet["Phi1"] * L1
-    phiLb = jet["Phi0"] * Lb0 + jet["Phi1"] * Lb1
-    om_inv = -(L0 * Lb0) + L1 * Lb1 + jet["H"] * phiL * phiLb
+    L = ring[:, None, :] + vp[:, None] * lam[0]
+    Lb = -1.0 + lam[1]
+    Phi0, Phi1, *_, H = cf[:7]                       # see _CF_KEYS
+    phiL = Phi0 * L[0] + Phi1 * L[1]
+    phiLb = Phi0 * Lb[0] + Phi1 * Lb[1]
+    om_inv = -(L[0] * Lb[0]) + L[1] * Lb[1] + H * phiL * phiLb
     if not np.all(np.isfinite(om_inv)) or np.any(om_inv >= 0.0):
         bad = np.argmax(~(np.isfinite(om_inv) & (om_inv < 0.0)))
         i, j = np.unravel_index(bad, om_inv.shape)
@@ -359,7 +331,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
             f"({grid.u[i]:.6g}, {grid.ub[j]:.6g})")
     Omega = 1.0 / om_inv
 
-    return NullFrame(grid, L0, L1, Lb0, Lb1, Omega, vp)
+    return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +378,6 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     if state.grid is not grid and not (
             state.grid.N == grid.N and np.array_equal(state.grid.u, grid.u)):
         raise GridMismatch("state and frame grids differ")
-    N = grid.N
     h = grid.h
     vp = frame.v_prime
 
@@ -429,8 +400,7 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     devB_t = jac_ub_t + 0.5 * ring0[None, :]
     devB_x = jac_ub_x + 0.5 * ring1[None, :]
 
-    diag = np.arange(N + 1)
-    jd = N - diag
+    diag, jd = grid.diagonal()
     dev_t_diag = 0.0 - tbg[diag, jd]       # pins t = 0.0 on the diagonal
     dev_x_diag = grid.u - xbg[diag, jd]    # pins x = u on the diagonal
 
@@ -487,12 +457,11 @@ def solve_model_system(gauge: GaugeSlice, grid: DNGrid, model: Nonlinearity,
     if gauge.x.shape != grid.u.shape or not np.array_equal(gauge.x, grid.u):
         raise GridMismatch("gauge slice nodes do not coincide with grid.u")
     n = grid.n_nodes
-    N = grid.N
     H0 = float(eval_coeffs(model, 0.0).H)
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
     zsq_half = 0.5 * zp ** 2              # antiderivative of zeta' zeta''
-    jd = N - np.arange(n)
+    _, jd = grid.diagonal()
 
     cbm = gauge.Lb0 - gauge.Lb1           # per-row frozen Lbar combinations
     cbp = gauge.Lb0 + gauge.Lb1

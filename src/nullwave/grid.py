@@ -63,9 +63,24 @@ class DNGrid:
     def ub_max(self) -> float:
         return -self.u_min
 
-    def diag_j(self, i: int) -> int:
-        """ubar index of the t=0 diagonal in column i."""
-        return self.N - i
+    def diagonal(self):
+        """Index arrays (i, N - i) of the t=0 diagonal, u ascending."""
+        i = np.arange(self.N + 1)
+        return i, self.N - i
+
+    def fronts(self, direction: int):
+        """Yield (ii, jj) of each front i + j = N + direction*m, m = 1..N.
+
+        direction = +1 walks the future triangle, -1 the past one, nearest
+        the diagonal first; ii ascends.  Every node's predecessors
+        (i - direction, j) and (i, j - direction) lie on the previous front,
+        or on the diagonal for m = 1.
+        """
+        N = self.N
+        for m in range(1, N + 1):
+            k = N + direction * m
+            ii = np.arange(max(k - N, 0), min(k, N) + 1)
+            yield ii, k - ii
 
     def same_as(self, other: "DNGrid") -> bool:
         return (

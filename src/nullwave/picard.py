@@ -167,8 +167,7 @@ def _frozen_solve(grid, data, sources):
     """
     N, h = grid.N, grid.h
     half, qq = 0.5 * h, 0.25 * h * h
-    ii = np.arange(N + 1)
-    jd = N - ii
+    ii, jd = grid.diagonal()
     lo = ii[:-1]
     out = {}
     for name, F in sources.items():

@@ -102,7 +102,7 @@ def test_march_satisfies_box_scheme(model, bump03):
     # recomputed from the stored fields, to within the cell tolerance: a
     # front that stopped iterating too early would leave a larger residual.
     grid = DNGrid.square(2.0, 0.05)
-    N, h = grid.N, grid.h
+    h = grid.h
     qq = 0.25 * h * h
     st_ = march(make_compatible_data(grid, bump03), grid, model, bump03)
     _, *sources = rhs_wave(
@@ -117,10 +117,7 @@ def test_march_satisfies_box_scheme(model, bump03):
         fu, fub = getattr(st_, f"d{name}_u"), getattr(st_, f"d{name}_ub")
         for d in (1, -1):
             hh = 0.5 * h * d
-            for m in range(1, N + 1):
-                k = N + d * m
-                i = np.arange(max(k - N, 0), min(N, k) + 1)
-                j = k - i
+            for m, (i, j) in enumerate(grid.fronts(d), 1):
                 iw, js = i - d, j - d
                 u_transport = fub[i, j] - fub[iw, j] - hh * (F[iw, j] + F[i, j])
                 ub_transport = fu[i, j] - fu[i, js] - hh * (F[i, js] + F[i, j])

@@ -1,13 +1,15 @@
 """Frame transport, coordinate reconstruction and degeneracy monitoring."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nullwave import geometry
 from nullwave.data_gauge import background_data, build_diagonal_data, perturbed_data
 from nullwave.dn_core import march
-from nullwave.errors import FrameDegenerate, GridMismatch
+from nullwave.errors import FrameDegenerate, GridMismatch, InnerFixedPointDivergence
 from nullwave.geometry import (
     degeneracy_monitor,
     full_field_jet,
@@ -201,10 +203,9 @@ def test_published_diagonal_is_pinned(membrane, bump03):
     grid, _, _, state, frame = _pipeline(membrane, bump03, 2.0, 0.1,
                                          eps=1e-2, width=1.5)
     coords = reconstruct_coords(state, frame, membrane, bump03)
-    diag = np.arange(grid.N + 1)
-    jd = grid.N - diag
-    assert np.all(coords.t[diag, jd] == 0.0)
-    assert np.array_equal(coords.x[diag, jd], grid.u)
+    diag = grid.diagonal()
+    assert np.all(coords.t[diag] == 0.0)
+    assert np.array_equal(coords.x[diag], grid.u)
 
 
 def test_curl_and_nullity_converge_second_order(membrane, bump03):
@@ -262,6 +263,78 @@ def test_model_tracks_full_transport(membrane, bump03):
 
 
 # ---------------------------------------------------------------------------
+# the front sweep of the transport
+
+
+def _deviations(grid, frame, model, profile):
+    """(lam, bg, rbg) of a published frame in the grid normalization.
+
+    lam holds the deviations L_A - Lring_A and Lbar - Lbar_ring as one
+    (frame, component, u, ubar) array; bg is Lring_A by component and rbg
+    its d_ub, the same for both components (module docstring formulas).
+    """
+    H0 = float(eval_coeffs(model, 0.0).H)
+    zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
+    zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
+    inv_vp = 1.0 / frame.v_prime[:, None]
+    bg = np.array([-1.0 - H0 * zp ** 2, 1.0 - H0 * zp ** 2])[:, None, :] * inv_vp
+    rbg = ((-2.0 * H0) * (zp * zpp))[None, :] * inv_vp
+    L_A = np.array([frame.L0, frame.L1]) * inv_vp
+    lam = np.array([L_A - bg, [frame.Lb0 + 1.0, frame.Lb1 + 1.0]])
+    return lam, bg, rbg
+
+
+def _deviation_rhs(model, jet, bg, rbg, lam):
+    """d_ub of the L deviation and d_u of the Lbar one, through transport_rhs."""
+    L, Lb = bg + lam[0], lam[1] - 1.0
+    RL = transport_rhs(model, jet, *L, *Lb, along="ubar")
+    RB = transport_rhs(model, jet, *L, *Lb, along="u")
+    return np.array([np.array(RL) - rbg, RB])
+
+
+def test_frame_satisfies_trapezoid_transport(membrane, bump03):
+    # Every front of both triangles must meet the transport's trapezoid rule,
+    #   lam(P)  = lam(S)  + h/2 (R_L(S) + R_L(P)),   S the ubar-predecessor,
+    #   lamb(P) = lamb(W) + h/2 (R_B(W) + R_B(P)),   W the u-predecessor,
+    # with the RHS recomputed from the published frame.  A front stops once
+    # its last update is within FRAME_TOL (1 + sup|deviation|) and the cell
+    # coupling is O(h), so the residual stays below that bound; a front left
+    # after one iteration misses it by orders of magnitude.
+    grid, _, _, state, frame = _pipeline(membrane, bump03, 2.0, 0.05,
+                                         eps=1e-2, width=1.5)
+    lam, bg, rbg = _deviations(grid, frame, membrane, bump03)
+    R = _deviation_rhs(membrane, full_field_jet(state, membrane, bump03),
+                       bg, rbg, lam)
+    tol = geometry.FRAME_TOL * (1.0 + float(np.max(np.abs(lam))))
+    for d in (1, -1):
+        hh = 0.5 * grid.h * d
+        for m, (i, j) in enumerate(grid.fronts(d), 1):
+            resid_L = lam[0][:, i, j] - lam[0][:, i, j - d] \
+                - hh * (R[0][:, i, j - d] + R[0][:, i, j])
+            resid_B = lam[1][:, i, j] - lam[1][:, i - d, j] \
+                - hh * (R[1][:, i - d, j] + R[1][:, i, j])
+            for resid in (resid_L, resid_B):
+                assert np.max(np.abs(resid)) <= tol, (d, m)
+
+
+def test_integrate_frame_memory_budget(membrane, bump03):
+    # Peak traced memory of one transport, in (N+1)^2 float fields: the 13
+    # stacked coefficients, the deviations and their RHS cache (4 each) and
+    # the published frame.  Stacking the coefficients while the 12-field jet
+    # stays alive through the front loop would break it.
+    grid, _, gauge, state, _ = _pipeline(membrane, bump03, 3.0, 0.05,
+                                         eps=1e-3, width=1.5)
+    field = 8 * grid.n_nodes ** 2
+    tracemalloc.start()
+    try:
+        integrate_frame(state, gauge, membrane, bump03)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * field
+
+
+# ---------------------------------------------------------------------------
 # degeneracy and failure paths
 
 
@@ -312,3 +385,25 @@ def test_gauge_grid_mismatch(membrane, bump03):
     state_big = march(data_big, big, membrane, bump03)
     with pytest.raises(GridMismatch):
         integrate_frame(state_big, gauge_small, membrane, bump03)
+
+
+def test_frame_transport_stall_names_the_node(membrane, bump03, monkeypatch):
+    grid, _, gauge, state, frame = _pipeline(membrane, bump03, 2.0, 0.05,
+                                             eps=1e-2, width=1.5)
+    # Replay the single iteration of the first future front from the
+    # converged diagonal: the named node is the cell with the largest update.
+    lam, bg, rbg = _deviations(grid, frame, membrane, bump03)
+    jet = full_field_jet(state, membrane, bump03)
+    R = _deviation_rhs(membrane, jet, bg, rbg, lam)
+    i, j = next(grid.fronts(1))
+    start = np.array([lam[0][:, i, j - 1], lam[1][:, i - 1, j]])
+    R_start = np.array([R[0][:, i, j - 1], R[1][:, i - 1, j]])
+    R_here = _deviation_rhs(membrane, {k: v[i, j] for k, v in jet.items()},
+                            bg[:, i, j], rbg[i, j], start)
+    worst = int(np.argmax(np.max(np.abs(R_start + R_here), axis=(0, 1))))
+
+    monkeypatch.setattr(geometry, "FRAME_MAX_ITER", 1)
+    with pytest.raises(InnerFixedPointDivergence) as err:
+        integrate_frame(state, gauge, membrane, bump03)
+    assert (f"stalled at node (u={grid.u[i[worst]]:.6g}, "
+            f"ubar={grid.ub[j[worst]]:.6g})") in str(err.value)

@@ -28,10 +28,31 @@ def test_square_grid_layout():
 def test_diagonal_pairing_is_bitwise():
     # ubar on the t=0 diagonal must be exactly -u, not merely close
     g = DNGrid.square(7.3, 0.1)
-    i = np.arange(g.N + 1)
-    assert np.array_equal(g.ub[g.N - i], -g.u[i])
-    for i in (0, 3, g.N):
-        assert g.diag_j(i) == g.N - i
+    i, j = g.diagonal()
+    assert np.array_equal(i, np.arange(g.N + 1))
+    assert np.array_equal(i + j, np.full(g.N + 1, g.N))
+    assert np.array_equal(g.ub[j], -g.u[i])
+
+
+@pytest.mark.parametrize("grid", [DNGrid.square(1.0, 0.25), DNGrid(-1.0, 2.0, 0.5)],
+                         ids=["N8", "N6"])
+def test_fronts_partition_the_square(grid):
+    N = grid.N
+    i, j = np.indices((N + 1, N + 1))
+    count = np.zeros((N + 1, N + 1), dtype=int)
+    for d in (1, -1):
+        prev = set(zip(*grid.diagonal()))
+        for m, (ii, jj) in enumerate(grid.fronts(d), 1):
+            assert np.all(ii + jj == N + d * m)
+            assert np.all(np.diff(ii) == 1)
+            for a, b in zip(ii, jj):
+                assert (a - d, b) in prev and (a, b - d) in prev
+            prev = set(zip(ii, jj))
+            count[ii, jj] += 1
+        # each triangle is covered exactly once by its own direction
+        assert np.all(count[(i + j - N) * d > 0] == 1)
+    assert np.all(count[i + j == N] == 0)
+    assert np.all(count[i + j != N] == 1)
 
 
 def test_grid_rejects_uneven_spacing():

@@ -167,7 +167,7 @@ def test_frozen_solve_satisfies_box_scheme():
     # every cell of both triangles, checked front by front as the sweep
     # would apply them.
     grid = DNGrid.square(2.0, 0.1)
-    N, h = grid.N, grid.h
+    h = grid.h
     qq = 0.25 * h * h
     rng = np.random.default_rng(11)
     u, ub = grid.u[:, None], grid.ub[None, :]
@@ -186,18 +186,14 @@ def test_frozen_solve_satisfies_box_scheme():
     out = _frozen_solve(grid, data, sources)
     assert set(out) == set(FIELD_NAMES)
 
-    ii = np.arange(N + 1)
     for name, F in sources.items():
         f, fu, fub = out[name], out[f"d{name}_u"], out[f"d{name}_ub"]
         for arr, key in ((f, name), (fu, f"d{name}_u"), (fub, f"d{name}_ub")):
-            assert np.array_equal(arr[ii, N - ii], diag[key])
+            assert np.array_equal(arr[grid.diagonal()], diag[key])
         tol = 1e-13 * max(np.max(np.abs(a)) for a in (f, fu, fub, F))
         for d in (1, -1):
             hh = 0.5 * h * d
-            for m in range(1, N + 1):
-                k = N + d * m
-                i = np.arange(max(k - N, 0), min(N, k) + 1)
-                j = k - i
+            for m, (i, j) in enumerate(grid.fronts(d), 1):
                 iw, js = i - d, j - d
                 u_transport = fub[i, j] - fub[iw, j] - hh * (F[iw, j] + F[i, j])
                 ub_transport = fu[i, j] - fu[i, js] - hh * (F[i, js] + F[i, j])
