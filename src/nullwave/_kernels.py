@@ -29,7 +29,13 @@ InnerFixedPointDivergence where a cell is still unconverged after the retry.
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
 form: cumulative trapezoids of F for the derivatives and cumulative sums of
-the four-corner mixed differences for the field, with no front sweep.
+the four-corner mixed differences for the field, with no front sweep.  They
+run in L2-sized row blocks.  The sums along ubar are row-local; the sums
+along u carry each column's running total into the next block's first
+increment row, and subtract their anchors on the diagonal in a second
+pass.  The past first front's one-leg values read d_ub at (a, N-1-a),
+whose anchor is row a+1, one row ahead; they are formed once d_ub is
+complete, before the field's own sweep.
 
 The right side of the system, with zp = zeta'(ubar), zpp = zeta''(ubar):
 
@@ -44,7 +50,7 @@ The right side of the system, with zp = zeta'(ubar), zpp = zeta''(ubar):
 import numpy as np
 
 from .errors import HyperbolicityLoss, InnerFixedPointDivergence
-from .nonlinearity import coeff_arrays
+from .nonlinearity import G_of, Hp_of, coeff_arrays
 from .state import dsigma_u_of, dsigma_ub_of, sigma_of
 
 N_PLAIN = 8
@@ -63,17 +69,22 @@ def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub,
     returned in that fixed order, whatever the order of the selector.  Each
     selected source is evaluated by the same expression whatever else is
     selected, so a partial selection is bitwise a slice of the full one.
+    The coefficients are formed on demand: G only for the psi and psib
+    sources, H' only for the xi source.
     """
     sig = sigma_of(psi, psib, zp)
     s_u = dsigma_u_of(psi, psib, psi_u, psib_u, zp)
     s_ub = dsigma_ub_of(psi, psib, psi_ub, psib_ub, zp, zpp)
-    okm, _, _, kappa, G, _, Hp = coeff_arrays(model, sig)
+    okm, s, fp, fpp, kappa, k = coeff_arrays(model, sig)
     out = [okm, sig]
+    if "psi" in sources or "psib" in sources:
+        G = G_of(s, fp, fpp, k)
     if "psi" in sources:
         out.append(-0.5 * G * (s_u * psi_ub + psi_u * s_ub))
     if "psib" in sources:
         out.append(-G * s_u * zpp - 0.5 * G * (s_u * psib_ub + psib_u * s_ub))
     if "xi" in sources:
+        Hp = Hp_of(fp, fpp, k)
         out.append(-(0.25 * sig * kappa * Hp) * (s_u * xi_ub + xi_u * s_ub + zp * s_u))
     return tuple(out)
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .background import WaveProfile
 from .errors import GridMismatch, HyperbolicityLoss
-from .grid import DNGrid, decay_sup
+from .grid import DNGrid, decay_sup, map_row_blocks, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import (FIELD_NAMES, DiagonalData, DNState, dsigma_u_of,
                     dsigma_ub_of)
@@ -92,15 +92,26 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
     by default; sources names a subset of ("psi", "psib", "xi") to form
     only those, and the return is then sigma followed by the selected
     sources in that order, each bitwise equal to its full-selection value.
-    Raises HyperbolicityLoss where the slaved sigma leaves the admissible
-    range, ValueError for an unknown source name.
+    Fields on a 2-D grid are evaluated one row block at a time
+    (grid.map_row_blocks), so the temporaries stay block-sized; every element sees the same
+    arithmetic, so the result does not depend on the block size.  Raises
+    HyperbolicityLoss where the slaved sigma leaves the admissible range,
+    naming the first bad value in row-major order; ValueError for an
+    unknown source name.
     """
     if not set(sources) <= set(_kernels.SOURCES):
         raise ValueError(f"sources must be drawn from {_kernels.SOURCES}, got {sources!r}")
-    okm, sig, *formed = _kernels._rhs_arrays(
-        model, np.asarray(zp, dtype=float), np.asarray(zpp, dtype=float),
-        psi, psib, dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub, sources,
-    )
+    args = [np.asarray(a, dtype=float) for a in (
+        zp, zpp, psi, psib, dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub)]
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    if len(shape) == 2:
+        return map_row_blocks(lambda *a: _checked_rhs(model, a, sources),
+                              shape, *args)
+    return _checked_rhs(model, args, sources)
+
+
+def _checked_rhs(model, args, sources):
+    okm, sig, *formed = _kernels._rhs_arrays(model, *args, sources)
     if not np.all(okm):
         bad = np.asarray(sig)[~okm]
         raise HyperbolicityLoss(
@@ -146,17 +157,27 @@ def sigma_wave_residual(state: DNState, model: Nonlinearity,
     derivatives.  Here d_u s, d_ub s are composed from the stored fields and
     d_u d_ub s is a centered difference of d_ub s in u, so the residual of
     the marched solution shrinks at the scheme's second order.  Returns an
-    (N-1, N+1) array over the interior u-range.
+    (N-1, N+1) array over the interior u-range, formed one row block at a
+    time with one row of halo on either side for the centered difference
+    (the coefficient G is evaluated on the halo rows too, so every node's
+    sigma is checked as before).
     """
     g = state.grid
+    n = g.n_nodes
     zp = np.asarray(profile.dzeta(g.ub), dtype=float)[None, :]
     zpp = np.asarray(profile.d2zeta(g.ub), dtype=float)[None, :]
-    s_u = dsigma_u_of(state.psi, state.psib, state.dpsi_u, state.dpsib_u, zp)
-    s_ub = dsigma_ub_of(state.psi, state.psib, state.dpsi_ub, state.dpsib_ub,
-                        zp, zpp)
-    d_u_d_ub = (s_ub[2:, :] - s_ub[:-2, :]) / (2.0 * g.h)
-    G = eval_coeffs(model, state.sigma).G
-    null_form = (G * s_u * s_ub
-                 + state.dpsi_u * (state.dpsib_ub + 2.0 * zpp)
-                 + state.dpsi_ub * state.dpsib_u)
-    return d_u_d_ub + null_form[1:-1, :]
+    st = state
+    out = np.empty((n - 2, n))
+    for blk in row_blocks(n, n, halo=1):
+        mid = slice(blk.start + 1, blk.stop - 1)
+        s_ub = dsigma_ub_of(st.psi[blk], st.psib[blk], st.dpsi_ub[blk],
+                            st.dpsib_ub[blk], zp, zpp)
+        s_u = dsigma_u_of(st.psi[mid], st.psib[mid], st.dpsi_u[mid],
+                          st.dpsib_u[mid], zp)
+        d_u_d_ub = (s_ub[2:, :] - s_ub[:-2, :]) / (2.0 * g.h)
+        G = eval_coeffs(model, st.sigma[blk]).G[1:-1]
+        null_form = (G * s_u * s_ub[1:-1]
+                     + st.dpsi_u[mid] * (st.dpsib_ub[mid] + 2.0 * zpp)
+                     + st.dpsi_ub[mid] * st.dpsib_u[mid])
+        out[blk.start:blk.stop - 2] = d_u_d_ub + null_form
+    return out

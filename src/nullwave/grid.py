@@ -97,17 +97,104 @@ class DNGrid:
             )
 
 
+# Elements per row block of the full-grid passes (row_blocks).  A block's
+# temporaries then stay in a 2 MiB L2 while the whole fields do not; the
+# results do not depend on it.
+BLOCK_ELEMS = 32768
+
+
+def row_blocks(n_rows, n_cols, halo=0):
+    """Yield row slices of about BLOCK_ELEMS elements, in row order.
+
+    The interiors of the blocks tile rows halo .. n_rows - halo - 1; each
+    yielded slice adds halo rows of context on either side, so consecutive
+    slices overlap by 2 * halo rows.  A block holds at least one interior
+    row.
+    """
+    step = max(1, BLOCK_ELEMS // max(1, n_cols))
+    for a in range(halo, n_rows - halo, step):
+        yield slice(a - halo, min(a + step, n_rows - halo) + halo)
+
+
+def map_row_blocks(fn, shape, *args):
+    """fn(*args) for an elementwise fn, evaluated one row block at a time.
+
+    shape is the 2-D shape of the result.  Arguments with one row per
+    row of shape are sliced to the block; the others (scalars, and rows
+    that broadcast down the columns) pass whole.  fn returns an array or a
+    tuple of arrays; each is gathered into a fresh C-ordered array of
+    shape.  Every element sees the same arithmetic as in one call on the
+    whole arrays, so the result does not depend on the block size.
+    """
+    out = None
+    for blk in row_blocks(*shape):
+        part = fn(*(a[blk] if np.ndim(a) == 2 and np.shape(a)[0] > 1 else a
+                    for a in args))
+        if out is None:
+            out = (np.empty(shape) if isinstance(part, np.ndarray)
+                   else tuple(np.empty(shape) for _ in part))
+        if isinstance(out, np.ndarray):
+            out[blk] = part
+        else:
+            for o, p in zip(out, part):
+                o[blk] = p
+    return out
+
+
+def cumsum_cols(increments, shape, anchor_i):
+    """Running sums down the columns, zeroed at per-column anchor rows.
+
+    S[0] = 0 and S[i] = S[i-1] + increments(rows)[i-1 - rows.start], with
+    increments(rows) a fresh (len(rows), n_cols) array of the increment
+    rows in the slice rows.  The sums are built one row block at a time:
+    a block's first increment row takes the carry from the row above
+    (inc[0] = carry + inc[0]) before np.cumsum runs down the block, so
+    every column is summed in the same sequential order as one np.cumsum
+    over the whole height.  The anchor values S[anchor_i[j], j] are only
+    known once the sweep has passed them, so they are subtracted in a
+    second, in-place pass.  Returns a C-ordered array.
+    """
+    S = np.empty(shape)
+    S[0] = 0.0
+    for blk in row_blocks(*shape):
+        a = max(blk.start, 1)
+        inc = increments(slice(a - 1, blk.stop - 1))
+        if a > 1:
+            inc[0] = S[a - 1] + inc[0]
+        np.cumsum(inc, axis=0, out=S[a:blk.stop])
+    S -= S[anchor_i, np.arange(shape[1])]
+    return S
+
+
 def cumtrap_rows(F, h, anchor_j):
-    """Cumulative trapezoid along axis 1, zeroed at per-row anchor columns."""
-    S = np.zeros_like(F)
-    np.cumsum((0.5 * h) * (F[:, 1:] + F[:, :-1]), axis=1, out=S[:, 1:])
-    S -= np.take_along_axis(S, np.asarray(anchor_j)[:, None], axis=1)
+    """Cumulative trapezoid along axis 1, zeroed at per-row anchor columns.
+
+    Row-local, so it is formed one row block at a time; returns C order.
+    """
+    S = np.empty(F.shape)
+    S[:, 0] = 0.0
+    for blk in row_blocks(*F.shape):
+        np.cumsum((0.5 * h) * (F[blk, 1:] + F[blk, :-1]), axis=1,
+                  out=S[blk, 1:])
+    S -= S[np.arange(F.shape[0]), anchor_j][:, None]
     return S
 
 
 def cumtrap_cols(F, h, anchor_i):
-    """Cumulative trapezoid along axis 0, zeroed at per-column anchor rows."""
-    return cumtrap_rows(np.ascontiguousarray(F.T), h, anchor_i).T
+    """Cumulative trapezoid along axis 0, zeroed at per-column anchor rows.
+
+    Carried block by block (cumsum_cols) without a transpose; returns a
+    C-ordered array, bitwise equal to one cumulative sum over the column.
+    """
+    half = 0.5 * h
+    return cumsum_cols(lambda r: half * (F[r.start + 1:r.stop + 1] + F[r]),
+                       F.shape, anchor_i)
+
+
+def decay_weight(grid, gamma_bar, axis):
+    """(1+|x|)^(1+gamma_bar) with x = u for axis=0 and ubar for axis=1."""
+    x = grid.u if axis == 0 else grid.ub
+    return (1.0 + np.abs(x)) ** (1.0 + gamma_bar)
 
 
 def decay_sup(grid, f, gamma_bar, axis):
@@ -118,6 +205,5 @@ def decay_sup(grid, f, gamma_bar, axis):
     rounding is monotone, so this is the sup of the weighted array bit for
     bit without forming it.
     """
-    x = grid.u if axis == 0 else grid.ub
-    w = (1.0 + np.abs(x)) ** (1.0 + gamma_bar)
+    w = decay_weight(grid, gamma_bar, axis)
     return float(np.max(w * np.max(np.abs(f), axis=1 - axis)))

@@ -27,8 +27,8 @@ Three families are built in: "linear" (f = 0), "membrane"
 (f = -1/2 log(1+sigma), defined for sigma > -1, for which H == 1), and
 "polynomial" (f = a s + b s^2 + c s^3).  Custom models supply their own
 derivative callables.  Every model must admit sigma = 0 (the background
-value): coeff_arrays, the one evaluator of the coefficient algebra, uses it
-as the stand-in at nodes outside the admissible range.
+value): coeff_arrays, through which every caller evaluates the coefficient
+algebra, uses it as the stand-in at nodes outside the admissible range.
 """
 
 from __future__ import annotations
@@ -170,12 +170,13 @@ def custom_model(
 
 
 def coeff_arrays(model: Nonlinearity, sigma: ArrayLike):
-    """(ok, f', f'', kappa, G, H, H') at sigma, without raising.
+    """(ok, s, f', f'', kappa, k) at sigma, without raising.
 
     ok marks the nodes inside the model's open interval where kappa > 0.
-    Nodes outside the interval are evaluated at sigma = 0 instead, and G,
-    H, H' divide by 1 where kappa <= 0, so every entry is finite but only
-    the entries under ok are coefficients of the model.
+    Nodes outside the interval are evaluated at s = 0 instead, and k is
+    kappa with 1 where kappa <= 0, so the quotients G, H and H' formed
+    from these are finite everywhere, but only the entries under ok are
+    coefficients of the model.  Callers form only the quotients they read.
     """
     s = np.asarray(sigma, dtype=float)
     ok = (s > model.sigma_min) & (s < model.sigma_max)
@@ -185,10 +186,16 @@ def coeff_arrays(model: Nonlinearity, sigma: ArrayLike):
     kappa = 1.0 + 2.0 * fp * s
     ok = ok & (kappa > 0.0)
     k = np.where(ok, kappa, 1.0)
-    G = (fpp * s + fp) / k + fp
-    H = -2.0 * fp / k
-    Hp = -2.0 * (fpp - 2.0 * fp * fp) / (k * k)
-    return ok, fp, fpp, kappa, G, H, Hp
+    return ok, s, fp, fpp, kappa, k
+
+
+# The quotients of the coefficient algebra, from the entries of coeff_arrays.
+def G_of(s, fp, fpp, k):
+    return (fpp * s + fp) / k + fp
+
+
+def Hp_of(fp, fpp, k):
+    return -2.0 * (fpp - 2.0 * fp * fp) / (k * k)
 
 
 def eval_coeffs(model: Nonlinearity, sigma: ArrayLike) -> CoefficientBundle:
@@ -213,10 +220,11 @@ def eval_coeffs(model: Nonlinearity, sigma: ArrayLike) -> CoefficientBundle:
     """
     model.check_domain(sigma)
     s = np.asarray(sigma, dtype=float)
-    _, fp, fpp, kappa, G, H, Hp = coeff_arrays(model, s)
+    _, sa, fp, fpp, kappa, k = coeff_arrays(model, s)
     if np.any(kappa <= 0.0):
         kmin = float(np.min(kappa))
         raise HyperbolicityLoss(f"{model.name}: kappa={kmin:.6g} <= 0")
+    G, H, Hp = G_of(sa, fp, fpp, k), -2.0 * fp / k, Hp_of(fp, fpp, k)
     fv = model.f(s)
     if np.ndim(sigma) == 0:
         return CoefficientBundle(

@@ -15,8 +15,20 @@ Each stage is a single linear wave solve with a fully known source; it
 forms only its own source (rhs_wave's selector), never the other two.  Its
 discrete equations are the march's per-cell scheme with the source frozen,
 which makes them closed form: _frozen_solve integrates only the field the
-stage needs, by anchored cumulative sums over whole arrays, without the
-march's front-by-front sweep.  The map is applied by picard_apply; its
+stage needs, by anchored cumulative sums, without the march's
+front-by-front sweep.
+
+Every full-grid pass of the stage -- the source, the frozen solve, the
+metric below and the xi gap -- runs in row blocks of about
+grid.BLOCK_ELEMS elements, walked in row order, so its temporaries stay in
+L2 and only the outputs are full-size (C-ordered) arrays.  The sums down
+the columns carry each column's running total from one block into the
+first increment row of the next, which keeps one cumulative sum's
+sequential order; their anchors on the diagonal are subtracted in a second
+pass; and the one-leg values of the past first front, whose d_ub anchor
+lies one row ahead, are formed once d_ub is complete.  Every element goes
+through the same arithmetic whatever the block size, so the iterates do
+not depend on it bit for bit.  The map is applied by picard_apply; its
 fixed point satisfies exactly the same per-cell discrete equations as the
 nonlinear march, so the two routes must agree to rounding -- a genuinely
 independent cross-check of the solver.
@@ -64,7 +76,8 @@ import numpy as np
 from .background import WaveProfile
 from .dn_core import rhs_wave
 from .errors import FixedPointDivergence, GridMismatch
-from .grid import DNGrid, cumtrap_cols, cumtrap_rows, decay_sup
+from .grid import (DNGrid, cumsum_cols, cumtrap_cols, cumtrap_rows,
+                   decay_sup, decay_weight, map_row_blocks, row_blocks)
 from .nonlinearity import Nonlinearity, range_certificate
 from .state import DiagonalData, DNState, sigma_of
 
@@ -100,18 +113,31 @@ class PicardConfig:
 
 
 def picard_metric(a: DNState, b: DNState, gamma_bar: float = 1.0) -> float:
-    """Weighted sup distance between two iterates (psi/psib jets only)."""
+    """Weighted sup distance between two iterates (psi/psib jets only).
+
+    The differences are formed one row block at a time and reduced there:
+    the value and d_u sups to row maxima, the d_ub sups to running column
+    maxima, each weighted afterwards as in decay_sup.  Maxima are exact,
+    so the distance does not depend on the block size.
+    """
     a.grid.require_same(b.grid)
     g = a.grid
-    sups = (
-        np.max(np.abs(a.psi - b.psi)),
-        np.max(np.abs(a.psib - b.psib)),
-        decay_sup(g, a.dpsi_u - b.dpsi_u, gamma_bar, 0),
-        decay_sup(g, a.dpsib_u - b.dpsib_u, gamma_bar, 0),
-        decay_sup(g, a.dpsi_ub - b.dpsi_ub, gamma_bar, 1),
-        decay_sup(g, a.dpsib_ub - b.dpsib_ub, gamma_bar, 1),
-    )
-    return float(max(sups))
+    n = g.n_nodes
+    rows = np.empty((4, n))    # psi, psib, dpsi_u, dpsib_u
+    cols = np.zeros((2, n))    # dpsi_ub, dpsib_ub
+    for blk in row_blocks(n, n):
+        for k, name in enumerate(("psi", "psib", "dpsi_u", "dpsib_u",
+                                  "dpsi_ub", "dpsib_ub")):
+            d = getattr(a, name)[blk] - getattr(b, name)[blk]
+            np.abs(d, out=d)
+            if k < 4:
+                np.max(d, axis=1, out=rows[k, blk])
+            else:
+                np.maximum(cols[k - 4], np.max(d, axis=0), out=cols[k - 4])
+    w_u, w_ub = decay_weight(g, gamma_bar, 0), decay_weight(g, gamma_bar, 1)
+    return float(max(np.max(rows[0]), np.max(rows[1]),
+                     np.max(w_u * rows[2]), np.max(w_u * rows[3]),
+                     np.max(w_ub * cols[0]), np.max(w_ub * cols[1])))
 
 
 def in_ball(state: DNState, delta: float, gamma_bar: float = 1.0) -> bool:
@@ -163,6 +189,19 @@ def _frozen_solve(grid, data, sources):
         (one-leg rule) gives field[i] - field[i-1], and summing those along
         u from the diagonal gives the field.
 
+    Every full-grid pass runs in row blocks (grid.row_blocks), so its
+    temporaries stay block-sized and the outputs are the only full-size
+    arrays, all C-ordered.  d_u field is row-local.  d_ub field and the
+    field are sums down the columns (grid.cumsum_cols): each block's first
+    increment row takes the carry from the row above, which keeps the
+    sequential order of one cumulative sum, and the per-column anchors on
+    the diagonal (row N - j of column j) are subtracted in a second pass
+    once the sweep has passed them all.  The past first front reads d_ub
+    field at (a, N-1-a), whose anchor is row a+1, a row ahead of it; so the
+    one-leg values are formed after d_ub field is complete, before the
+    field's sweep starts.  The outputs are bitwise independent of the
+    block size.
+
     Such a solve cannot fail.
     """
     N, h = grid.N, grid.h
@@ -174,25 +213,30 @@ def _frozen_solve(grid, data, sources):
         f_d = getattr(data, name)
         du_d = getattr(data, f"d{name}_u")
         dub_d = getattr(data, f"d{name}_ub")
-        du = du_d[:, None] + cumtrap_rows(F, h, jd)
-        dub = dub_d[::-1][None, :] + cumtrap_cols(F, h, jd)
+        du = cumtrap_rows(F, h, jd)
+        du += du_d[:, None]
+        dub = cumtrap_cols(F, h, jd)
+        dub += dub_d[::-1]
 
         # one-leg rule on the past first front, node (i, N-1-i)
         past = 0.5 * (f_d[:-1] - half * (dub_d[:-1] + dub[lo, jd[:-1] - 1])) \
             + 0.5 * (f_d[1:] - half * (du_d[1:] + du[lo, jd[:-1] - 1]))
 
-        # mixed difference of the cell with lower corner (a, b)
-        pair = F[1:] + F[:-1]
-        mixed = qq * (pair[:, 1:] + pair[:, :-1])
-        # step[a] = field[a+1] - field[a], known in column N-1-a where row
-        # a is on the past first front and row a+1 on the diagonal
-        step = np.zeros((N, N + 1))
-        np.cumsum(mixed, axis=1, out=step[:, 1:])
-        step += (f_d[1:] - past - step[lo, jd[1:]])[:, None]
-        field = np.zeros((N + 1, N + 1))
-        np.cumsum(step, axis=0, out=field[1:])
-        field -= field[jd, ii][None, :]
-        field += f_d[::-1][None, :]
+        def steps(r):
+            # step[a] = field[a+1] - field[a] for the rows a in r: the
+            # running sum along ubar of the mixed differences of the cells
+            # with lower corner (a, b), pinned in column N-1-a, where row a
+            # is on the past first front and row a+1 on the diagonal
+            pair = F[r.start + 1:r.stop + 1] + F[r]
+            step = np.empty(pair.shape)
+            step[:, 0] = 0.0
+            np.cumsum(qq * (pair[:, 1:] + pair[:, :-1]), axis=1, out=step[:, 1:])
+            a = lo[r]
+            step += (f_d[a + 1] - past[r] - step[a - r.start, jd[a + 1]])[:, None]
+            return step
+
+        field = cumsum_cols(steps, F.shape, jd)
+        field += f_d[::-1]
         out[name] = field
         out[f"d{name}_u"] = du
         out[f"d{name}_ub"] = dub
@@ -234,22 +278,22 @@ def picard_apply(
 
     def stage_psi(psib_src, dpsib_u_src, dpsib_ub_src):
         # Source for psi, every ingredient taken from the supplied jets.
-        _, f1 = rhs_wave(
+        f1 = rhs_wave(
             model, zp, zpp, state.psi, psib_src,
             state.dpsi_u, state.dpsi_ub, dpsib_u_src, dpsib_ub_src,
             state.dxi_u, state.dxi_ub, sources=("psi",),
-        )
+        )[1]
         return _frozen_solve(grid, data, {"psi": f1})
 
     def stage_psib(psi_src, dpsi_u_src, dpsi_ub_src):
         # Source for psib: sigma mixes the supplied psi with the current
         # psib, while the differentiated psib jets stay at the current
         # iterate -- the substitution is linear in the unknown stage.
-        _, f2 = rhs_wave(
+        f2 = rhs_wave(
             model, zp, zpp, psi_src, state.psib,
             dpsi_u_src, dpsi_ub_src, state.dpsib_u, state.dpsib_ub,
             state.dxi_u, state.dxi_ub, sources=("psib",),
-        )
+        )[1]
         return _frozen_solve(grid, data, {"psib": f2})
 
     if order == "forward":
@@ -261,10 +305,17 @@ def picard_apply(
 
     out = DNState(
         grid, xi=state.xi,
-        sigma=sigma_of(fields["psi"], fields["psib"], zp[None, :]),
+        sigma=map_row_blocks(sigma_of, state.psi.shape, fields["psi"],
+                             fields["psib"], zp[None, :]),
         dxi_u=state.dxi_u, dxi_ub=state.dxi_ub, **fields,
     )
     return out.freeze()
+
+
+def _sup_diff(a, b):
+    """max |a - b| over two full-grid arrays, taken one row block at a time."""
+    return float(np.max([np.max(np.abs(a[blk] - b[blk]))
+                         for blk in row_blocks(*a.shape)]))
 
 
 def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
@@ -282,21 +333,24 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
     zpp = np.ascontiguousarray(profile.d2zeta(grid.ub), dtype=float)
     jets = (pair.psi, pair.psib,
             pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub)
-    _, f1, f2, f3 = rhs_wave(model, zp, zpp, *jets, pair.dxi_u, pair.dxi_ub)
+    f1, f2, f3 = rhs_wave(model, zp, zpp, *jets, pair.dxi_u, pair.dxi_ub)[1:]
     fields = _frozen_solve(grid, data, {"psi": f1, "psib": f2})
     del f1, f2
     cur = {"xi": pair.xi, "dxi_u": pair.dxi_u, "dxi_ub": pair.dxi_ub}
     for n in range(max_iter):
         if n:
-            _, f3 = rhs_wave(model, zp, zpp, *jets, cur["dxi_u"], cur["dxi_ub"],
-                             sources=("xi",))
+            f3 = rhs_wave(model, zp, zpp, *jets, cur["dxi_u"], cur["dxi_ub"],
+                          sources=("xi",))[1]
         new = _frozen_solve(grid, data, {"xi": f3})
-        gap = max(np.max(np.abs(new[k] - cur[k])) for k in cur)
+        del f3
+        gap = max(_sup_diff(new[k], cur[k]) for k in cur)
         cur = new
         if gap <= tol:
             # Re-slave sigma to the integrated pair so the output is algebraic.
             out = DNState(
-                grid, sigma=sigma_of(fields["psi"], fields["psib"], zp[None, :]),
+                grid, sigma=map_row_blocks(sigma_of, pair.psi.shape,
+                                           fields["psi"], fields["psib"],
+                                           zp[None, :]),
                 **fields, **cur,
             )
             return out.freeze()
@@ -321,7 +375,8 @@ def picard_fixed_point(
     dn_core.march.  Raises FixedPointDivergence if cfg.max_iter
     steps do not reach cfg.tol, or if the xi completion stalls.
     """
-    cur = DNState.zeros(grid).freeze()
+    zero = np.zeros((grid.n_nodes, grid.n_nodes))
+    cur = DNState(grid, *[zero] * 10).freeze()  # read-only, shared
     residuals = []
     for step in range(cfg.max_iter):
         new = picard_apply(cur, data, grid, model, profile, order)

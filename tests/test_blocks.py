@@ -1,0 +1,231 @@
+"""Row-block evaluation of the full-grid passes: block-size invariance,
+memory order and memory budgets."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import make_compatible_data
+
+from nullwave import grid as grid_mod
+from nullwave.data_gauge import build_diagonal_data, perturbed_data
+from nullwave.dn_core import march, rhs_wave, sigma_wave_residual
+from nullwave.errors import HyperbolicityLoss
+from nullwave.grid import DNGrid, cumtrap_cols, cumtrap_rows, row_blocks
+from nullwave.nonlinearity import polynomial_model
+from nullwave.picard import (
+    PicardConfig,
+    _frozen_solve,
+    _solve_xi,
+    delta_from_smallness,
+    picard_apply,
+    picard_fixed_point,
+    picard_metric,
+)
+from nullwave.state import DNState
+
+# H' != 0, so the xi source and the xi completion are live.
+POLY = polynomial_model(0.15, -0.05, 0.02)
+SELECTIONS = [("psi",), ("psib",), ("xi",), ("psi", "psib", "xi")]
+
+
+def _block_sizes(grid):
+    """BLOCK_ELEMS giving 1-row, 7-row and whole-grid blocks."""
+    n = grid.n_nodes
+    return {"1row": n, "7rows": 7 * n, "whole": 2 * n * n}
+
+
+def _across_blocks(monkeypatch, grid, fn):
+    """fn() under each block size, keyed as in _block_sizes."""
+    out = {}
+    for key, elems in _block_sizes(grid).items():
+        monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", elems)
+        out[key] = fn()
+    return out
+
+
+def _assert_all_equal(results):
+    ref = results["whole"]
+    for key, got in results.items():
+        if isinstance(ref, dict):
+            assert set(got) == set(ref), key
+            for name in ref:
+                assert np.array_equal(got[name], ref[name]), (key, name)
+        elif isinstance(ref, tuple):
+            assert len(got) == len(ref)
+            for a, b in zip(got, ref):
+                assert np.array_equal(a, b), key
+        else:
+            assert np.array_equal(got, ref), key
+
+
+@pytest.fixture(scope="module")
+def solved(bump03):
+    grid = DNGrid.square(2.0, 0.1)
+    data = make_compatible_data(grid, bump03)
+    return grid, data, march(data, grid, POLY, bump03)
+
+
+def _jets(state):
+    return (state.psi, state.psib, state.dpsi_u, state.dpsi_ub,
+            state.dpsib_u, state.dpsib_ub, state.dxi_u, state.dxi_ub)
+
+
+# ------------------------------------------------------------- helpers
+
+
+def test_row_blocks_tile_the_interior(monkeypatch):
+    monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", 3 * 10)
+    assert list(row_blocks(8, 10)) == [slice(0, 3), slice(3, 6), slice(6, 8)]
+    # halo rows of context on either side; the interiors tile 1..6
+    assert list(row_blocks(8, 10, halo=1)) == [slice(0, 5), slice(3, 8)]
+    monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", 1)  # narrower than a row
+    assert list(row_blocks(3, 10)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+def test_cumtraps_match_whole_array_sums(monkeypatch):
+    # The reference is one cumulative sum over the whole array (through a
+    # transposed copy for the columns); the carried block sums must equal
+    # it bit for bit and come back C-ordered.
+    grid = DNGrid.square(2.0, 0.1)
+    F = np.random.default_rng(3).standard_normal((grid.n_nodes, grid.n_nodes))
+    h = grid.h
+    _, jd = grid.diagonal()
+
+    def ref_rows(A, anchor):
+        S = np.zeros_like(A)
+        np.cumsum((0.5 * h) * (A[:, 1:] + A[:, :-1]), axis=1, out=S[:, 1:])
+        return S - np.take_along_axis(S, anchor[:, None], axis=1)
+
+    want_rows = ref_rows(F, jd)
+    want_cols = ref_rows(np.ascontiguousarray(F.T), jd).T
+    for elems in _block_sizes(grid).values():
+        monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", elems)
+        rows, cols = cumtrap_rows(F, h, jd), cumtrap_cols(F, h, jd)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(cols, want_cols)
+        assert rows.flags.c_contiguous and cols.flags.c_contiguous
+
+
+# ------------------------------------------------- block-size invariance
+
+
+@pytest.mark.parametrize("sources", SELECTIONS, ids="+".join)
+def test_rhs_wave_is_block_invariant(monkeypatch, solved, bump03, sources):
+    grid, _, st_ = solved
+    zp, zpp = bump03.dzeta(grid.ub), bump03.d2zeta(grid.ub)
+    got = _across_blocks(monkeypatch, grid, lambda: rhs_wave(
+        POLY, zp, zpp, *_jets(st_), sources=sources))
+    _assert_all_equal(got)
+    assert len(got["whole"]) == 1 + len(sources)
+    assert all(np.any(f != 0.0) for f in got["whole"])
+
+
+def test_frozen_solve_is_block_invariant(monkeypatch, solved, bump03):
+    grid, data, st_ = solved
+    F = rhs_wave(POLY, bump03.dzeta(grid.ub), bump03.d2zeta(grid.ub),
+                 *_jets(st_))[1:]
+    sources = dict(zip(("psi", "psib", "xi"), F))
+    _assert_all_equal(_across_blocks(
+        monkeypatch, grid, lambda: _frozen_solve(grid, data, sources)))
+
+
+def test_picard_passes_are_block_invariant(monkeypatch, solved, bump03):
+    grid, data, st_ = solved
+    images = _across_blocks(monkeypatch, grid, lambda: picard_apply(
+        st_, data, grid, POLY, bump03))
+    _assert_all_equal({k: s.arrays() for k, s in images.items()})
+    completed = _across_blocks(monkeypatch, grid, lambda: _solve_xi(
+        images["whole"], data, grid, POLY, bump03, 1e-12, 40))
+    _assert_all_equal({k: s.arrays() for k, s in completed.items()})
+    for state in (images["whole"], completed["whole"]):
+        for name, arr in state.arrays().items():
+            assert arr.flags.c_contiguous, name
+
+    metrics = _across_blocks(monkeypatch, grid, lambda: picard_metric(
+        images["whole"], DNState.zeros(grid), data.gamma_bar))
+    assert len(set(metrics.values())) == 1 and metrics["whole"] > 0.0
+    _assert_all_equal(_across_blocks(monkeypatch, grid, lambda: (
+        sigma_wave_residual(st_, POLY, bump03),)))
+
+
+def test_fixed_point_state_is_c_ordered(membrane, bump03):
+    grid = DNGrid.square(2.0, 0.1)
+    data, _ = build_diagonal_data(perturbed_data(bump03, eps=1e-3), grid,
+                                  membrane, bump03)
+    cfg = PicardConfig(delta=delta_from_smallness(data.eps0, data.gamma_bar))
+    fixed, _ = picard_fixed_point(data, grid, membrane, bump03, cfg)
+    for name, arr in fixed.arrays().items():
+        assert arr.flags.c_contiguous, name
+
+
+def test_hyperbolicity_loss_names_the_same_node_in_any_block(monkeypatch,
+                                                             membrane):
+    # Two inadmissible rows (membrane: sigma <= -1), the earlier one with
+    # two bad nodes.  Whatever the blocks, the message names the first bad
+    # value in row-major order, though with 1-row blocks it comes from the
+    # 21st block.
+    grid = DNGrid.square(2.0, 0.1)
+    n = grid.n_nodes
+    psi, psib = np.zeros((n, n)), np.zeros((n, n))
+    psi[20, 9], psib[20, 9] = 1.5, 1.5      # sigma -2.25
+    psi[20, 4], psib[20, 4] = 1.3, 1.3      # sigma -1.69, first in its row
+    psi[30, 2], psib[30, 2] = 1.1, 1.1      # sigma -1.21
+    z = np.zeros((n, n))
+
+    def message():
+        with pytest.raises(HyperbolicityLoss) as exc:
+            rhs_wave(membrane, 0.0, 0.0, psi, psib, z, z, z, z, z, z)
+        return str(exc.value)
+
+    got = _across_blocks(monkeypatch, grid, message)
+    assert "-1.69" in got["whole"]
+    assert set(got.values()) == {got["whole"]}
+
+
+# ------------------------------------------------------- memory budgets
+
+
+@pytest.fixture(scope="module")
+def radius3(membrane, bump03):
+    grid = DNGrid.square(3.0, 0.05)
+    data, _ = build_diagonal_data(perturbed_data(bump03, eps=1e-3, center=0.5,
+                                                 width=1.2),
+                                  grid, membrane, bump03)
+    return grid, data, march(data, grid, membrane, bump03)
+
+
+def _peak_fields(monkeypatch, grid, fn):
+    # Peak traced memory of fn() in (N+1)^2 float fields, with 8-row blocks.
+    monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", 8 * grid.n_nodes)
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / (8 * grid.n_nodes ** 2)
+    finally:
+        tracemalloc.stop()
+
+
+def test_picard_apply_memory_budget(monkeypatch, radius3, membrane, bump03):
+    # The six fresh jets and sigma, plus one stage's source: the sources
+    # and frozen solves hold block-sized temporaries only.
+    grid, data, st_ = radius3
+    assert _peak_fields(monkeypatch, grid, lambda: picard_apply(
+        st_, data, grid, membrane, bump03)) <= 8.7
+
+
+def test_picard_fixed_point_memory_budget(monkeypatch, radius3, membrane,
+                                          bump03):
+    grid, data, _ = radius3
+    cfg = PicardConfig(delta=delta_from_smallness(data.eps0, data.gamma_bar))
+    assert _peak_fields(monkeypatch, grid, lambda: picard_fixed_point(
+        data, grid, membrane, bump03, cfg)) <= 22.8
+
+
+def test_sigma_wave_residual_memory_budget(monkeypatch, radius3, membrane,
+                                           bump03):
+    # The (N-1, N+1) result and block-sized temporaries only.
+    grid, _, st_ = radius3
+    assert _peak_fields(monkeypatch, grid, lambda: sigma_wave_residual(
+        st_, membrane, bump03)) <= 3.2

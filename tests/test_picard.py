@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_compatible_data, make_zero_data
 
@@ -228,6 +230,22 @@ def test_fixed_point_matches_march(membrane, bump03):
     # sigma on the output is algebraically slaved to the pair.
     zp = bump03.dzeta(grid.ub)[None, :]
     assert np.max(np.abs(fp.sigma + fp.psi * (2.0 * zp + fp.psib))) == 0.0
+
+
+@given(eps=st.floats(1e-5, 1e-2), center=st.floats(-1.5, 1.5),
+       radius=st.sampled_from([2.0, 3.0]))
+@settings(max_examples=12)
+def test_routes_agree_over_random_small_data(membrane, bump03, eps, center,
+                                             radius):
+    # Criterion 5 over random pulses: the Picard fixed point and the march
+    # solve the same discrete equations, at the criterion's tolerance.
+    grid = DNGrid.square(radius, 0.1)
+    rect = perturbed_data(bump03, eps=eps, center=center, width=1.2)
+    data, _ = build_diagonal_data(rect, grid, membrane, bump03)
+    cfg = PicardConfig(delta=delta_from_smallness(data.eps0, data.gamma_bar))
+    fixed, _ = picard_fixed_point(data, grid, membrane, bump03, cfg)
+    sol = march(data, grid, membrane, bump03)
+    assert picard_metric(fixed, sol, data.gamma_bar) <= 1e-6
 
 
 def test_fixed_point_order_independent(membrane, bump03):
