@@ -93,8 +93,9 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
     only those, and the return is then sigma followed by the selected
     sources in that order, each bitwise equal to its full-selection value.
     Fields on a 2-D grid are evaluated one row block at a time
-    (grid.map_row_blocks), so the temporaries stay block-sized; every element sees the same
-    arithmetic, so the result does not depend on the block size.  Raises
+    (grid.map_row_blocks), so the temporaries stay block-sized; every
+    element sees the same arithmetic, so the result does not depend on the
+    block size.  Raises
     HyperbolicityLoss where the slaved sigma leaves the admissible range,
     naming the first bad value in row-major order; ValueError for an
     unknown source name.
@@ -111,6 +112,7 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
 
 
 def _checked_rhs(model, args, sources):
+    """(sigma, *F) of _rhs_arrays, raising at the first inadmissible node."""
     okm, sig, *formed = _kernels._rhs_arrays(model, *args, sources)
     if not np.all(okm):
         bad = np.asarray(sig)[~okm]
@@ -166,18 +168,18 @@ def sigma_wave_residual(state: DNState, model: Nonlinearity,
     n = g.n_nodes
     zp = np.asarray(profile.dzeta(g.ub), dtype=float)[None, :]
     zpp = np.asarray(profile.d2zeta(g.ub), dtype=float)[None, :]
-    st = state
     out = np.empty((n - 2, n))
     for blk in row_blocks(n, n, halo=1):
         mid = slice(blk.start + 1, blk.stop - 1)
-        s_ub = dsigma_ub_of(st.psi[blk], st.psib[blk], st.dpsi_ub[blk],
-                            st.dpsib_ub[blk], zp, zpp)
-        s_u = dsigma_u_of(st.psi[mid], st.psib[mid], st.dpsi_u[mid],
-                          st.dpsib_u[mid], zp)
+        psi, psib = state.psi[blk], state.psib[blk]
+        s_ub = dsigma_ub_of(psi, psib, state.dpsi_ub[blk], state.dpsib_ub[blk],
+                            zp, zpp)
+        s_u = dsigma_u_of(psi[1:-1], psib[1:-1], state.dpsi_u[mid],
+                          state.dpsib_u[mid], zp)
         d_u_d_ub = (s_ub[2:, :] - s_ub[:-2, :]) / (2.0 * g.h)
-        G = eval_coeffs(model, st.sigma[blk]).G[1:-1]
+        G = eval_coeffs(model, state.sigma[blk]).G[1:-1]
         null_form = (G * s_u * s_ub[1:-1]
-                     + st.dpsi_u[mid] * (st.dpsib_ub[mid] + 2.0 * zpp)
-                     + st.dpsi_ub[mid] * st.dpsib_u[mid])
+                     + state.dpsi_u[mid] * (state.dpsib_ub[mid] + 2.0 * zpp)
+                     + state.dpsi_ub[mid] * state.dpsib_u[mid])
         out[blk.start:blk.stop - 2] = d_u_d_ub + null_form
     return out
