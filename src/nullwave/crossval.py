@@ -48,7 +48,7 @@ from .errors import (
     InversionFailure,
     OutOfImage,
 )
-from .geometry import CoordMap, full_field_jet
+from .geometry import CoordMap
 from .nonlinearity import Nonlinearity, acoustic_metric
 from .state import DNState
 
@@ -195,11 +195,13 @@ def rect_solve(
     for rows, full in zip(hist, (phi, P0, P1)):
         rows[0] = full[inner]
 
+    # the background is evaluated at the ghost nodes only
+    ghosts = np.r_[:N_GHOST, grid.n_x + N_GHOST:grid.n_x + 2 * N_GHOST]
+    x_ghost = x_full[ghosts]
+
     def fill_ghosts(t, arrs):
-        gphi, gP0, gP1 = _background_rows(profile, t, x_full)
-        for src, dst in zip((gphi, gP0, gP1), arrs):
-            dst[:N_GHOST] = src[:N_GHOST]
-            dst[-N_GHOST:] = src[-N_GHOST:]
+        for src, dst in zip(_background_rows(profile, t, x_ghost), arrs):
+            dst[ghosts] = src
 
     def rhs(t, arrs):
         phi_f, P0_f, P1_f = arrs
@@ -395,8 +397,15 @@ def pullback_compare(
     """
     grid = cmap.grid
 
-    jet = full_field_jet(dn, model, profile)
-    fields_dn = {"phi": dn.xi, "Phi0": jet["Phi0"], "Phi1": jet["Phi1"]}
+    # bilinear sampling floor of phi, Phi0 and Phi1 on the null grid, the
+    # latter two by full_field_jet's expressions; each field is freed as
+    # soon as its sup is taken
+    zp = np.asarray(profile.dzeta(dn.grid.ub), dtype=float)[None, :]
+    interp = 0.125 * max(
+        _second_difference_sup(dn.xi),
+        _second_difference_sup(0.5 * (dn.psi + dn.psib) + zp),
+        _second_difference_sup(0.5 * (dn.psi - dn.psib) - zp),
+    )
 
     T = np.repeat(rect.t, rect.x.size)
     X = np.tile(rect.x, rect.t.size)
@@ -470,7 +479,6 @@ def pullback_compare(
         sup_diff[name] = float(np.max(d))
         l1_diff[name] = float(cell * np.sum(d))
 
-    interp = 0.125 * max(_second_difference_sup(F) for F in fields_dn.values())
     return ComparisonReport(
         sup_diff=sup_diff,
         l1_diff=l1_diff,

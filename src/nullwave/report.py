@@ -4,6 +4,10 @@ Every float is written with repr (round-trip decimal), so two runs of the
 same scenario and seed on one platform produce bit-identical report.json,
 state.csv, frame.csv and summary.csv.  Wall-clock timings are the one
 non-deterministic output and live in their own timings.json.
+
+state.csv and frame.csv come from state.write_grid_csv.  It writes them a
+row block at a time, and it reprs each distinct value of a block's column
+once.  The bytes are those of a csv.writer loop that reprs every value.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ integration.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -121,16 +120,54 @@ class DiagonalData:
         return worst
 
 
+# Values per column in one row block of write_grid_csv: 4 rows of a
+# 241-node grid, 1 row at radius 20.  Ten all-distinct columns then peak
+# near 1.2 MiB of Python objects; the bytes written do not depend on it.
+CSV_BLOCK_VALUES = 1024
+
+
+def _block_reprs(block: np.ndarray) -> list:
+    """repr of every value of a float64 block, row-major, as a list.
+
+    Each distinct value is repr'd once and its string shared by all its
+    copies.  Values are keyed on their int64 bits, so -0.0 and 0.0 stay
+    apart.
+    """
+    flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    keys, inv = np.unique(flat.view(np.int64), return_inverse=True)
+    strs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return strs[inv].tolist()
+
+
+def _write_rows(fh, us, ub, blocks) -> None:
+    """The lines of one row block: us are its u strings, blocks its columns.
+
+    The block's strings live only in this call, so no two blocks' strings
+    are alive at once.
+    """
+    vals = [_block_reprs(b) for b in blocks]
+    lines = map(",".join, zip([u for u in us for _ in ub], ub * len(us), *vals))
+    fh.write("\r\n".join(lines))
+    fh.write("\r\n")
+
+
 def write_grid_csv(path, grid: DNGrid, columns) -> None:
     """Per-node table, row-major in u then ubar, every float written by repr.
 
     The header is u, ubar and then the keys of columns, which maps each
-    name to an (N+1, N+1) array on grid.
+    name to an (N+1, N+1) float array on grid.  Lines end in CRLF: the
+    bytes are those of csv.writer's excel dialect, which never quotes
+    here because no float repr and no column name holds a comma, a
+    quote or a line break.  Rows go out in blocks of about
+    CSV_BLOCK_VALUES values per column; each distinct value of a block's
+    column is repr'd once.
     """
+    n = grid.n_nodes
+    us = list(map(repr, grid.u.tolist()))
     ub = list(map(repr, grid.ub.tolist()))
+    step = max(1, CSV_BLOCK_VALUES // n)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(("u", "ubar", *columns))
-        for i, u in enumerate(map(repr, grid.u.tolist())):
-            rows = [map(repr, a[i].tolist()) for a in columns.values()]
-            wr.writerows(zip([u] * len(ub), ub, *rows))
+        fh.write(",".join(("u", "ubar", *columns)) + "\r\n")
+        for a in range(0, n, step):
+            _write_rows(fh, us[a:a + step], ub,
+                        [c[a:a + step] for c in columns.values()])

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from nullwave.background import bump_profile, phase_function, phase_relabel
+import nullwave.crossval as crossval_mod
+from nullwave.background import (algebraic_profile, bump_profile,
+                                 phase_function, phase_relabel)
 from nullwave.crossval import (
+    N_GHOST,
     RectGrid,
     RectState,
     _bilinear,
+    _second_difference_sup,
     background_rect_state,
     flux_residual,
     phase_shift,
@@ -30,7 +34,8 @@ from nullwave.errors import (
     InversionFailure,
     OutOfImage,
 )
-from nullwave.geometry import integrate_frame, reconstruct_coords
+from nullwave.geometry import (full_field_jet, integrate_frame,
+                               reconstruct_coords)
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import polynomial_model
 
@@ -97,6 +102,34 @@ def test_membrane_background_is_preserved(membrane, bump03):
         )
     assert errs[0.1] <= 1e-4
     assert 1.6 <= np.log2(errs[0.1] / errs[0.05]) <= 2.4
+
+
+@pytest.mark.parametrize("profile", [
+    bump_profile(0.3, width=4.0),  # support |t - x| < 4 covers the ghosts
+    algebraic_profile(0.3),
+], ids=["bump", "algebraic"])
+def test_ghost_values_match_full_row(monkeypatch, membrane, profile):
+    # rect_solve evaluates the background at its ghost nodes only; every
+    # value must be bitwise the one of an evaluation on the whole row
+    grid = RectGrid(-3.0, 3.0, 0.1, 0.3)
+    x_full = grid.x_min + grid.dx * np.arange(-N_GHOST, grid.n_x + N_GHOST)
+    ghosts = np.r_[:N_GHOST, -N_GHOST:0]
+    real = crossval_mod._background_rows
+    calls = []
+
+    def spy(prof, t, x):
+        rows = real(prof, t, x)
+        calls.append((t, x, rows))
+        return rows
+
+    monkeypatch.setattr(crossval_mod, "_background_rows", spy)
+    rect_solve(background_data(profile), membrane, grid, profile)
+    assert len(calls) > 10
+    for t, x, rows in calls:
+        assert np.array_equal(x, x_full[ghosts])
+        for got, full in zip(rows, real(profile, t, x_full)):
+            assert np.array_equal(got.view(np.int64), full[ghosts].view(np.int64))
+    assert all(np.all(rows[1] != 0.0) for _, _, rows in calls)
 
 
 def test_perturbed_self_convergence_order2(membrane, bump03):
@@ -215,6 +248,18 @@ def test_pullback_linear_within_combined_scheme_error(linear, zero_prof):
     assert all(v >= 0.0 for v in rep.l1_diff.values())
     assert set(rep.as_dict()) == {"sup_diff", "l1_diff", "orders", "phase_shift",
                                   "degeneracy"}
+
+
+def test_pullback_interp_error_reads_the_jet(membrane, bump03):
+    # the sampling floor forms Phi0 and Phi1 by full_field_jet's expressions
+    data = perturbed_data(bump03, eps=1e-2, center=0.5, width=1.2)
+    state, coords = _dn_pipeline(membrane, bump03, 3.0, 0.1, data)
+    rect = rect_solve(data, membrane, RectGrid(-2.0, 2.0, 0.1, 0.6), bump03)
+    rep = pullback_compare(state, coords, rect, membrane, bump03)
+    jet = full_field_jet(state, membrane, bump03)
+    fields = (state.xi, jet["Phi0"], jet["Phi1"])
+    assert rep.interp_error == 0.125 * max(map(_second_difference_sup, fields))
+    assert rep.interp_error > 0.0
 
 
 def test_pullback_joint_refinement_order2(membrane, bump03):
