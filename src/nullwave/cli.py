@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .errors import NullwaveError, ScenarioError
 from .oracles import oracle_tables
-from .pipeline import STAGES, run_pipeline
+from .pipeline import run_pipeline
 from .report import (summary_row, write_json, write_run_outputs,
                      write_summary_csv)
 from .scenario import (load_scenario, scenario_from_dict, scenario_to_dict,
@@ -50,17 +50,11 @@ def _load_checked(path):
     return s, validate_scenario(s)
 
 
-def _print_stage_lines(report, enabled):
-    for stage in STAGES:
-        if stage in report["stages"]:
-            print(f"[ok]      {stage}")
-        elif not enabled.get(stage, True):
-            print(f"[off]     {stage}")
-        elif any(e["stage"] == stage for e in report["errors"]):
-            pass  # printed with the error detail below
-        else:
-            print(f"[skipped] {stage}")
-    for err in report["errors"]:
+def _print_stage_lines(result):
+    for stage, outcome in result.outcomes.items():
+        if outcome != "failed":  # printed with the error detail below
+            print(f"[{outcome}]".ljust(10) + stage)
+    for err in result.report["errors"]:
         print(f"[failed]  {err['stage']}: {err['type']}: {err['message']}")
 
 
@@ -73,8 +67,7 @@ def cmd_run(args) -> int:
     out_dir = args.out if args.out is not None else os.path.join("runs", s.name)
     result = run_pipeline(s)
     paths = write_run_outputs(out_dir, result)
-    enabled = {"picard": s.solver["picard"], "crossval": s.solver["crossval"]}
-    _print_stage_lines(result.report, enabled)
+    _print_stage_lines(result)
     print(f"report: {paths['report']}")
     return 0 if result.report["ok"] else 1
 

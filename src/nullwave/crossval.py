@@ -50,7 +50,7 @@ from .errors import (
 )
 from .geometry import CoordMap
 from .nonlinearity import Nonlinearity, acoustic_metric
-from .state import DNState
+from .state import DNState, Phi0_of, Phi1_of
 
 __all__ = [
     "RectGrid",
@@ -397,14 +397,13 @@ def pullback_compare(
     """
     grid = cmap.grid
 
-    # bilinear sampling floor of phi, Phi0 and Phi1 on the null grid, the
-    # latter two by full_field_jet's expressions; each field is freed as
-    # soon as its sup is taken
+    # bilinear sampling floor of phi, Phi0 and Phi1 on the null grid; each
+    # field is freed as soon as its sup is taken
     zp = np.asarray(profile.dzeta(dn.grid.ub), dtype=float)[None, :]
     interp = 0.125 * max(
         _second_difference_sup(dn.xi),
-        _second_difference_sup(0.5 * (dn.psi + dn.psib) + zp),
-        _second_difference_sup(0.5 * (dn.psi - dn.psib) - zp),
+        _second_difference_sup(Phi0_of(dn.psi, dn.psib, zp)),
+        _second_difference_sup(Phi1_of(dn.psi, dn.psib, zp)),
     )
 
     T = np.repeat(rect.t, rect.x.size)
@@ -464,8 +463,8 @@ def pullback_compare(
     psib_s = _bilinear(dn.psib, *at)
     samples = {
         "phi": zeta_b + _bilinear(dn.xi, *at),
-        "Phi0": 0.5 * (psi_s + psib_s) + zp_b,
-        "Phi1": 0.5 * (psi_s - psib_s) - zp_b,
+        "Phi0": Phi0_of(psi_s, psib_s, zp_b),
+        "Phi1": Phi1_of(psi_s, psib_s, zp_b),
     }
     targets = {
         "phi": rect.phi.ravel()[covered],

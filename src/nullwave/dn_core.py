@@ -88,10 +88,11 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
     """Right side of the system at given field values.
 
     zp, zpp are zeta'(ubar), zeta''(ubar) at the same points as the fields
-    (scalars or broadcastable arrays).  Returns (sigma, F_psi, F_psib, F_xi)
-    by default; sources names a subset of ("psi", "psib", "xi") to form
-    only those, and the return is then sigma followed by the selected
-    sources in that order, each bitwise equal to its full-selection value.
+    (scalars or broadcastable arrays).  Returns (F_psi, F_psib, F_xi) by
+    default; sources names a subset of ("psi", "psib", "xi") to form only
+    those, and the return is then the selected sources in that order, each
+    bitwise equal to its full-selection value.  The slaved sigma is formed
+    block by block for the coefficients but not returned (state.sigma_of).
     Fields on a 2-D grid are evaluated one row block at a time
     (grid.map_row_blocks), so the temporaries stay block-sized; every
     element sees the same arithmetic, so the result does not depend on the
@@ -112,14 +113,14 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
 
 
 def _checked_rhs(model, args, sources):
-    """(sigma, *F) of _rhs_arrays, raising at the first inadmissible node."""
+    """The sources F of _rhs_arrays, raising at the first inadmissible node."""
     okm, sig, *formed = _kernels._rhs_arrays(model, *args, sources)
     if not np.all(okm):
         bad = np.asarray(sig)[~okm]
         raise HyperbolicityLoss(
             f"sigma outside admissible range in rhs_wave (first bad value {bad.flat[0]:.6g})"
         )
-    return (sig, *formed)
+    return tuple(formed)
 
 
 def verify_envelopes(state: DNState, gamma_bar: float) -> dict:

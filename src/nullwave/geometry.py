@@ -69,7 +69,7 @@ from .errors import FrameDegenerate, GridMismatch, InnerFixedPointDivergence
 from ._kernels import _where
 from .grid import DNGrid, cumtrap_cols, cumtrap_rows
 from .nonlinearity import Nonlinearity, eval_coeffs
-from .state import DNState, dsigma_u_of, dsigma_ub_of
+from .state import DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of
 
 __all__ = [
     "FRAME_TOL", "FRAME_MAX_ITER", "OMEGA_WINDOW", "FRAME_FLOOR", "DETJ_FLOOR",
@@ -117,8 +117,8 @@ def full_field_jet(state: DNState, model: Nonlinearity,
 
     co = eval_coeffs(model, state.sigma)
     jet = {
-        "Phi0": 0.5 * (state.psi + state.psib) + zp,
-        "Phi1": 0.5 * (state.psi - state.psib) - zp,
+        "Phi0": Phi0_of(state.psi, state.psib, zp),
+        "Phi1": Phi1_of(state.psi, state.psib, zp),
         "dPhi0_u": 0.5 * (state.dpsi_u + state.dpsib_u),
         "dPhi1_u": 0.5 * (state.dpsi_u - state.dpsib_u),
         "dPhi0_ub": 0.5 * (state.dpsi_ub + state.dpsib_ub) + zpp,
@@ -187,8 +187,7 @@ def _frame_rhs(cf, L, Lb):
     return -np.array([aL * L + bL * Lb, aB * Lb + bB * L])
 
 
-def transport_rhs(model: Nonlinearity, jet: dict, L0, L1, Lb0, Lb1,
-                  along: str = "ubar"):
+def transport_rhs(jet: dict, L0, L1, Lb0, Lb1, along: str = "ubar"):
     """Transport right-hand side at given frame values.
 
     along="ubar" returns (d_ub L^0, d_ub L^1); along="u" returns
@@ -196,7 +195,6 @@ def transport_rhs(model: Nonlinearity, jet: dict, L0, L1, Lb0, Lb1,
     supply the same keys); any consistent normalization of (L, Lbar) may be
     passed, the conformal factor is recomputed internally.
     """
-    del model  # coefficients already evaluated into the jet
     if along not in ("ubar", "u"):
         raise ValueError(f"along must be 'ubar' or 'u', got {along!r}")
     cf = _transport_coeffs(jet)
@@ -494,8 +492,8 @@ def nullity_residual(state: DNState, frame: NullFrame, model: Nonlinearity,
     global consistency check that needs no reference solution.
     """
     zp = np.asarray(profile.dzeta(state.grid.ub), dtype=float)[None, :]
-    Phi0 = 0.5 * (state.psi + state.psib) + zp
-    Phi1 = 0.5 * (state.psi - state.psib) - zp
+    Phi0 = Phi0_of(state.psi, state.psib, zp)
+    Phi1 = Phi1_of(state.psi, state.psib, zp)
     H = eval_coeffs(model, state.sigma).H
     gLL = -(frame.L0 ** 2) + frame.L1 ** 2 \
         + H * (Phi0 * frame.L0 + Phi1 * frame.L1) ** 2

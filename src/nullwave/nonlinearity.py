@@ -150,25 +150,6 @@ def polynomial_model(a: float, b: float = 0.0, c: float = 0.0) -> Nonlinearity:
     )
 
 
-def custom_model(
-    f: Callable,
-    fp: Callable,
-    fpp: Callable,
-    name: str = "custom",
-    sigma_min: float = -np.inf,
-    sigma_max: float = np.inf,
-) -> Nonlinearity:
-    """Wrap user-supplied derivative callables (numpy-vectorized)."""
-    return Nonlinearity(
-        name=name,
-        f=f,
-        fp=fp,
-        fpp=fpp,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-    )
-
-
 def coeff_arrays(model: Nonlinearity, sigma: ArrayLike):
     """(ok, s, f', f'', kappa, k) at sigma, without raising.
 

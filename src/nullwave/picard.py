@@ -282,7 +282,7 @@ def picard_apply(
             model, zp, zpp, state.psi, psib_src,
             state.dpsi_u, state.dpsi_ub, dpsib_u_src, dpsib_ub_src,
             state.dxi_u, state.dxi_ub, sources=("psi",),
-        )[1]
+        )[0]
         return _frozen_solve(grid, data, {"psi": f1})
 
     def stage_psib(psi_src, dpsi_u_src, dpsi_ub_src):
@@ -293,7 +293,7 @@ def picard_apply(
             model, zp, zpp, psi_src, state.psib,
             dpsi_u_src, dpsi_ub_src, state.dpsib_u, state.dpsib_ub,
             state.dxi_u, state.dxi_ub, sources=("psib",),
-        )[1]
+        )[0]
         return _frozen_solve(grid, data, {"psib": f2})
 
     if order == "forward":
@@ -333,14 +333,14 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
     zpp = np.ascontiguousarray(profile.d2zeta(grid.ub), dtype=float)
     jets = (pair.psi, pair.psib,
             pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub)
-    f1, f2, f3 = rhs_wave(model, zp, zpp, *jets, pair.dxi_u, pair.dxi_ub)[1:]
+    f1, f2, f3 = rhs_wave(model, zp, zpp, *jets, pair.dxi_u, pair.dxi_ub)
     fields = _frozen_solve(grid, data, {"psi": f1, "psib": f2})
     del f1, f2
     cur = {"xi": pair.xi, "dxi_u": pair.dxi_u, "dxi_ub": pair.dxi_ub}
     for n in range(max_iter):
         if n:
             f3 = rhs_wave(model, zp, zpp, *jets, cur["dxi_u"], cur["dxi_ub"],
-                          sources=("xi",))[1]
+                          sources=("xi",))[0]
         new = _frozen_solve(grid, data, {"xi": f3})
         del f3
         gap = max(_sup_diff(new[k], cur[k]) for k in cur)

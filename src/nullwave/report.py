@@ -89,28 +89,48 @@ def write_run_outputs(out_dir, result) -> dict:
     return paths
 
 
-def _dig(report: dict, stage: str, *keys):
+def stage_value(report: dict, stage: str, *keys):
+    """report["stages"][stage][keys[0]][keys[1]]..., None where a level is
+    missing.  A per-field dict or a list at the end is reduced to its
+    largest entry (None if empty)."""
     node = report["stages"].get(stage)
     for key in keys:
         if not isinstance(node, dict):
             return None
         node = node.get(key)
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return max(node) if node else None
     return node
 
 
-def _sup_over_fields(diffs) -> float | None:
-    """Comparison diffs are per-field dicts; the summary keeps their max."""
-    if not diffs:
-        return None
-    return max(diffs.values())
+# summary column -> its path under report["stages"] (see stage_value)
+STAGE_COLUMNS = {
+    "eps_bar": ("data_gauge", "eps_bar"),
+    "gamma_bar": ("data_gauge", "gamma_bar"),
+    "delta": ("data_gauge", "delta"),
+    "envelope_delta": ("march", "envelope_fits", "delta"),
+    "sigma_wave_residual_sup": ("march", "sigma_wave_residual_sup"),
+    "backend": ("march", "backend"),
+    "picard_iterations": ("picard", "iterations"),
+    "metric_vs_march": ("picard", "metric_vs_march"),
+    "contraction_max": ("picard", "contraction", "ratios"),
+    "curl_sup": ("geometry", "curl_sup"),
+    "nullity_sup": ("geometry", "nullity"),
+    "degeneracy_ok": ("geometry", "degeneracy", "ok"),
+    "min_abs_detj": ("geometry", "degeneracy", "min_abs_detj"),
+    "flux_residual": ("crossval", "flux_residual"),
+    "sup_diff": ("crossval", "comparison", "sup_diff"),
+    "l1_diff": ("crossval", "comparison", "l1_diff"),
+    "phase_shift": ("crossval", "comparison", "phase_shift"),
+}
 
 
 def summary_row(report: dict) -> dict:
     """Flatten one run report to the fixed summary-table columns."""
     sc = report["scenario"]
     pert = sc["perturbation"]
-    contraction = _dig(report, "picard", "contraction", "ratios")
-    nullity = _dig(report, "geometry", "nullity")
     row = {
         "name": sc["name"],
         "seed": sc["seed"],
@@ -119,29 +139,11 @@ def summary_row(report: dict) -> dict:
         "eps": 0.0 if pert is None else pert["eps"],
         "ok": report["ok"],
         "n_errors": len(report["errors"]),
-        "eps_bar": _dig(report, "data_gauge", "eps_bar"),
-        "gamma_bar": _dig(report, "data_gauge", "gamma_bar"),
-        "delta": _dig(report, "data_gauge", "delta"),
-        "envelope_delta": _dig(report, "march", "envelope_fits", "delta"),
-        "sigma_wave_residual_sup": _dig(report, "march",
-                                        "sigma_wave_residual_sup"),
-        "backend": _dig(report, "march", "backend"),
-        "picard_iterations": _dig(report, "picard", "iterations"),
-        "metric_vs_march": _dig(report, "picard", "metric_vs_march"),
-        "contraction_max": max(contraction) if contraction else None,
-        "curl_sup": _dig(report, "geometry", "curl_sup"),
-        "nullity_sup": max(nullity.values()) if nullity else None,
-        "degeneracy_ok": _dig(report, "geometry", "degeneracy", "ok"),
-        "min_abs_detj": _dig(report, "geometry", "degeneracy", "min_abs_detj"),
-        "flux_residual": _dig(report, "crossval", "flux_residual"),
-        "sup_diff": _sup_over_fields(
-            _dig(report, "crossval", "comparison", "sup_diff")),
-        "l1_diff": _sup_over_fields(
-            _dig(report, "crossval", "comparison", "l1_diff")),
-        "phase_shift": _dig(report, "crossval", "comparison", "phase_shift"),
         "error": "; ".join(
             f"{e['stage']}: {e['type']}" for e in report["errors"]),
     }
+    row.update((col, stage_value(report, *path))
+               for col, path in STAGE_COLUMNS.items())
     return row
 
 

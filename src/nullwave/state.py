@@ -36,6 +36,16 @@ def sigma_of(psi, psib, zp_ub):
     return -psi * (2.0 * zp_ub + psib)
 
 
+def Phi0_of(psi, psib, zp_ub):
+    """Time derivative of the full scalar, d_t phi."""
+    return 0.5 * (psi + psib) + zp_ub
+
+
+def Phi1_of(psi, psib, zp_ub):
+    """Space derivative of the full scalar, d_x phi."""
+    return 0.5 * (psi - psib) - zp_ub
+
+
 def dsigma_u_of(psi, psib, dpsi_u, dpsib_u, zp_ub):
     return -dpsi_u * (2.0 * zp_ub + psib) - psi * dpsib_u
 

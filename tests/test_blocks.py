@@ -118,14 +118,14 @@ def test_rhs_wave_is_block_invariant(monkeypatch, solved, bump03, sources):
     got = _across_blocks(monkeypatch, grid, lambda: rhs_wave(
         POLY, zp, zpp, *_jets(st_), sources=sources))
     _assert_all_equal(got)
-    assert len(got["whole"]) == 1 + len(sources)
+    assert len(got["whole"]) == len(sources)
     assert all(np.any(f != 0.0) for f in got["whole"])
 
 
 def test_frozen_solve_is_block_invariant(monkeypatch, solved, bump03):
     grid, data, st_ = solved
     F = rhs_wave(POLY, bump03.dzeta(grid.ub), bump03.d2zeta(grid.ub),
-                 *_jets(st_))[1:]
+                 *_jets(st_))
     sources = dict(zip(("psi", "psib", "xi"), F))
     _assert_all_equal(_across_blocks(
         monkeypatch, grid, lambda: _frozen_solve(grid, data, sources)))

@@ -171,15 +171,25 @@ def test_sweep_empty_grid(tmp_path, capsys):
 
 
 def test_sweep_pool_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "thread_count", lambda: 2)
+    # the same sweep serially and on 2 workers writes the same bytes:
+    # summary.csv and every run's report and CSVs (timings.json aside)
     template = write_scenario(tmp_path)
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"seed": [1, 2]}))
-    out = tmp_path / "sweep"
-    assert cli.main(["sweep", str(template), str(grid),
-                     "--out", str(out)]) == 0
+    written = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "thread_count", lambda n=workers: n)
+        out = tmp_path / f"sweep{workers}"
+        assert cli.main(["sweep", str(template), str(grid),
+                         "--out", str(out)]) == 0
+        written[workers] = {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in out.rglob("*")
+            if p.is_file() and p.name != "timings.json"}
     rows = _read_summary(out / "summary.csv")
     assert [row["seed"] for row in rows] == ["1", "2"]
+    assert "run_001/report.json" in written[1]
+    assert written[1] == written[2]
 
 
 def test_sweep_grid_creates_missing_section(tmp_path):

@@ -17,7 +17,7 @@ from nullwave.dn_core import (
 from nullwave.errors import (GridMismatch, HyperbolicityLoss,
                              InnerFixedPointDivergence)
 from nullwave.grid import DNGrid
-from nullwave.nonlinearity import custom_model, membrane_model, polynomial_model
+from nullwave.nonlinearity import Nonlinearity, membrane_model, polynomial_model
 from nullwave.state import DiagonalData, DNState, sigma_of
 
 
@@ -105,7 +105,7 @@ def test_march_satisfies_box_scheme(model, bump03):
     h = grid.h
     qq = 0.25 * h * h
     st_ = march(make_compatible_data(grid, bump03), grid, model, bump03)
-    _, *sources = rhs_wave(
+    sources = rhs_wave(
         model, bump03.dzeta(grid.ub)[None, :], bump03.d2zeta(grid.ub)[None, :],
         st_.psi, st_.psib, st_.dpsi_u, st_.dpsi_ub, st_.dpsib_u, st_.dpsib_ub,
         st_.dxi_u, st_.dxi_ub,
@@ -202,8 +202,8 @@ def test_march_into_custom_wall_names_the_node(zero_prof):
     # f = 0 with a wall at sigma = 1e-6: two d'Alembert pulses, psi moving
     # along u = 0.6 and psib along ubar = 0.6, keep sigma below the wall on
     # the data slice but meet at (0.6, 0.6), where sigma = 0.04.
-    walled = custom_model(np.zeros_like, np.zeros_like, np.zeros_like,
-                          sigma_max=1e-6)
+    walled = Nonlinearity("custom", np.zeros_like, np.zeros_like,
+                          np.zeros_like, sigma_max=1e-6)
 
     def bump(x):
         return 0.2 * np.exp(-(((x - 0.6) / 0.15) ** 2))
@@ -278,10 +278,10 @@ def test_sigma_wave_residual_second_order(membrane, bump03):
 
 
 def test_rhs_wave_linear_is_zero(linear):
-    sig, f1, f2, f3 = rhs_wave(linear, 0.3, 0.1,
-                               0.2, -0.1, 0.5, 0.4, 0.3, 0.2, 0.1, 0.6)
+    f1, f2, f3 = rhs_wave(linear, 0.3, 0.1,
+                          0.2, -0.1, 0.5, 0.4, 0.3, 0.2, 0.1, 0.6)
     assert f1 == 0.0 and f2 == 0.0 and f3 == 0.0
-    assert sig == pytest.approx(-0.2 * (0.6 - 0.1))
+    assert sigma_of(0.2, -0.1, 0.3) == pytest.approx(-0.2 * (0.6 - 0.1))
 
 
 def test_rhs_wave_membrane_spot_value(membrane):
@@ -289,9 +289,9 @@ def test_rhs_wave_membrane_spot_value(membrane):
     psi, psib, zp = 0.5, -0.5, 0.0  # sigma = -0.5 * -0.5 = 0.25
     du, dub = (0.3, 0.2, 0.1, -0.4), None
     dpsi_u, dpsi_ub, dpsib_u, dpsib_ub = du
-    sig, f1, f2, f3 = rhs_wave(membrane, zp, 0.0, psi, psib,
-                               dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, 0.0, 0.0)
-    assert sig == pytest.approx(0.25)
+    f1, f2, f3 = rhs_wave(membrane, zp, 0.0, psi, psib,
+                          dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, 0.0, 0.0)
+    assert sigma_of(psi, psib, zp) == pytest.approx(0.25)
     s_u = -dpsi_u * psib - psi * dpsib_u
     s_ub = -dpsi_ub * psib - psi * dpsib_ub
     assert f1 == pytest.approx(-0.5 * -0.8 * (s_u * dpsi_ub + dpsi_u * s_ub), rel=1e-12)
@@ -303,8 +303,8 @@ def test_rhs_wave_membrane_spot_value(membrane):
     ("psi",), ("psib",), ("xi",), ("xi", "psi"), ("psib", "xi"),
 ])
 def test_rhs_wave_selector_is_a_bitwise_slice(bump03, sources):
-    # A partial selection returns sigma and the chosen sources in the
-    # fixed psi, psib, xi order, each bitwise equal to the full call's.
+    # A partial selection returns the chosen sources, without sigma, in
+    # the fixed psi, psib, xi order, each bitwise equal to the full call's.
     model = polynomial_model(0.15, -0.05, 0.02)  # H' != 0: F_xi is live
     grid = DNGrid.square(1.0, 0.1)
     rng = np.random.default_rng(4)
@@ -312,12 +312,11 @@ def test_rhs_wave_selector_is_a_bitwise_slice(bump03, sources):
             for _ in range(8)]
     zp = bump03.dzeta(grid.ub)[None, :]
     zpp = bump03.d2zeta(grid.ub)[None, :]
-    sig, *full = rhs_wave(model, zp, zpp, *jets)
+    full = rhs_wave(model, zp, zpp, *jets)
     got = rhs_wave(model, zp, zpp, *jets, sources=sources)
     want = [f for name, f in zip(("psi", "psib", "xi"), full) if name in sources]
-    assert len(got) == 1 + len(want)
-    assert np.array_equal(got[0], sig)
-    for a, b in zip(got[1:], want):
+    assert len(full) == 3 and len(got) == len(want)
+    for a, b in zip(got, want):
         assert np.array_equal(a, b)
 
 
@@ -341,12 +340,12 @@ def test_rhs_wave_raises_outside_domain(membrane):
 @settings(max_examples=80, deadline=None)
 def test_rhs_wave_odd_in_u_derivatives(membrane, psi, psib, dpsi_u, dpsi_ub,
                                        dpsib_u, dpsib_ub, dxi_u, dxi_ub, zp, zpp):
-    # flipping every d_u input flips every right side (sigma unchanged)
-    sig1, a1, b1, c1 = rhs_wave(membrane, zp, zpp, psi, psib,
-                                dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub)
-    sig2, a2, b2, c2 = rhs_wave(membrane, zp, zpp, psi, psib,
-                                -dpsi_u, dpsi_ub, -dpsib_u, dpsib_ub, -dxi_u, dxi_ub)
-    assert sig1 == sig2
+    # flipping every d_u input flips every right side (sigma_of does not
+    # see the derivatives)
+    a1, b1, c1 = rhs_wave(membrane, zp, zpp, psi, psib,
+                          dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub)
+    a2, b2, c2 = rhs_wave(membrane, zp, zpp, psi, psib,
+                          -dpsi_u, dpsi_ub, -dpsib_u, dpsib_ub, -dxi_u, dxi_ub)
     assert a1 == pytest.approx(-a2, abs=1e-15)
     assert b1 == pytest.approx(-b2, abs=1e-15)
     assert c1 == pytest.approx(-c2, abs=1e-15)
@@ -356,10 +355,10 @@ def test_rhs_wave_swap_symmetry_without_background(membrane):
     # with zp = zpp = 0 the system is symmetric under u <-> ubar
     args = (0.15, -0.2, 0.31, -0.12, 0.27, 0.08, 0.4, -0.3)
     psi, psib, du1, dub1, du2, dub2, du3, dub3 = args
-    _, a1, b1, c1 = rhs_wave(membrane, 0.0, 0.0, psi, psib,
-                             du1, dub1, du2, dub2, du3, dub3)
-    _, a2, b2, c2 = rhs_wave(membrane, 0.0, 0.0, psi, psib,
-                             dub1, du1, dub2, du2, dub3, du3)
+    a1, b1, c1 = rhs_wave(membrane, 0.0, 0.0, psi, psib,
+                          du1, dub1, du2, dub2, du3, dub3)
+    a2, b2, c2 = rhs_wave(membrane, 0.0, 0.0, psi, psib,
+                          dub1, du1, dub2, du2, dub3, du3)
     assert a1 == pytest.approx(a2, rel=1e-13)
     assert b1 == pytest.approx(b2, rel=1e-13)
     assert c1 == pytest.approx(c2, rel=1e-13)

@@ -125,8 +125,8 @@ def test_transport_rhs_matches_christoffel_contraction(make_model, seed):
     model = make_model()
     rng = np.random.default_rng(seed)
     jet, L, Lb, want_L, want_Lb = _manufactured_point_jets(model, rng, 400)
-    gotL = transport_rhs(model, jet, L[0], L[1], Lb[0], Lb[1], along="ubar")
-    gotB = transport_rhs(model, jet, L[0], L[1], Lb[0], Lb[1], along="u")
+    gotL = transport_rhs(jet, L[0], L[1], Lb[0], Lb[1], along="ubar")
+    gotB = transport_rhs(jet, L[0], L[1], Lb[0], Lb[1], along="u")
     for got, want in zip(gotL + gotB, want_L + want_Lb):
         scale = 1.0 + float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
@@ -139,7 +139,7 @@ def test_transport_rhs_validates_direction(membrane, bump03):
     state = march(data, grid, membrane, bump03)
     jet = full_field_jet(state, membrane, bump03)
     with pytest.raises(ValueError):
-        transport_rhs(membrane, jet, gauge.L0, gauge.L1, gauge.Lb0,
+        transport_rhs(jet, gauge.L0, gauge.L1, gauge.Lb0,
                       gauge.Lb1, along="t")
 
 
@@ -287,8 +287,8 @@ def _deviations(grid, frame, model, profile):
 def _deviation_rhs(model, jet, bg, rbg, lam):
     """d_ub of the L deviation and d_u of the Lbar one, through transport_rhs."""
     L, Lb = bg + lam[0], lam[1] - 1.0
-    RL = transport_rhs(model, jet, *L, *Lb, along="ubar")
-    RB = transport_rhs(model, jet, *L, *Lb, along="u")
+    RL = transport_rhs(jet, *L, *Lb, along="ubar")
+    RB = transport_rhs(jet, *L, *Lb, along="u")
     return np.array([np.array(RL) - rbg, RB])
 
 

@@ -283,7 +283,7 @@ def _xi_completion_reference(pair, data, grid, model, profile, tol, max_iter):
     zpp = profile.d2zeta(grid.ub)
     cur = pair
     for n in range(1, max_iter + 1):
-        _, f1, f2, f3 = rhs_wave(
+        f1, f2, f3 = rhs_wave(
             model, zp, zpp, pair.psi, pair.psib,
             pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub,
             cur.dxi_u, cur.dxi_ub,
@@ -311,7 +311,7 @@ def test_xi_completion_integrates_the_pair_once(bump03):
     out = _solve_xi(pair, data, grid, model, bump03, tol=1e-12, max_iter=40)
 
     zp, zpp = bump03.dzeta(grid.ub), bump03.d2zeta(grid.ub)
-    _, f1, f2, _ = rhs_wave(
+    f1, f2, _ = rhs_wave(
         model, zp, zpp, pair.psi, pair.psib,
         pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub,
         pair.dxi_u, pair.dxi_ub,

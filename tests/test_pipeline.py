@@ -5,6 +5,7 @@ import json
 import pytest
 
 import nullwave.cli as cli
+import nullwave.pipeline as pipeline
 from nullwave.errors import (FixedPointDivergence, FrameDegenerate,
                              HyperbolicityLoss, InversionFailure,
                              SliceNotSpacelike)
@@ -122,6 +123,8 @@ def test_stages_switch_off():
     rep = res.report
     assert rep["ok"] is True
     assert set(rep["stages"]) == {"data_gauge", "march", "geometry"}
+    assert res.outcomes == {"data_gauge": "ok", "march": "ok", "picard": "off",
+                            "geometry": "ok", "crossval": "off"}
 
 
 def test_legacy_numba_backend_runs_numpy_march():
@@ -184,6 +187,9 @@ def test_hard_failure_still_emits_partial_report():
     # still carries the scenario echo for post-mortems
     for stage in ("march", "picard", "geometry"):
         assert stage not in rep["stages"] and stage not in errors
+        assert res.outcomes[stage] == "skipped"
+    assert list(res.outcomes) == list(STAGES)
+    assert res.outcomes["data_gauge"] == res.outcomes["crossval"] == "failed"
     assert rep["scenario"]["perturbation"]["eps"] == 2.0
 
 
@@ -211,6 +217,42 @@ def test_refinement_table_orders():
         coarse, fine = table["measurements"][label]
         assert fine < coarse
         assert 1.2 < table["orders"][label] < 3.0
+
+
+def test_refinement_rerun_failure_is_recorded(tmp_path, monkeypatch, capsys):
+    # the h/2 rerun's march (the second march call) fails
+    real = pipeline.march
+    calls = []
+
+    def march_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise HyperbolicityLoss("injected HyperbolicityLoss")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("nullwave.pipeline.march", march_once)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(scenario_to_dict(scenario(
+        grid={"radius": 2.0, "h": 0.2},
+        solver={"refine": True, "picard": False, "contraction_seeds": 0,
+                "rect_t_max": 0.5}))))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--out", str(out)]) == 1
+    assert len(calls) == 2
+
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["ok"] is False
+    assert rep["errors"] == [{
+        "stage": "refinement", "type": "HyperbolicityLoss",
+        "message": "march at h/2: injected HyperbolicityLoss"}]
+    # the coarse run is whole; the rerun has no march to measure
+    assert set(rep["stages"]) == {"data_gauge", "march", "geometry",
+                                  "crossval"}
+    assert rep["refinement"]["measurements"] == {}
+    lines = capsys.readouterr().out.splitlines()
+    assert ("[failed]  refinement: HyperbolicityLoss: "
+            "march at h/2: injected HyperbolicityLoss") in lines
+    assert "[ok]      crossval" in lines and "[off]     picard" in lines
 
 
 # (entry point looked up in nullwave.pipeline, typical error, the stage it
