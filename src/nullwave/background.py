@@ -1,4 +1,4 @@
-"""Simple-wave backgrounds, decay envelopes, and background geometry.
+"""Simple-wave backgrounds and background geometry.
 
 A background is a right-moving simple wave phi(t,x) = zeta(t-x) whose
 profile derivative decays algebraically:
@@ -21,15 +21,19 @@ Hyperbolicity of the full operator on the background requires
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
+from .grid import decay_sup, decay_weight
 from .nonlinearity import Nonlinearity, eval_coeffs
 
 ArrayLike = Union[float, np.ndarray]
+SAMPLE_H = 0.01       # sample spacing of hyperbolicity_check, closeness_certificate
+FIT_SAMPLES = 20001   # points of envelope_fit's sample
+ENVELOPE_TOL = 1e-10  # tolerance of envelope_integral's window quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -130,27 +134,8 @@ def _cumulative_quadrature(f, points, breaks=()):
     return cum[np.searchsorted(nodes, pts)]
 
 
-# ---------------------------------------------------------------------------
-# envelopes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Envelope:
-    """Algebraic decay envelope eps / (1+|x|)^(1+gamma)."""
-
-    eps: float
-    gamma: float
-
-    def eval(self, x: ArrayLike) -> ArrayLike:
-        return self.eps / (1.0 + np.abs(x)) ** (1.0 + self.gamma)
-
-    def weight(self, x: ArrayLike) -> ArrayLike:
-        """Inverse envelope at unit eps: (1+|x|)^(1+gamma)."""
-        return (1.0 + np.abs(x)) ** (1.0 + self.gamma)
-
-
-def envelope_integral(eps: float, gamma: float, tol: float = 1e-10) -> float:
-    """Numerical integral of the envelope over the whole line.
+def envelope_integral(eps: float, gamma: float) -> float:
+    """Numerical integral of the envelope eps / (1+|x|)^(1+gamma) over the line.
 
     The window [-X, X] is integrated adaptively and the two tails are added
     in closed form (eps (1+X)^(-gamma) / gamma each).  The result is always
@@ -161,8 +146,8 @@ def envelope_integral(eps: float, gamma: float, tol: float = 1e-10) -> float:
     if eps == 0.0:
         return 0.0
     X = 50.0
-    env = Envelope(eps, gamma)
-    window = adaptive_simpson(lambda x: env.eval(x), -X, X, tol)
+    window = adaptive_simpson(lambda x: eps / decay_weight(x, gamma), -X, X,
+                              ENVELOPE_TOL)
     tail = eps / (gamma * (1.0 + X) ** gamma)
     return window + 2.0 * tail
 
@@ -191,19 +176,14 @@ class WaveProfile:
     gamma_bar: float
     breaks: tuple = ()
 
-    def envelope_fit(self, X_max: float = 100.0, n: int = 20001) -> float:
+    def envelope_fit(self, X_max: float = 100.0) -> float:
         """Measured minimal M for the three envelope bounds on [-X_max, X_max]."""
-        x = np.linspace(-X_max, X_max, n)
-        w = (1.0 + np.abs(x)) ** (1.0 + self.gamma_bar)
-        fits = [
-            float(np.max(np.abs(self.zeta(x)) * w)),
-            float(np.max(np.abs(self.dzeta(x)) * w)),
-            float(np.max(np.abs(self.d2zeta(x)) * w)),
-        ]
-        return max(fits)
+        x = np.linspace(-X_max, X_max, FIT_SAMPLES)
+        return max(decay_sup(fn(x), x, self.gamma_bar)
+                   for fn in (self.zeta, self.dzeta, self.d2zeta))
 
-    def verify(self, X_max: float = 100.0) -> bool:
-        return self.envelope_fit(X_max) <= self.M_zeta * (1.0 + 1e-9)
+    def verify(self) -> bool:
+        return self.envelope_fit() <= self.M_zeta * (1.0 + 1e-9)
 
 
 def zero_profile(gamma_bar: float = 1.0) -> WaveProfile:
@@ -223,30 +203,20 @@ def bump_profile(
     if w <= 0:
         raise DomainError("bump width must be positive")
 
-    def zeta(x):
-        y = (np.asarray(x, dtype=float) - c) / w
-        inside = np.abs(y) < 1.0
-        val = np.where(inside, A * (1.0 - y**2) ** 4, 0.0)
-        return val if np.ndim(x) else float(val)
+    def on_support(poly):
+        """x -> poly(y) with y = (x - c) / w for |y| < 1, else 0."""
+        def fn(x):
+            y = (np.asarray(x, dtype=float) - c) / w
+            val = np.where(np.abs(y) < 1.0, poly(y), 0.0)
+            return val if np.ndim(x) else float(val)
+        return fn
 
-    def dzeta(x):
-        y = (np.asarray(x, dtype=float) - c) / w
-        inside = np.abs(y) < 1.0
-        val = np.where(inside, -8.0 * A * y * (1.0 - y**2) ** 3 / w, 0.0)
-        return val if np.ndim(x) else float(val)
-
-    def d2zeta(x):
-        y = (np.asarray(x, dtype=float) - c) / w
-        inside = np.abs(y) < 1.0
-        val = np.where(
-            inside, A * (1.0 - y**2) ** 2 * (56.0 * y**2 - 8.0) / w**2, 0.0
-        )
-        return val if np.ndim(x) else float(val)
-
-    prof = WaveProfile("bump", zeta, dzeta, d2zeta, M_zeta=1.0, gamma_bar=gamma_bar)
-    fit = prof.envelope_fit(X_max=abs(c) + w + 10.0)
-    return WaveProfile("bump", zeta, dzeta, d2zeta, M_zeta=fit,
-                       gamma_bar=gamma_bar, breaks=(c - w, c + w))
+    prof = WaveProfile(
+        "bump", on_support(lambda y: A * (1.0 - y**2) ** 4),
+        on_support(lambda y: -8.0 * A * y * (1.0 - y**2) ** 3 / w),
+        on_support(lambda y: A * (1.0 - y**2) ** 2 * (56.0 * y**2 - 8.0) / w**2),
+        M_zeta=1.0, gamma_bar=gamma_bar, breaks=(c - w, c + w))
+    return replace(prof, M_zeta=prof.envelope_fit(X_max=abs(c) + w + 10.0))
 
 
 def algebraic_profile(amplitude: float, gamma_bar: float = 1.0) -> WaveProfile:
@@ -269,8 +239,7 @@ def algebraic_profile(amplitude: float, gamma_bar: float = 1.0) -> WaveProfile:
         return -A * (1.0 + g) * (1.0 - (2.0 + g) * x**2) * (1.0 + x**2) ** (p - 2.0)
 
     prof = WaveProfile("algebraic", zeta, dzeta, d2zeta, M_zeta=1.0, gamma_bar=g)
-    fit = prof.envelope_fit()
-    return WaveProfile("algebraic", zeta, dzeta, d2zeta, M_zeta=fit, gamma_bar=g)
+    return replace(prof, M_zeta=prof.envelope_fit())
 
 
 def table_profile(x_nodes, zeta_vals, dzeta_vals, d2zeta_vals, gamma_bar: float = 1.0) -> WaveProfile:
@@ -316,13 +285,10 @@ def table_profile(x_nodes, zeta_vals, dzeta_vals, d2zeta_vals, gamma_bar: float 
 
     prof = WaveProfile(
         "table", hermite(zv, dv), hermite(dv, d2v), linear(d2v),
-        M_zeta=1.0, gamma_bar=gamma_bar,
+        M_zeta=1.0, gamma_bar=gamma_bar, breaks=tuple(xs.tolist()),
     )
-    fit = prof.envelope_fit(X_max=max(abs(xs[0]), abs(xs[-1])) + 1.0)
-    return WaveProfile(
-        "table", prof.zeta, prof.dzeta, prof.d2zeta, M_zeta=fit,
-        gamma_bar=gamma_bar, breaks=tuple(xs.tolist()),
-    )
+    return replace(prof, M_zeta=prof.envelope_fit(
+        X_max=max(abs(xs[0]), abs(xs[-1])) + 1.0))
 
 
 def profile_from_config(cfg) -> WaveProfile:
@@ -370,19 +336,18 @@ def hyperbolicity_check(
     profile: WaveProfile,
     model: Nonlinearity,
     X_max: float = 100.0,
-    h_s: float = 0.01,
 ) -> dict:
     """Global hyperbolicity margin 1 + inf_x H(0) zeta'(x)^2 of the background.
 
     For H(0) >= 0 the infimum is attained in the decaying tail and the
     margin is 1.  For H(0) < 0 the margin is 1 + H(0) sup zeta'^2, with the
-    sup taken over a sample of spacing h_s on [-X_max, X_max] plus the
-    envelope bound for the tail.
+    sup taken over a sample of spacing SAMPLE_H on [-X_max, X_max] plus
+    the envelope bound for the tail.
     """
     H0 = eval_coeffs(model, 0.0).H
-    x = np.arange(-X_max, X_max + 0.5 * h_s, h_s)
+    x = np.arange(-X_max, X_max + 0.5 * SAMPLE_H, SAMPLE_H)
     zp2 = np.asarray(profile.dzeta(x)) ** 2
-    tail = (profile.M_zeta / (1.0 + X_max) ** (1.0 + profile.gamma_bar)) ** 2
+    tail = float(profile.M_zeta / decay_weight(X_max, profile.gamma_bar)) ** 2
     sup_zp2 = max(float(np.max(zp2)), tail)
     if H0 >= 0.0:
         margin = 1.0
@@ -422,12 +387,16 @@ def phase_function(
     return vals.reshape(np.shape(ubar))
 
 
+def background_L(model: Nonlinearity, profile: WaveProfile, ubar: ArrayLike):
+    """(H0, L0, L1): H(0) and the background frame's L components at ubar."""
+    H0 = float(eval_coeffs(model, 0.0).H)
+    zp2 = np.asarray(profile.dzeta(ubar), dtype=float) ** 2
+    return H0, -1.0 - H0 * zp2, 1.0 - H0 * zp2
+
+
 def background_frame(profile: WaveProfile, model: Nonlinearity, ubar: ArrayLike) -> BackgroundFrame:
     """Normalized background frame, Omega = -1/2 and Z at the given ubar."""
-    H0 = eval_coeffs(model, 0.0).H
-    zp2 = np.asarray(profile.dzeta(ubar), dtype=float) ** 2
-    L0 = -1.0 - H0 * zp2
-    L1 = 1.0 - H0 * zp2
+    _, L0, L1 = background_L(model, profile, ubar)
     ones = np.ones_like(L0)
     Z = phase_function(profile, model, ubar)
     if np.ndim(ubar) == 0:

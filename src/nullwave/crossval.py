@@ -64,6 +64,9 @@ __all__ = [
 ]
 
 N_GHOST = 3  # fourth-order stencil needs 2, the dissipation operator 3
+SPEED_MARGIN = 0.1  # rect_solve's headroom on the initial speed
+# phase_shift's late-u window (a fraction of the u-range) and settling test
+PHASE_WINDOW, PHASE_ATOL, PHASE_RTOL = 0.15, 1e-8, 0.05
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,6 @@ def rect_solve(
     grid: RectGrid,
     profile: WaveProfile,
     dissipation: float = 0.02,
-    speed_margin: float = 0.1,
 ) -> RectState:
     """Evolve the first-order reduction on a rectangular grid.
 
@@ -163,7 +165,7 @@ def rect_solve(
     dissipation is the Kreiss-Oliger coefficient (0 disables it; keep it
     off when comparing against closed-form linear solutions).
 
-    The step is chosen as dt = cfl dx / (c0 (1 + speed_margin)) from the
+    The step is chosen as dt = cfl dx / (c0 (1 + SPEED_MARGIN)) from the
     initial characteristic speed c0, and the bound dt <= cfl dx / c_max
     is re-checked against the evolving state every step.  Raises
     HyperbolicityLoss if g00 >= 0 anywhere, CFLViolation if the speed
@@ -187,7 +189,7 @@ def rect_solve(
             P0[None, N_GHOST:-N_GHOST].copy(),
             P1[None, N_GHOST:-N_GHOST].copy(),
         )
-    n_t = max(1, math.ceil(grid.t_max / (grid.cfl * dx / (c0 * (1.0 + speed_margin)))))
+    n_t = max(1, math.ceil(grid.t_max / (grid.cfl * dx / (c0 * (1.0 + SPEED_MARGIN)))))
     dt = grid.t_max / n_t
 
     inner = slice(N_GHOST, -N_GHOST)
@@ -492,9 +494,6 @@ def phase_shift(
     cmap: CoordMap,
     profile: WaveProfile,
     model: Nonlinearity,
-    window: float = 0.15,
-    atol: float = 1e-8,
-    rtol: float = 0.05,
 ) -> float:
     """Asymptotic offset of the u-level sets across the wave zone.
 
@@ -502,9 +501,9 @@ def phase_shift(
     V(u) identically, so D = [t + x + Z(ub)] - V(u) vanishes.  After a
     perturbation crosses the background wave, D settles to different
     constants on the two ub-edges of the domain; the difference is the
-    phase shift.  It is averaged over the top `window` fraction of
-    u-rows and must have settled there (spread within atol + rtol*|mean|),
-    otherwise InsufficientDomain is raised.
+    phase shift.  It is averaged over the top PHASE_WINDOW fraction of
+    u-rows and must have settled there (spread within PHASE_ATOL +
+    PHASE_RTOL |mean|), otherwise InsufficientDomain is raised.
     """
     grid = cmap.grid
     Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
@@ -512,13 +511,13 @@ def phase_shift(
     D = cmap.t + cmap.x + Z[None, :] - V[:, None]
     per_row = D[:, -1] - D[:, 0]
 
-    rows = grid.u >= grid.u_max - window * (grid.u_max - grid.u_min)
+    rows = grid.u >= grid.u_max - PHASE_WINDOW * (grid.u_max - grid.u_min)
     if np.count_nonzero(rows) < 3:
         raise InsufficientDomain("u-range too short to average the late-u window")
     vals = per_row[rows]
     mean = float(np.mean(vals))
     spread = float(np.max(vals) - np.min(vals))
-    if spread > atol + rtol * abs(mean):
+    if spread > PHASE_ATOL + PHASE_RTOL * abs(mean):
         raise InsufficientDomain(
             f"phase shift has not settled: spread {spread:.3e} against mean {mean:.3e}; "
             "enlarge the double-null domain"

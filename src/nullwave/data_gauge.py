@@ -40,14 +40,14 @@ from typing import Callable
 
 import numpy as np
 
-from .background import WaveProfile, phase_relabel_velocity
+from .background import SAMPLE_H, WaveProfile, phase_relabel_velocity
 from .errors import (
     DomainError,
     NoRealRoot,
     RootAmbiguity,
     SliceNotSpacelike,
 )
-from .grid import DNGrid
+from .grid import DNGrid, decay_sup
 from .nonlinearity import Nonlinearity, acoustic_metric, eval_coeffs
 from .state import DiagonalData, sigma_of
 
@@ -167,24 +167,22 @@ def rect_data_from_csv(path, profile: WaveProfile) -> RectInitialData:
 def closeness_certificate(
     data: RectInitialData,
     profile: WaveProfile,
-    gamma_bar: float | None = None,
     X_max: float = 100.0,
-    h_s: float = 0.01,
 ) -> dict:
     """Measured distance of the data from the travelling background.
 
-    Samples each of the five field deviations on [-X_max, X_max] weighted
-    by (1 + |x|)^(1 + gamma_bar) and reports the per-field sups and their
-    max eps_bar — the amplitude entering the smallness conditions.
+    Samples each of the five field deviations on [-X_max, X_max] at
+    spacing SAMPLE_H and reports their decay norms at the profile's
+    gamma_bar and the max eps_bar — the amplitude entering the smallness
+    conditions.
     """
-    gb = profile.gamma_bar if gamma_bar is None else float(gamma_bar)
-    x = np.arange(-X_max, X_max + 0.5 * h_s, h_s)
-    w = (1.0 + np.abs(x)) ** (1.0 + gb)
+    gb = profile.gamma_bar
+    x = np.arange(-X_max, X_max + 0.5 * SAMPLE_H, SAMPLE_H)
     bg = background_data(profile)
     out = {"gamma_bar": gb}
     for name in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"):
         dev = getattr(data, name)(x) - getattr(bg, name)(x)
-        out[name] = float(np.max(np.abs(dev) * w))
+        out[name] = decay_sup(dev, x, gb)
     out["eps_bar"] = max(out[k] for k in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"))
     return out
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .background import WaveProfile
 from .errors import GridMismatch, HyperbolicityLoss
-from .grid import DNGrid, decay_sup, map_row_blocks, row_blocks
+from .grid import DNGrid, jet_sup, map_row_blocks, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import (FIELD_NAMES, DiagonalData, DNState, dsigma_u_of,
                     dsigma_ub_of)
@@ -126,10 +126,10 @@ def _checked_rhs(model, args, sources):
 def verify_envelopes(state: DNState, gamma_bar: float) -> dict:
     """Fitted amplitude of each perturbation field on the solved square.
 
-    For each of psi, psib, xi the fit is the largest of three sups: the
-    plain field, the u-derivative weighted by (1+|u|)^(1+gamma_bar) and the
-    ubar-derivative weighted by (1+|ubar|)^(1+gamma_bar).  The fits are
-    linear in the field amplitudes (doubling the solution doubles them).
+    For each of psi, psib, xi the fit is grid.jet_sup of its jet: the
+    largest of the plain field's sup and the decay norms of its u- and
+    ubar-derivatives.  The fits are linear in the field amplitudes
+    (doubling the solution doubles them).
     """
     g = state.grid
     out = {"gamma_bar": float(gamma_bar)}
@@ -138,12 +138,9 @@ def verify_envelopes(state: DNState, gamma_bar: float) -> dict:
         ("psib", "dpsib_u", "dpsib_ub"),
         ("xi", "dxi_u", "dxi_ub"),
     ):
-        out[name] = max(
-            float(np.max(np.abs(getattr(state, name)))),
-            decay_sup(g, getattr(state, du), gamma_bar, 0),
-            decay_sup(g, getattr(state, dub), gamma_bar, 1),
-        )
-    out["delta"] = max(out["psi"], out["psib"], out["xi"])
+        out[name] = jet_sup(g, getattr(state, name), getattr(state, du),
+                            getattr(state, dub), gamma_bar)
+    out["delta"] = float(np.max([out["psi"], out["psib"], out["xi"]]))
     return out
 
 

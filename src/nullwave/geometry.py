@@ -59,6 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import (
+    background_L,
     WaveProfile,
     phase_function,
     phase_relabel,
@@ -226,13 +227,6 @@ class NullFrame:
     v_prime: np.ndarray
 
 
-def _background_rows(model, profile, ub):
-    """Lring_B components over ubar (same expressions as background_frame)."""
-    H0 = float(eval_coeffs(model, 0.0).H)
-    zp2 = np.asarray(profile.dzeta(ub), dtype=float) ** 2
-    return H0, -1.0 - H0 * zp2, 1.0 - H0 * zp2
-
-
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
                     profile: WaveProfile) -> NullFrame:
     """Transport the null frame from the data diagonal over the whole grid.
@@ -261,7 +255,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
 
     cf = _transport_coeffs(full_field_jet(state, model, profile))
 
-    H0, ring0, ring1 = _background_rows(model, profile, grid.ub)
+    H0, ring0, ring1 = background_L(model, profile, grid.ub)
     ring = np.array([ring0, ring1])                  # Lring_B by component
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
@@ -381,7 +375,7 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
 
     V = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
     Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
-    _, ring0, ring1 = _background_rows(model, profile, grid.ub)
+    _, ring0, ring1 = background_L(model, profile, grid.ub)
 
     tbg = 0.5 * (V[:, None] - Z[None, :] + grid.ub[None, :])
     xbg = 0.5 * (V[:, None] - Z[None, :] - grid.ub[None, :])
@@ -565,7 +559,7 @@ def degeneracy_monitor(frame: NullFrame, coords: CoordMap, model: Nonlinearity,
             "checks": [name for name, mask in bad.items() if mask[i, j]],
         }
 
-    _, ring0, ring1 = _background_rows(model, profile, grid.ub)
+    _, ring0, ring1 = background_L(model, profile, grid.ub)
     sup_dev = max(float(np.max(np.abs(frame.L0 - ring0[None, :]))),
                   float(np.max(np.abs(frame.L1 - ring1[None, :]))),
                   float(np.max(np.abs(frame.Lb0 + 1.0))),

@@ -4,6 +4,9 @@ Nodes are (u_i, ubar_j) with u_i = u_min + i h and ubar_j = -u_max + j h.
 The box is forced to be the domain of determinacy of its diagonal:
 ubar ranges over [-u_max, -u_min] with the same spacing, so i + j = N
 is exactly the initial slice {t = 0}, node (i, N-i) sitting at x = u_i.
+
+The decay norm sup (1+|x|)^(1+gamma) |f| that measures data, profiles and
+solutions lives here too: decay_weight, decay_sup and jet_sup.
 """
 
 from __future__ import annotations
@@ -191,19 +194,30 @@ def cumtrap_cols(F, h, anchor_i):
                        F.shape, anchor_i)
 
 
-def decay_weight(grid, gamma_bar, axis):
-    """(1+|x|)^(1+gamma_bar) with x = u for axis=0 and ubar for axis=1."""
-    x = grid.u if axis == 0 else grid.ub
-    return (1.0 + np.abs(x)) ** (1.0 + gamma_bar)
+def decay_weight(x, gamma):
+    """(1+|x|)^(1+gamma), the weight of the decay norm at the points x."""
+    return (1.0 + np.abs(x)) ** (1.0 + gamma)
 
 
-def decay_sup(grid, f, gamma_bar, axis):
-    """Sup of (1+|x|)^(1+gamma_bar) |f| on the grid.
+def decay_sup(f, x, gamma, axis=0):
+    """The decay norm sup (1+|x|)^(1+gamma) |f| of samples f at the points x.
 
-    x is u for axis=0 and ubar for axis=1.  The max along the other axis
-    is taken first and weighted after: the weights are positive and
-    rounding is monotone, so this is the sup of the weighted array bit for
-    bit without forming it.
+    f is 1-D over x, or a 2-D field with x along its axis.  On a field the
+    max along the other axis is taken first and weighted after: the
+    weights are positive and rounding is monotone, so this is the sup of
+    the weighted array bit for bit without forming it.
     """
-    w = decay_weight(grid, gamma_bar, axis)
-    return float(np.max(w * np.max(np.abs(f), axis=1 - axis)))
+    a = np.abs(f)
+    if a.ndim == 2:
+        a = np.max(a, axis=1 - axis)
+    return float(np.max(decay_weight(x, gamma) * a))
+
+
+def jet_sup(grid, f, f_u, f_ub, gamma):
+    """Size of one field's jet in the ball X_delta.
+
+    The largest of sup |f| and the decay norms of f_u along u and of f_ub
+    along ubar, taken by np.max, so a NaN in any of the three gives NaN.
+    """
+    return float(np.max([np.max(np.abs(f)), decay_sup(f_u, grid.u, gamma, 0),
+                         decay_sup(f_ub, grid.ub, gamma, 1)]))

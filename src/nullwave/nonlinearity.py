@@ -41,6 +41,7 @@ import numpy as np
 from .errors import DomainError, HyperbolicityLoss
 
 ArrayLike = Union[float, np.ndarray]
+RANGE_SAMPLE_H = 1e-3  # largest sample spacing of range_certificate
 
 
 @dataclass(frozen=True)
@@ -257,12 +258,12 @@ def contraction_identity_check(model: Nonlinearity, Phi0: ArrayLike, Phi1: Array
     return lhs, rhs, np.max(np.abs(np.asarray(lhs - rhs)))
 
 
-def range_certificate(model: Nonlinearity, m0: float, h_s: float = 1e-3) -> dict:
+def range_certificate(model: Nonlinearity, m0: float) -> dict:
     """Sup of each structural coefficient over sigma in [-m0, m0].
 
     The certificate samples |G|, |H|, |f'|, |G'|, |H'|, |kappa|, |1/kappa|,
-    |f''| and |H''| on a uniform grid of spacing <= h_s and reports each sup
-    together with their max M0.  The two derived derivatives G' and H'' are
+    |f''| and |H''| on a uniform grid of spacing <= RANGE_SAMPLE_H and
+    reports each sup together with their max M0.  The two derived derivatives G' and H'' are
     taken by centered differences of the composed quantities.
 
     Raises DomainError if [-m0, m0] leaves the admissible interval.
@@ -270,13 +271,13 @@ def range_certificate(model: Nonlinearity, m0: float, h_s: float = 1e-3) -> dict
     m0 = float(m0)
     if m0 <= 0:
         raise DomainError("m0 must be positive")
-    n = max(8, int(np.ceil(2.0 * m0 / float(h_s))))
+    n = max(8, int(np.ceil(2.0 * m0 / RANGE_SAMPLE_H)))
     s = np.linspace(-m0, m0, n + 1)
     # domain check up front for a clean error message
     model.check_domain(np.array([-m0, m0]))
     co = eval_coeffs(model, s)
 
-    step = 0.5 * min(h_s, 1e-4 * max(1.0, m0))
+    step = 0.5 * min(RANGE_SAMPLE_H, 1e-4 * max(1.0, m0))
     def _fd(values_at):
         return (values_at(s + step) - values_at(s - step)) / (2.0 * step)
 

@@ -77,7 +77,7 @@ from .background import WaveProfile
 from .dn_core import rhs_wave
 from .errors import FixedPointDivergence, GridMismatch
 from .grid import (DNGrid, cumsum_cols, cumtrap_cols, cumtrap_rows,
-                   decay_sup, decay_weight, map_row_blocks, row_blocks)
+                   decay_sup, jet_sup, map_row_blocks, row_blocks)
 from .nonlinearity import Nonlinearity, range_certificate
 from .state import DiagonalData, DNState, sigma_of
 
@@ -117,8 +117,8 @@ def picard_metric(a: DNState, b: DNState, gamma_bar: float = 1.0) -> float:
 
     The differences are formed one row block at a time and reduced there:
     the value and d_u sups to row maxima, the d_ub sups to running column
-    maxima, each weighted afterwards as in decay_sup.  Maxima are exact,
-    so the distance does not depend on the block size.
+    maxima, whose grid.decay_sup weights them afterwards.  Maxima are
+    exact, so the distance does not depend on the block size.
     """
     a.grid.require_same(b.grid)
     g = a.grid
@@ -134,24 +134,27 @@ def picard_metric(a: DNState, b: DNState, gamma_bar: float = 1.0) -> float:
                 np.max(d, axis=1, out=rows[k, blk])
             else:
                 np.maximum(cols[k - 4], np.max(d, axis=0), out=cols[k - 4])
-    w_u, w_ub = decay_weight(g, gamma_bar, 0), decay_weight(g, gamma_bar, 1)
     return float(max(np.max(rows[0]), np.max(rows[1]),
-                     np.max(w_u * rows[2]), np.max(w_u * rows[3]),
-                     np.max(w_ub * cols[0]), np.max(w_ub * cols[1])))
+                     decay_sup(rows[2], g.u, gamma_bar),
+                     decay_sup(rows[3], g.u, gamma_bar),
+                     decay_sup(cols[0], g.ub, gamma_bar),
+                     decay_sup(cols[1], g.ub, gamma_bar)))
 
 
 def in_ball(state: DNState, delta: float, gamma_bar: float = 1.0) -> bool:
     """Whether the psi/psib jets satisfy the X_delta envelope bounds."""
     g = state.grid
-    d2 = delta * delta
     return bool(
-        np.max(np.abs(state.psi)) <= d2
-        and np.max(np.abs(state.psib)) <= delta
-        and decay_sup(g, state.dpsi_u, gamma_bar, 0) <= d2
-        and decay_sup(g, state.dpsi_ub, gamma_bar, 1) <= d2
-        and decay_sup(g, state.dpsib_u, gamma_bar, 0) <= delta
-        and decay_sup(g, state.dpsib_ub, gamma_bar, 1) <= delta
+        jet_sup(g, state.psi, state.dpsi_u, state.dpsi_ub, gamma_bar)
+        <= delta * delta
+        and jet_sup(g, state.psib, state.dpsib_u, state.dpsib_ub, gamma_bar)
+        <= delta
     )
+
+
+def _smallness(eps0, gamma_bar):
+    """6 (1 + 1/gamma_bar) eps0: the least delta^2 the data size eps0 allows."""
+    return 6.0 * (1.0 + 1.0 / gamma_bar) * eps0
 
 
 def delta_from_smallness(eps0: float, gamma_bar: float) -> float:
@@ -166,7 +169,7 @@ def delta_from_smallness(eps0: float, gamma_bar: float) -> float:
         raise ValueError("eps0 must be nonnegative")
     if gamma_bar <= 0.0:
         raise ValueError("gamma_bar must be positive")
-    return float(np.sqrt(6.0 * (1.0 + 1.0 / gamma_bar) * eps0) * (1.0 + 1e-12))
+    return float(np.sqrt(_smallness(eps0, gamma_bar)) * (1.0 + 1e-12))
 
 
 def _frozen_solve(grid, data, sources):
@@ -408,7 +411,8 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
     same factor) so the tightest of its three envelope bounds sits at 0.8
     of the ball boundary.
     """
-    def bump():
+    def bump(bound):
+        """A bump jet rescaled so that its jet_sup is bound."""
         mu_u, mu_b = rng.uniform(-0.5, 0.5, size=2) * grid.u_max
         w_u, w_b = rng.uniform(0.35, 0.9, size=2) * (grid.u_max + 1.0)
         sign = rng.choice((-1.0, 1.0))
@@ -419,19 +423,11 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
         f = sign * gu[:, None] * gb[None, :]
         f_u = sign * dgu[:, None] * gb[None, :]
         f_ub = sign * gu[:, None] * dgb[None, :]
-        tight = max(
-            np.max(np.abs(f)),
-            decay_sup(grid, f_u, gamma_bar, 0),
-            decay_sup(grid, f_ub, gamma_bar, 1),
-        )
-        return f, f_u, f_ub, tight
+        cap = bound / jet_sup(grid, f, f_u, f_ub, gamma_bar)
+        return cap * f, cap * f_u, cap * f_ub
 
-    f, f_u, f_ub, tight = bump()
-    cap = 0.8 * delta * delta / tight
-    psi, dpsi_u, dpsi_ub = cap * f, cap * f_u, cap * f_ub
-    f, f_u, f_ub, tight = bump()
-    cap = 0.8 * delta / tight
-    psib, dpsib_u, dpsib_ub = cap * f, cap * f_u, cap * f_ub
+    psi, dpsi_u, dpsi_ub = bump(0.8 * delta * delta)
+    psib, dpsib_u, dpsib_ub = bump(0.8 * delta)
 
     zeros = np.zeros_like(psi)  # the three xi jets share it, read-only
     state = DNState(
@@ -498,7 +494,7 @@ def contraction_ratio(
         "delta": float(cfg.delta),
         "order": order,
         "smallness": {
-            "data_ok": bool(6.0 * (1.0 + 1.0 / gb) * data.eps0 <= cfg.delta**2),
+            "data_ok": bool(_smallness(data.eps0, gb) <= cfg.delta**2),
             "delta_ok": bool(cfg.delta <= bound),
             "delta_bound": float(bound),
         },

@@ -57,6 +57,42 @@ _TOP_KEYS = frozenset(
 _GRID_KEYS = frozenset(("radius", "h"))
 
 
+def _is_number(v) -> bool:
+    """An int or a float, but not a bool (which Python counts as an int)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# (key, test of the number, what it must be) for the numeric fields of each
+# section that validate_scenario checks; the rect_* keys may also be null.
+_NUMBERS = {
+    "perturbation": (
+        ("eps", lambda v: v >= 0.0, "a number >= 0"),
+        ("center", lambda v: True, "a number"),
+        ("width", lambda v: v > 0.0, "a positive number"),
+        ("gamma", lambda v: v > 0.0, "a positive number"),
+    ),
+    "solver": (
+        ("tol", lambda v: v > 0.0, "a positive number"),
+        ("max_iter", lambda v: isinstance(v, int) and v >= 1,
+         "a positive integer"),
+        ("contraction_seeds", lambda v: isinstance(v, int) and (v == 0 or v >= 2),
+         "0 (off) or an integer >= 2"),
+        ("dissipation", lambda v: v >= 0.0, "a number >= 0"),
+        ("cfl", lambda v: 0.0 < v < 1.0, "a number in (0, 1)"),
+        *((key, lambda v: v > 0.0, "null or a positive number")
+          for key in ("rect_halfwidth", "rect_t_max", "rect_dx")),
+    ),
+}
+
+
+def _number_problems(section: str, values: dict) -> list:
+    """One problem per numeric field of the section that breaks its rule."""
+    return [f"{section}: {key} must be {rule}, got {values[key]!r}"
+            for key, ok, rule in _NUMBERS[section]
+            if not (_is_number(values[key]) and ok(values[key])
+                    or values[key] is None and key.startswith("rect_"))]
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Normalized experiment description (all defaults filled)."""
@@ -119,7 +155,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     grid = raw["grid"]
     if not isinstance(grid, dict) or set(grid) != _GRID_KEYS:
         raise ScenarioError('grid must be {"radius": R, "h": h}')
-    if not all(isinstance(grid[k], (int, float)) for k in _GRID_KEYS):
+    if not all(_is_number(grid[k]) for k in _GRID_KEYS):
         raise ScenarioError("grid radius and h must be numbers")
 
     pert = raw.get("perturbation")
@@ -233,34 +269,13 @@ def validate_scenario(s: Scenario) -> list:
         if p["direction"] not in ("left", "right", "standing"):
             problems.append(
                 f"perturbation: unknown direction {p['direction']!r}")
-        if not p["eps"] >= 0.0:
-            problems.append(f"perturbation: eps must be >= 0, got {p['eps']}")
-        if not p["width"] > 0.0:
-            problems.append(f"perturbation: width must be positive, got {p['width']}")
-        if not p["gamma"] > 0.0:
-            problems.append(f"perturbation: gamma must be positive, got {p['gamma']}")
+        problems += _number_problems("perturbation", p)
 
     sv = s.solver
     if "backend" in sv:
         problems.append(f"solver: unknown legacy backend {sv['backend']!r} "
                         "(the march has one numpy kernel)")
-    if not sv["tol"] > 0.0:
-        problems.append(f"solver: tol must be positive, got {sv['tol']}")
-    if not (isinstance(sv["max_iter"], int) and sv["max_iter"] >= 1):
-        problems.append(f"solver: max_iter must be a positive integer, "
-                        f"got {sv['max_iter']!r}")
-    ns = sv["contraction_seeds"]
-    if not (isinstance(ns, int) and (ns == 0 or ns >= 2)):
-        problems.append("solver: contraction_seeds must be 0 (off) or >= 2, "
-                        f"got {ns!r}")
-    if not sv["dissipation"] >= 0.0:
-        problems.append(f"solver: dissipation must be >= 0, got {sv['dissipation']}")
-    if not 0.0 < sv["cfl"] < 1.0:
-        problems.append(f"solver: cfl must be in (0, 1), got {sv['cfl']}")
-    for key in ("rect_halfwidth", "rect_t_max", "rect_dx"):
-        v = sv[key]
-        if v is not None and not (isinstance(v, (int, float)) and v > 0):
-            problems.append(f"solver: {key} must be null or positive, got {v!r}")
+    problems += _number_problems("solver", sv)
     for key in ("picard", "crossval", "refine"):
         if not isinstance(sv[key], bool):
             problems.append(f"solver: {key} must be true or false, "

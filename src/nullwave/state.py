@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import GridMismatch
-from .grid import DNGrid
+from .grid import DNGrid, decay_sup
 
 FIELD_NAMES = (
     "psi", "psib", "xi",
@@ -123,11 +123,8 @@ class DiagonalData:
             self.eps0 = self.measure_eps0()
 
     def measure_eps0(self) -> float:
-        w = (1.0 + np.abs(self.s)) ** (1.0 + self.gamma_bar)
-        worst = 0.0
-        for name in FIELD_NAMES + ("sigma",):
-            worst = max(worst, float(np.max(np.abs(getattr(self, name)) * w)))
-        return worst
+        return max(decay_sup(getattr(self, name), self.s, self.gamma_bar)
+                   for name in FIELD_NAMES + ("sigma",))
 
 
 # Values per column in one row block of write_grid_csv: 4 rows of a

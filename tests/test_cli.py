@@ -55,6 +55,15 @@ def test_validate_invalid_scenario(tmp_path, capsys):
     assert "gamma_bar" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("solver", [{"tol": "1e-12"}, {"cfl": None},
+                                    {"max_iter": True}])
+def test_validate_non_number_exits_2(tmp_path, capsys, solver):
+    path = write_scenario(tmp_path, solver=solver)
+    assert cli.main(["validate", str(path)]) == 2
+    key = next(iter(solver))
+    assert f"invalid: solver: {key} must be" in capsys.readouterr().out
+
+
 def test_validate_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "sc.json"
     raw = dict(TINY, typo=1)

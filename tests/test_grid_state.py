@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nullwave.errors import GridMismatch
-from nullwave.grid import DNGrid
+from nullwave.grid import DNGrid, decay_sup, decay_weight
 from nullwave.state import (
     CSV_COLUMNS,
     DiagonalData,
@@ -124,6 +124,41 @@ def test_diagonal_data_measures_eps0():
     data = DiagonalData(s=s, gamma_bar=1.0, **fields)
     # max over fields of |field| (1+|s|)^2: max(0.1, 0.2 * 4) = 0.8
     assert data.eps0 == pytest.approx(0.8, rel=1e-12)
+
+
+def _bits(v):
+    return np.float64(v).view(np.int64)
+
+
+def _norm_samples(rng, shape, infinite):
+    """Random values with ties, +-0.0 and, if asked, one +-inf."""
+    f = np.round(rng.standard_normal(shape), 1) * 10.0 ** rng.integers(-3, 4)
+    flat = f.reshape(-1)
+    pick = rng.choice(flat.size, size=4, replace=False)
+    flat[pick[:2]] = (0.0, -0.0)
+    if infinite:
+        flat[pick[2]] = rng.choice((np.inf, -np.inf))
+    return f
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_decay_sup_is_max_of_weighted_array(gamma):
+    # decay_sup never forms the weighted array; its value must still be
+    # that array's max, bit for bit, in 1-D and along either axis in 2-D
+    rng = np.random.default_rng(7)
+    x0, x1 = np.linspace(-2.0, 7.0, 17), np.linspace(-6.0, 1.0, 13)
+    w0, w1 = decay_weight(x0, gamma), decay_weight(x1, gamma)
+    for trial in range(40):
+        infinite = trial % 8 == 0
+        f = _norm_samples(rng, x0.size, infinite)
+        assert _bits(decay_sup(f, x0, gamma)) == _bits(np.max(w0 * np.abs(f)))
+        F = _norm_samples(rng, (x0.size, x1.size), infinite)
+        assert _bits(decay_sup(F, x0, gamma, 0)) == \
+            _bits(np.max(w0[:, None] * np.abs(F)))
+        assert _bits(decay_sup(F.T, x0, gamma, 1)) == \
+            _bits(np.max(w0[None, :] * np.abs(F.T)))
+        assert _bits(decay_sup(F, x1, gamma, 1)) == \
+            _bits(np.max(w1[None, :] * np.abs(F)))
 
 
 def _write_state_csv(st, path):

@@ -11,13 +11,13 @@ from conftest import make_compatible_data, make_zero_data
 
 from nullwave.background import bump_profile
 from nullwave.data_gauge import build_diagonal_data, perturbed_data
-from nullwave.dn_core import march, rhs_wave
+from nullwave.dn_core import march, rhs_wave, verify_envelopes
 from nullwave.errors import (
     FixedPointDivergence,
     GridMismatch,
     InnerFixedPointDivergence,
 )
-from nullwave.grid import DNGrid
+from nullwave.grid import DNGrid, jet_sup
 from nullwave.nonlinearity import polynomial_model
 from nullwave.picard import (
     PicardConfig,
@@ -90,6 +90,18 @@ def test_in_ball_envelopes():
     assert in_ball(s, 0.11, gamma_bar=1.0)
     assert not in_ball(s, 0.04, gamma_bar=1.0)  # psib exceeds delta
     assert not in_ball(s, 0.09, gamma_bar=1.0)  # dpsi_ub exceeds delta^2
+
+
+@pytest.mark.parametrize("slot", ["psib", "dpsib_u", "dpsib_ub"])
+def test_nan_jet_leaves_the_ball(slot):
+    grid = DNGrid.square(2.0, 0.25)
+    s = DNState.zeros(grid)
+    s.psib[3, 5] = 0.05
+    getattr(s, slot)[4, 2] = np.nan
+    assert np.isnan(jet_sup(grid, s.psib, s.dpsib_u, s.dpsib_ub, 1.0))
+    assert not in_ball(s, 0.11, gamma_bar=1.0)
+    fits = verify_envelopes(s, 1.0)
+    assert np.isnan(fits["psib"]) and np.isnan(fits["delta"])
 
 
 def test_config_validation():

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, normalization and materialization."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,7 @@ def test_partial_sections_merge_defaults():
     (lambda d: d.update(schema_version=99), "schema_version"),
     (lambda d: d.update(grid={"radius": 3.0}), "grid"),
     (lambda d: d.update(grid={"radius": 3.0, "h": "x"}), "grid"),
+    (lambda d: d.update(grid={"radius": True, "h": 0.25}), "grid"),
     (lambda d: d.update(perturbation={"epsilon": 1e-3}), "unknown perturbation"),
     (lambda d: d.update(solver={"piccard": True}), "unknown solver"),
     (lambda d: d.update(seed=1.5), "seed"),
@@ -119,10 +121,33 @@ def _with(section, **kw):
     ("solver", {"cfl": 1.5}, "cfl"),
     ("solver", {"rect_halfwidth": -2.0}, "rect_halfwidth"),
     ("solver", {"picard": 1}, "picard"),
+    # every numeric field must be a real number, and a bool is not one
+    ("perturbation", {"eps": "0.001"}, "eps"),
+    ("perturbation", {"center": True}, "center"),
+    ("perturbation", {"width": None}, "width"),
+    ("perturbation", {"gamma": False}, "gamma"),
+    ("solver", {"tol": "1e-12"}, "tol"),
+    ("solver", {"tol": True}, "tol"),
+    ("solver", {"max_iter": True}, "max_iter"),
+    ("solver", {"contraction_seeds": False}, "contraction_seeds"),
+    ("solver", {"dissipation": "0"}, "dissipation"),
+    ("solver", {"cfl": None}, "cfl"),
+    ("solver", {"rect_t_max": True}, "rect_t_max"),
 ])
 def test_validate_flags_bad_values(section, override, fragment):
     problems = validate_scenario(_with(section, **override))
     assert any(fragment in p for p in problems)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in SCENARIO_DIR.glob("*.json") if p.name != "eps_grid.json"),
+    ids=lambda p: p.name)
+def test_shipped_scenarios_validate(path):
+    # eps_grid.json is a sweep grid, not a scenario
+    assert validate_scenario(load_scenario(path)) == []
 
 
 def test_validate_bad_model_and_profile_gamma():
