@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .grid import decay_sup, decay_weight
-from .nonlinearity import Nonlinearity, eval_coeffs
+from .nonlinearity import Nonlinearity, eval_coeffs, is_number
 
 ArrayLike = Union[float, np.ndarray]
 SAMPLE_H = 0.01       # sample spacing of hyperbolicity_check, closeness_certificate
@@ -291,6 +291,26 @@ def table_profile(x_nodes, zeta_vals, dzeta_vals, d2zeta_vals, gamma_bar: float 
         X_max=max(abs(xs[0]), abs(xs[-1])) + 1.0))
 
 
+def _config_numbers(kind, p, **defaults):
+    """The values of p at the keys of defaults, each a number (is_number).
+
+    A default of None marks a required key.  DomainError names the first
+    key that is missing or not a number.
+    """
+    if not isinstance(p, dict):
+        raise DomainError(
+            f"{kind} profile config must be a mapping, got {p!r}")
+    vals = []
+    for key, default in defaults.items():
+        if key not in p and default is None:
+            raise DomainError(f"{kind} profile needs {key}")
+        v = p.get(key, default)
+        if not is_number(v):
+            raise DomainError(f"{kind} {key} must be a number, got {v!r}")
+        vals.append(v)
+    return vals
+
+
 def profile_from_config(cfg) -> WaveProfile:
     """Build a profile from its JSON-able description."""
     if isinstance(cfg, str):
@@ -299,19 +319,17 @@ def profile_from_config(cfg) -> WaveProfile:
         raise DomainError(f"unknown profile name {cfg!r}")
     if isinstance(cfg, dict):
         if "bump" in cfg:
-            p = cfg["bump"]
-            return bump_profile(
-                p["A"], p.get("center", 0.0), p.get("width", 1.0),
-                p.get("gamma", 1.0),
-            )
+            return bump_profile(*_config_numbers(
+                "bump", cfg["bump"], A=None, center=0.0, width=1.0, gamma=1.0))
         if "algebraic" in cfg:
-            p = cfg["algebraic"]
-            return algebraic_profile(p["A"], p.get("gamma", 1.0))
+            return algebraic_profile(*_config_numbers(
+                "algebraic", cfg["algebraic"], A=None, gamma=1.0))
         if "table" in cfg:
+            gamma, = _config_numbers("table", cfg, gamma=1.0)
             cols = np.genfromtxt(cfg["table"], delimiter=",", names=True)
             return table_profile(
                 cols["x"], cols["zeta"], cols["dzeta"], cols["d2zeta"],
-                gamma_bar=cfg.get("gamma", 1.0),
+                gamma_bar=gamma,
             )
     raise DomainError(f"unrecognized profile config {cfg!r}")
 

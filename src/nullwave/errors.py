@@ -30,6 +30,10 @@ class InnerFixedPointDivergence(NullwaveError):
     """The per-cell implicit update of the march failed to converge."""
 
 
+class FrameTransportStall(InnerFixedPointDivergence):
+    """The frame transport's per-front implicit update did not converge."""
+
+
 class SliceNotSpacelike(NullwaveError):
     """The t=0 slice is not spacelike for the acoustic metric (g^00 >= 0)."""
 

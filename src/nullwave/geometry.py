@@ -66,9 +66,9 @@ from .background import (
     phase_relabel_velocity,
 )
 from .data_gauge import GaugeSlice
-from .errors import FrameDegenerate, GridMismatch, InnerFixedPointDivergence
+from .errors import FrameDegenerate, FrameTransportStall, GridMismatch
 from ._kernels import _where
-from .grid import DNGrid, cumtrap_cols, cumtrap_rows
+from .grid import DNGrid, cumsum_cols, cumtrap_rows, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of
 
@@ -93,10 +93,11 @@ DETJ_FLOOR = 0.05             # minimum |det d(t,x)/d(u_B, ubar)|
 
 
 def full_field_jet(state: DNState, model: Nonlinearity,
-                   profile: WaveProfile) -> dict:
-    """Physical fields and their grid-null derivatives on the whole grid.
+                   profile: WaveProfile, rows=slice(None)) -> dict:
+    """Physical fields and their grid-null derivatives on the grid's rows.
 
-    Returns a dict of (N+1, N+1) arrays:
+    Returns a dict of (len(rows), N+1) arrays, over the whole grid unless
+    rows slices the u-rows:
 
     ``Phi0, Phi1``
         time and space derivative of the full scalar,
@@ -110,30 +111,31 @@ def full_field_jet(state: DNState, model: Nonlinearity,
         metric coefficient H(sigma) and its derivative.
 
     All background contributions enter through zeta'(ubar), zeta''(ubar),
-    so a zero state reproduces the travelling wave exactly.
+    so a zero state reproduces the travelling wave exactly.  The work is
+    elementwise, so a block of rows holds the whole grid's values bitwise.
     """
     grid = state.grid
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)[None, :]
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)[None, :]
+    psi, psib = state.psi[rows], state.psib[rows]
+    dpsi_u, dpsib_u = state.dpsi_u[rows], state.dpsib_u[rows]
+    dpsi_ub, dpsib_ub = state.dpsi_ub[rows], state.dpsib_ub[rows]
 
-    co = eval_coeffs(model, state.sigma)
-    jet = {
-        "Phi0": Phi0_of(state.psi, state.psib, zp),
-        "Phi1": Phi1_of(state.psi, state.psib, zp),
-        "dPhi0_u": 0.5 * (state.dpsi_u + state.dpsib_u),
-        "dPhi1_u": 0.5 * (state.dpsi_u - state.dpsib_u),
-        "dPhi0_ub": 0.5 * (state.dpsi_ub + state.dpsib_ub) + zpp,
-        "dPhi1_ub": 0.5 * (state.dpsi_ub - state.dpsib_ub) - zpp,
-        "phi_u": state.dxi_u,
-        "phi_ub": state.dxi_ub + zp,
-        "sig_u": dsigma_u_of(state.psi, state.psib,
-                             state.dpsi_u, state.dpsib_u, zp),
-        "sig_ub": dsigma_ub_of(state.psi, state.psib,
-                               state.dpsi_ub, state.dpsib_ub, zp, zpp),
+    co = eval_coeffs(model, state.sigma[rows])
+    return {
+        "Phi0": Phi0_of(psi, psib, zp),
+        "Phi1": Phi1_of(psi, psib, zp),
+        "dPhi0_u": 0.5 * (dpsi_u + dpsib_u),
+        "dPhi1_u": 0.5 * (dpsi_u - dpsib_u),
+        "dPhi0_ub": 0.5 * (dpsi_ub + dpsib_ub) + zpp,
+        "dPhi1_ub": 0.5 * (dpsi_ub - dpsib_ub) - zpp,
+        "phi_u": state.dxi_u[rows],
+        "phi_ub": state.dxi_ub[rows] + zp,
+        "sig_u": dsigma_u_of(psi, psib, dpsi_u, dpsib_u, zp),
+        "sig_ub": dsigma_ub_of(psi, psib, dpsi_ub, dpsib_ub, zp, zpp),
         "H": co.H,
         "Hp": co.Hp,
     }
-    return jet
 
 
 # order of the coefficient grids stacked by _transport_coeffs
@@ -141,7 +143,7 @@ _CF_KEYS = ("Phi0", "Phi1", "dPhi0_u", "dPhi1_u", "dPhi0_ub", "dPhi1_ub", "H",
            "HU", "HUB", "q1_ub", "q2_ub", "q1_u", "q2_u")
 
 
-def _transport_coeffs(jet: dict) -> np.ndarray:
+def _transport_coeffs(jet: dict, cf: np.ndarray) -> None:
     """Frame-independent coefficient grids of the transport right-hand side.
 
     The RHS is linear in (L, Lbar) for fixed scalar coefficients:
@@ -150,14 +152,13 @@ def _transport_coeffs(jet: dict) -> np.ndarray:
         d_u  Lbar = -[(S_Lb HUB + Om_inv q1_u ) Lbar + (S_Lb HU + Om_inv q2_u) L]
 
     with HU = H d_u phi, HUB = H d_ub phi and the q's carrying the H' part.
-    Returns one array stacking the 13 grids in the order of _CF_KEYS, filled
-    slot by slot so that no second set of them is ever alive.
+    Writes the 13 grids into cf, in the order of _CF_KEYS, slot by slot:
+    cf may be a view of a block of a larger stack, so that no second set
+    of them is ever alive.
     """
     H, Hp = jet["H"], jet["Hp"]
     pu, pub = jet["phi_u"], jet["phi_ub"]
     su, sub = jet["sig_u"], jet["sig_ub"]
-    cf = np.empty((len(_CF_KEYS),) + np.broadcast_shapes(
-        *(np.shape(v) for v in jet.values())))
     for row, key in zip(cf, _CF_KEYS[:7]):
         row[...] = jet[key]
     cf[7] = H * pu
@@ -166,7 +167,6 @@ def _transport_coeffs(jet: dict) -> np.ndarray:
     cf[10] = Hp * pub * (0.5 * sub * pub)
     cf[11] = Hp * pu * (pub * su - 0.5 * sub * pu)
     cf[12] = Hp * pu * (0.5 * su * pu)
-    return cf
 
 
 def _frame_rhs(cf, L, Lb):
@@ -198,7 +198,9 @@ def transport_rhs(jet: dict, L0, L1, Lb0, Lb1, along: str = "ubar"):
     """
     if along not in ("ubar", "u"):
         raise ValueError(f"along must be 'ubar' or 'u', got {along!r}")
-    cf = _transport_coeffs(jet)
+    cf = np.empty((len(_CF_KEYS),) + np.broadcast_shapes(
+        *(np.shape(v) for v in jet.values())))
+    _transport_coeffs(jet, cf)
     L0, L1, Lb0, Lb1, _ = np.broadcast_arrays(L0, L1, Lb0, Lb1, cf[0])
     R = _frame_rhs(cf, np.array([L0, L1], dtype=float),
                    np.array([Lb0, Lb1], dtype=float))
@@ -238,22 +240,29 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     implicit endpoint is resolved by a fixed point (the RHS is quadratic in
     the frame, the cell coupling is O(h)) that stops once the front's update
     is within FRAME_TOL of its size, at most FRAME_MAX_ITER iterations.
-    Converged RHS values are cached per node, in the same layout, so every
-    cell costs one front sweep.  The 13 coefficient grids of
-    _transport_coeffs are stacked and gathered with one index per front.
+    Both predecessors of a front's nodes lie on the previous front, so its
+    deviations and converged RHS are carried per front, in the same
+    layout, and every cell costs one front sweep.  The 13 coefficient
+    grids of _transport_coeffs are stacked one row block at a time and
+    gathered with one index per front.  At the end the deviations become
+    the frame in place, and the conformal factor is formed per row block.
     Publishes the background-matched frame; see the module docstring for
     the normalization bookkeeping.
 
-    Raises InnerFixedPointDivergence naming the node with the largest last
-    update if a front stalls, FrameDegenerate if g(L, Lbar) reaches zero
-    (the two null directions collapse).
+    Raises FrameTransportStall naming the node with the largest last
+    update if a front stalls, FrameDegenerate naming the first node in
+    row-major order where g(L, Lbar) reaches zero (the two null directions
+    collapse).
     """
     grid = state.grid
     n = grid.n_nodes
     if gauge.x.shape != grid.u.shape or not np.array_equal(gauge.x, grid.u):
         raise GridMismatch("gauge slice nodes do not coincide with grid.u")
 
-    cf = _transport_coeffs(full_field_jet(state, model, profile))
+    cf = np.empty((len(_CF_KEYS), n, n))
+    for blk in row_blocks(n, n):
+        _transport_coeffs(full_field_jet(state, model, profile, blk),
+                          cf[:, blk])
 
     H0, ring0, ring1 = background_L(model, profile, grid.ub)
     ring = np.array([ring0, ring1])                  # Lring_B by component
@@ -275,8 +284,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
             return R
         return rhs, bg
 
-    lam = np.zeros((2, 2, n, n))
-    cache = np.zeros_like(lam)                       # converged deviation RHS
+    lam = np.empty((2, 2, n, n))
 
     i, j = grid.diagonal()
     rhs, bg = deviation_rhs(i, j)
@@ -284,16 +292,18 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     dev[0] = dev[0] * inv_vp - bg
     dev[1] += 1.0
     lam[..., i, j] = dev
-    cache[..., i, j] = rhs(dev)
+    diagonal = dev, rhs(dev)                         # deviations, their RHS
 
     for d in (1, -1):
         hh = 0.5 * grid.h * d
+        # L comes from the ubar-predecessor (i, j - d), Lbar from the
+        # u-predecessor (i - d, j): consecutive nodes of the previous front
+        sL, sB = (slice(1, None), slice(None, -1))[::d]
+        prev, prev_R = diagonal
         for ii, jj in grid.fronts(d):
             rhs, _ = deviation_rhs(ii, jj)
-            # L from the ubar-predecessor, Lbar from the u-predecessor
-            cur = np.array([lam[0][:, ii, jj - d], lam[1][:, ii - d, jj]])
-            base = cur + hh * np.array([cache[0][:, ii, jj - d],
-                                        cache[1][:, ii - d, jj]])
+            cur = np.array([prev[0][:, sL], prev[1][:, sB]])
+            base = cur + hh * np.array([prev_R[0][:, sL], prev_R[1][:, sB]])
             for _ in range(FRAME_MAX_ITER):
                 new = base + hh * rhs(cur)
                 change = np.max(np.abs(new - cur), axis=(0, 1))
@@ -302,26 +312,30 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
                     break
             else:
                 bad = int(np.argmax(change))
-                raise InnerFixedPointDivergence(
+                raise FrameTransportStall(
                     f"frame transport stalled at {_where(grid, ii[bad], jj[bad])} "
                     f"(last update {change[bad]:.3e})")
-            cache[..., ii, jj] = rhs(cur)
+            prev, prev_R = cur, rhs(cur)
             lam[..., ii, jj] = cur
-    del cache
 
-    L = ring[:, None, :] + vp[:, None] * lam[0]
-    Lb = -1.0 + lam[1]
-    Phi0, Phi1, *_, H = cf[:7]                       # see _CF_KEYS
-    phiL = Phi0 * L[0] + Phi1 * L[1]
-    phiLb = Phi0 * Lb[0] + Phi1 * Lb[1]
-    om_inv = -(L[0] * Lb[0]) + L[1] * Lb[1] + H * phiL * phiLb
-    if not np.all(np.isfinite(om_inv)) or np.any(om_inv >= 0.0):
-        bad = np.argmax(~(np.isfinite(om_inv) & (om_inv < 0.0)))
-        i, j = np.unravel_index(bad, om_inv.shape)
-        raise FrameDegenerate(
-            f"g(L, Lbar) lost its sign at (u, ubar) = "
-            f"({grid.u[i]:.6g}, {grid.ub[j]:.6g})")
-    Omega = 1.0 / om_inv
+    L, Lb = lam                # L_B = Lring_B + vp lam, Lbar = -1 + lamb
+    L *= vp[:, None]
+    L += ring[:, None, :]
+    Lb += -1.0
+    Omega = np.empty((n, n))
+    for blk in row_blocks(n, n):
+        Phi0, Phi1, *_, H = cf[:7, blk]              # see _CF_KEYS
+        (L0, L1), (Lb0, Lb1) = L[:, blk], Lb[:, blk]
+        phiL = Phi0 * L0 + Phi1 * L1
+        phiLb = Phi0 * Lb0 + Phi1 * Lb1
+        om_inv = -(L0 * Lb0) + L1 * Lb1 + H * phiL * phiLb
+        ok = np.isfinite(om_inv) & (om_inv < 0.0)
+        if not np.all(ok):
+            i, j = np.unravel_index(np.argmin(ok), ok.shape)
+            raise FrameDegenerate(
+                f"g(L, Lbar) lost its sign at (u, ubar) = "
+                f"({grid.u[blk.start + i]:.6g}, {grid.ub[j]:.6g})")
+        np.divide(1.0, om_inv, out=Omega[blk])
 
     return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp)
 
@@ -364,50 +378,64 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     and only the deviation of the tangents from their background values is
     integrated (trapezoid), once along rows and once along columns, both
     anchored on the diagonal where t = 0 and x = u exactly.  The two routes
-    are averaged; their sup-difference is returned as curl_sup.
+    are averaged; their sup-difference is returned as curl_sup (NaN if
+    either route holds a NaN).  The column sums are carried down the rows
+    (grid.cumsum_cols) with increments formed from the frame's rows; every
+    row-local quantity, the background included, is formed in one row
+    block pass, so the outputs and the column sums are the only full-size
+    arrays.
     """
     grid = frame.grid
     if state.grid is not grid and not (
             state.grid.N == grid.N and np.array_equal(state.grid.u, grid.u)):
         raise GridMismatch("state and frame grids differ")
-    h = grid.h
-    vp = frame.v_prime
+    n, h = grid.n_nodes, grid.h
+    vp, Om = frame.v_prime, frame.Omega
 
     V = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
     Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
     _, ring0, ring1 = background_L(model, profile, grid.ub)
 
-    tbg = 0.5 * (V[:, None] - Z[None, :] + grid.ub[None, :])
-    xbg = 0.5 * (V[:, None] - Z[None, :] - grid.ub[None, :])
-
+    t, x, detj, jac_u_t, jac_u_x, jac_ub_t, jac_ub_x = (
+        np.empty((n, n)) for _ in range(7))
     # tangents in the grid chart; u-leg = Omega_A Lbar = vp Omega_B Lbar_B,
-    # ubar-leg = Omega_A L_A = Omega_B L_B
-    jac_u_t = vp[:, None] * (frame.Omega * frame.Lb0)
-    jac_u_x = vp[:, None] * (frame.Omega * frame.Lb1)
-    jac_ub_t = frame.Omega * frame.L0
-    jac_ub_x = frame.Omega * frame.L1
+    # ubar-leg = Omega_A L_A = Omega_B L_B.  Per component t (x): the
+    # frame's L and Lbar, Lring_B, the sign of ubar in tring (xring), the
+    # deviation that pins t = 0.0 (x = u) on the diagonal, and the outputs.
+    _, jd = grid.diagonal()
+    VZ = V - Z[jd]
+    comps = ((frame.L0, frame.Lb0, ring0, 1.0,
+              0.0 - 0.5 * (VZ + grid.ub[jd]), jac_u_t, jac_ub_t, t),
+             (frame.L1, frame.Lb1, ring1, -1.0,
+              grid.u - 0.5 * (VZ - grid.ub[jd]), jac_u_x, jac_ub_x, x))
 
-    devU_t = vp[:, None] * (frame.Omega * frame.Lb0 - 0.5)
-    devU_x = vp[:, None] * (frame.Omega * frame.Lb1 - 0.5)
-    devB_t = jac_ub_t + 0.5 * ring0[None, :]
-    devB_x = jac_ub_x + 0.5 * ring1[None, :]
+    def u_leg_steps(Lb):
+        """Trapezoid steps down the columns of vp (Omega Lbar - 1/2)."""
+        def steps(r):
+            s = slice(r.start, r.stop + 1)
+            F = vp[s, None] * (Om[s] * Lb[s] - 0.5)
+            return (0.5 * h) * (F[1:] + F[:-1])
+        return steps
 
-    diag, jd = grid.diagonal()
-    dev_t_diag = 0.0 - tbg[diag, jd]       # pins t = 0.0 on the diagonal
-    dev_x_diag = grid.u - xbg[diag, jd]    # pins x = u on the diagonal
+    r2 = [cumsum_cols(u_leg_steps(c[1]), (n, n), jd) for c in comps]
 
-    r1_t = dev_t_diag[:, None] + cumtrap_rows(devB_t, h, jd)
-    r1_x = dev_x_diag[:, None] + cumtrap_rows(devB_x, h, jd)
-    r2_t = dev_t_diag[::-1][None, :] + cumtrap_cols(devU_t, h, jd)
-    r2_x = dev_x_diag[::-1][None, :] + cumtrap_cols(devU_x, h, jd)
+    curl = []
+    for blk in row_blocks(n, n):
+        Omb, vpb = Om[blk], vp[blk, None]
+        for (L, Lb, ring, sign, dev_diag, jac_u, jac_ub, out), S2 in zip(
+                comps, r2):
+            jac_u[blk] = vpb * (Omb * Lb[blk])
+            jac_ub[blk] = Omb * L[blk]
+            r1 = dev_diag[blk, None] + cumtrap_rows(
+                jac_ub[blk] + 0.5 * ring[None, :], h, jd[blk])
+            r2b = dev_diag[::-1][None, :] + S2[blk]
+            curl.append(np.max(np.abs(r1 - r2b)))
+            bg = 0.5 * (V[blk, None] - Z[None, :] + sign * grid.ub[None, :])
+            out[blk] = bg + 0.5 * (r1 + r2b)
+        detj[blk] = Omb ** 2 * (frame.Lb0[blk] * frame.L1[blk]
+                                - frame.Lb1[blk] * frame.L0[blk])
 
-    curl_sup = max(float(np.max(np.abs(r1_t - r2_t))),
-                   float(np.max(np.abs(r1_x - r2_x))))
-    t = tbg + 0.5 * (r1_t + r2_t)
-    x = xbg + 0.5 * (r1_x + r2_x)
-    detj = frame.Omega ** 2 * (frame.Lb0 * frame.L1 - frame.Lb1 * frame.L0)
-
-    return CoordMap(grid, t, x, detj, curl_sup,
+    return CoordMap(grid, t, x, detj, float(np.max(curl)),
                     jac_u_t, jac_u_x, jac_ub_t, jac_ub_x)
 
 
@@ -483,17 +511,22 @@ def nullity_residual(state: DNState, frame: NullFrame, model: Nonlinearity,
 
     Both vanish identically for the exact frame; the discrete transport
     preserves them only up to its own O(h^2) error, so this is a cheap
-    global consistency check that needs no reference solution.
+    global consistency check that needs no reference solution.  The
+    maxima are taken per row block and reduced by np.max, so a NaN shows.
     """
+    n = state.grid.n_nodes
     zp = np.asarray(profile.dzeta(state.grid.ub), dtype=float)[None, :]
-    Phi0 = Phi0_of(state.psi, state.psib, zp)
-    Phi1 = Phi1_of(state.psi, state.psib, zp)
-    H = eval_coeffs(model, state.sigma).H
-    gLL = -(frame.L0 ** 2) + frame.L1 ** 2 \
-        + H * (Phi0 * frame.L0 + Phi1 * frame.L1) ** 2
-    gBB = -(frame.Lb0 ** 2) + frame.Lb1 ** 2 \
-        + H * (Phi0 * frame.Lb0 + Phi1 * frame.Lb1) ** 2
-    return {"L": float(np.max(np.abs(gLL))), "Lb": float(np.max(np.abs(gBB)))}
+    sups = []
+    for blk in row_blocks(n, n):
+        Phi0 = Phi0_of(state.psi[blk], state.psib[blk], zp)
+        Phi1 = Phi1_of(state.psi[blk], state.psib[blk], zp)
+        H = eval_coeffs(model, state.sigma[blk]).H
+        sups.append([np.max(np.abs(-(X0 ** 2) + X1 ** 2
+                                   + H * (Phi0 * X0 + Phi1 * X1) ** 2))
+                     for X0, X1 in ((frame.L0[blk], frame.L1[blk]),
+                                    (frame.Lb0[blk], frame.Lb1[blk]))])
+    gLL, gBB = np.max(sups, axis=0)
+    return {"L": float(gLL), "Lb": float(gBB)}
 
 
 @dataclass(frozen=True)
@@ -560,10 +593,10 @@ def degeneracy_monitor(frame: NullFrame, coords: CoordMap, model: Nonlinearity,
         }
 
     _, ring0, ring1 = background_L(model, profile, grid.ub)
-    sup_dev = max(float(np.max(np.abs(frame.L0 - ring0[None, :]))),
-                  float(np.max(np.abs(frame.L1 - ring1[None, :]))),
-                  float(np.max(np.abs(frame.Lb0 + 1.0))),
-                  float(np.max(np.abs(frame.Lb1 + 1.0))))
+    sup_dev = float(np.max([np.max(np.abs(frame.L0 - ring0[None, :])),
+                            np.max(np.abs(frame.L1 - ring1[None, :])),
+                            np.max(np.abs(frame.Lb0 + 1.0)),
+                            np.max(np.abs(frame.Lb1 + 1.0))]))
 
     return DegeneracyReport(
         ok=first_failure is None,

@@ -302,10 +302,20 @@ def range_certificate(model: Nonlinearity, m0: float) -> dict:
     return sups
 
 
+def is_number(v) -> bool:
+    """An int or a float, but not a bool (which Python counts as an int).
+
+    The rule for every number of a scenario file and its model and
+    profile configs.
+    """
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def model_from_config(cfg) -> Nonlinearity:
     """Build a model from its JSON-able description.
 
-    Accepts "linear", "membrane", or {"polynomial": [a, b, c]}.
+    Accepts "linear", "membrane", or {"polynomial": [a, b, c]} with 1-3
+    coefficients, each a number (is_number).
     """
     if isinstance(cfg, str):
         if cfg == "linear":
@@ -315,10 +325,12 @@ def model_from_config(cfg) -> Nonlinearity:
         raise DomainError(f"unknown model name {cfg!r}")
     if isinstance(cfg, dict) and "polynomial" in cfg:
         coeffs = list(cfg["polynomial"])
-        if not 1 <= len(coeffs) <= 3 or not all(
-            isinstance(v, (int, float)) for v in coeffs
-        ):
+        if not 1 <= len(coeffs) <= 3:
             raise DomainError("polynomial model needs 1-3 numeric coefficients")
+        for k, v in enumerate(coeffs):
+            if not is_number(v):
+                raise DomainError(
+                    f"polynomial coefficient {k} must be a number, got {v!r}")
         coeffs += [0.0] * (3 - len(coeffs))
         return polynomial_model(*coeffs)
     raise DomainError(f"unrecognized model config {cfg!r}")

@@ -69,7 +69,7 @@ effect can be demonstrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -403,13 +403,31 @@ def picard_fixed_point(
     )
 
 
+def _separable_jet_sup(grid, a, da, b, db, gamma_bar):
+    """jet_sup of the field a (x) b with d_u a' (x) b and d_ub a (x) b'.
+
+    Taken from the 1-D factors without forming the fields: |fl(a_i b_j)|
+    is fl(|a_i| |b_j|), and rounding is monotone, so its max over j is
+    fl(|a_i| max|b|), and over both is fl(max|a| max|b|).  The same holds
+    for each derivative before it is weighted, so this equals jet_sup of
+    the formed fields bit for bit.
+    """
+    A, B = np.max(np.abs(a)), np.max(np.abs(b))
+    return float(np.max([A * B,
+                         decay_sup(np.abs(da) * B, grid.u, gamma_bar),
+                         decay_sup(A * np.abs(db), grid.ub, gamma_bar)]))
+
+
 def _seed_state(grid, zp, delta, gamma_bar, rng):
     """A smooth random iterate placed strictly inside X_delta.
 
     Each of psi and psib is a separable Gaussian bump with closed-form
     derivatives, rescaled as a group (field and both derivatives by the
     same factor) so the tightest of its three envelope bounds sits at 0.8
-    of the ball boundary.
+    of the ball boundary.  The scale is found from the bump's 1-D factors
+    (_separable_jet_sup), each field is formed once and scaled in place,
+    sigma is formed in row blocks, and xi and its derivatives share one
+    read-only zero view.
     """
     def bump(bound):
         """A bump jet rescaled so that its jet_sup is bound."""
@@ -420,18 +438,21 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
         gb = np.exp(-(((grid.ub - mu_b) / w_b) ** 2))
         dgu = -2.0 * (grid.u - mu_u) / w_u**2 * gu
         dgb = -2.0 * (grid.ub - mu_b) / w_b**2 * gb
-        f = sign * gu[:, None] * gb[None, :]
-        f_u = sign * dgu[:, None] * gb[None, :]
-        f_ub = sign * gu[:, None] * dgb[None, :]
-        cap = bound / jet_sup(grid, f, f_u, f_ub, gamma_bar)
-        return cap * f, cap * f_u, cap * f_ub
+        a, da = sign * gu, sign * dgu
+        cap = bound / _separable_jet_sup(grid, a, da, gb, dgb, gamma_bar)
+        jet = (a[:, None] * gb[None, :], da[:, None] * gb[None, :],
+               a[:, None] * dgb[None, :])
+        for f in jet:
+            f *= cap
+        return jet
 
     psi, dpsi_u, dpsi_ub = bump(0.8 * delta * delta)
     psib, dpsib_u, dpsib_ub = bump(0.8 * delta)
 
-    zeros = np.zeros_like(psi)  # the three xi jets share it, read-only
+    zeros = np.broadcast_to(0.0, psi.shape)  # the three xi jets share it
     state = DNState(
-        grid, psi, psib, zeros, sigma_of(psi, psib, zp[None, :]),
+        grid, psi, psib, zeros,
+        map_row_blocks(sigma_of, psi.shape, psi, psib, zp[None, :]),
         dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zeros, zeros,
     )
     return state.freeze()
@@ -482,7 +503,10 @@ def contraction_ratio(
         if ta_prev is not None:
             num = picard_metric(ta_prev, ta, gb)
             ratios.append(float(num / den) if den > 0.0 else 0.0)
-        ta_prev = ta
+        # The next ratio reads only the image's psi/psib jets: its slaved
+        # sigma is let go, one field less alive through the next apply.
+        ta_prev = replace(ta, sigma=None)
+        del ta
 
     m0 = range_certificate(model, DEFAULT_M0_RANGE)["M0"]
     bound = 1.0 / (48.0 * m0 * profile.M_zeta * (1.0 + 1.0 / gb) ** 2) if (

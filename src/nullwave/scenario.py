@@ -23,7 +23,7 @@ from .background import profile_from_config
 from .data_gauge import background_data, perturbed_data
 from .errors import DomainError, GridMismatch, ScenarioError
 from .grid import DNGrid
-from .nonlinearity import model_from_config
+from .nonlinearity import is_number, model_from_config
 
 SCHEMA_VERSION = 1
 
@@ -57,11 +57,6 @@ _TOP_KEYS = frozenset(
 _GRID_KEYS = frozenset(("radius", "h"))
 
 
-def _is_number(v) -> bool:
-    """An int or a float, but not a bool (which Python counts as an int)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 # (key, test of the number, what it must be) for the numeric fields of each
 # section that validate_scenario checks; the rect_* keys may also be null.
 _NUMBERS = {
@@ -89,7 +84,7 @@ def _number_problems(section: str, values: dict) -> list:
     """One problem per numeric field of the section that breaks its rule."""
     return [f"{section}: {key} must be {rule}, got {values[key]!r}"
             for key, ok, rule in _NUMBERS[section]
-            if not (_is_number(values[key]) and ok(values[key])
+            if not (is_number(values[key]) and ok(values[key])
                     or values[key] is None and key.startswith("rect_"))]
 
 
@@ -155,7 +150,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     grid = raw["grid"]
     if not isinstance(grid, dict) or set(grid) != _GRID_KEYS:
         raise ScenarioError('grid must be {"radius": R, "h": h}')
-    if not all(_is_number(grid[k]) for k in _GRID_KEYS):
+    if not all(is_number(grid[k]) for k in _GRID_KEYS):
         raise ScenarioError("grid radius and h must be numbers")
 
     pert = raw.get("perturbation")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from nullwave import grid as grid_mod
 from nullwave.background import bump_profile, zero_profile
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import linear_model, membrane_model
@@ -12,6 +15,26 @@ from nullwave.state import DiagonalData, sigma_of
 # solver examples take a variable share of a busy machine.
 settings.register_profile("nullwave", derandomize=True, deadline=None)
 settings.load_profile("nullwave")
+
+
+@pytest.fixture
+def peak_fields(monkeypatch):
+    """peak_fields(fn, grid, rows=None): tracemalloc peak of fn(), in fields.
+
+    A field is one (N+1)^2 float64 array of grid.  With rows, the row
+    blocks of the full-grid passes (grid.BLOCK_ELEMS) hold that many of
+    grid's rows, for the rest of the test.
+    """
+    def measure(fn, grid, rows=None):
+        if rows is not None:
+            monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", rows * grid.n_nodes)
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (8 * grid.n_nodes ** 2)
+        finally:
+            tracemalloc.stop()
+    return measure
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,10 @@
 """Row-block evaluation of the full-grid passes: block-size invariance,
 memory order and memory budgets."""
 
+import dataclasses
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,13 @@ import pytest
 from conftest import make_compatible_data
 
 from nullwave import grid as grid_mod
-from nullwave.data_gauge import build_diagonal_data, perturbed_data
+from nullwave import pipeline
+from nullwave.data_gauge import (background_data, build_diagonal_data,
+                                 perturbed_data)
 from nullwave.dn_core import march, rhs_wave, sigma_wave_residual
-from nullwave.errors import HyperbolicityLoss
+from nullwave.errors import FrameDegenerate, HyperbolicityLoss
+from nullwave.geometry import (integrate_frame, nullity_residual,
+                               reconstruct_coords)
 from nullwave.grid import DNGrid, cumtrap_cols, cumtrap_rows, row_blocks
 from nullwave.nonlinearity import polynomial_model
 from nullwave.picard import (
@@ -23,6 +30,7 @@ from nullwave.picard import (
     picard_fixed_point,
     picard_metric,
 )
+from nullwave.scenario import scenario_from_dict
 from nullwave.state import DNState
 
 # H' != 0, so the xi source and the xi completion are live.
@@ -184,48 +192,154 @@ def test_hyperbolicity_loss_names_the_same_node_in_any_block(monkeypatch,
     assert set(got.values()) == {got["whole"]}
 
 
+def _fields(product):
+    """A NullFrame's or CoordMap's fields but its grid."""
+    return {f.name: getattr(product, f.name)
+            for f in dataclasses.fields(product) if f.name != "grid"}
+
+
+def test_geometry_layers_are_block_invariant(monkeypatch, bump03):
+    # The frame transport's coefficient stack and conformal factor, the
+    # coordinate map's row pass and column sums, and the nullity maxima.
+    grid = DNGrid.square(2.0, 0.1)
+    data, gauge = build_diagonal_data(
+        perturbed_data(bump03, eps=1e-2, width=1.5), grid, POLY, bump03)
+    st_ = march(data, grid, POLY, bump03)
+    frames = _across_blocks(monkeypatch, grid, lambda: integrate_frame(
+        st_, gauge, POLY, bump03))
+    _assert_all_equal({k: _fields(f) for k, f in frames.items()})
+    coords = _across_blocks(monkeypatch, grid, lambda: reconstruct_coords(
+        st_, frames["whole"], POLY, bump03))
+    _assert_all_equal({k: _fields(c) for k, c in coords.items()})
+    assert coords["whole"].curl_sup > 0.0
+    nulls = _across_blocks(monkeypatch, grid, lambda: nullity_residual(
+        st_, frames["whole"], POLY, bump03))
+    _assert_all_equal(nulls)
+    assert min(nulls["whole"].values()) > 0.0
+
+
+def test_frame_degenerate_names_the_same_node_in_any_block(monkeypatch,
+                                                           linear, zero_prof):
+    # Linear model on the zero profile: the frame is constant along the
+    # transports, so flipping L^0 on diagonal node 20 breaks g(L, Lbar) on
+    # all of row 20 and nowhere else.  Whatever the blocks, the message
+    # names the row's first node, though with 1-row blocks it comes from
+    # the 21st block.
+    grid = DNGrid.square(2.0, 0.1)
+    data, gauge = build_diagonal_data(background_data(zero_prof), grid,
+                                      linear, zero_prof)
+    st_ = march(data, grid, linear, zero_prof)
+    L0 = gauge.L0.copy()
+    L0[20] = 3.0
+    flipped = dataclasses.replace(gauge, L0=L0)
+
+    def message():
+        with pytest.raises(FrameDegenerate) as exc:
+            integrate_frame(st_, flipped, linear, zero_prof)
+        return str(exc.value)
+
+    got = _across_blocks(monkeypatch, grid, message)
+    assert f"({grid.u[20]:.6g}, {grid.ub[0]:.6g})" in got["whole"]
+    assert set(got.values()) == {got["whole"]}
+
+
 # ------------------------------------------------------- memory budgets
 
 
 @pytest.fixture(scope="module")
 def radius3(membrane, bump03):
     grid = DNGrid.square(3.0, 0.05)
-    data, _ = build_diagonal_data(perturbed_data(bump03, eps=1e-3, center=0.5,
-                                                 width=1.2),
-                                  grid, membrane, bump03)
-    return grid, data, march(data, grid, membrane, bump03)
+    data, gauge = build_diagonal_data(
+        perturbed_data(bump03, eps=1e-3, center=0.5, width=1.2),
+        grid, membrane, bump03)
+    return grid, data, march(data, grid, membrane, bump03), gauge
 
 
-def _peak_fields(monkeypatch, grid, fn):
-    # Peak traced memory of fn() in (N+1)^2 float fields, with 8-row blocks.
-    monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", 8 * grid.n_nodes)
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / (8 * grid.n_nodes ** 2)
-    finally:
-        tracemalloc.stop()
-
-
-def test_picard_apply_memory_budget(monkeypatch, radius3, membrane, bump03):
+def test_picard_apply_memory_budget(peak_fields, radius3, membrane, bump03):
     # The six fresh jets and sigma, plus one stage's source: the sources
     # and frozen solves hold block-sized temporaries only.
-    grid, data, st_ = radius3
-    assert _peak_fields(monkeypatch, grid, lambda: picard_apply(
-        st_, data, grid, membrane, bump03)) <= 8.7
+    grid, data, st_, _ = radius3
+    assert peak_fields(lambda: picard_apply(
+        st_, data, grid, membrane, bump03), grid, rows=8) <= 8.7
 
 
-def test_picard_fixed_point_memory_budget(monkeypatch, radius3, membrane,
+def test_picard_fixed_point_memory_budget(peak_fields, radius3, membrane,
                                           bump03):
-    grid, data, _ = radius3
+    grid, data, _, _ = radius3
     cfg = PicardConfig(delta=delta_from_smallness(data.eps0, data.gamma_bar))
-    assert _peak_fields(monkeypatch, grid, lambda: picard_fixed_point(
-        data, grid, membrane, bump03, cfg)) <= 22.8
+    assert peak_fields(lambda: picard_fixed_point(
+        data, grid, membrane, bump03, cfg), grid, rows=8) <= 22.8
 
 
-def test_sigma_wave_residual_memory_budget(monkeypatch, radius3, membrane,
+def test_sigma_wave_residual_memory_budget(peak_fields, radius3, membrane,
                                            bump03):
     # The (N-1, N+1) result and block-sized temporaries only.
-    grid, _, st_ = radius3
-    assert _peak_fields(monkeypatch, grid, lambda: sigma_wave_residual(
-        st_, membrane, bump03)) <= 3.2
+    grid, _, st_, _ = radius3
+    assert peak_fields(lambda: sigma_wave_residual(
+        st_, membrane, bump03), grid, rows=8) <= 3.2
+
+
+def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
+    # With 8-row blocks.  The transport: the 13 stacked coefficients, the
+    # deviations (4), which become the frame in place, and Omega.  The
+    # coordinate map: its 7 outputs and the two column sums.  The nullity
+    # residual: block-sized temporaries only.  Each call runs once untraced
+    # first, so one-time allocations do not count.
+    grid, _, st_, gauge = radius3
+    frame = integrate_frame(st_, gauge, membrane, bump03)
+    assert peak_fields(lambda: integrate_frame(
+        st_, gauge, membrane, bump03), grid, rows=8) <= 19.5
+    reconstruct_coords(st_, frame, membrane, bump03)
+    assert peak_fields(lambda: reconstruct_coords(
+        st_, frame, membrane, bump03), grid, rows=8) <= 10.5
+    nullity_residual(st_, frame, membrane, bump03)
+    assert peak_fields(lambda: nullity_residual(
+        st_, frame, membrane, bump03), grid, rows=8) <= 1.5
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+LAYERS_FROM_FIXED_POINT = ("picard_fixed_point", "contraction_ratio",
+                           "integrate_frame", "reconstruct_coords",
+                           "degeneracy_monitor", "nullity_residual")
+
+
+def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
+    # Traced peak of each layer of run_pipeline while it runs, in fields,
+    # with everything alive at the time (the march state's 10 among them),
+    # 8-row blocks and the membrane_pulse template at radius 3.  The
+    # fixed point sets the run's peak; no picard or geometry layer after it
+    # rises above it.  crossval is off: at radius 3 its window t <= 1.2
+    # covers most of the square, so the pullback's per-node arrays, which
+    # at radius 20 cover a thin band only, would set the peak here.
+    raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
+    raw["solver"]["crossval"] = False
+    raw["grid"] = {"radius": 1.0, "h": 0.1}
+    pipeline.run_pipeline(scenario_from_dict(raw))  # one-time allocations
+    raw["grid"] = {"radius": 3.0, "h": 0.05}
+    grid = DNGrid.square(3.0, 0.05)
+    monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", 8 * grid.n_nodes)
+
+    peaks = {}
+
+    def traced(name, fn):
+        def run(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1] \
+                    / (8 * grid.n_nodes ** 2)
+        return run
+
+    for name in LAYERS_FROM_FIXED_POINT:
+        monkeypatch.setattr(pipeline, name,
+                            traced(name, getattr(pipeline, name)))
+    tracemalloc.start()
+    try:
+        result = pipeline.run_pipeline(scenario_from_dict(raw))
+    finally:
+        tracemalloc.stop()
+    assert result.report["ok"], result.report["errors"]
+    fixed = peaks.pop("picard_fixed_point")
+    assert set(peaks) == set(LAYERS_FROM_FIXED_POINT[1:])
+    assert max(peaks.values()) <= fixed, (fixed, peaks)

@@ -1,7 +1,6 @@
 """Frame transport, coordinate reconstruction and degeneracy monitoring."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +8,8 @@ import pytest
 from nullwave import geometry
 from nullwave.data_gauge import background_data, build_diagonal_data, perturbed_data
 from nullwave.dn_core import march
-from nullwave.errors import FrameDegenerate, GridMismatch, InnerFixedPointDivergence
+from nullwave.errors import (FrameDegenerate, FrameTransportStall, GridMismatch,
+                             InnerFixedPointDivergence)
 from nullwave.geometry import (
     degeneracy_monitor,
     full_field_jet,
@@ -317,21 +317,15 @@ def test_frame_satisfies_trapezoid_transport(membrane, bump03):
                 assert np.max(np.abs(resid)) <= tol, (d, m)
 
 
-def test_integrate_frame_memory_budget(membrane, bump03):
-    # Peak traced memory of one transport, in (N+1)^2 float fields: the 13
-    # stacked coefficients, the deviations and their RHS cache (4 each) and
-    # the published frame.  Stacking the coefficients while the 12-field jet
-    # stays alive through the front loop would break it.
+def test_integrate_frame_memory_budget(peak_fields, membrane, bump03):
+    # Peak traced memory of one transport, in (N+1)^2 float fields, on a
+    # grid that fits in one row block: the 13-slot coefficient stack while
+    # the block's jet (12) and coefficient bundle are alive.  Forming the
+    # coefficients into a stack of their own and copying it would add 13.
     grid, _, gauge, state, _ = _pipeline(membrane, bump03, 3.0, 0.05,
                                          eps=1e-3, width=1.5)
-    field = 8 * grid.n_nodes ** 2
-    tracemalloc.start()
-    try:
-        integrate_frame(state, gauge, membrane, bump03)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * field
+    assert peak_fields(lambda: integrate_frame(state, gauge, membrane, bump03),
+                       grid) <= 32
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +357,20 @@ def test_degeneracy_monitor_flags_first_bad_node(membrane, bump03):
                              coords, membrane, bump03)
     assert not rep.ok and rep.first_failure["checks"] == ["L0"]
     assert rep.min_abs_L0 == pytest.approx(0.05)
+
+
+def test_nan_in_the_frame_shows_in_curl_and_nullity(membrane, bump03):
+    # L^1 enters only the x routes of the coordinate map: its row route
+    # carries the NaN, and the curl must too, though the t routes agree.
+    _, _, _, state, frame = _pipeline(membrane, bump03, 1.0, 0.25)
+    L1 = frame.L1.copy()
+    L1[2, 3] = np.nan
+    nan_frame = dataclasses.replace(frame, L1=L1)
+    coords = reconstruct_coords(state, nan_frame, membrane, bump03)
+    assert np.all(np.isfinite(coords.t))
+    assert np.isnan(coords.curl_sup)
+    nullity = nullity_residual(state, nan_frame, membrane, bump03)
+    assert np.isnan(nullity["L"]) and np.isfinite(nullity["Lb"])
 
 
 def test_frame_degenerate_on_sign_flip(linear, zero_prof):
@@ -403,7 +411,9 @@ def test_frame_transport_stall_names_the_node(membrane, bump03, monkeypatch):
     worst = int(np.argmax(np.max(np.abs(R_start + R_here), axis=(0, 1))))
 
     monkeypatch.setattr(geometry, "FRAME_MAX_ITER", 1)
-    with pytest.raises(InnerFixedPointDivergence) as err:
+    with pytest.raises(FrameTransportStall) as err:
         integrate_frame(state, gauge, membrane, bump03)
+    # still caught where the march's inner stall is
+    assert isinstance(err.value, InnerFixedPointDivergence)
     assert (f"stalled at node (u={grid.u[i[worst]]:.6g}, "
             f"ubar={grid.ub[j[worst]]:.6g})") in str(err.value)

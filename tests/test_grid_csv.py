@@ -1,7 +1,6 @@
 """write_grid_csv: byte identity with the csv.writer loop, and its memory."""
 
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,26 +82,22 @@ def test_state_columns_match_csv_writer(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
-def _write_peak(path, radius):
+def _write_peak(peak_fields, path, radius):
     """tracemalloc peak (bytes) of writing ten all-distinct columns."""
     grid = DNGrid.square(radius, 0.05)
     rng = np.random.default_rng(0)
     n = grid.n_nodes
     cols = {c: rng.standard_normal((n, n)) for c in CSV_COLUMNS[2:]}
-    tracemalloc.start()
-    try:
-        write_grid_csv(path, grid, cols)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_fields(lambda: write_grid_csv(path, grid, cols), grid) \
+        * (8 * n * n)
 
 
-def test_writer_memory(tmp_path):
+def test_writer_memory(peak_fields, tmp_path):
     # Radius 3, h 0.05: 121 nodes a side, 8-row blocks of 968 values per
     # column.  Measured 1.21 MiB; the bound adds 0.25 MiB.
-    peak = _write_peak(tmp_path / "a.csv", 3.0)
+    peak = _write_peak(peak_fields, tmp_path / "a.csv", 3.0)
     assert peak <= 1.46 * 2**20
     # Twice the rows (241 a side, 4-row blocks of 964 values): the block,
     # not the grid, sets the peak.  Measured 1.22 MiB; only the axis
     # strings grow.  The per-row csv.writer loop grows 0.23 -> 0.31 MiB.
-    assert _write_peak(tmp_path / "b.csv", 6.0) <= 1.03 * peak
+    assert _write_peak(peak_fields, tmp_path / "b.csv", 6.0) <= 1.03 * peak

@@ -1,7 +1,5 @@
 """Substitution-map solver: metric, ball, contraction, march agreement."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +21,7 @@ from nullwave.picard import (
     PicardConfig,
     _frozen_solve,
     _seed_state,
+    _separable_jet_sup,
     _solve_xi,
     contraction_ratio,
     delta_from_smallness,
@@ -427,22 +426,72 @@ def test_streamed_contraction_matches_all_at_once(membrane, bump03, order,
     assert inside is (shrink == 1.0)
 
 
-def test_contraction_memory_does_not_grow_with_seeds(membrane, bump03):
+def test_contraction_memory_does_not_grow_with_seeds(peak_fields, membrane,
+                                                    bump03):
     grid, data = _scenario(membrane, bump03, radius=3.0, h=0.05)
     cfg = PicardConfig(delta=delta_from_smallness(data.eps0, data.gamma_bar))
-    field = 8 * grid.n_nodes ** 2
 
     def peak(n_seeds):
-        tracemalloc.start()
-        try:
-            contraction_ratio(grid, data, bump03, membrane, cfg,
-                              n_seeds=n_seeds, seed=1)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return peak_fields(lambda: contraction_ratio(
+            grid, data, bump03, membrane, cfg, n_seeds=n_seeds, seed=1), grid)
 
     peak(2)  # warm any one-time allocations
-    assert peak(12) <= peak(2) + 2 * field
+    assert peak(12) <= peak(2) + 2
+
+
+def _seed_state_formed(grid, zp, delta, gamma_bar, rng):
+    """_seed_state with each bump's jet_sup taken from its formed fields,
+    which are then copied scaled: the reference for the 1-D factors."""
+    def bump(bound):
+        mu_u, mu_b = rng.uniform(-0.5, 0.5, size=2) * grid.u_max
+        w_u, w_b = rng.uniform(0.35, 0.9, size=2) * (grid.u_max + 1.0)
+        sign = rng.choice((-1.0, 1.0))
+        gu = np.exp(-(((grid.u - mu_u) / w_u) ** 2))
+        gb = np.exp(-(((grid.ub - mu_b) / w_b) ** 2))
+        dgu = -2.0 * (grid.u - mu_u) / w_u**2 * gu
+        dgb = -2.0 * (grid.ub - mu_b) / w_b**2 * gb
+        f = sign * gu[:, None] * gb[None, :]
+        f_u = sign * dgu[:, None] * gb[None, :]
+        f_ub = sign * gu[:, None] * dgb[None, :]
+        cap = bound / jet_sup(grid, f, f_u, f_ub, gamma_bar)
+        return cap * f, cap * f_u, cap * f_ub
+
+    psi, dpsi_u, dpsi_ub = bump(0.8 * delta * delta)
+    psib, dpsib_u, dpsib_ub = bump(0.8 * delta)
+    zeros = np.zeros_like(psi)
+    return DNState(grid, psi, psib, zeros, sigma_of(psi, psib, zp[None, :]),
+                   dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zeros, zeros)
+
+
+@pytest.mark.parametrize("radius,h", [(2.0, 0.1), (3.0, 0.05)])
+def test_seed_states_match_formed_fields(bump03, radius, h):
+    # Twenty draws from one generator, so the bumps' centres, widths and
+    # signs vary; every field equals the reference bit for bit.
+    grid = DNGrid.square(radius, h)
+    zp = bump03.dzeta(grid.ub)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(20):
+        got = _seed_state(grid, zp, 0.3, 0.5, got_rng)
+        want = _seed_state_formed(grid, zp, 0.3, 0.5, want_rng)
+        for name, arr in want.arrays().items():
+            assert np.array_equal(getattr(got, name), arr), name
+    assert not got.xi.flags.writeable and got.xi.strides == (0, 0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.1, 3.0))
+@settings(max_examples=40)
+def test_separable_jet_sup_is_jet_sup_of_formed_fields(seed, gamma):
+    # Factors of either sign over six decades, with zeros and ties.
+    grid = DNGrid.square(2.0, 0.1)
+    rng = np.random.default_rng(seed)
+    n = grid.n_nodes
+    a, da, b, db = (rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+                    for _ in range(4))
+    a[rng.integers(n)] = 0.0
+    db[rng.integers(n, size=3)] = -db[0]
+    want = jet_sup(grid, a[:, None] * b[None, :], da[:, None] * b[None, :],
+                   a[:, None] * db[None, :], gamma)
+    assert _separable_jet_sup(grid, a, da, b, db, gamma) == want
 
 
 def test_reversed_order_degrades_contraction(membrane):

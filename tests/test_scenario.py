@@ -139,6 +139,39 @@ def test_validate_flags_bad_values(section, override, fragment):
     assert any(fragment in p for p in problems)
 
 
+@pytest.mark.parametrize("section,config,problem", [
+    ("model", {"polynomial": [True]},
+     "polynomial coefficient 0 must be a number, got True"),
+    ("model", {"polynomial": [0.1, "0.2"]},
+     "polynomial coefficient 1 must be a number, got '0.2'"),
+    ("profile", {"bump": {"A": True}}, "bump A must be a number, got True"),
+    ("profile", {"bump": {"A": "0.1"}}, "bump A must be a number, got '0.1'"),
+    ("profile", {"bump": {"A": 0.1, "width": None}},
+     "bump width must be a number, got None"),
+    ("profile", {"bump": {"width": 2.0}}, "bump profile needs A"),
+    ("profile", {"bump": [0.1]},
+     "bump profile config must be a mapping, got [0.1]"),
+    ("profile", {"algebraic": {"A": 0.1, "gamma": False}},
+     "algebraic gamma must be a number, got False"),
+])
+def test_validate_flags_non_numbers_in_configs(section, config, problem):
+    # A bool or a string is not a number in a model or profile config
+    # either; the problem names the key.
+    raw = full_dict()
+    raw[section] = config
+    assert validate_scenario(scenario_from_dict(raw)) == [
+        f"{section}: {problem}"]
+
+
+def test_validate_flags_a_non_number_table_gamma(tmp_path):
+    path = tmp_path / "profile.csv"
+    path.write_text("x,zeta,dzeta,d2zeta\n-1,0,0,0\n1,0,0,0\n")
+    raw = full_dict()
+    raw["profile"] = {"table": str(path), "gamma": "1"}
+    assert validate_scenario(scenario_from_dict(raw)) == [
+        "profile: table gamma must be a number, got '1'"]
+
+
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 
