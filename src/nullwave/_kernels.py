@@ -125,9 +125,8 @@ def _march_numpy(grid, direction, model, zp, zpp, state, FP, FB, FX):
         return _rhs_arrays(model, zp[j], zpp[j], p, b, pu, pub, bu, bub, xu, xub)
 
     def store(here, U):
-        okm, sig, *sources = rhs(here[1], U)
+        okm, _, *sources = rhs(here[1], U)
         _require_admissible(okm, grid, *here)
-        state.sigma[here] = sig
         for (V, VU, VUB, F), (v, vu, vub), f in zip(fields, U, sources):
             V[here], VU[here], VUB[here], F[here] = v, vu, vub, f
 

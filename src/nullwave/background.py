@@ -294,12 +294,16 @@ def table_profile(x_nodes, zeta_vals, dzeta_vals, d2zeta_vals, gamma_bar: float 
 def _config_numbers(kind, p, **defaults):
     """The values of p at the keys of defaults, each a number (is_number).
 
-    A default of None marks a required key.  DomainError names the first
-    key that is missing or not a number.
+    A default of None marks a required key.  DomainError names the keys
+    of p that defaults does not know, or else the first key that is
+    missing or not a number.
     """
     if not isinstance(p, dict):
         raise DomainError(
             f"{kind} profile config must be a mapping, got {p!r}")
+    unknown = sorted(set(p) - set(defaults))
+    if unknown:
+        raise DomainError(f"unknown {kind} profile key(s) {unknown}")
     vals = []
     for key, default in defaults.items():
         if key not in p and default is None:
@@ -317,20 +321,19 @@ def profile_from_config(cfg) -> WaveProfile:
         if cfg == "zero":
             return zero_profile()
         raise DomainError(f"unknown profile name {cfg!r}")
-    if isinstance(cfg, dict):
+    if isinstance(cfg, dict) and len(cfg) == 1:
         if "bump" in cfg:
             return bump_profile(*_config_numbers(
                 "bump", cfg["bump"], A=None, center=0.0, width=1.0, gamma=1.0))
         if "algebraic" in cfg:
             return algebraic_profile(*_config_numbers(
                 "algebraic", cfg["algebraic"], A=None, gamma=1.0))
-        if "table" in cfg:
-            gamma, = _config_numbers("table", cfg, gamma=1.0)
-            cols = np.genfromtxt(cfg["table"], delimiter=",", names=True)
-            return table_profile(
-                cols["x"], cols["zeta"], cols["dzeta"], cols["d2zeta"],
-                gamma_bar=gamma,
-            )
+    if isinstance(cfg, dict) and "table" in cfg:
+        gamma, = _config_numbers(
+            "table", {k: v for k, v in cfg.items() if k != "table"}, gamma=1.0)
+        cols = np.genfromtxt(cfg["table"], delimiter=",", names=True)
+        return table_profile(cols["x"], cols["zeta"], cols["dzeta"],
+                             cols["d2zeta"], gamma_bar=gamma)
     raise DomainError(f"unrecognized profile config {cfg!r}")
 
 

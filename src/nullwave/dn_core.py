@@ -28,7 +28,7 @@ from .errors import GridMismatch, HyperbolicityLoss
 from .grid import DNGrid, jet_sup, map_row_blocks, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import (FIELD_NAMES, DiagonalData, DNState, dsigma_u_of,
-                    dsigma_ub_of)
+                    dsigma_ub_of, sigma_of)
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
@@ -49,8 +49,8 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
 
     Returns
     -------
-    DNState with read-only arrays; state.sigma holds the slaved null form
-    at every node.
+    DNState of the nine unknowns, with read-only arrays.  The slaved null
+    form is not stored: state.sigma_of forms it from psi and psib.
 
     Raises
     ------
@@ -67,7 +67,7 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
 
     state = DNState.zeros(grid)
     diag = grid.diagonal()
-    for name in FIELD_NAMES + ("sigma",):
+    for name in FIELD_NAMES:
         getattr(state, name)[diag] = getattr(data, name)
 
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
@@ -175,7 +175,7 @@ def sigma_wave_residual(state: DNState, model: Nonlinearity,
         s_u = dsigma_u_of(psi[1:-1], psib[1:-1], state.dpsi_u[mid],
                           state.dpsib_u[mid], zp)
         d_u_d_ub = (s_ub[2:, :] - s_ub[:-2, :]) / (2.0 * g.h)
-        G = eval_coeffs(model, state.sigma[blk]).G[1:-1]
+        G = eval_coeffs(model, sigma_of(psi, psib, zp)).G[1:-1]
         null_form = (G * s_u * s_ub[1:-1]
                      + state.dpsi_u[mid] * (state.dpsib_ub[mid] + 2.0 * zpp)
                      + state.dpsi_ub[mid] * state.dpsib_u[mid])

@@ -70,7 +70,8 @@ from .errors import FrameDegenerate, FrameTransportStall, GridMismatch
 from ._kernels import _where
 from .grid import DNGrid, cumsum_cols, cumtrap_rows, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
-from .state import DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of
+from .state import (DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of,
+                    sigma_of)
 
 __all__ = [
     "FRAME_TOL", "FRAME_MAX_ITER", "OMEGA_WINDOW", "FRAME_FLOOR", "DETJ_FLOOR",
@@ -121,7 +122,9 @@ def full_field_jet(state: DNState, model: Nonlinearity,
     dpsi_u, dpsib_u = state.dpsi_u[rows], state.dpsib_u[rows]
     dpsi_ub, dpsib_ub = state.dpsi_ub[rows], state.dpsib_ub[rows]
 
-    co = eval_coeffs(model, state.sigma[rows])
+    co = eval_coeffs(model, sigma_of(psi, psib, zp))
+    H, Hp = co.H, co.Hp
+    del co  # the rest of the bundle is not needed while the jet is formed
     return {
         "Phi0": Phi0_of(psi, psib, zp),
         "Phi1": Phi1_of(psi, psib, zp),
@@ -133,8 +136,8 @@ def full_field_jet(state: DNState, model: Nonlinearity,
         "phi_ub": state.dxi_ub[rows] + zp,
         "sig_u": dsigma_u_of(psi, psib, dpsi_u, dpsib_u, zp),
         "sig_ub": dsigma_ub_of(psi, psib, dpsi_ub, dpsib_ub, zp, zpp),
-        "H": co.H,
-        "Hp": co.Hp,
+        "H": H,
+        "Hp": Hp,
     }
 
 
@@ -518,9 +521,10 @@ def nullity_residual(state: DNState, frame: NullFrame, model: Nonlinearity,
     zp = np.asarray(profile.dzeta(state.grid.ub), dtype=float)[None, :]
     sups = []
     for blk in row_blocks(n, n):
-        Phi0 = Phi0_of(state.psi[blk], state.psib[blk], zp)
-        Phi1 = Phi1_of(state.psi[blk], state.psib[blk], zp)
-        H = eval_coeffs(model, state.sigma[blk]).H
+        psi, psib = state.psi[blk], state.psib[blk]
+        Phi0 = Phi0_of(psi, psib, zp)
+        Phi1 = Phi1_of(psi, psib, zp)
+        H = eval_coeffs(model, sigma_of(psi, psib, zp)).H
         sups.append([np.max(np.abs(-(X0 ** 2) + X1 ** 2
                                    + H * (Phi0 * X0 + Phi1 * X1) ** 2))
                      for X0, X1 in ((frame.L0[blk], frame.L1[blk]),

@@ -199,17 +199,25 @@ def decay_weight(x, gamma):
     return (1.0 + np.abs(x)) ** (1.0 + gamma)
 
 
+def _abs_max(f, axis=None):
+    """np.max(np.abs(f), axis) of a 2-D field, one row block at a time.
+
+    Maxima are exact and np.max keeps a NaN, so this is the whole-array
+    value bit for bit without a full-size np.abs temporary.
+    """
+    parts = [np.max(np.abs(f[blk]), axis=axis) for blk in row_blocks(*f.shape)]
+    return np.concatenate(parts) if axis == 1 else np.max(parts, axis=0)
+
+
 def decay_sup(f, x, gamma, axis=0):
     """The decay norm sup (1+|x|)^(1+gamma) |f| of samples f at the points x.
 
     f is 1-D over x, or a 2-D field with x along its axis.  On a field the
-    max along the other axis is taken first and weighted after: the
-    weights are positive and rounding is monotone, so this is the sup of
-    the weighted array bit for bit without forming it.
+    max along the other axis is taken first, in row blocks, and weighted
+    after: the weights are positive and rounding is monotone, so this is
+    the sup of the weighted array bit for bit without forming it.
     """
-    a = np.abs(f)
-    if a.ndim == 2:
-        a = np.max(a, axis=1 - axis)
+    a = _abs_max(f, 1 - axis) if np.ndim(f) == 2 else np.abs(f)
     return float(np.max(decay_weight(x, gamma) * a))
 
 
@@ -219,5 +227,5 @@ def jet_sup(grid, f, f_u, f_ub, gamma):
     The largest of sup |f| and the decay norms of f_u along u and of f_ub
     along ubar, taken by np.max, so a NaN in any of the three gives NaN.
     """
-    return float(np.max([np.max(np.abs(f)), decay_sup(f_u, grid.u, gamma, 0),
+    return float(np.max([_abs_max(f), decay_sup(f_u, grid.u, gamma, 0),
                          decay_sup(f_ub, grid.ub, gamma, 1)]))

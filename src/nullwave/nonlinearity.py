@@ -315,7 +315,7 @@ def model_from_config(cfg) -> Nonlinearity:
     """Build a model from its JSON-able description.
 
     Accepts "linear", "membrane", or {"polynomial": [a, b, c]} with 1-3
-    coefficients, each a number (is_number).
+    coefficients, each a number (is_number), and no other key.
     """
     if isinstance(cfg, str):
         if cfg == "linear":
@@ -324,6 +324,9 @@ def model_from_config(cfg) -> Nonlinearity:
             return membrane_model()
         raise DomainError(f"unknown model name {cfg!r}")
     if isinstance(cfg, dict) and "polynomial" in cfg:
+        unknown = sorted(set(cfg) - {"polynomial"})
+        if unknown:
+            raise DomainError(f"unknown polynomial model key(s) {unknown}")
         coeffs = list(cfg["polynomial"])
         if not 1 <= len(coeffs) <= 3:
             raise DomainError("polynomial model needs 1-3 numeric coefficients")

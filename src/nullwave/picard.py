@@ -69,7 +69,7 @@ effect can be demonstrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,9 +77,9 @@ from .background import WaveProfile
 from .dn_core import rhs_wave
 from .errors import FixedPointDivergence, GridMismatch
 from .grid import (DNGrid, cumsum_cols, cumtrap_cols, cumtrap_rows,
-                   decay_sup, jet_sup, map_row_blocks, row_blocks)
+                   decay_sup, jet_sup, row_blocks)
 from .nonlinearity import Nonlinearity, range_certificate
-from .state import DiagonalData, DNState, sigma_of
+from .state import FIELD_NAMES, DiagonalData, DNState
 
 __all__ = [
     "PicardConfig",
@@ -261,8 +261,7 @@ def picard_apply(
     current pair, then psi from the stale psi and fresh psib).  Both
     orders share the same fixed point; the forward order is the one that
     contracts at the advertised rate.  xi and its derivatives pass
-    through unchanged, as the input's own (read-only) arrays; sigma on the
-    output is slaved to the new pair.
+    through unchanged, as the input's own (read-only) arrays.
 
     Errors: as dn_core.march -- GridMismatch for data on a different
     grid, HyperbolicityLoss if the current iterate's slaved sigma leaves
@@ -306,12 +305,8 @@ def picard_apply(
         fields = stage_psib(state.psi, state.dpsi_u, state.dpsi_ub)
         fields.update(stage_psi(fields["psib"], fields["dpsib_u"], fields["dpsib_ub"]))
 
-    out = DNState(
-        grid, xi=state.xi,
-        sigma=map_row_blocks(sigma_of, state.psi.shape, fields["psi"],
-                             fields["psib"], zp[None, :]),
-        dxi_u=state.dxi_u, dxi_ub=state.dxi_ub, **fields,
-    )
+    out = DNState(grid, xi=state.xi, dxi_u=state.dxi_u, dxi_ub=state.dxi_ub,
+                  **fields)
     return out.freeze()
 
 
@@ -349,14 +344,7 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
         gap = max(_sup_diff(new[k], cur[k]) for k in cur)
         cur = new
         if gap <= tol:
-            # Re-slave sigma to the integrated pair so the output is algebraic.
-            out = DNState(
-                grid, sigma=map_row_blocks(sigma_of, pair.psi.shape,
-                                           fields["psi"], fields["psib"],
-                                           zp[None, :]),
-                **fields, **cur,
-            )
-            return out.freeze()
+            return DNState(grid, **fields, **cur).freeze()
     raise FixedPointDivergence(
         f"xi completion stalled above tol={tol:g} after {max_iter} passes"
     )
@@ -378,8 +366,8 @@ def picard_fixed_point(
     dn_core.march.  Raises FixedPointDivergence if cfg.max_iter
     steps do not reach cfg.tol, or if the xi completion stalls.
     """
-    zero = np.zeros((grid.n_nodes, grid.n_nodes))
-    cur = DNState(grid, *[zero] * 10).freeze()  # read-only, shared
+    zero = np.zeros((grid.n_nodes, grid.n_nodes))  # read-only, shared
+    cur = DNState(grid, *[zero] * len(FIELD_NAMES)).freeze()
     residuals = []
     for step in range(cfg.max_iter):
         new = picard_apply(cur, data, grid, model, profile, order)
@@ -418,7 +406,7 @@ def _separable_jet_sup(grid, a, da, b, db, gamma_bar):
                          decay_sup(A * np.abs(db), grid.ub, gamma_bar)]))
 
 
-def _seed_state(grid, zp, delta, gamma_bar, rng):
+def _seed_state(grid, delta, gamma_bar, rng):
     """A smooth random iterate placed strictly inside X_delta.
 
     Each of psi and psib is a separable Gaussian bump with closed-form
@@ -426,8 +414,7 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
     same factor) so the tightest of its three envelope bounds sits at 0.8
     of the ball boundary.  The scale is found from the bump's 1-D factors
     (_separable_jet_sup), each field is formed once and scaled in place,
-    sigma is formed in row blocks, and xi and its derivatives share one
-    read-only zero view.
+    and xi and its derivatives share one read-only zero view.
     """
     def bump(bound):
         """A bump jet rescaled so that its jet_sup is bound."""
@@ -450,11 +437,8 @@ def _seed_state(grid, zp, delta, gamma_bar, rng):
     psib, dpsib_u, dpsib_ub = bump(0.8 * delta)
 
     zeros = np.broadcast_to(0.0, psi.shape)  # the three xi jets share it
-    state = DNState(
-        grid, psi, psib, zeros,
-        map_row_blocks(sigma_of, psi.shape, psi, psib, zp[None, :]),
-        dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zeros, zeros,
-    )
+    state = DNState(grid, psi, psib, zeros,
+                    dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zeros, zeros)
     return state.freeze()
 
 
@@ -485,7 +469,6 @@ def contraction_ratio(
         raise ValueError("need at least two seeds to form a ratio")
     gb = data.gamma_bar
     rng = np.random.default_rng(seed)
-    zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
 
     ratios = []
     inside = True
@@ -493,7 +476,7 @@ def contraction_ratio(
     # Each predecessor is dropped as soon as its distance is taken, before
     # the next large allocation, so its freed blocks can be reused.
     for _ in range(n_seeds):
-        a = _seed_state(grid, zp, cfg.delta, gb, rng)
+        a = _seed_state(grid, cfg.delta, gb, rng)
         inside = inside and in_ball(a, cfg.delta, gb)
         if a_prev is not None:
             den = picard_metric(a_prev, a, gb)
@@ -503,10 +486,7 @@ def contraction_ratio(
         if ta_prev is not None:
             num = picard_metric(ta_prev, ta, gb)
             ratios.append(float(num / den) if den > 0.0 else 0.0)
-        # The next ratio reads only the image's psi/psib jets: its slaved
-        # sigma is let go, one field less alive through the next apply.
-        ta_prev = replace(ta, sigma=None)
-        del ta
+        ta_prev = ta
 
     m0 = range_certificate(model, DEFAULT_M0_RANGE)["M0"]
     bound = 1.0 / (48.0 * m0 * profile.M_zeta * (1.0 + 1.0 / gb) ** 2) if (

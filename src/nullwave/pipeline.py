@@ -36,6 +36,7 @@ from .picard import (PicardConfig, contraction_ratio, delta_from_smallness,
 from .report import stage_value
 from .scenario import (SCHEMA_VERSION, Scenario, materialize, rect_extent,
                        scenario_from_dict, scenario_to_dict)
+from .state import sigma_of
 
 # Ball radius handed to the fixed-point iterator when the data is exactly
 # background (delta would be zero, which the config rejects).
@@ -50,6 +51,7 @@ class RunResult:
     timings: dict
     outcomes: dict         # stage -> "ok", "off", "skipped" or "failed"
     state: object = None   # DNState from the march
+    profile: object = None  # WaveProfile, for the state's slaved sigma
     frame: object = None   # NullFrame
     coords: object = None  # CoordMap
 
@@ -82,12 +84,15 @@ def _march(scenario, p):
     """Double-null solve and its a-priori envelope check."""
     state = march(p["data"], p["grid"], p["model"], p["profile"])
     resid = sigma_wave_residual(state, p["model"], p["profile"])
+    zp = np.asarray(p["profile"].dzeta(p["grid"].ub), dtype=float)
+    fields = {name: getattr(state, name) for name in ("psi", "psib", "xi")}
+    fields["sigma"] = sigma_of(state.psi, state.psib, zp)
     return {
         "backend": "numpy",
         "envelope_fits": verify_envelopes(state, p["profile"].gamma_bar),
         "sigma_wave_residual_sup": float(np.max(np.abs(resid))),
-        "field_sup": {name: float(np.max(np.abs(getattr(state, name))))
-                      for name in ("psi", "psib", "xi", "sigma")},
+        "field_sup": {name: float(np.max(np.abs(f)))
+                      for name, f in fields.items()},
     }, {"state": state}
 
 
@@ -218,8 +223,8 @@ def run_pipeline(scenario: Scenario) -> RunResult:
     report["ok"] = not report["errors"]
     timings["total"] = perf_counter() - t_start
     return RunResult(report=report, timings=timings, outcomes=outcomes,
-                     state=products.get("state"), frame=products.get("frame"),
-                     coords=products.get("coords"))
+                     state=products.get("state"), profile=profile,
+                     frame=products.get("frame"), coords=products.get("coords"))
 
 
 def _refinement_table(scenario: Scenario, report: dict):

@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .state import CSV_COLUMNS, write_grid_csv
+from .state import CSV_COLUMNS, sigma_of, write_grid_csv
 
 FRAME_COLUMNS = (
     "u", "ubar", "L0", "L1", "Lb0", "Lb1", "Omega", "t", "x", "detj",
@@ -79,8 +79,11 @@ def write_run_outputs(out_dir, result) -> dict:
     state, frame, coords = result.state, result.frame, result.coords
     if state is not None:
         paths["state"] = os.path.join(out_dir, "state.csv")
-        write_grid_csv(paths["state"], state.grid,
-                       {c: getattr(state, c) for c in CSV_COLUMNS[2:]})
+        zp = np.asarray(result.profile.dzeta(state.grid.ub), dtype=float)
+        sigma = sigma_of(state.psi, state.psib, zp)
+        write_grid_csv(paths["state"], state.grid, {
+            c: sigma if c == "sigma" else getattr(state, c)
+            for c in CSV_COLUMNS[2:]})
     if frame is not None and coords is not None:
         paths["frame"] = os.path.join(out_dir, "frame.csv")
         columns = {c: getattr(frame, c) for c in FRAME_COLUMNS[2:7]}

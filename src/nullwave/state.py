@@ -2,13 +2,14 @@
 
 All fields are perturbations off the simple-wave background: psi is the
 outgoing combination d_t phi + d_x phi, psib the incoming combination minus
-its background value 2 zeta'(ubar), and xi = phi - zeta(ubar).  The null
-form is slaved algebraically to them:
+its background value 2 zeta'(ubar), and xi = phi - zeta(ubar).  A DNState
+holds these nine unknowns: the three fields and their null derivatives.
+The null form is slaved algebraically to them,
 
     sigma = -psi (2 zeta'(ubar) + psib),
 
-and its coordinate derivatives follow by the product rule, never by
-integration.
+so it is never stored or integrated: sigma_of forms it where it is read,
+and its coordinate derivatives follow by the product rule.
 """
 
 from __future__ import annotations
@@ -56,17 +57,16 @@ def dsigma_ub_of(psi, psib, dpsi_ub, dpsib_ub, zp_ub, zpp_ub):
 
 @dataclass
 class DNState:
-    """Perturbation fields and their null derivatives on a DNGrid.
+    """The nine unknowns, FIELD_NAMES, on a DNGrid.
 
-    Arrays are (N+1, N+1), indexed [i, j] ~ (u_i, ubar_j).  sigma is stored
-    for convenience but always equals sigma_of(psi, psib, zeta'(ubar_j)).
+    Arrays are (N+1, N+1), indexed [i, j] ~ (u_i, ubar_j).  The slaved
+    sigma is not a field: sigma_of(psi, psib, zeta'(ubar_j)) forms it.
     """
 
     grid: DNGrid
     psi: np.ndarray
     psib: np.ndarray
     xi: np.ndarray
-    sigma: np.ndarray
     dpsi_u: np.ndarray
     dpsi_ub: np.ndarray
     dpsib_u: np.ndarray
@@ -77,7 +77,7 @@ class DNState:
     @classmethod
     def zeros(cls, grid: DNGrid) -> "DNState":
         n = grid.n_nodes
-        return cls(grid, *[np.zeros((n, n)) for _ in range(10)])
+        return cls(grid, *[np.zeros((n, n)) for _ in FIELD_NAMES])
 
     def arrays(self):
         return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "grid"}
@@ -99,9 +99,9 @@ class DNState:
 class DiagonalData:
     """Perturbation data on the t=0 diagonal, sampled at s = u_i.
 
-    Carries the same ten fields as DNState restricted to the diagonal, the
+    Carries the nine fields of DNState restricted to the diagonal, the
     slaved sigma, and the measured smallness eps0: the largest value of
-    |field(s)| (1+|s|)^(1+gamma_bar) over all ten fields.
+    |field(s)| (1+|s|)^(1+gamma_bar) over those ten arrays.
     """
 
     s: np.ndarray

@@ -15,17 +15,20 @@ from nullwave import grid as grid_mod
 from nullwave import pipeline
 from nullwave.data_gauge import (background_data, build_diagonal_data,
                                  perturbed_data)
-from nullwave.dn_core import march, rhs_wave, sigma_wave_residual
+from nullwave.dn_core import (march, rhs_wave, sigma_wave_residual,
+                              verify_envelopes)
 from nullwave.errors import FrameDegenerate, HyperbolicityLoss
 from nullwave.geometry import (integrate_frame, nullity_residual,
                                reconstruct_coords)
-from nullwave.grid import DNGrid, cumtrap_cols, cumtrap_rows, row_blocks
+from nullwave.grid import (DNGrid, cumtrap_cols, cumtrap_rows, jet_sup,
+                           row_blocks)
 from nullwave.nonlinearity import polynomial_model
 from nullwave.picard import (
     PicardConfig,
     _frozen_solve,
     _solve_xi,
     delta_from_smallness,
+    in_ball,
     picard_apply,
     picard_fixed_point,
     picard_metric,
@@ -158,6 +161,22 @@ def test_picard_passes_are_block_invariant(monkeypatch, solved, bump03):
         sigma_wave_residual(st_, POLY, bump03),)))
 
 
+def test_decay_norms_are_block_invariant(monkeypatch, solved):
+    # Row and column maxima taken block by block are exact, and a NaN in
+    # any slot of a jet shows whichever block holds it.
+    grid, _, st_ = solved
+    _assert_all_equal(_across_blocks(
+        monkeypatch, grid, lambda: verify_envelopes(st_, 0.5)))
+    jet = [st_.psib, st_.dpsib_u, st_.dpsib_ub]
+    for k in range(3):
+        bad = list(jet)
+        bad[k] = bad[k].copy()
+        bad[k][13, 4] = np.nan
+        sups = _across_blocks(monkeypatch, grid,
+                              lambda: jet_sup(grid, *bad, 0.5))
+        assert all(np.isnan(v) for v in sups.values()), k
+
+
 def test_fixed_point_state_is_c_ordered(membrane, bump03):
     grid = DNGrid.square(2.0, 0.1)
     data, _ = build_diagonal_data(perturbed_data(bump03, eps=1e-3), grid,
@@ -255,9 +274,26 @@ def radius3(membrane, bump03):
     return grid, data, march(data, grid, membrane, bump03), gauge
 
 
+def test_march_memory_budget(peak_fields, radius3, membrane, bump03):
+    # The nine unknowns and the three source fields of the sweep, plus the
+    # per-front arrays; the slaved sigma is not stored.
+    grid, data, _, _ = radius3
+    assert peak_fields(lambda: march(data, grid, membrane, bump03),
+                       grid) <= 13.5
+
+
+def test_envelope_sups_memory_budget(peak_fields, radius3):
+    # The ball check and the envelope fits reduce each field per row
+    # block: no full-size np.abs temporary.
+    grid, data, st_, _ = radius3
+    assert peak_fields(lambda: (in_ball(st_, 0.1, data.gamma_bar),
+                                verify_envelopes(st_, data.gamma_bar)),
+                       grid, rows=8) <= 0.5
+
+
 def test_picard_apply_memory_budget(peak_fields, radius3, membrane, bump03):
-    # The six fresh jets and sigma, plus one stage's source: the sources
-    # and frozen solves hold block-sized temporaries only.
+    # The six fresh jets plus one stage's source: the sources and frozen
+    # solves hold block-sized temporaries only.
     grid, data, st_, _ = radius3
     assert peak_fields(lambda: picard_apply(
         st_, data, grid, membrane, bump03), grid, rows=8) <= 8.7
@@ -305,7 +341,7 @@ LAYERS_FROM_FIXED_POINT = ("picard_fixed_point", "contraction_ratio",
 
 def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
     # Traced peak of each layer of run_pipeline while it runs, in fields,
-    # with everything alive at the time (the march state's 10 among them),
+    # with everything alive at the time (the march state's 9 among them),
     # 8-row blocks and the membrane_pulse template at radius 3.  The
     # fixed point sets the run's peak; no picard or geometry layer after it
     # rises above it.  crossval is off: at radius 3 its window t <= 1.2

@@ -159,14 +159,6 @@ def test_march_retry_exhausted_names_the_node(membrane, bump03, monkeypatch):
         march(data, grid, membrane, bump03)
 
 
-def test_march_sigma_slaved(membrane, bump03):
-    grid = DNGrid.square(2.0, 0.05)
-    data = make_compatible_data(grid, bump03)
-    st_ = march(data, grid, membrane, bump03)
-    zp = bump03.dzeta(grid.ub)
-    assert np.array_equal(st_.sigma, sigma_of(st_.psi, st_.psib, zp[None, :]))
-
-
 def test_march_output_frozen(membrane, bump03):
     grid = DNGrid.square(1.0, 0.1)
     st_ = march(make_zero_data(grid), grid, membrane, bump03)

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nullwave import geometry
 from nullwave.data_gauge import background_data, build_diagonal_data, perturbed_data
@@ -19,7 +21,9 @@ from nullwave.geometry import (
     solve_model_system,
     transport_rhs,
 )
-from nullwave.background import phase_function, phase_relabel, phase_relabel_velocity
+from nullwave.background import (algebraic_profile, background_frame,
+                                 bump_profile, phase_function, phase_relabel,
+                                 phase_relabel_velocity)
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import (
     acoustic_metric,
@@ -28,6 +32,7 @@ from nullwave.nonlinearity import (
     polynomial_model,
 )
 from nullwave.oracles import reduced_transport_exact
+from nullwave.state import sigma_of
 
 
 def _pipeline(model, profile, radius, h, eps=0.0, **pulse):
@@ -160,6 +165,31 @@ def test_background_frame_is_exact(membrane, bump03):
     assert np.array_equal(frame.v_prime, vp)
     res = nullity_residual(state, frame, membrane, bump03)
     assert res["L"] < 1e-12 and res["Lb"] < 1e-12
+
+
+@given(kind=st.sampled_from(["bump", "algebraic"]), A=st.floats(-0.5, 0.5),
+       center=st.floats(-1.5, 1.5), width=st.floats(1.0, 6.0),
+       gamma=st.floats(0.2, 2.0), radius=st.sampled_from([2.0, 3.0]),
+       poly=st.booleans())
+@settings(max_examples=20)
+def test_background_exact_over_random_profiles(membrane, kind, A, center,
+                                               width, gamma, radius, poly):
+    # Criterion 3 over random backgrounds, at its tolerances: the exact
+    # travelling wave marches to zero perturbation, its slaved sigma
+    # included, and the transported frame is the closed-form one.  The
+    # polynomial model has H(0) != 0 and H' != 0.
+    model = polynomial_model(0.15, -0.05, 0.02) if poly else membrane
+    prof = (bump_profile(A, center=center, width=width, gamma_bar=gamma)
+            if kind == "bump" else algebraic_profile(A, gamma_bar=gamma))
+    grid, _, _, state, frame = _pipeline(model, prof, radius, 0.1)
+    zp = prof.dzeta(grid.ub)
+    for f in (state.psi, state.psib, state.xi,
+              sigma_of(state.psi, state.psib, zp[None, :])):
+        assert np.max(np.abs(f)) <= 1e-12
+    bg = background_frame(prof, model, grid.ub)
+    for name in ("L0", "L1", "Lb0", "Lb1", "Omega"):
+        dev = getattr(frame, name) - np.asarray(getattr(bg, name))[None, :]
+        assert np.max(np.abs(dev)) <= 1e-10, name
 
 
 def test_background_coords_are_exact(membrane, bump03):

@@ -87,7 +87,7 @@ def test_state_zeros_freeze():
     st = DNState.zeros(g)
     st.check_shapes()
     assert set(st.arrays()) == {
-        "psi", "psib", "xi", "sigma",
+        "psi", "psib", "xi",
         "dpsi_u", "dpsi_ub", "dpsib_u", "dpsib_ub", "dxi_u", "dxi_ub",
     }
     st.freeze()
@@ -98,7 +98,7 @@ def test_state_zeros_freeze():
 def test_state_shape_guard():
     g = DNGrid.square(1.0, 0.25)
     st = DNState.zeros(g)
-    bad = DNState(g, *[np.zeros((2, 2)) for _ in range(10)])
+    bad = DNState(g, *[np.zeros((2, 2)) for _ in range(9)])
     with pytest.raises(GridMismatch):
         bad.check_shapes()
     assert st.psi.shape == (g.n_nodes, g.n_nodes)
@@ -162,7 +162,9 @@ def test_decay_sup_is_max_of_weighted_array(gamma):
 
 
 def _write_state_csv(st, path):
-    write_grid_csv(path, st.grid, {c: getattr(st, c) for c in CSV_COLUMNS[2:]})
+    sigma = sigma_of(st.psi, st.psib, 0.0)
+    write_grid_csv(path, st.grid, {c: sigma if c == "sigma" else getattr(st, c)
+                                   for c in CSV_COLUMNS[2:]})
 
 
 def test_state_csv_round_trip(tmp_path):

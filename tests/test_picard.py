@@ -32,7 +32,7 @@ from nullwave.picard import (
 )
 from nullwave.pipeline import run_pipeline
 from nullwave.scenario import scenario_from_dict
-from nullwave.state import FIELD_NAMES, DiagonalData, DNState, sigma_of
+from nullwave.state import FIELD_NAMES, DiagonalData, DNState
 
 
 def _scenario(model, profile, radius=3.0, h=0.1, eps=1e-3):
@@ -43,7 +43,7 @@ def _scenario(model, profile, radius=3.0, h=0.1, eps=1e-3):
 
 
 def _rand_state(grid, rng, amp=1e-2):
-    fields = [amp * rng.standard_normal((grid.n_nodes, grid.n_nodes)) for _ in range(10)]
+    fields = [amp * rng.standard_normal((grid.n_nodes, grid.n_nodes)) for _ in range(9)]
     return DNState(grid, *fields)
 
 
@@ -128,7 +128,7 @@ def test_apply_zero_everything_stays_zero(membrane, zero_prof):
     grid = DNGrid.square(2.0, 0.25)
     data = make_zero_data(grid)
     out = picard_apply(DNState.zeros(grid).freeze(), data, grid, membrane, zero_prof)
-    for name in ("psi", "psib", "xi", "sigma", "dpsi_u", "dpsib_ub"):
+    for name in ("psi", "psib", "xi", "dpsi_u", "dpsib_ub"):
         assert np.all(getattr(out, name) == 0.0)
 
 
@@ -238,9 +238,6 @@ def test_fixed_point_matches_march(membrane, bump03):
     # its source vanish, so one frozen pass is exact).
     assert np.max(np.abs(fp.xi - sol.xi)) <= 1e-12
     assert np.max(np.abs(fp.dxi_ub - sol.dxi_ub)) <= 1e-12
-    # sigma on the output is algebraically slaved to the pair.
-    zp = bump03.dzeta(grid.ub)[None, :]
-    assert np.max(np.abs(fp.sigma + fp.psi * (2.0 * zp + fp.psib))) == 0.0
 
 
 @given(eps=st.floats(1e-5, 1e-2), center=st.floats(-1.5, 1.5),
@@ -300,8 +297,7 @@ def _xi_completion_reference(pair, data, grid, model, profile, tol, max_iter):
             cur.dxi_u, cur.dxi_ub,
         )
         fields = _frozen_solve(grid, data, {"psi": f1, "psib": f2, "xi": f3})
-        new = DNState(grid, sigma=sigma_of(fields["psi"], fields["psib"],
-                                           zp[None, :]), **fields)
+        new = DNState(grid, **fields)
         gap = max(np.max(np.abs(getattr(new, k) - getattr(cur, k)))
                   for k in ("xi", "dxi_u", "dxi_ub"))
         cur = new
@@ -395,8 +391,7 @@ def _contraction_reference(grid, data, profile, model, cfg, order, n_seeds, seed
     # Every seed drawn first, then every image formed, all held at once.
     gb = data.gamma_bar
     rng = np.random.default_rng(seed)
-    zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
-    seeds = [_seed_state(grid, zp, cfg.delta, gb, rng) for _ in range(n_seeds)]
+    seeds = [_seed_state(grid, cfg.delta, gb, rng) for _ in range(n_seeds)]
     images = [picard_apply(s, data, grid, model, profile, order) for s in seeds]
     ratios = []
     for a, b, ta, tb in zip(seeds[:-1], seeds[1:], images[:-1], images[1:]):
@@ -439,7 +434,7 @@ def test_contraction_memory_does_not_grow_with_seeds(peak_fields, membrane,
     assert peak(12) <= peak(2) + 2
 
 
-def _seed_state_formed(grid, zp, delta, gamma_bar, rng):
+def _seed_state_formed(grid, delta, gamma_bar, rng):
     """_seed_state with each bump's jet_sup taken from its formed fields,
     which are then copied scaled: the reference for the 1-D factors."""
     def bump(bound):
@@ -459,20 +454,19 @@ def _seed_state_formed(grid, zp, delta, gamma_bar, rng):
     psi, dpsi_u, dpsi_ub = bump(0.8 * delta * delta)
     psib, dpsib_u, dpsib_ub = bump(0.8 * delta)
     zeros = np.zeros_like(psi)
-    return DNState(grid, psi, psib, zeros, sigma_of(psi, psib, zp[None, :]),
+    return DNState(grid, psi, psib, zeros,
                    dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zeros, zeros)
 
 
 @pytest.mark.parametrize("radius,h", [(2.0, 0.1), (3.0, 0.05)])
-def test_seed_states_match_formed_fields(bump03, radius, h):
+def test_seed_states_match_formed_fields(radius, h):
     # Twenty draws from one generator, so the bumps' centres, widths and
     # signs vary; every field equals the reference bit for bit.
     grid = DNGrid.square(radius, h)
-    zp = bump03.dzeta(grid.ub)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(20):
-        got = _seed_state(grid, zp, 0.3, 0.5, got_rng)
-        want = _seed_state_formed(grid, zp, 0.3, 0.5, want_rng)
+        got = _seed_state(grid, 0.3, 0.5, got_rng)
+        want = _seed_state_formed(grid, 0.3, 0.5, want_rng)
         for name, arr in want.arrays().items():
             assert np.array_equal(getattr(got, name), arr), name
     assert not got.xi.flags.writeable and got.xi.strides == (0, 0)

@@ -1,16 +1,21 @@
 """End-to-end pipeline: stage orchestration, partial failure, refinement."""
 
+import csv
 import json
 
+import numpy as np
 import pytest
 
 import nullwave.cli as cli
 import nullwave.pipeline as pipeline
+from nullwave.background import profile_from_config
 from nullwave.errors import (FixedPointDivergence, FrameDegenerate,
                              HyperbolicityLoss, InversionFailure,
                              SliceNotSpacelike)
 from nullwave.pipeline import MIN_PICARD_DELTA, STAGES, RunResult, run_pipeline
+from nullwave.report import write_run_outputs
 from nullwave.scenario import scenario_from_dict, scenario_to_dict
+from nullwave.state import sigma_of
 
 BASE = {
     "name": "pipe",
@@ -70,6 +75,23 @@ def test_march_section(full_run):
     assert sec["backend"] == "numpy"
     assert 0.0 < sec["envelope_fits"]["delta"] < 0.1
     assert 0.0 < sec["sigma_wave_residual_sup"] < 1e-3
+
+
+def test_sigma_outputs_are_slaved_to_the_marched_pair(full_run, tmp_path):
+    # The state holds no sigma: the state.csv column and the march
+    # section's field_sup are formed from the marched pair, bit for bit.
+    state = full_run.state
+    zp = profile_from_config(BASE["profile"]).dzeta(state.grid.ub)
+    sigma = sigma_of(state.psi, state.psib, zp[None, :])
+    write_run_outputs(tmp_path, full_run)
+    with open(tmp_path / "state.csv", newline="") as fh:
+        rows = csv.reader(fh)
+        k = next(rows).index("sigma")
+        column = np.array([float(row[k]) for row in rows])
+    assert np.array_equal(column, sigma.ravel())
+    assert full_run.report["stages"]["march"]["field_sup"]["sigma"] == \
+        float(np.max(np.abs(sigma)))
+    assert np.any(sigma != 0.0)
 
 
 def test_picard_section_agrees_with_march(full_run):

@@ -133,6 +133,12 @@ def _with(section, **kw):
     ("solver", {"dissipation": "0"}, "dissipation"),
     ("solver", {"cfl": None}, "cfl"),
     ("solver", {"rect_t_max": True}, "rect_t_max"),
+    # unknown keys inside the model and profile configs
+    ("profile", {"bump": {"A": 0.1, "widht": 2.0}},
+     "unknown bump profile key(s) ['widht']"),
+    ("profile", {"algebraic": {"A": 0.1}}, "unrecognized profile config"),
+    ("model", {"_value": {"polynomial": [0.1], "extra": 1}},
+     "unknown polynomial model key(s) ['extra']"),
 ])
 def test_validate_flags_bad_values(section, override, fragment):
     problems = validate_scenario(_with(section, **override))
