@@ -43,6 +43,7 @@ import numpy as np
 from .background import SAMPLE_H, WaveProfile, phase_relabel_velocity
 from .errors import (
     DomainError,
+    HyperbolicityLoss,
     NoRealRoot,
     RootAmbiguity,
     SliceNotSpacelike,
@@ -211,13 +212,12 @@ def _eikonal_roots(model, phi_t, phi_x, which):
     """
     phi_t = np.asarray(phi_t, dtype=float)
     phi_x = np.asarray(phi_x, dtype=float)
-    sigma = -phi_t * phi_t + phi_x * phi_x
-    model.check_domain(sigma)
-    fp = np.asarray(model.fp(sigma), dtype=float)
-    kappa = 1.0 + (2.0 * fp) * sigma
-    if np.any(kappa <= 0.0):
-        raise NoRealRoot("eikonal discriminant 4 kappa <= 0")
-    root_k = np.sqrt(kappa)
+    try:
+        co = eval_coeffs(model, -phi_t * phi_t + phi_x * phi_x)
+    except HyperbolicityLoss as exc:
+        raise NoRealRoot("eikonal discriminant 4 kappa <= 0") from exc
+    fp = co.fp
+    root_k = np.sqrt(co.kappa)
     a = 1.0 - (2.0 * fp) * (phi_t * phi_t)
     half_b = (-2.0 * fp) * (phi_t * phi_x) * which
     tiny = 1e-14

@@ -67,7 +67,6 @@ from .background import (
 )
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, FrameTransportStall, GridMismatch
-from ._kernels import _where
 from .grid import DNGrid, cumsum_cols, cumtrap_rows, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import (DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of,
@@ -124,7 +123,7 @@ def full_field_jet(state: DNState, model: Nonlinearity,
 
     co = eval_coeffs(model, sigma_of(psi, psib, zp))
     H, Hp = co.H, co.Hp
-    del co  # the rest of the bundle is not needed while the jet is formed
+    del co  # the other coefficients are not needed while the jet is formed
     return {
         "Phi0": Phi0_of(psi, psib, zp),
         "Phi1": Phi1_of(psi, psib, zp),
@@ -259,8 +258,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     """
     grid = state.grid
     n = grid.n_nodes
-    if gauge.x.shape != grid.u.shape or not np.array_equal(gauge.x, grid.u):
-        raise GridMismatch("gauge slice nodes do not coincide with grid.u")
+    grid.require_nodes(gauge.x, "gauge slice")
 
     cf = np.empty((len(_CF_KEYS), n, n))
     for blk in row_blocks(n, n):
@@ -316,7 +314,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
             else:
                 bad = int(np.argmax(change))
                 raise FrameTransportStall(
-                    f"frame transport stalled at {_where(grid, ii[bad], jj[bad])} "
+                    f"frame transport stalled at {grid.where(ii[bad], jj[bad])} "
                     f"(last update {change[bad]:.3e})")
             prev, prev_R = cur, rhs(cur)
             lam[..., ii, jj] = cur
@@ -477,8 +475,7 @@ def solve_model_system(gauge: GaugeSlice, grid: DNGrid, model: Nonlinearity,
     trapezoid quadrature for y = L^0 + L^1.  Used as an independent check
     that the full transport is dominated by this term for small data.
     """
-    if gauge.x.shape != grid.u.shape or not np.array_equal(gauge.x, grid.u):
-        raise GridMismatch("gauge slice nodes do not coincide with grid.u")
+    grid.require_nodes(gauge.x, "gauge slice")
     n = grid.n_nodes
     H0 = float(eval_coeffs(model, 0.0).H)
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)

@@ -85,6 +85,18 @@ class DNGrid:
             ii = np.arange(max(k - N, 0), min(k, N) + 1)
             yield ii, k - ii
 
+    def where(self, i, j) -> str:
+        """Name node (i, j) by its coordinates, for error messages."""
+        return f"node (u={self.u[i]:.6g}, ubar={self.ub[j]:.6g})"
+
+    def require_nodes(self, x, what: str) -> None:
+        """Raise GridMismatch unless x, sampled on the t=0 diagonal, are
+        the nodes u of this grid, to within 1e-9 (1 + max|u|)."""
+        x = np.asarray(x)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(self.u))))
+        if x.shape != self.u.shape or not np.all(np.abs(x - self.u) <= tol):
+            raise GridMismatch(f"{what} nodes do not coincide with grid.u")
+
     def same_as(self, other: "DNGrid") -> bool:
         return (
             self.N == other.N

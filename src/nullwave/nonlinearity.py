@@ -27,13 +27,16 @@ Three families are built in: "linear" (f = 0), "membrane"
 (f = -1/2 log(1+sigma), defined for sigma > -1, for which H == 1), and
 "polynomial" (f = a s + b s^2 + c s^3).  Custom models supply their own
 derivative callables.  Every model must admit sigma = 0 (the background
-value): coeff_arrays, through which every caller evaluates the coefficient
-algebra, uses it as the stand-in at nodes outside the admissible range.
+value): coefficients, through which every caller evaluates the coefficient
+algebra, uses it as the stand-in at nodes outside the admissible range,
+and eval_coeffs is the same evaluation raising unless every node is
+admissible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -66,31 +69,36 @@ class Nonlinearity:
     sigma_min: float = -np.inf
     sigma_max: float = np.inf
 
-    def check_domain(self, sigma: ArrayLike) -> None:
-        """Raise DomainError if any sigma leaves the admissible interval."""
-        s = np.asarray(sigma)
-        if np.any(~np.isfinite(s)):
-            raise DomainError(f"{self.name}: non-finite sigma")
-        if np.any(s <= self.sigma_min) or np.any(s >= self.sigma_max):
-            bad = s[(s <= self.sigma_min) | (s >= self.sigma_max)]
-            raise DomainError(
-                f"{self.name}: sigma={float(np.ravel(bad)[0]):.6g} outside "
-                f"({self.sigma_min:.6g}, {self.sigma_max:.6g})"
-            )
-
 
 @dataclass(frozen=True)
-class CoefficientBundle:
-    """Values of every sigma-dependent coefficient at one (array of) sigma."""
+class Coefficients:
+    """The sigma-coefficients of the system at one (array of) sigma.
 
-    sigma: ArrayLike
-    f: ArrayLike
+    ok marks the entries inside the model's open interval where
+    kappa > 0.  Entries outside the interval are evaluated at s = 0
+    (kappa 1), and k is kappa with 1 where kappa <= 0, so the quotients
+    G, H and H' are finite everywhere, but only the entries under ok are
+    coefficients of the model.  Each quotient is formed on first read.
+    """
+
+    ok: ArrayLike
+    s: ArrayLike
     fp: ArrayLike
     fpp: ArrayLike
     kappa: ArrayLike
-    G: ArrayLike
-    H: ArrayLike
-    Hp: ArrayLike
+    k: ArrayLike
+
+    @cached_property
+    def G(self) -> ArrayLike:
+        return (self.fpp * self.s + self.fp) / self.k + self.fp
+
+    @cached_property
+    def H(self) -> ArrayLike:
+        return -2.0 * self.fp / self.k
+
+    @cached_property
+    def Hp(self) -> ArrayLike:
+        return -2.0 * (self.fpp - 2.0 * self.fp * self.fp) / (self.k * self.k)
 
 
 @dataclass(frozen=True)
@@ -151,15 +159,8 @@ def polynomial_model(a: float, b: float = 0.0, c: float = 0.0) -> Nonlinearity:
     )
 
 
-def coeff_arrays(model: Nonlinearity, sigma: ArrayLike):
-    """(ok, s, f', f'', kappa, k) at sigma, without raising.
-
-    ok marks the nodes inside the model's open interval where kappa > 0.
-    Nodes outside the interval are evaluated at s = 0 instead, and k is
-    kappa with 1 where kappa <= 0, so the quotients G, H and H' formed
-    from these are finite everywhere, but only the entries under ok are
-    coefficients of the model.  Callers form only the quotients they read.
-    """
+def coefficients(model: Nonlinearity, sigma: ArrayLike) -> Coefficients:
+    """The Coefficients of model at sigma, without raising (see ok)."""
     s = np.asarray(sigma, dtype=float)
     ok = (s > model.sigma_min) & (s < model.sigma_max)
     s = np.where(ok, s, 0.0)
@@ -167,53 +168,35 @@ def coeff_arrays(model: Nonlinearity, sigma: ArrayLike):
     fpp = model.fpp(s)
     kappa = 1.0 + 2.0 * fp * s
     ok = ok & (kappa > 0.0)
-    k = np.where(ok, kappa, 1.0)
-    return ok, s, fp, fpp, kappa, k
+    return Coefficients(ok, s, fp, fpp, kappa, np.where(ok, kappa, 1.0))
 
 
-# The quotients of the coefficient algebra, from the entries of coeff_arrays.
-def G_of(s, fp, fpp, k):
-    return (fpp * s + fp) / k + fp
+def eval_coeffs(model: Nonlinearity, sigma: ArrayLike) -> Coefficients:
+    """The Coefficients of model at sigma, raising unless every entry is ok.
 
-
-def Hp_of(fp, fpp, k):
-    return -2.0 * (fpp - 2.0 * fp * fp) / (k * k)
-
-
-def eval_coeffs(model: Nonlinearity, sigma: ArrayLike) -> CoefficientBundle:
-    """Evaluate every sigma-coefficient of the system at sigma.
-
-    Parameters
-    ----------
-    model : Nonlinearity
-    sigma : float or ndarray
-
-    Returns
-    -------
-    CoefficientBundle
-        f, f', f'', kappa, G, H, H' at sigma (same shape as the input).
+    A scalar sigma gives numpy scalars (or 0-d arrays).
 
     Raises
     ------
     DomainError
-        If sigma leaves the admissible interval of the model.
+        If a sigma is not finite or leaves the model's open interval
+        (checked first).
     HyperbolicityLoss
         If kappa = 1 + 2 f'(sigma) sigma is not strictly positive.
     """
-    model.check_domain(sigma)
-    s = np.asarray(sigma, dtype=float)
-    _, sa, fp, fpp, kappa, k = coeff_arrays(model, s)
-    if np.any(kappa <= 0.0):
-        kmin = float(np.min(kappa))
+    co = coefficients(model, sigma)
+    if not np.all(co.ok):
+        # an entry outside the interval was evaluated at 0, so its kappa is 1
+        off = ~co.ok & (co.kappa > 0.0)
+        if np.any(off):
+            bad = float(np.asarray(sigma, dtype=float)[off].flat[0])
+            raise DomainError(
+                f"{model.name}: sigma={bad:.6g} outside "
+                f"({model.sigma_min:.6g}, {model.sigma_max:.6g})"
+            )
+        kmin = float(np.min(co.kappa))
         raise HyperbolicityLoss(f"{model.name}: kappa={kmin:.6g} <= 0")
-    G, H, Hp = G_of(sa, fp, fpp, k), -2.0 * fp / k, Hp_of(fp, fpp, k)
-    fv = model.f(s)
-    if np.ndim(sigma) == 0:
-        return CoefficientBundle(
-            float(s), float(fv), float(fp), float(fpp),
-            float(kappa), float(G), float(H), float(Hp),
-        )
-    return CoefficientBundle(s, fv, fp, fpp, kappa, G, H, Hp)
+    return co
 
 
 def acoustic_metric(model: Nonlinearity, Phi0: ArrayLike, Phi1: ArrayLike) -> MetricComponents:
@@ -266,23 +249,20 @@ def range_certificate(model: Nonlinearity, m0: float) -> dict:
     reports each sup together with their max M0.  The two derived derivatives G' and H'' are
     taken by centered differences of the composed quantities.
 
-    Raises DomainError if [-m0, m0] leaves the admissible interval.
+    Raises DomainError if [-m0, m0], or the stencil of the finite
+    differences around it, leaves the admissible interval.
     """
     m0 = float(m0)
     if m0 <= 0:
         raise DomainError("m0 must be positive")
     n = max(8, int(np.ceil(2.0 * m0 / RANGE_SAMPLE_H)))
     s = np.linspace(-m0, m0, n + 1)
-    # domain check up front for a clean error message
-    model.check_domain(np.array([-m0, m0]))
     co = eval_coeffs(model, s)
 
     step = 0.5 * min(RANGE_SAMPLE_H, 1e-4 * max(1.0, m0))
     def _fd(values_at):
         return (values_at(s + step) - values_at(s - step)) / (2.0 * step)
 
-    # widen the domain check marginally for the finite differences
-    model.check_domain(np.array([-m0 - step, m0 + step]))
     Gp = _fd(lambda q: eval_coeffs(model, q).G)
     Hpp = _fd(lambda q: eval_coeffs(model, q).Hp)
 

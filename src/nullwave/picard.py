@@ -75,7 +75,7 @@ import numpy as np
 
 from .background import WaveProfile
 from .dn_core import rhs_wave
-from .errors import FixedPointDivergence, GridMismatch
+from .errors import FixedPointDivergence
 from .grid import (DNGrid, cumsum_cols, cumtrap_cols, cumtrap_rows,
                    decay_sup, jet_sup, row_blocks)
 from .nonlinearity import Nonlinearity, range_certificate
@@ -179,7 +179,7 @@ def _frozen_solve(grid, data, sources):
     source F = d_u d_ub field, filled at every node (the diagonal
     included).  Returns the field and its two null derivatives for each
     entry, keyed as in DNState, on both triangles at once.  The result
-    satisfies the march's per-cell equations (see _kernels) to rounding:
+    satisfies the march's per-cell equations (see dn_core) to rounding:
 
       * d_u field and d_ub field are trapezoid integrals of F along ubar
         and along u, anchored on the diagonal data;
@@ -268,10 +268,7 @@ def picard_apply(
     the admissible range while the sources are formed.
     """
     grid.require_same(state.grid)
-    if data.s.shape != grid.u.shape or not np.allclose(
-        data.s, grid.u, rtol=0.0, atol=1e-9 * (1.0 + abs(grid.u_max))
-    ):
-        raise GridMismatch("diagonal data was sampled on a different grid")
+    grid.require_nodes(data.s, "diagonal data")
     if order not in ("forward", "reversed"):
         raise ValueError(f"order must be 'forward' or 'reversed', got {order!r}")
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_compatible_data, make_zero_data
-from nullwave import _kernels
+from nullwave import dn_core
 from nullwave.data_gauge import build_diagonal_data, perturbed_data
 from nullwave.dn_core import (
     march,
@@ -110,7 +110,7 @@ def test_march_satisfies_box_scheme(model, bump03):
         st_.psi, st_.psib, st_.dpsi_u, st_.dpsi_ub, st_.dpsib_u, st_.dpsib_ub,
         st_.dxi_u, st_.dxi_ub,
     )
-    tol = _kernels.CELL_TOL * (1.0 + max(
+    tol = dn_core.CELL_TOL * (1.0 + max(
         np.max(np.abs(getattr(st_, name))) for name in ("psi", "psib", "xi")))
     for name, F in zip(("psi", "psib", "xi"), sources):
         f = getattr(st_, name)
@@ -143,8 +143,8 @@ def test_march_damped_retry_rescues_short_plain_budget(membrane, bump03,
                                                        monkeypatch):
     data, grid = _retry_case(membrane, bump03)
     ref = march(data, grid, membrane, bump03)
-    monkeypatch.setattr(_kernels, "N_PLAIN", 2)
-    monkeypatch.setattr(_kernels, "N_DAMPED", 40)
+    monkeypatch.setattr(dn_core, "N_PLAIN", 2)
+    monkeypatch.setattr(dn_core, "N_DAMPED", 40)
     st_ = march(data, grid, membrane, bump03)
     for name in ref.arrays():
         gap = np.max(np.abs(getattr(st_, name) - getattr(ref, name)))
@@ -153,8 +153,8 @@ def test_march_damped_retry_rescues_short_plain_budget(membrane, bump03,
 
 def test_march_retry_exhausted_names_the_node(membrane, bump03, monkeypatch):
     data, grid = _retry_case(membrane, bump03)
-    monkeypatch.setattr(_kernels, "N_PLAIN", 1)
-    monkeypatch.setattr(_kernels, "N_DAMPED", 1)
+    monkeypatch.setattr(dn_core, "N_PLAIN", 1)
+    monkeypatch.setattr(dn_core, "N_DAMPED", 1)
     with pytest.raises(InnerFixedPointDivergence, match=r"node \(u=.*, ubar=.*\)"):
         march(data, grid, membrane, bump03)
 

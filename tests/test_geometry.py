@@ -350,7 +350,7 @@ def test_frame_satisfies_trapezoid_transport(membrane, bump03):
 def test_integrate_frame_memory_budget(peak_fields, membrane, bump03):
     # Peak traced memory of one transport, in (N+1)^2 float fields, on a
     # grid that fits in one row block: the 13-slot coefficient stack while
-    # the block's jet (12) and coefficient bundle are alive.  Forming the
+    # the block's jet (12) and its coefficients are alive.  Forming the
     # coefficients into a stack of their own and copying it would add 13.
     grid, _, gauge, state, _ = _pipeline(membrane, bump03, 3.0, 0.05,
                                          eps=1e-3, width=1.5)

@@ -82,6 +82,16 @@ def test_grid_same_as():
         a.require_same(c)
 
 
+def test_grid_require_nodes():
+    g = DNGrid.square(2.0, 0.25)
+    g.require_nodes(g.u, "data")
+    g.require_nodes(g.u + 1e-12, "data")  # within 1e-9 (1 + max|u|)
+    for x in (g.u[:-1], g.u + 1e-6, np.where(g.u == 0.0, np.nan, g.u)):
+        with pytest.raises(GridMismatch):
+            g.require_nodes(x, "data")
+    assert g.where(0, g.N) == "node (u=-2, ubar=2)"
+
+
 def test_state_zeros_freeze():
     g = DNGrid.square(1.0, 0.25)
     st = DNState.zeros(g)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from nullwave.errors import DomainError, HyperbolicityLoss
 from nullwave.nonlinearity import (
     acoustic_metric,
+    coefficients,
     contraction_identity_check,
     eval_coeffs,
     linear_model,
@@ -126,7 +129,6 @@ def test_contraction_identity_property(Phi0, Phi1, a, b):
     for model in (membrane_model(), polynomial_model(a, b)):
         sigma = -Phi0 * Phi0 + Phi1 * Phi1
         try:
-            model.check_domain(sigma)
             kappa = eval_coeffs(model, sigma).kappa
         except (DomainError, HyperbolicityLoss):
             continue
@@ -145,6 +147,58 @@ def test_polynomial_hyperbolicity_loss():
     # kappa = 1 + 0.4 sigma crosses zero at sigma = -2.5
     with pytest.raises(HyperbolicityLoss):
         eval_coeffs(polynomial_model(0.2), -3.0)
+
+
+@pytest.mark.parametrize("model", [linear_model(), membrane_model(),
+                                   polynomial_model(0.2, 0.1)],
+                         ids=["linear", "membrane", "polynomial"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sigma_is_a_domain_error(model, bad):
+    with pytest.raises(DomainError):
+        eval_coeffs(model, bad)
+    with pytest.raises(DomainError):
+        eval_coeffs(model, np.array([0.1, bad, 0.0]))
+    # the non-raising evaluator masks the entry out instead
+    assert coefficients(model, np.array([0.1, bad])).ok.tolist() == [True, False]
+
+
+def test_domain_error_comes_before_hyperbolicity_loss():
+    # kappa = 1 + 0.4 sigma <= 0 from sigma = -2.5 on; the wall is at -5
+    walled = dataclasses.replace(polynomial_model(0.2), sigma_min=-5.0)
+    for sigma in ([-6.0, -3.0], [-3.0, -6.0]):
+        with pytest.raises(DomainError):
+            eval_coeffs(walled, np.array(sigma))
+    with pytest.raises(HyperbolicityLoss):
+        eval_coeffs(walled, np.array([0.0, -3.0]))
+    co = coefficients(walled, np.array([-6.0, -3.0, 0.5]))
+    assert co.ok.tolist() == [False, False, True]
+    assert co.kappa[0] == 1.0  # evaluated at sigma = 0
+    assert co.kappa[1] <= 0.0 and co.k[1] == 1.0
+
+
+@given(
+    family=st.sampled_from(["linear", "membrane", "polynomial"]),
+    unit=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24),
+    a=st.floats(-0.3, 0.3),
+    b=st.floats(-0.3, 0.3),
+    c=st.floats(-0.3, 0.3),
+)
+@settings(max_examples=60)
+def test_one_coefficient_algebra(family, unit, a, b, c):
+    # On admissible sigma the non-raising evaluator (the march's) and
+    # eval_coeffs (every other stage's) agree bit for bit.
+    u = np.array(unit)
+    if family == "linear":
+        model, sigma = linear_model(), 200.0 * u - 100.0
+    elif family == "membrane":
+        model, sigma = membrane_model(), 5.99 * u - 0.99
+    else:
+        # |2 f' sigma| <= 2 (0.3 + 0.3 + 0.225) / 2 < 1, so kappa > 0
+        model, sigma = polynomial_model(a, b, c), u - 0.5
+    quiet, checked = coefficients(model, sigma), eval_coeffs(model, sigma)
+    assert quiet.ok.all()
+    for key in ("G", "H", "Hp", "kappa"):
+        assert np.array_equal(getattr(quiet, key), getattr(checked, key))
 
 
 def test_range_certificate_membrane():
@@ -176,6 +230,10 @@ def test_range_certificate_monotone_in_m0():
 def test_range_certificate_domain_guard():
     with pytest.raises(DomainError):
         range_certificate(membrane_model(), 1.5)  # reaches sigma = -1.5
+    # every sample is admissible, but the finite-difference stencil
+    # (step 5e-5) reaches sigma = -1.00002, across the wall
+    with pytest.raises(DomainError):
+        range_certificate(membrane_model(), 0.99997)
 
 
 def test_model_from_config():
