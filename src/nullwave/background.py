@@ -17,6 +17,8 @@ and the normalized background null frame is
 
 Hyperbolicity of the full operator on the background requires
 1 + H(0) zeta'(s)^2 > 0 for every s, which can only fail when H(0) < 0.
+On the t=0 slice that margin is -g^00, so a run whose background breaks
+it on the grid stops in data_gauge with SliceNotSpacelike.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .grid import decay_sup, decay_weight
 from .nonlinearity import Nonlinearity, eval_coeffs, is_number
 
 ArrayLike = Union[float, np.ndarray]
-SAMPLE_H = 0.01       # sample spacing of hyperbolicity_check, closeness_certificate
+SAMPLE_H = 0.01       # sample spacing of data_gauge.closeness_certificate
 FIT_SAMPLES = 20001   # points of envelope_fit's sample
 ENVELOPE_TOL = 1e-10  # tolerance of envelope_integral's window quadrature
 
@@ -181,9 +183,6 @@ class WaveProfile:
         x = np.linspace(-X_max, X_max, FIT_SAMPLES)
         return max(decay_sup(fn(x), x, self.gamma_bar)
                    for fn in (self.zeta, self.dzeta, self.d2zeta))
-
-    def verify(self) -> bool:
-        return self.envelope_fit() <= self.M_zeta * (1.0 + 1e-9)
 
 
 def zero_profile(gamma_bar: float = 1.0) -> WaveProfile:
@@ -341,47 +340,6 @@ def profile_from_config(cfg) -> WaveProfile:
 # background geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BackgroundFrame:
-    """Background null frame, conformal factor and phase function at ubar."""
-
-    L0: ArrayLike
-    L1: ArrayLike
-    Lb0: ArrayLike
-    Lb1: ArrayLike
-    Omega: ArrayLike
-    Z: ArrayLike
-
-
-def hyperbolicity_check(
-    profile: WaveProfile,
-    model: Nonlinearity,
-    X_max: float = 100.0,
-) -> dict:
-    """Global hyperbolicity margin 1 + inf_x H(0) zeta'(x)^2 of the background.
-
-    For H(0) >= 0 the infimum is attained in the decaying tail and the
-    margin is 1.  For H(0) < 0 the margin is 1 + H(0) sup zeta'^2, with the
-    sup taken over a sample of spacing SAMPLE_H on [-X_max, X_max] plus
-    the envelope bound for the tail.
-    """
-    H0 = eval_coeffs(model, 0.0).H
-    x = np.arange(-X_max, X_max + 0.5 * SAMPLE_H, SAMPLE_H)
-    zp2 = np.asarray(profile.dzeta(x)) ** 2
-    tail = float(profile.M_zeta / decay_weight(X_max, profile.gamma_bar)) ** 2
-    sup_zp2 = max(float(np.max(zp2)), tail)
-    if H0 >= 0.0:
-        margin = 1.0
-    else:
-        margin = 1.0 + H0 * sup_zp2
-    return {
-        "H0": float(H0),
-        "sup_dzeta_sq": sup_zp2,
-        "margin": float(margin),
-        "ok": bool(margin > 0.0),
-    }
-
-
 def phase_function(
     profile: WaveProfile,
     model: Nonlinearity,
@@ -413,16 +371,6 @@ def background_L(model: Nonlinearity, profile: WaveProfile, ubar: ArrayLike):
     H0 = float(eval_coeffs(model, 0.0).H)
     zp2 = np.asarray(profile.dzeta(ubar), dtype=float) ** 2
     return H0, -1.0 - H0 * zp2, 1.0 - H0 * zp2
-
-
-def background_frame(profile: WaveProfile, model: Nonlinearity, ubar: ArrayLike) -> BackgroundFrame:
-    """Normalized background frame, Omega = -1/2 and Z at the given ubar."""
-    _, L0, L1 = background_L(model, profile, ubar)
-    ones = np.ones_like(L0)
-    Z = phase_function(profile, model, ubar)
-    if np.ndim(ubar) == 0:
-        return BackgroundFrame(float(L0), float(L1), -1.0, -1.0, -0.5, float(Z))
-    return BackgroundFrame(L0, L1, -ones, -ones, -0.5 * ones, Z)
 
 
 def phase_relabel_velocity(profile: WaveProfile, model: Nonlinearity, u: ArrayLike) -> ArrayLike:

@@ -57,7 +57,6 @@ __all__ = [
     "RectState",
     "ComparisonReport",
     "rect_solve",
-    "background_rect_state",
     "flux_residual",
     "pullback_compare",
     "phase_shift",
@@ -239,21 +238,6 @@ def rect_solve(
 
     t_axis = dt * np.arange(n_t + 1)
     return RectState(t_axis, x_phys, *hist)
-
-
-def background_rect_state(profile: WaveProfile, grid: RectGrid, n_t: int = 32) -> RectState:
-    """The exact travelling background sampled on a rectangular history."""
-    if n_t < 2:
-        raise ValueError("need at least two time levels")
-    if grid.t_max <= 0.0:
-        raise ValueError("need a positive time extent to build a history")
-    t_axis = np.linspace(0.0, grid.t_max, n_t + 1)
-    x = grid.x
-    rows = [_background_rows(profile, t, x) for t in t_axis]
-    phi = np.stack([r[0] for r in rows])
-    P0 = np.stack([r[1] for r in rows])
-    P1 = np.stack([r[2] for r in rows])
-    return RectState(t_axis, x, phi, P0, P1)
 
 
 def flux_residual(rect: RectState, model: Nonlinearity) -> float:

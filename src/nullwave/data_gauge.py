@@ -133,38 +133,6 @@ def perturbed_data(
     )
 
 
-def rect_data_from_csv(path, profile: WaveProfile) -> RectInitialData:
-    """Tabulated data (columns x, phi0, phi0p, phi0pp, phi1, phi1p).
-
-    The table is interpolated as a deviation from the exact background of
-    the given profile (cubic Hermite where a derivative column is present,
-    linear for the last derivatives), so outside the tabulated range the
-    data continues as the exact background.
-    """
-    from .background import table_profile
-
-    cols = np.genfromtxt(path, delimiter=",", names=True)
-    x = np.asarray(cols["x"], dtype=float)
-    order = np.argsort(x)
-    x = x[order]
-    bg = background_data(profile)
-    d0 = cols["phi0"][order] - bg.phi0(x)
-    d0p = cols["phi0p"][order] - bg.phi0p(x)
-    d0pp = cols["phi0pp"][order] - bg.phi0pp(x)
-    d1 = cols["phi1"][order] - bg.phi1(x)
-    d1p = cols["phi1p"][order] - bg.phi1p(x)
-    # two interpolated deviation "profiles": (d0, d0p, d0pp) and (d1, d1p, .)
-    dev0 = table_profile(x, d0, d0p, d0pp)
-    dev1 = table_profile(x, d1, d1p, np.zeros_like(x))
-    return RectInitialData(
-        phi0=lambda q: bg.phi0(q) + dev0.zeta(q),
-        phi0p=lambda q: bg.phi0p(q) + dev0.dzeta(q),
-        phi0pp=lambda q: bg.phi0pp(q) + dev0.d2zeta(q),
-        phi1=lambda q: bg.phi1(q) + dev1.zeta(q),
-        phi1p=lambda q: bg.phi1p(q) + dev1.dzeta(q),
-    )
-
-
 def closeness_certificate(
     data: RectInitialData,
     profile: WaveProfile,
@@ -398,25 +366,3 @@ def build_diagonal_data(
     )
     return data, gauge
 
-
-def background_gauge_values(model: Nonlinearity, profile: WaveProfile, x) -> dict:
-    """Closed-form slice-gauge values of the exact background at x.
-
-    Useful as an independent reference: far from any perturbation the
-    solved gauge must match these regardless of the background's size.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(profile.dzeta(-x), dtype=float)
-    H0 = eval_coeffs(model, 0.0).H
-    hp2 = H0 * (p * p)  # grouping matches the eikonal kernel bit for bit
-    return {
-        "du_t_grid": (1.0 - hp2) / (1.0 + hp2),
-        "dub_t": np.ones_like(p),
-        "v_prime": 1.0 + hp2,
-        "du_t": 1.0 - hp2,
-        "phi_tt": np.asarray(profile.d2zeta(-x), dtype=float),
-        "L0": -1.0 - hp2,
-        "L1": 1.0 - hp2,
-        "Lb0": -np.ones_like(p),
-        "Lb1": -np.ones_like(p),
-    }

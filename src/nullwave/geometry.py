@@ -12,8 +12,6 @@ perturbation fields.  This module rebuilds the geometry on top of it:
 * the inverse coordinate map: d(t,x)/du = Omega Lbar and d(t,x)/dubar =
   Omega L are integrated along both coordinate families and averaged; the
   route mismatch ("curl") is reported as a consistency error,
-* a reduced model transport with frozen background coefficients and a
-  closed-form solution, kept as an independent low-order cross-check,
 * degeneracy monitoring: window checks on Omega, the frame components and
   the Jacobian determinant certifying that (u, ubar) -> (t, x) stays a
   diffeomorphism on the computed block.
@@ -66,7 +64,7 @@ from .background import (
     phase_relabel_velocity,
 )
 from .data_gauge import GaugeSlice
-from .errors import FrameDegenerate, FrameTransportStall, GridMismatch
+from .errors import FrameDegenerate, FrameTransportStall
 from .grid import DNGrid, cumsum_cols, cumtrap_rows, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import (DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of,
@@ -74,10 +72,9 @@ from .state import (DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of,
 
 __all__ = [
     "FRAME_TOL", "FRAME_MAX_ITER", "OMEGA_WINDOW", "FRAME_FLOOR", "DETJ_FLOOR",
-    "NullFrame", "CoordMap", "ModelFrame", "DegeneracyReport",
-    "full_field_jet", "transport_rhs", "integrate_frame",
-    "reconstruct_coords", "solve_model_system", "nullity_residual",
-    "degeneracy_monitor",
+    "NullFrame", "CoordMap", "DegeneracyReport",
+    "full_field_jet", "integrate_frame", "reconstruct_coords",
+    "nullity_residual", "degeneracy_monitor",
 ]
 
 FRAME_TOL = 1e-12       # relative tolerance of the per-node fixed point
@@ -188,25 +185,6 @@ def _frame_rhs(cf, L, Lb):
     aB = SB * HUB + om_inv * q1_u
     bB = SB * HU + om_inv * q2_u
     return -np.array([aL * L + bL * Lb, aB * Lb + bB * L])
-
-
-def transport_rhs(jet: dict, L0, L1, Lb0, Lb1, along: str = "ubar"):
-    """Transport right-hand side at given frame values.
-
-    along="ubar" returns (d_ub L^0, d_ub L^1); along="u" returns
-    (d_u Lbar^0, d_u Lbar^1).  The jet must come from full_field_jet (or
-    supply the same keys); any consistent normalization of (L, Lbar) may be
-    passed, the conformal factor is recomputed internally.
-    """
-    if along not in ("ubar", "u"):
-        raise ValueError(f"along must be 'ubar' or 'u', got {along!r}")
-    cf = np.empty((len(_CF_KEYS),) + np.broadcast_shapes(
-        *(np.shape(v) for v in jet.values())))
-    _transport_coeffs(jet, cf)
-    L0, L1, Lb0, Lb1, _ = np.broadcast_arrays(L0, L1, Lb0, Lb1, cf[0])
-    R = _frame_rhs(cf, np.array([L0, L1], dtype=float),
-                   np.array([Lb0, Lb1], dtype=float))
-    return tuple(R[0 if along == "ubar" else 1])
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +365,7 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     arrays.
     """
     grid = frame.grid
-    if state.grid is not grid and not (
-            state.grid.N == grid.N and np.array_equal(state.grid.u, grid.u)):
-        raise GridMismatch("state and frame grids differ")
+    grid.require_same(state.grid)
     n, h = grid.n_nodes, grid.h
     vp, Om = frame.v_prime, frame.Omega
 
@@ -438,67 +414,6 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
 
     return CoordMap(grid, t, x, detj, float(np.max(curl)),
                     jac_u_t, jac_u_x, jac_ub_t, jac_ub_x)
-
-
-# ---------------------------------------------------------------------------
-# reduced model transport
-
-
-@dataclass(frozen=True)
-class ModelFrame:
-    """Reduced-transport frame (background-matched normalization).
-
-    Lbar is frozen to its diagonal value along each u-line; L solves the
-    model ODE with background coefficients, closed form in w = 2 + L^0 - L^1
-    and one trapezoid quadrature for y = L^0 + L^1.
-    """
-
-    grid: DNGrid
-    L0: np.ndarray
-    L1: np.ndarray
-    Lb0: np.ndarray
-    Lb1: np.ndarray
-
-
-def solve_model_system(gauge: GaugeSlice, grid: DNGrid, model: Nonlinearity,
-                       profile: WaveProfile) -> ModelFrame:
-    """Solve the frozen-coefficient model transport per u-line.
-
-    Keeping only the dominant background coefficient of the L-transport and
-    freezing Lbar at its diagonal value gives, per row,
-
-        d_ub (L^0 - L^1) = -H0 zeta' zeta'' (Lb^0 - Lb^1) (L^0 - L^1),
-        d_ub (L^0 + L^1) = -H0 zeta' zeta'' (Lb^0 + Lb^1) (L^0 - L^1),
-
-    an affine ODE solved exactly for w = 2 + (L^0 - L^1) (the shift makes
-    the travelling wave the fixed point w = 0 of the deviation) and by
-    trapezoid quadrature for y = L^0 + L^1.  Used as an independent check
-    that the full transport is dominated by this term for small data.
-    """
-    grid.require_nodes(gauge.x, "gauge slice")
-    n = grid.n_nodes
-    H0 = float(eval_coeffs(model, 0.0).H)
-    zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
-    zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
-    zsq_half = 0.5 * zp ** 2              # antiderivative of zeta' zeta''
-    _, jd = grid.diagonal()
-
-    cbm = gauge.Lb0 - gauge.Lb1           # per-row frozen Lbar combinations
-    cbp = gauge.Lb0 + gauge.Lb1
-    w0 = 2.0 + (gauge.L0 - gauge.L1)
-    y0 = gauge.L0 + gauge.L1
-
-    expo = (-H0) * cbm[:, None] * (zsq_half[None, :] - zsq_half[jd][:, None])
-    w = 2.0 + (w0 - 2.0)[:, None] * np.exp(expo)
-
-    integrand = ((-H0) * (zp * zpp))[None, :] * (w - 2.0) * cbp[:, None]
-    y = y0[:, None] + cumtrap_rows(integrand, grid.h, jd)
-
-    L0 = 0.5 * (y + (w - 2.0))
-    L1 = 0.5 * (y - (w - 2.0))
-    Lb0 = np.broadcast_to(gauge.Lb0[:, None], (n, n)).copy()
-    Lb1 = np.broadcast_to(gauge.Lb1[:, None], (n, n)).copy()
-    return ModelFrame(grid, L0, L1, Lb0, Lb1)
 
 
 # ---------------------------------------------------------------------------

@@ -114,14 +114,6 @@ class MetricComponents:
     inv01: ArrayLike
     inv11: ArrayLike
 
-    @property
-    def det(self) -> ArrayLike:
-        return self.g00 * self.g11 - self.g01 * self.g01
-
-    @property
-    def det_inv(self) -> ArrayLike:
-        return self.inv00 * self.inv11 - self.inv01 * self.inv01
-
 
 def _zero(s: ArrayLike) -> ArrayLike:
     return np.zeros_like(np.asarray(s, dtype=float))
@@ -224,21 +216,6 @@ def acoustic_metric(model: Nonlinearity, Phi0: ArrayLike, Phi1: ArrayLike) -> Me
             float(inv00), float(inv01), float(inv11),
         )
     return MetricComponents(sigma, co.kappa, g00, g01, g11, inv00, inv01, inv11)
-
-
-def contraction_identity_check(model: Nonlinearity, Phi0: ArrayLike, Phi1: ArrayLike):
-    """Residual of the closed-form self-contraction of dphi.
-
-    g^{-1}(dphi, dphi) computed from components must equal
-    sigma + 2 f'(sigma) sigma^2.  Returns (lhs, rhs, residual).
-    """
-    m = acoustic_metric(model, Phi0, Phi1)
-    P0 = np.asarray(Phi0, dtype=float)
-    P1 = np.asarray(Phi1, dtype=float)
-    lhs = m.inv00 * P0 * P0 + 2.0 * m.inv01 * P0 * P1 + m.inv11 * P1 * P1
-    fp = model.fp(m.sigma)
-    rhs = m.sigma + 2.0 * fp * m.sigma**2
-    return lhs, rhs, np.max(np.abs(np.asarray(lhs - rhs)))
 
 
 def range_certificate(model: Nonlinearity, m0: float) -> dict:

@@ -1,24 +1,38 @@
-"""Independent cross-check implementations for the frozen test constants.
+"""Independent reference routes for the quantities the solvers produce.
 
-Everything in this module recomputes quantities the solvers also produce,
-but by a different route: symbolic differentiation and matrix inversion
-instead of the closed-form coefficient algebra, polynomial root finding
-instead of the quadratic formula, closed forms instead of grid
-quadrature.  The test suite freezes the numbers these functions return;
-`nullwave oracle` regenerates the tables so drift is visible.
+No pipeline stage calls this module; the tests and `nullwave oracle` do.
+Each function recomputes something a solver also produces, by a
+different route:
 
-sympy is imported lazily so the solver path never needs it.
+* scalar tables: symbolic differentiation and matrix inversion instead
+  of the closed-form coefficient algebra, polynomial root finding instead
+  of the quadratic formula, closed forms instead of grid quadrature.  The
+  test suite freezes the numbers they return; `nullwave oracle`
+  regenerates the tables so drift is visible;
+* array references, vectorized over their sample points: the metric's
+  self-contraction identity, the background frame and slice gauge in
+  closed form, the frozen-coefficient model transport on a DNGrid
+  (criterion 7) and the exact background on a rectangular history.
+
+sympy is imported lazily so importing nullwave never needs it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from .background import WaveProfile
+from .crossval import RectGrid, RectState
+from .data_gauge import GaugeSlice
+from .grid import DNGrid, cumtrap_rows
+from .nonlinearity import Nonlinearity, acoustic_metric, eval_coeffs
+
 
 # ---------------------------------------------------------------------------
-# symbolic coefficient algebra
+# coefficient algebra and the acoustic metric
 # ---------------------------------------------------------------------------
 
 def _sym_model(name: str, params=()):
@@ -93,8 +107,23 @@ def metric_via_cas(model_name: str, Phi0: float, Phi1: float, params=()) -> dict
     }
 
 
+def contraction_identity_check(model: Nonlinearity, Phi0, Phi1):
+    """Residual of the closed-form self-contraction of dphi.
+
+    g^{-1}(dphi, dphi) computed from acoustic_metric's components must
+    equal sigma + 2 f'(sigma) sigma^2.  Returns (lhs, rhs, residual).
+    """
+    m = acoustic_metric(model, Phi0, Phi1)
+    P0 = np.asarray(Phi0, dtype=float)
+    P1 = np.asarray(Phi1, dtype=float)
+    lhs = m.inv00 * P0 * P0 + 2.0 * m.inv01 * P0 * P1 + m.inv11 * P1 * P1
+    fp = model.fp(m.sigma)
+    rhs = m.sigma + 2.0 * fp * m.sigma**2
+    return lhs, rhs, np.max(np.abs(np.asarray(lhs - rhs)))
+
+
 # ---------------------------------------------------------------------------
-# envelopes and phase function
+# the background: envelopes, phase, frame, slice gauge, rectangular history
 # ---------------------------------------------------------------------------
 
 def envelope_integral_exact(eps: float, gamma: float) -> float:
@@ -112,13 +141,55 @@ def gaussian_phase_values() -> dict:
     return {"from_zero": half, "full_line": 2.0 * half}
 
 
-def background_frame_exact(H0: float, zp: float) -> dict:
-    """Background frame straight from its closed form."""
+def background_frame_exact(H0: float, zp) -> dict:
+    """Background frame straight from its closed form at zeta' = zp.
+
+    zp may be a float or an array of zeta'(ubar) samples; L follows its
+    shape, Lb and Omega are the constants.
+    """
     return {
         "L": (-1.0 - H0 * zp**2, 1.0 - H0 * zp**2),
         "Lb": (-1.0, -1.0),
         "Omega": -0.5,
     }
+
+
+def background_gauge_values(model: Nonlinearity, profile: WaveProfile, x) -> dict:
+    """Closed-form slice-gauge values of the exact background at x.
+
+    Far from any perturbation the solved gauge (data_gauge.build_gauge_slice)
+    must match these regardless of the background's size.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(profile.dzeta(-x), dtype=float)
+    H0 = eval_coeffs(model, 0.0).H
+    hp2 = H0 * (p * p)  # grouping matches the eikonal kernel bit for bit
+    return {
+        "du_t_grid": (1.0 - hp2) / (1.0 + hp2),
+        "dub_t": np.ones_like(p),
+        "v_prime": 1.0 + hp2,
+        "du_t": 1.0 - hp2,
+        "phi_tt": np.asarray(profile.d2zeta(-x), dtype=float),
+        "L0": -1.0 - hp2,
+        "L1": 1.0 - hp2,
+        "Lb0": -np.ones_like(p),
+        "Lb1": -np.ones_like(p),
+    }
+
+
+def background_rect_state(profile: WaveProfile, grid: RectGrid,
+                          n_t: int = 32) -> RectState:
+    """The exact travelling background phi = zeta(t - x) on a rectangular
+    history of n_t + 1 equally spaced times in [0, grid.t_max]."""
+    if n_t < 2:
+        raise ValueError("need at least two time levels")
+    if grid.t_max <= 0.0:
+        raise ValueError("need a positive time extent to build a history")
+    t = np.linspace(0.0, grid.t_max, n_t + 1)
+    arg = t[:, None] - grid.x[None, :]
+    zp = np.asarray(profile.dzeta(arg), dtype=float)
+    return RectState(t, grid.x, np.asarray(profile.zeta(arg), dtype=float),
+                     zp, -zp)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +227,64 @@ def reduced_transport_exact(w0: float, cbm: float, H0: float, zp1: float, zp0: f
     d(ubar) = 2 + (d0 - 2) exp(-H0 cbm (zeta'(ubar)^2 - zeta'(ubar0)^2)/2).
     """
     return 2.0 + (w0 - 2.0) * math.exp(-H0 * cbm * (zp1**2 - zp0**2) / 2.0)
+
+
+@dataclass(frozen=True)
+class ModelFrame:
+    """Reduced-transport frame (background-matched normalization).
+
+    Lbar is frozen to its diagonal value along each u-line; L solves the
+    model ODE with background coefficients, closed form in w = 2 + L^0 - L^1
+    and one trapezoid quadrature for y = L^0 + L^1.
+    """
+
+    grid: DNGrid
+    L0: np.ndarray
+    L1: np.ndarray
+    Lb0: np.ndarray
+    Lb1: np.ndarray
+
+
+def solve_model_system(gauge: GaugeSlice, grid: DNGrid, model: Nonlinearity,
+                       profile: WaveProfile) -> ModelFrame:
+    """Solve the frozen-coefficient model transport per u-line.
+
+    Keeping only the dominant background coefficient of the L-transport and
+    freezing Lbar at its diagonal value gives, per row,
+
+        d_ub (L^0 - L^1) = -H0 zeta' zeta'' (Lb^0 - Lb^1) (L^0 - L^1),
+        d_ub (L^0 + L^1) = -H0 zeta' zeta'' (Lb^0 + Lb^1) (L^0 - L^1),
+
+    an affine ODE solved exactly for w = 2 + (L^0 - L^1) (the shift makes
+    the travelling wave the fixed point w = 0 of the deviation) and by
+    trapezoid quadrature for y = L^0 + L^1.  Criterion 7 checks that the
+    full transport (geometry.integrate_frame) is dominated by this term
+    for small data.
+    """
+    grid.require_nodes(gauge.x, "gauge slice")
+    n = grid.n_nodes
+    H0 = float(eval_coeffs(model, 0.0).H)
+    zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
+    zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
+    zsq_half = 0.5 * zp ** 2              # antiderivative of zeta' zeta''
+    _, jd = grid.diagonal()
+
+    cbm = gauge.Lb0 - gauge.Lb1           # per-row frozen Lbar combinations
+    cbp = gauge.Lb0 + gauge.Lb1
+    w0 = 2.0 + (gauge.L0 - gauge.L1)
+    y0 = gauge.L0 + gauge.L1
+
+    expo = (-H0) * cbm[:, None] * (zsq_half[None, :] - zsq_half[jd][:, None])
+    w = 2.0 + (w0 - 2.0)[:, None] * np.exp(expo)
+
+    integrand = ((-H0) * (zp * zpp))[None, :] * (w - 2.0) * cbp[:, None]
+    y = y0[:, None] + cumtrap_rows(integrand, grid.h, jd)
+
+    L0 = 0.5 * (y + (w - 2.0))
+    L1 = 0.5 * (y - (w - 2.0))
+    Lb0 = np.broadcast_to(gauge.Lb0[:, None], (n, n)).copy()
+    Lb1 = np.broadcast_to(gauge.Lb1[:, None], (n, n)).copy()
+    return ModelFrame(grid, L0, L1, Lb0, Lb1)
 
 
 # ---------------------------------------------------------------------------

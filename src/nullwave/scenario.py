@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from .background import profile_from_config
+from .crossval import RectGrid
 from .data_gauge import background_data, perturbed_data
 from .errors import DomainError, GridMismatch, ScenarioError
 from .grid import DNGrid
@@ -275,6 +276,14 @@ def validate_scenario(s: Scenario) -> list:
         if not isinstance(sv[key], bool):
             problems.append(f"solver: {key} must be true or false, "
                             f"got {sv[key]!r}")
+    if sv["crossval"] and not any(
+            p.startswith(("grid:", "solver:")) for p in problems):
+        half, t_max, dx = rect_extent(s)
+        try:
+            RectGrid(-half, half, dx, t_max, cfl=sv["cfl"])
+        except ValueError as exc:
+            problems.append(f"solver: rect grid [{-half:g}, {half:g}] with "
+                            f"dx {dx:g}: {exc}")
 
     return problems
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
-from .errors import GridMismatch
 from .grid import DNGrid, decay_sup
 
 FIELD_NAMES = (
@@ -81,12 +80,6 @@ class DNState:
 
     def arrays(self):
         return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "grid"}
-
-    def check_shapes(self):
-        n = self.grid.n_nodes
-        for name, a in self.arrays().items():
-            if a.shape != (n, n):
-                raise GridMismatch(f"field {name} has shape {a.shape}, grid wants {(n, n)}")
 
     def freeze(self) -> "DNState":
         """Mark every array read-only; solver outputs stay immutable."""

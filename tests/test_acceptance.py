@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from nullwave import crossval as cv
-from nullwave.background import background_frame, bump_profile, envelope_integral
+from nullwave.background import bump_profile, envelope_integral
 from nullwave.data_gauge import (
     background_data,
     build_diagonal_data,
@@ -37,10 +37,10 @@ from nullwave.geometry import (
     degeneracy_monitor,
     integrate_frame,
     reconstruct_coords,
-    solve_model_system,
 )
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import eval_coeffs
+from nullwave.oracles import background_frame_exact, solve_model_system
 from nullwave.picard import (
     PicardConfig,
     contraction_ratio,
@@ -140,12 +140,13 @@ def test_criterion_03_background_exactness(membrane):
 
     frame = integrate_frame(state, gauge, membrane, prof)
     coords = reconstruct_coords(state, frame, membrane, prof)
-    bg = background_frame(prof, membrane, grid.ub)
+    bg = background_frame_exact(float(eval_coeffs(membrane, 0.0).H),
+                                prof.dzeta(grid.ub))
     frame_dev = max(
-        float(np.max(np.abs(frame.L0 - np.asarray(bg.L0)[None, :]))),
-        float(np.max(np.abs(frame.L1 - np.asarray(bg.L1)[None, :]))),
-        float(np.max(np.abs(frame.Lb0 - np.asarray(bg.Lb0)[None, :]))),
-        float(np.max(np.abs(frame.Lb1 - np.asarray(bg.Lb1)[None, :]))),
+        float(np.max(np.abs(frame.L0 - bg["L"][0][None, :]))),
+        float(np.max(np.abs(frame.L1 - bg["L"][1][None, :]))),
+        float(np.max(np.abs(frame.Lb0 - bg["Lb"][0]))),
+        float(np.max(np.abs(frame.Lb1 - bg["Lb"][1]))),
     )
     omega_dev = float(np.max(np.abs(frame.Omega + 0.5)))
     detj_dev = float(np.max(np.abs(coords.detj + 0.5)))

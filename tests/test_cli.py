@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nullwave
 import nullwave.cli as cli
 from nullwave.report import (SUMMARY_COLUMNS, summary_row, write_json,
                              write_summary_csv)
@@ -31,6 +35,20 @@ def write_scenario(tmp_path, name="sc.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
     return path
+
+
+def test_cli_import_loads_neither_sympy_nor_numpy_polynomial():
+    # both are imported on first use only: cli imports oracles, which needs
+    # sympy for its symbolic tables, and background's phase quadrature
+    # needs numpy.polynomial's Gauss-Legendre nodes
+    src = os.path.dirname(os.path.dirname(nullwave.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, nullwave.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'sympy' or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +80,18 @@ def test_validate_non_number_exits_2(tmp_path, capsys, solver):
     assert cli.main(["validate", str(path)]) == 2
     key = next(iter(solver))
     assert f"invalid: solver: {key} must be" in capsys.readouterr().out
+
+
+def test_validate_and_run_refuse_a_rect_grid_h_does_not_divide(tmp_path,
+                                                               capsys):
+    # h = 0.3 divides [-1.5, 1.5] but not the rectangle [-3.5, 3.5]
+    path = write_scenario(tmp_path, grid={"radius": 1.5, "h": 0.3})
+    assert cli.main(["validate", str(path)]) == 2
+    assert "invalid: solver: rect grid [-3.5, 3.5] with dx 0.3: dx must " \
+        "evenly divide the x extent" in capsys.readouterr().out
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "rect grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_rejects_unknown_key(tmp_path, capsys):

@@ -12,7 +12,6 @@ from nullwave.crossval import (
     RectState,
     _bilinear,
     _second_difference_sup,
-    background_rect_state,
     flux_residual,
     phase_shift,
     pullback_compare,
@@ -38,6 +37,7 @@ from nullwave.geometry import (full_field_jet, integrate_frame,
                                reconstruct_coords)
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import polynomial_model
+from nullwave.oracles import background_rect_state
 
 
 def _dn_pipeline(model, profile, radius, h, rect_data):

@@ -1,6 +1,4 @@
-"""Slice data import, the t=0 gauge solves, and diagonal data assembly."""
-
-import csv
+"""Slice data, the t=0 gauge solves, and diagonal data assembly."""
 
 import numpy as np
 import pytest
@@ -8,12 +6,10 @@ import pytest
 from nullwave.background import WaveProfile, bump_profile, zero_profile
 from nullwave.data_gauge import (
     background_data,
-    background_gauge_values,
     build_diagonal_data,
     build_gauge_slice,
     closeness_certificate,
     perturbed_data,
-    rect_data_from_csv,
     solve_eikonal_t0,
     solve_phi_tt,
 )
@@ -25,7 +21,7 @@ from nullwave.errors import (
 )
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import linear_model, membrane_model, polynomial_model
-from nullwave.oracles import eikonal_roots_via_polynomial
+from nullwave.oracles import background_gauge_values, eikonal_roots_via_polynomial
 from nullwave.state import FIELD_NAMES
 
 # frozen gauge values for the membrane background at slope zeta' = 0.5
@@ -196,31 +192,6 @@ def test_algebraic_family_certificate(bump03):
         perturbed_data(bump03, kind="algebraic", eps=1e-3, width=2.0, gamma=1.0),
         bump03, X_max=20.0)
     assert 0 < cert["eps_bar"] < 0.1
-
-
-def test_rect_data_from_csv_roundtrip(tmp_path, membrane, bump03):
-    rect = perturbed_data(bump03, eps=1e-2, width=1.0)
-    xs = np.arange(-3.0, 3.0 + 1e-12, 0.01)
-    rows = np.column_stack([xs] + [np.asarray(f(xs)) for f in
-                                   (rect.phi0, rect.phi0p, rect.phi0pp,
-                                    rect.phi1, rect.phi1p)])
-    path = tmp_path / "data.csv"
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "phi0", "phi0p", "phi0pp", "phi1", "phi1p"])
-        wr.writerows([[repr(float(v)) for v in row] for row in rows])
-    loaded = rect_data_from_csv(path, bump03)
-    xq = np.linspace(-2.5, 2.5, 57)  # off the table nodes
-    assert np.allclose(loaded.phi0(xq), rect.phi0(xq), atol=1e-8)
-    assert np.allclose(loaded.phi0p(xq), rect.phi0p(xq), atol=1e-8)
-    assert np.allclose(loaded.phi1(xq), rect.phi1(xq), atol=1e-8)
-    assert np.allclose(loaded.phi0pp(xq), rect.phi0pp(xq), atol=1e-3)
-    assert np.allclose(loaded.phi1p(xq), rect.phi1p(xq), atol=1e-3)
-    # beyond the table the data continues as the exact background
-    far = np.array([-9.0, 8.5, 20.0])
-    bg = background_data(bump03)
-    for name in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"):
-        assert np.array_equal(getattr(loaded, name)(far), getattr(bg, name)(far)), name
 
 
 def test_far_field_gauge_independent_of_background_size(membrane):

@@ -21,23 +21,20 @@ from nullwave.nonlinearity import Nonlinearity, membrane_model, polynomial_model
 from nullwave.state import DiagonalData, DNState, sigma_of
 
 
-def dalembert_data(grid):
+# (a, a', a'') and (b, b', b'') of dalembert_data's default solution
+GAUSS_03 = (lambda u: 0.3 * np.exp(-u * u),
+            lambda u: -0.6 * u * np.exp(-u * u),
+            lambda u: (-0.6 + 1.2 * u * u) * np.exp(-u * u))
+SINE_02 = (lambda v: 0.2 * np.sin(v),
+           lambda v: 0.2 * np.cos(v),
+           lambda v: -0.2 * np.sin(v))
+
+
+def dalembert_data(grid, a=GAUSS_03, b=SINE_02):
     """Diagonal data of an exact flat-space solution psi = 2a'(u),
-    psib = 2b'(ubar), xi = a(u) + b(ubar)."""
+    psib = 2b'(ubar), xi = a(u) + b(ubar); a and b are (f, f', f'')."""
     s = grid.u
-
-    def a(u):
-        return 0.3 * np.exp(-u * u)
-
-    def ap(u):
-        return -0.6 * u * np.exp(-u * u)
-
-    def app(u):
-        return (-0.6 + 1.2 * u * u) * np.exp(-u * u)
-
-    b, bp, bpp = (lambda v: 0.2 * np.sin(v),
-                  lambda v: 0.2 * np.cos(v),
-                  lambda v: -0.2 * np.sin(v))
+    (a, ap, app), (b, bp, bpp) = a, b
     zero = np.zeros_like(s)
     data = DiagonalData(
         s=s,
@@ -84,6 +81,40 @@ def test_march_linear_derivatives_exact(linear, zero_prof):
                           np.broadcast_to(data.dpsib_ub[::-1][None, :], shape))
     assert np.all(st_.dpsi_ub == 0.0)
     assert np.all(st_.dpsib_u == 0.0)
+
+
+@given(A=st.floats(-0.5, 0.5), c=st.floats(-1.0, 1.0), w=st.floats(0.7, 2.0),
+       B=st.floats(0.05, 0.5), k=st.floats(0.5, 2.0), p=st.floats(0.0, 6.3),
+       radius=st.sampled_from([2.0, 3.0]))
+@settings(max_examples=10)
+def test_march_linear_exact_over_random_data(linear, zero_prof, A, c, w, B, k,
+                                             p, radius):
+    # Criterion 1 over random smooth solutions a(u) + b(ubar): with F == 0
+    # the derivative transports are bitwise copies of the data, and the
+    # fields meet d'Alembert at second order.
+    def gauss(u):
+        return A * np.exp(-((u - c) / w) ** 2)
+
+    a = (gauss, lambda u: -2.0 * (u - c) / w ** 2 * gauss(u),
+         lambda u: (4.0 * (u - c) ** 2 / w ** 4 - 2.0 / w ** 2) * gauss(u))
+    b = (lambda v: B * np.sin(k * v + p), lambda v: B * k * np.cos(k * v + p),
+         lambda v: -B * k * k * np.sin(k * v + p))
+    errs = {}
+    for h in (0.05, 0.025):
+        grid = DNGrid.square(radius, h)
+        data, exact = dalembert_data(grid, a, b)
+        st_ = march(data, grid, linear, zero_prof)
+        shape = st_.psi.shape
+        assert np.array_equal(st_.dpsi_u,
+                              np.broadcast_to(data.dpsi_u[:, None], shape))
+        assert np.array_equal(
+            st_.dpsib_ub, np.broadcast_to(data.dpsib_ub[::-1][None, :], shape))
+        assert np.all(st_.dpsi_ub == 0.0) and np.all(st_.dpsib_u == 0.0)
+        U, UB = grid.u[:, None], grid.ub[None, :]
+        errs[h] = max(np.max(np.abs(getattr(st_, name) - f(U, UB)))
+                      for name, f in exact.items())
+    assert errs[0.05] < 2e-3
+    assert 1.7 < np.log2(errs[0.05] / errs[0.025]) < 2.3
 
 
 def test_march_zero_data_stays_zero(membrane, bump03):

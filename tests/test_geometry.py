@@ -18,11 +18,9 @@ from nullwave.geometry import (
     integrate_frame,
     nullity_residual,
     reconstruct_coords,
-    solve_model_system,
-    transport_rhs,
 )
-from nullwave.background import (algebraic_profile, background_frame,
-                                 bump_profile, phase_function, phase_relabel,
+from nullwave.background import (algebraic_profile, bump_profile,
+                                 phase_function, phase_relabel,
                                  phase_relabel_velocity)
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import (
@@ -31,7 +29,8 @@ from nullwave.nonlinearity import (
     membrane_model,
     polynomial_model,
 )
-from nullwave.oracles import reduced_transport_exact
+from nullwave.oracles import (background_frame_exact, reduced_transport_exact,
+                              solve_model_system)
 from nullwave.state import sigma_of
 
 
@@ -47,6 +46,19 @@ def _pipeline(model, profile, radius, h, eps=0.0, **pulse):
 
 # ---------------------------------------------------------------------------
 # transport RHS against an explicit Christoffel contraction
+
+
+def _transport_rhs(jet, L, Lb):
+    """(d_ub L, d_u Lbar), (t, x)-stacked, at the frame values L and Lb.
+
+    The jet supplies full_field_jet's keys; the RHS is _frame_rhs on the
+    coefficients of _transport_coeffs, the path integrate_frame runs.
+    """
+    cf = np.empty((len(geometry._CF_KEYS),) + np.broadcast_shapes(
+        *(np.shape(v) for v in jet.values())))
+    geometry._transport_coeffs(jet, cf)
+    return geometry._frame_rhs(cf, np.asarray(L, dtype=float),
+                               np.asarray(Lb, dtype=float))
 
 
 def _manufactured_point_jets(model, rng, n):
@@ -130,22 +142,10 @@ def test_transport_rhs_matches_christoffel_contraction(make_model, seed):
     model = make_model()
     rng = np.random.default_rng(seed)
     jet, L, Lb, want_L, want_Lb = _manufactured_point_jets(model, rng, 400)
-    gotL = transport_rhs(jet, L[0], L[1], Lb[0], Lb[1], along="ubar")
-    gotB = transport_rhs(jet, L[0], L[1], Lb[0], Lb[1], along="u")
-    for got, want in zip(gotL + gotB, want_L + want_Lb):
+    gotL, gotB = _transport_rhs(jet, L, Lb)
+    for got, want in zip([*gotL, *gotB], want_L + want_Lb):
         scale = 1.0 + float(np.max(np.abs(want)))
         assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
-
-
-def test_transport_rhs_validates_direction(membrane, bump03):
-    grid = DNGrid.square(1.0, 0.5)
-    data, gauge = build_diagonal_data(background_data(bump03), grid,
-                                      membrane, bump03)
-    state = march(data, grid, membrane, bump03)
-    jet = full_field_jet(state, membrane, bump03)
-    with pytest.raises(ValueError):
-        transport_rhs(jet, gauge.L0, gauge.L1, gauge.Lb0,
-                      gauge.Lb1, along="t")
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +186,11 @@ def test_background_exact_over_random_profiles(membrane, kind, A, center,
     for f in (state.psi, state.psib, state.xi,
               sigma_of(state.psi, state.psib, zp[None, :])):
         assert np.max(np.abs(f)) <= 1e-12
-    bg = background_frame(prof, model, grid.ub)
-    for name in ("L0", "L1", "Lb0", "Lb1", "Omega"):
-        dev = getattr(frame, name) - np.asarray(getattr(bg, name))[None, :]
+    bg = background_frame_exact(float(eval_coeffs(model, 0.0).H), zp)
+    want = {"L0": bg["L"][0], "L1": bg["L"][1], "Lb0": bg["Lb"][0],
+            "Lb1": bg["Lb"][1], "Omega": bg["Omega"]}
+    for name, ref in want.items():
+        dev = getattr(frame, name) - ref    # ref varies along ubar only
         assert np.max(np.abs(dev)) <= 1e-10, name
 
 
@@ -315,11 +317,10 @@ def _deviations(grid, frame, model, profile):
 
 
 def _deviation_rhs(model, jet, bg, rbg, lam):
-    """d_ub of the L deviation and d_u of the Lbar one, through transport_rhs."""
-    L, Lb = bg + lam[0], lam[1] - 1.0
-    RL = transport_rhs(jet, *L, *Lb, along="ubar")
-    RB = transport_rhs(jet, *L, *Lb, along="u")
-    return np.array([np.array(RL) - rbg, RB])
+    """d_ub of the L deviation and d_u of the Lbar one, by _transport_rhs."""
+    R = _transport_rhs(jet, bg + lam[0], lam[1] - 1.0)
+    R[0] -= rbg
+    return R
 
 
 def test_frame_satisfies_trapezoid_transport(membrane, bump03):
@@ -423,6 +424,20 @@ def test_gauge_grid_mismatch(membrane, bump03):
     state_big = march(data_big, big, membrane, bump03)
     with pytest.raises(GridMismatch):
         integrate_frame(state_big, gauge_small, membrane, bump03)
+
+
+def test_coords_grid_mismatch(membrane, bump03):
+    # reconstruct_coords integrates on the frame's grid: a state marched on
+    # another grid is refused, one on an equal grid built apart is not
+    *_, state_small, _ = _pipeline(membrane, bump03, 1.0, 0.25)
+    *_, state, frame = _pipeline(membrane, bump03, 2.0, 0.25)
+    *_, state_twin, _ = _pipeline(membrane, bump03, 2.0, 0.25)
+    with pytest.raises(GridMismatch):
+        reconstruct_coords(state_small, frame, membrane, bump03)
+    assert state_twin.grid is not frame.grid
+    twin = reconstruct_coords(state_twin, frame, membrane, bump03)
+    assert np.array_equal(twin.t, reconstruct_coords(
+        state, frame, membrane, bump03).t)
 
 
 def test_frame_transport_stall_names_the_node(membrane, bump03, monkeypatch):

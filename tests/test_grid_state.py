@@ -95,7 +95,6 @@ def test_grid_require_nodes():
 def test_state_zeros_freeze():
     g = DNGrid.square(1.0, 0.25)
     st = DNState.zeros(g)
-    st.check_shapes()
     assert set(st.arrays()) == {
         "psi", "psib", "xi",
         "dpsi_u", "dpsi_ub", "dpsib_u", "dpsib_ub", "dxi_u", "dxi_ub",
@@ -103,15 +102,6 @@ def test_state_zeros_freeze():
     st.freeze()
     with pytest.raises(ValueError):
         st.psi[0, 0] = 1.0
-
-
-def test_state_shape_guard():
-    g = DNGrid.square(1.0, 0.25)
-    st = DNState.zeros(g)
-    bad = DNState(g, *[np.zeros((2, 2)) for _ in range(9)])
-    with pytest.raises(GridMismatch):
-        bad.check_shapes()
-    assert st.psi.shape == (g.n_nodes, g.n_nodes)
 
 
 def test_sigma_composition_values():

@@ -12,6 +12,7 @@ from nullwave.background import profile_from_config
 from nullwave.errors import (FixedPointDivergence, FrameDegenerate,
                              HyperbolicityLoss, InversionFailure,
                              SliceNotSpacelike)
+from nullwave.nonlinearity import eval_coeffs, model_from_config
 from nullwave.pipeline import MIN_PICARD_DELTA, STAGES, RunResult, run_pipeline
 from nullwave.report import write_run_outputs
 from nullwave.scenario import scenario_from_dict, scenario_to_dict
@@ -213,6 +214,25 @@ def test_hard_failure_still_emits_partial_report():
     assert list(res.outcomes) == list(STAGES)
     assert res.outcomes["data_gauge"] == res.outcomes["crossval"] == "failed"
     assert rep["scenario"]["perturbation"]["eps"] == 2.0
+
+
+def test_background_that_breaks_hyperbolicity_fails_in_data_gauge():
+    # H(0) = -0.5 on this coupling and sup zeta'^2 is about 3.6 on the unit
+    # bump, so the background's margin 1 + H(0) sup zeta'^2 is -0.81.  On the
+    # t=0 slice the margin is -g^00, so with no perturbation at all the run
+    # names the failure in data_gauge.
+    model, prof = {"polynomial": [0.25]}, {"bump": {"A": 1.0}}
+    H0 = float(eval_coeffs(model_from_config(model), 0.0).H)
+    x = np.arange(-3.0, 3.0, 0.01)
+    margin = 1.0 + H0 * float(np.max(profile_from_config(prof).dzeta(x) ** 2))
+    assert H0 == -0.5 and margin == pytest.approx(-0.81, abs=0.01)
+    res = run_pipeline(scenario(model=model, profile=prof, perturbation=None,
+                                solver={"contraction_seeds": 0,
+                                        "crossval": False}))
+    assert [(e["stage"], e["type"]) for e in res.report["errors"]] == [
+        ("data_gauge", "SliceNotSpacelike")]
+    assert [res.outcomes[s] for s in STAGES] == [
+        "failed", "skipped", "skipped", "skipped", "off"]
 
 
 def test_phase_shift_insufficient_domain_is_note_not_error():

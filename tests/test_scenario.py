@@ -11,6 +11,7 @@ from nullwave.data_gauge import RectInitialData, background_data
 from nullwave.errors import ScenarioError
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import Nonlinearity
+from nullwave.pipeline import run_pipeline
 from nullwave.scenario import (PERTURBATION_DEFAULTS, SOLVER_DEFAULTS,
                                Scenario, load_scenario, materialize,
                                rect_extent, save_scenario, scenario_from_dict,
@@ -263,6 +264,25 @@ def test_rect_extent_defaults_and_overrides():
     raw["solver"] = {"rect_halfwidth": 9.0, "rect_t_max": 1.25, "rect_dx": 0.05}
     half, t_max, dx = rect_extent(scenario_from_dict(raw))
     assert (half, t_max, dx) == (9.0, 1.25, 0.05)
+
+
+def test_validate_checks_the_rect_grid():
+    # h = 0.3 divides the null square's [-1.5, 1.5] but not the default
+    # rectangle [-3.5, 3.5], which RectGrid refuses; validate names it,
+    # so run_pipeline stops with ScenarioError before any stage runs
+    raw = full_dict()
+    raw["grid"] = {"radius": 1.5, "h": 0.3}
+    s = scenario_from_dict(raw)
+    assert validate_scenario(s) == [
+        "solver: rect grid [-3.5, 3.5] with dx 0.3: "
+        "dx must evenly divide the x extent"]
+    with pytest.raises(ScenarioError, match="rect grid"):
+        run_pipeline(s)
+    # no rectangle is built with crossval off, or with a dx that divides it
+    raw["solver"] = dict(raw["solver"], crossval=False)
+    assert validate_scenario(scenario_from_dict(raw)) == []
+    raw["solver"] = dict(raw["solver"], crossval=True, rect_dx=0.35)
+    assert validate_scenario(scenario_from_dict(raw)) == []
 
 
 def test_load_and_save(tmp_path):
