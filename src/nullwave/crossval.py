@@ -43,6 +43,7 @@ import numpy as np
 from .background import WaveProfile, phase_function, phase_relabel
 from .errors import (
     CFLViolation,
+    GridMismatch,
     HyperbolicityLoss,
     InsufficientDomain,
     InversionFailure,
@@ -80,16 +81,16 @@ class RectGrid:
 
     def __post_init__(self):
         if not self.x_max > self.x_min:
-            raise ValueError("need x_max > x_min")
+            raise GridMismatch("need x_max > x_min")
         if not self.dx > 0.0:
-            raise ValueError("dx must be positive")
+            raise GridMismatch("dx must be positive")
         if self.t_max < 0.0:
-            raise ValueError("t_max must be nonnegative")
+            raise GridMismatch("t_max must be nonnegative")
         if not 0.0 < self.cfl < 1.0:
-            raise ValueError("cfl must sit in (0, 1)")
+            raise GridMismatch("cfl must sit in (0, 1)")
         n = (self.x_max - self.x_min) / self.dx
         if abs(n - round(n)) > 1e-9 * (1.0 + n):
-            raise ValueError("dx must evenly divide the x extent")
+            raise GridMismatch("dx must evenly divide the x extent")
 
     @property
     def n_x(self) -> int:

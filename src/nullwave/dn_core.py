@@ -36,17 +36,18 @@ with
 front off the diagonal the across-corner D is not available and the value is
 taken as the average of the two one-leg trapezoid integrations instead.
 
-The fronts i + j = N +- m come from DNGrid.fronts, the helper that the frame
-transport (geometry.integrate_frame) walks as well, and both sweeps hold a
-set of cells as one (field, component, cell) array.  F_P depends on the
-unknowns at P, so each front runs a small fixed-point loop vectorized over
-its cells and fields, with the predecessor values gathered once per front:
-plain iterations until every cell's update is within CELL_TOL of its size
-(N_PLAIN caps them), then a damped retry from the predictor for any cell
-that has not converged (N_DAMPED caps that).  The sweep fills a DNState in
-place and raises the named errors itself, at the first failing node of the
-front: HyperbolicityLoss where sigma leaves the model's admissible range,
-InnerFixedPointDivergence where a cell is still unconverged after the retry.
+The fronts i + j = N +- m and the slices of the previous front that hold W
+and S come from DNGrid.fronts and DNGrid.predecessors, which the frame
+transport (geometry.integrate_frame) walks as well.  D lies on the front
+before, so the sweep carries its last two fronts, sources included.  F_P
+depends on the unknowns at P, so each front runs a small fixed-point loop
+vectorized over its cells and fields: plain iterations until every cell's
+update is within CELL_TOL of its size (N_PLAIN caps them), then a damped
+retry from the predictor for any cell that has not converged (N_DAMPED caps
+that).  The sweep fills a DNState in place and raises the named errors
+itself, at the first failing node of the front: HyperbolicityLoss where
+sigma leaves the model's admissible range, InnerFixedPointDivergence where a
+cell is still unconverged after the retry.
 
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
@@ -108,45 +109,45 @@ def _require_admissible(okm, grid, ii, jj):
         )
 
 
-def _sweep(grid, direction, model, zp, zpp, state, FP, FB, FX):
+def _sweep(grid, direction, model, zp, zpp, state):
     """Sweep one time direction front by front, filling state in place.
 
     direction = +1 fills the future triangle i+j > N, -1 the past one.
-    FP, FB, FX receive the sources F_psi, F_psib, F_xi at every node filled.
     The unknowns of a set of cells are held as one (3, 3, cells) array:
-    field (psi, psib, xi) by component (value, d_u, d_ub).
+    field (psi, psib, xi) by component (value, d_u, d_ub).  A finished
+    front is one (4, 3, cells) array, component (value, d_u, d_ub, F) by
+    field: W and S are slices of the last one, D is [1:-1] of the one before.
     """
     h, d = grid.h, direction
     hh = 0.5 * h * d
     qq = 0.25 * h * h
-    fields = [
-        (getattr(state, name), getattr(state, f"d{name}_u"),
-         getattr(state, f"d{name}_ub"), F)
-        for name, F in (("psi", FP), ("psib", FB), ("xi", FX))
-    ]
+    fields = [[getattr(state, n) for n in (name, f"d{name}_u", f"d{name}_ub")]
+              for name in ("psi", "psib", "xi")]
+    sW, sS = grid.predecessors(d)
 
     def rhs(j, U):
         (p, pu, pub), (b, bu, bub), (_, xu, xub) = U
         return _rhs_arrays(model, zp[j], zpp[j], p, b, pu, pub, bu, bub, xu, xub)
 
     def store(here, U):
+        """Write U into state at here; return the front with its sources."""
         okm, _, *sources = rhs(here[1], U)
         _require_admissible(okm, grid, *here)
-        for (V, VU, VUB, F), (v, vu, vub), f in zip(fields, U, sources):
-            V[here], VU[here], VUB[here], F[here] = v, vu, vub, f
-
-    def gather(at):
-        """(V, VU, VUB, F) at the nodes at, each a (field, cell) array."""
-        return np.array([[A[at] for A in fld] for fld in fields]).swapaxes(0, 1)
+        for (V, VU, VUB), (v, vu, vub) in zip(fields, U):
+            V[here], VU[here], VUB[here] = v, vu, vub
+        return np.concatenate((U.swapaxes(0, 1), [sources]))
 
     here = grid.diagonal()
-    store(here, np.array([(V[here], VU[here], VUB[here])
-                          for V, VU, VUB, _ in fields]))
+    prev = store(here, np.array([[A[here] for A in fld] for fld in fields]))
 
     for m, (ii, jj) in enumerate(grid.fronts(d), 1):
-        iw = ii - d
-        js = jj - d
         first = m == 1
+        W, S = prev[..., sW], prev[..., sS]
+        # On the first front the corner (i - d, j - d) is on the other
+        # sweep's first front: 0 on the future sweep, which runs first, and
+        # that sweep's values on the past one.  Only the predictor reads it.
+        D = (np.array([[V[ii - d, jj - d] for V, *_ in fields]]) if first
+             else older[..., 1:-1])
 
         def solve_subset(sel, damp, n_it):
             """At most n_it fixed-point iterations for the selected cells.
@@ -155,15 +156,12 @@ def _sweep(grid, direction, model, zp, zpp, state, FP, FB, FX):
             CELL_TOL * scale.  The stop is front-wide: a cell that converged
             early keeps iterating until the slowest cell has, so its result
             depends on the subset it runs in, but only below that tolerance.
-            The predecessor values do not change inside the loop, so they
-            are gathered once.  Returns the unknowns and the mask of
-            converged cells.
+            Returns the unknowns and the mask of converged cells.
             """
             i, j = ii[sel], jj[sel]
-            c = (iw[sel], js[sel])
-            V_w, VU_w, VUB_w, F_w = gather((c[0], j))
-            V_s, VU_s, VUB_s, F_s = gather((i, c[1]))
-            V_c, _, _, F_c = gather(c)
+            V_w, VU_w, VUB_w, F_w = W[..., sel]
+            V_s, VU_s, VUB_s, F_s = S[..., sel]
+            V_c, F_c = D[0][..., sel], D[-1][..., sel]
             corner = V_w + V_s - V_c
             cur = np.stack((corner, VU_s, VUB_w), axis=1)
             new = np.empty_like(cur)
@@ -190,7 +188,7 @@ def _sweep(grid, direction, model, zp, zpp, state, FP, FB, FX):
                     break
             return cur, good
 
-        sol, good = solve_subset(np.ones(ii.shape, dtype=bool), 1.0, N_PLAIN)
+        sol, good = solve_subset(slice(None), 1.0, N_PLAIN)
         if not np.all(good):
             fail = ~good
             sol[:, :, fail], good[fail] = solve_subset(fail, 0.5, N_DAMPED)
@@ -201,7 +199,7 @@ def _sweep(grid, direction, model, zp, zpp, state, FP, FB, FX):
                     f"{grid.where(ii[bad], jj[bad])}; "
                     "reduce h or the data amplitude"
                 )
-        store((ii, jj), sol)
+        older, prev = prev, store((ii, jj), sol)
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
@@ -240,13 +238,8 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
 
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
-    f_psi = np.zeros((grid.n_nodes, grid.n_nodes))
-    f_psib = np.zeros_like(f_psi)
-    f_xi = np.zeros_like(f_psi)
-
     for direction in (1, -1):
-        _sweep(grid, direction, model, zp, zpp, state,
-                              f_psi, f_psib, f_xi)
+        _sweep(grid, direction, model, zp, zpp, state)
     return state.freeze()
 
 

@@ -220,9 +220,10 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     implicit endpoint is resolved by a fixed point (the RHS is quadratic in
     the frame, the cell coupling is O(h)) that stops once the front's update
     is within FRAME_TOL of its size, at most FRAME_MAX_ITER iterations.
-    Both predecessors of a front's nodes lie on the previous front, so its
-    deviations and converged RHS are carried per front, in the same
-    layout, and every cell costs one front sweep.  The 13 coefficient
+    Both predecessors of a front's nodes lie on the previous front, in the
+    slices DNGrid.predecessors names, so its deviations and converged RHS
+    are carried per front, in the same layout, as the march carries its
+    fronts, and every cell costs one front sweep.  The 13 coefficient
     grids of _transport_coeffs are stacked one row block at a time and
     gathered with one index per front.  At the end the deviations become
     the frame in place, and the conformal factor is formed per row block.
@@ -275,9 +276,8 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
 
     for d in (1, -1):
         hh = 0.5 * grid.h * d
-        # L comes from the ubar-predecessor (i, j - d), Lbar from the
-        # u-predecessor (i - d, j): consecutive nodes of the previous front
-        sL, sB = (slice(1, None), slice(None, -1))[::d]
+        # Lbar comes from the u-predecessor, L from the ubar-predecessor
+        sB, sL = grid.predecessors(d)
         prev, prev_R = diagonal
         for ii, jj in grid.fronts(d):
             rhs, _ = deviation_rhs(ii, jj)

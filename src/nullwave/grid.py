@@ -85,6 +85,12 @@ class DNGrid:
             ii = np.arange(max(k - N, 0), min(k, N) + 1)
             yield ii, k - ii
 
+    def predecessors(self, direction: int):
+        """Slices (W, S) of the previous front that hold the u- and
+        ubar-predecessors of fronts(direction)'s nodes; the across-corner
+        (i - direction, j - direction) is [1:-1] of the front before."""
+        return (slice(None, -1), slice(1, None))[::direction]
+
     def where(self, i, j) -> str:
         """Name node (i, j) by its coordinates, for error messages."""
         return f"node (u={self.u[i]:.6g}, ubar={self.ub[j]:.6g})"

@@ -281,7 +281,7 @@ def validate_scenario(s: Scenario) -> list:
         half, t_max, dx = rect_extent(s)
         try:
             RectGrid(-half, half, dx, t_max, cfl=sv["cfl"])
-        except ValueError as exc:
+        except GridMismatch as exc:
             problems.append(f"solver: rect grid [{-half:g}, {half:g}] with "
                             f"dx {dx:g}: {exc}")
 

@@ -275,11 +275,11 @@ def radius3(membrane, bump03):
 
 
 def test_march_memory_budget(peak_fields, radius3, membrane, bump03):
-    # The nine unknowns and the three source fields of the sweep, plus the
-    # per-front arrays; the slaved sigma is not stored.
+    # The nine unknowns, plus the two fronts the sweep carries and the
+    # per-front arrays; neither the sources nor the slaved sigma are stored.
     grid, data, _, _ = radius3
     assert peak_fields(lambda: march(data, grid, membrane, bump03),
-                       grid) <= 13.5
+                       grid) <= 10.5
 
 
 def test_envelope_sups_memory_budget(peak_fields, radius3):

@@ -28,6 +28,7 @@ from nullwave.data_gauge import (
 from nullwave.dn_core import march
 from nullwave.errors import (
     CFLViolation,
+    GridMismatch,
     HyperbolicityLoss,
     InsufficientDomain,
     InversionFailure,
@@ -68,12 +69,18 @@ def _gaussian_pair(amp, phi0_aligned):
 
 
 def test_rect_grid_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(GridMismatch):
         RectGrid(1.0, -1.0, 0.1, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(GridMismatch):
+        RectGrid(-1.0, 1.0, 0.0, 1.0)
+    with pytest.raises(GridMismatch):
+        RectGrid(-1.0, 1.0, 0.1, -1.0)
+    with pytest.raises(GridMismatch):
         RectGrid(-1.0, 1.0, 0.1, 1.0, cfl=1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(GridMismatch):
         RectGrid(-1.0, 1.0, 0.3, 1.0)  # dx does not divide the extent
+    with pytest.raises(GridMismatch, match="evenly divide"):
+        RectGrid(-3.5, 3.5, 0.3, 0.6)
 
 
 def test_linear_pulse_matches_dalembert(linear, zero_prof):

@@ -55,6 +55,25 @@ def test_fronts_partition_the_square(grid):
     assert np.all(count[i + j != N] == 1)
 
 
+@pytest.mark.parametrize("grid", [DNGrid.square(1.0, 0.25), DNGrid(-1.0, 2.0, 0.5)],
+                         ids=["N8", "N6"])
+@pytest.mark.parametrize("d", [1, -1])
+def test_predecessors_slice_the_previous_fronts(grid, d):
+    # W and S slice the previous front (the diagonal for m = 1) into each
+    # node's u- and ubar-predecessor; [1:-1] of the front before holds the
+    # across-corner
+    sW, sS = grid.predecessors(d)
+    prev, older = grid.diagonal(), None
+    for m, (ii, jj) in enumerate(grid.fronts(d), 1):
+        pi, pj = prev
+        assert np.array_equal(pi[sW], ii - d) and np.array_equal(pj[sW], jj)
+        assert np.array_equal(pi[sS], ii) and np.array_equal(pj[sS], jj - d)
+        if m >= 2:
+            assert np.array_equal(older[0][1:-1], ii - d)
+            assert np.array_equal(older[1][1:-1], jj - d)
+        prev, older = (ii, jj), prev
+
+
 def test_grid_rejects_uneven_spacing():
     with pytest.raises(GridMismatch):
         DNGrid(-1.0, 1.0, 0.7)
