@@ -30,15 +30,17 @@ from .scenario import (load_scenario, scenario_from_dict, scenario_to_dict,
 
 
 def thread_count() -> int:
-    """Worker count for parameter sweeps (NULLWAVE_THREADS caps it)."""
+    """Worker count for parameter sweeps: the CPU count, capped by
+    NULLWAVE_THREADS if that is set.  Raises ValueError naming the
+    variable if it is set but is not a positive integer."""
     n = os.cpu_count() or 1
     raw = os.environ.get("NULLWAVE_THREADS", "").strip()
-    if raw:
-        try:
-            n = max(1, min(n, int(raw)))
-        except ValueError:
-            pass
-    return n
+    if not raw:
+        return n
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(
+            f"NULLWAVE_THREADS must be a positive integer, got {raw!r}")
+    return min(n, int(raw))
 
 
 def _load_checked(path):
@@ -101,6 +103,11 @@ def _sweep_worker(task):
 
 
 def cmd_sweep(args) -> int:
+    try:
+        threads = thread_count()
+    except ValueError as exc:
+        print(f"invalid environment: {exc}", file=sys.stderr)
+        return 2
     template, problems = _load_checked(args.template)
     if problems:
         for p in problems:
@@ -132,7 +139,7 @@ def cmd_sweep(args) -> int:
             _set_dotted(sdict, key, value)
         tasks.append((idx, sdict, os.path.join(out_dir, f"run_{idx:03d}")))
 
-    workers = min(thread_count(), max(len(tasks), 1))
+    workers = min(threads, max(len(tasks), 1))
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_worker, tasks))

@@ -19,15 +19,15 @@ three ghost cells.
 
 pullback_compare closes the loop: it inverts the reconstructed coordinate
 map (t, x)(u, ub) by Newton refinement of a bilinear interpolant, pulls
-the double-null solution back onto the rectangular nodes, and reports sup
-and L1 differences.  Each Newton iteration evaluates only the live
-walkers: a node leaves once its residual converges, or once a step leaves
-it bitwise in place (mostly a walker that the collar clip holds on one
-point).  flux_residual applies the divergence-form equation
-d_t(-e^f Phi0) + d_x(e^f Phi1) = 0 to any rectangular state by centered
-differences.  phase_shift extracts the asymptotic offset between the
-reconstructed u-level sets and the background relation
-u = V^{-1}(t + x + Z(t - x)) across the wave zone.
+the double-null solution back onto the rectangular nodes, and returns sup
+and L1 differences in a plain dict.  Each Newton iteration locates the
+live walkers once and evaluates only them: a node leaves once its
+residual converges, or once a step leaves it bitwise in place (mostly a
+walker that the collar clip holds on one point).  flux_residual applies
+the divergence-form equation d_t(-e^f Phi0) + d_x(e^f Phi1) = 0 to any
+rectangular state by centered differences.  phase_shift extracts the
+asymptotic offset between the reconstructed u-level sets and the
+background relation u = V^{-1}(t + x + Z(t - x)) across the wave zone.
 
 Spatial work per step is vectorized over the grid; time stepping is
 inherently sequential.
@@ -36,11 +36,11 @@ inherently sequential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .background import WaveProfile, phase_function, phase_relabel
+from .background import WaveProfile, phase_function
 from .errors import (
     CFLViolation,
     GridMismatch,
@@ -56,7 +56,6 @@ from .state import DNState, Phi0_of, Phi1_of
 __all__ = [
     "RectGrid",
     "RectState",
-    "ComparisonReport",
     "rect_solve",
     "flux_residual",
     "pullback_compare",
@@ -84,8 +83,8 @@ class RectGrid:
             raise GridMismatch("need x_max > x_min")
         if not self.dx > 0.0:
             raise GridMismatch("dx must be positive")
-        if self.t_max < 0.0:
-            raise GridMismatch("t_max must be nonnegative")
+        if not self.t_max > 0.0:
+            raise GridMismatch("t_max must be positive")
         if not 0.0 < self.cfl < 1.0:
             raise GridMismatch("cfl must sit in (0, 1)")
         n = (self.x_max - self.x_min) / self.dx
@@ -113,7 +112,7 @@ class RectState:
 
     @property
     def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
+        return float(self.t[1] - self.t[0])
 
     @property
     def dx(self) -> float:
@@ -172,7 +171,6 @@ def rect_solve(
     outgrows the reserved margin.
     """
     dx = grid.dx
-    x_phys = grid.x
     x_full = grid.x_min + dx * np.arange(-N_GHOST, grid.n_x + N_GHOST)
 
     phi0, phi0p, _, phi1, _ = data.sample(x_full)
@@ -181,15 +179,7 @@ def rect_solve(
     P1 = np.asarray(phi0p, dtype=float).copy()
 
     _, c0 = _char_speed(model, P0[N_GHOST:-N_GHOST], P1[N_GHOST:-N_GHOST])
-    if grid.t_max == 0.0:
-        t_axis = np.zeros(1)
-        return RectState(
-            t_axis, x_phys,
-            phi[None, N_GHOST:-N_GHOST].copy(),
-            P0[None, N_GHOST:-N_GHOST].copy(),
-            P1[None, N_GHOST:-N_GHOST].copy(),
-        )
-    n_t = max(1, math.ceil(grid.t_max / (grid.cfl * dx / (c0 * (1.0 + SPEED_MARGIN)))))
+    n_t = math.ceil(grid.t_max / (grid.cfl * dx / (c0 * (1.0 + SPEED_MARGIN))))
     dt = grid.t_max / n_t
 
     inner = slice(N_GHOST, -N_GHOST)
@@ -238,7 +228,7 @@ def rect_solve(
             rows[k + 1] = c[inner]
 
     t_axis = dt * np.arange(n_t + 1)
-    return RectState(t_axis, x_phys, *hist)
+    return RectState(t_axis, grid.x, *hist)
 
 
 def flux_residual(rect: RectState, model: Nonlinearity) -> float:
@@ -256,39 +246,6 @@ def flux_residual(rect: RectState, model: Nonlinearity) -> float:
     dt_A = (At[2:, 1:-1] - At[:-2, 1:-1]) / (2.0 * rect.dt)
     dx_A = (Ax[1:-1, 2:] - Ax[1:-1, :-2]) / (2.0 * rect.dx)
     return float(np.max(np.abs(dt_A + dx_A)))
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Pullback-vs-rectangular differences plus assembled diagnostics.
-
-    sup_diff / l1_diff are per-field dictionaries over phi, Phi0, Phi1 on
-    the compared nodes; interp_error estimates the bilinear sampling
-    floor; orders, phase_shift and degeneracy are filled by refinement
-    studies and the reporting layer.  newton["live"] lists the walkers
-    the pullback evaluated at each Newton iteration; newton["iterations"]
-    is its length, kept for readers of the report.  as_dict() emits exactly
-    the exported JSON shape.
-    """
-
-    sup_diff: dict
-    l1_diff: dict
-    interp_error: float
-    n_compared: int
-    n_skipped: int
-    orders: list | None = None
-    phase_shift: float | None = None
-    degeneracy: dict | None = field(default=None)
-    newton: dict | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "sup_diff": dict(self.sup_diff),
-            "l1_diff": dict(self.l1_diff),
-            "orders": list(self.orders) if self.orders is not None else None,
-            "phase_shift": self.phase_shift,
-            "degeneracy": dict(self.degeneracy) if self.degeneracy is not None else None,
-        }
 
 
 def _bilinear(F: np.ndarray, iu, jb, su, rb):
@@ -313,19 +270,13 @@ def _locate(grid, u, ub):
     return iu, jb, qu - iu, qb - jb
 
 
-def _map_residual(cmap: CoordMap, u, ub, t, x):
-    """(t, x)(u, ub) - (t, x) on the bilinear interpolant of the map."""
-    cell = _locate(cmap.grid, u, ub)
-    return _bilinear(cmap.t, *cell) - t, _bilinear(cmap.x, *cell) - x
-
-
-def _newton_step(cmap: CoordMap, u, ub, rt, rx):
-    """Walkers at (u, ub) with map residual (rt, rx) after one Newton step.
+def _newton_step(cmap: CoordMap, u, ub, cell, rt, rx):
+    """Walkers at (u, ub), in cell = _locate(grid, u, ub) and with map
+    residual (rt, rx), after one Newton step.
 
     A singular Jacobian sends a walker to the collar corner.
     """
     grid, h = cmap.grid, cmap.grid.h
-    cell = _locate(grid, u, ub)
     jut = _bilinear(cmap.jac_u_t, *cell)
     jbt = _bilinear(cmap.jac_ub_t, *cell)
     jux = _bilinear(cmap.jac_u_x, *cell)
@@ -359,28 +310,33 @@ def pullback_compare(
     profile: WaveProfile,
     newton_tol: float = 1e-11,
     max_newton: int = 40,
-) -> ComparisonReport:
+) -> dict:
     """Pull the double-null solution back to rectangular nodes and diff it.
 
     Every rectangular node is located in the (u, ub) square by Newton
     iteration on the bilinear interpolant of the reconstructed map,
     seeded with the background relation u = V^{-1}(t + x + Z(t - x)),
-    ub = t - x.  Nodes whose preimage leaves the square are skipped and
-    counted; OutOfImage fires only when nothing overlaps.  Unconverged
-    interior nodes raise InversionFailure, the near-degeneracy signal.
+    ub = t - x, with V on the grid read from cmap.V.  Nodes whose preimage
+    leaves the square are skipped and counted; OutOfImage fires only when
+    nothing overlaps.  Unconverged interior nodes raise InversionFailure,
+    the near-degeneracy signal.
 
-    Each iteration evaluates the residual and Jacobian on the live
-    walkers only, starting from every node.  A walker leaves the live set
-    when its residual passes newton_tol * (1 + |t| + |x|), or when its
-    clipped (u, ub) come out of a step bitwise unchanged: the update is a
-    pure function of (u, ub, t, x) and the map, so it sits at a fixed
+    Each iteration locates the live walkers in their cells once, starting
+    from every node, and evaluates there the residual and, for the walkers
+    still active, the Jacobian.  A walker leaves the live set when its
+    residual passes newton_tol * (1 + |t| + |x|), or when its clipped
+    (u, ub) come out of a step bitwise unchanged: the update is a pure
+    function of (u, ub, t, x) and the map, so it sits at a fixed
     point and keeps the verdict of its last evaluation.  Such walkers
     are mostly ones the collar clip holds on one point; walkers that
     keep moving along the collar stay live.  At the max_newton cap a
     live walker keeps its last verdict and its (u, ub) after the last
     step, so the result is that of iterating every node max_newton
-    times.  ComparisonReport.newton records the live walkers evaluated
-    at each iteration.
+    times.
+
+    Returns a dict: sup_diff and l1_diff per field (phi, Phi0, Phi1),
+    interp_error (the bilinear sampling floor), n_compared, n_skipped and
+    newton ("live": walkers evaluated per iteration, "iterations": count).
     """
     grid = cmap.grid
 
@@ -397,9 +353,8 @@ def pullback_compare(
     X = np.tile(rect.x, rect.t.size)
 
     ub = np.clip(T - X, grid.ub_min, grid.ub_max)
-    Vg = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
     Zg = np.asarray(phase_function(profile, model, ub), dtype=float)
-    u = np.clip(np.interp(T + X + Zg, Vg, grid.u), grid.u_min, grid.u_max)
+    u = np.clip(np.interp(T + X + Zg, cmap.V, grid.u), grid.u_min, grid.u_max)
 
     tol = newton_tol * (1.0 + np.abs(T) + np.abs(X))
     active = np.ones(T.shape, dtype=bool)
@@ -408,11 +363,14 @@ def pullback_compare(
     while live.size and len(n_live) < max_newton:
         n_live.append(int(live.size))
         ul, bl = u[live], ub[live]
-        rt, rx = _map_residual(cmap, ul, bl, T[live], X[live])
+        cell = _locate(grid, ul, bl)
+        rt = _bilinear(cmap.t, *cell) - T[live]
+        rx = _bilinear(cmap.x, *cell) - X[live]
         a = np.maximum(np.abs(rt), np.abs(rx)) > tol[live]
         active[live] = a
         live, ul, bl = live[a], ul[a], bl[a]
-        un, bn = _newton_step(cmap, ul, bl, rt[a], rx[a])
+        cell = [c[a] for c in cell]  # frees the full cells before the step
+        un, bn = _newton_step(cmap, ul, bl, cell, rt[a], rx[a])
         u[live] = un
         ub[live] = bn
         # a walker whose step left it bitwise in place sits at a fixed
@@ -458,42 +416,37 @@ def pullback_compare(
         "Phi0": rect.Phi0.ravel()[covered],
         "Phi1": rect.Phi1.ravel()[covered],
     }
-    cell = rect.dt * rect.dx if rect.dt > 0 else rect.dx
+    cell = rect.dt * rect.dx
     sup_diff, l1_diff = {}, {}
     for name in ("phi", "Phi0", "Phi1"):
         d = np.abs(samples[name] - targets[name])
         sup_diff[name] = float(np.max(d))
         l1_diff[name] = float(cell * np.sum(d))
 
-    return ComparisonReport(
-        sup_diff=sup_diff,
-        l1_diff=l1_diff,
-        interp_error=float(interp),
-        n_compared=n_compared,
-        n_skipped=n_skipped,
-        newton={"iterations": len(n_live), "live": n_live},
-    )
+    return {
+        "sup_diff": sup_diff,
+        "l1_diff": l1_diff,
+        "interp_error": float(interp),
+        "n_compared": n_compared,
+        "n_skipped": n_skipped,
+        "newton": {"iterations": len(n_live), "live": n_live},
+    }
 
 
-def phase_shift(
-    cmap: CoordMap,
-    profile: WaveProfile,
-    model: Nonlinearity,
-) -> float:
+def phase_shift(cmap: CoordMap) -> float:
     """Asymptotic offset of the u-level sets across the wave zone.
 
     On the background the reconstructed map satisfies t + x + Z(ub) =
     V(u) identically, so D = [t + x + Z(ub)] - V(u) vanishes.  After a
     perturbation crosses the background wave, D settles to different
     constants on the two ub-edges of the domain; the difference is the
-    phase shift.  It is averaged over the top PHASE_WINDOW fraction of
-    u-rows and must have settled there (spread within PHASE_ATOL +
-    PHASE_RTOL |mean|), otherwise InsufficientDomain is raised.
+    phase shift.  V and Z are the CoordMap's own.  It is averaged over
+    the top PHASE_WINDOW fraction of u-rows and must have settled there
+    (spread within PHASE_ATOL + PHASE_RTOL |mean|), otherwise
+    InsufficientDomain is raised.
     """
     grid = cmap.grid
-    Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
-    V = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
-    D = cmap.t + cmap.x + Z[None, :] - V[:, None]
+    D = cmap.t + cmap.x + cmap.Z[None, :] - cmap.V[:, None]
     per_row = D[:, -1] - D[:, 0]
 
     rows = grid.u >= grid.u_max - PHASE_WINDOW * (grid.u_max - grid.u_min)

@@ -331,7 +331,9 @@ class CoordMap:
     sup-mismatch between the two integration routes, an O(h^2) consistency
     error of the reconstruction.  jac_* are the tangents in the *grid*
     chart, d(t,x)/du = Omega_A Lbar and d(t,x)/dubar = Omega_A L, kept for
-    Newton inversion of the map.
+    Newton inversion of the map.  V = V(grid.u) and Z = Z(grid.ub) are the
+    background relabeling and phase function the map was built on, kept
+    for the pullback's seed and the phase shift.
     """
 
     grid: DNGrid
@@ -343,6 +345,8 @@ class CoordMap:
     jac_u_x: np.ndarray
     jac_ub_t: np.ndarray
     jac_ub_x: np.ndarray
+    V: np.ndarray
+    Z: np.ndarray
 
 
 def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
@@ -413,7 +417,7 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
                                 - frame.Lb1[blk] * frame.L0[blk])
 
     return CoordMap(grid, t, x, detj, float(np.max(curl)),
-                    jac_u_t, jac_u_x, jac_ub_t, jac_ub_x)
+                    jac_u_t, jac_u_x, jac_ub_t, jac_ub_x, V, Z)
 
 
 # ---------------------------------------------------------------------------

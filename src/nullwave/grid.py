@@ -142,23 +142,19 @@ def map_row_blocks(fn, shape, *args):
 
     shape is the 2-D shape of the result.  Arguments with one row per
     row of shape are sliced to the block; the others (scalars, and rows
-    that broadcast down the columns) pass whole.  fn returns an array or a
-    tuple of arrays; each is gathered into a fresh C-ordered array of
-    shape.  Every element sees the same arithmetic as in one call on the
-    whole arrays, so the result does not depend on the block size.
+    that broadcast down the columns) pass whole.  fn returns a tuple of
+    arrays; each is gathered into a fresh C-ordered array of shape.  Every
+    element sees the same arithmetic as in one call on the whole arrays,
+    so the result does not depend on the block size.
     """
     out = None
     for blk in row_blocks(*shape):
         part = fn(*(a[blk] if np.ndim(a) == 2 and np.shape(a)[0] > 1 else a
                     for a in args))
         if out is None:
-            out = (np.empty(shape) if isinstance(part, np.ndarray)
-                   else tuple(np.empty(shape) for _ in part))
-        if isinstance(out, np.ndarray):
-            out[blk] = part
-        else:
-            for o, p in zip(out, part):
-                o[blk] = p
+            out = tuple(np.empty(shape) for _ in part)
+        for o, p in zip(out, part):
+            o[blk] = p
     return out
 
 

@@ -183,8 +183,6 @@ def background_rect_state(profile: WaveProfile, grid: RectGrid,
     history of n_t + 1 equally spaced times in [0, grid.t_max]."""
     if n_t < 2:
         raise ValueError("need at least two time levels")
-    if grid.t_max <= 0.0:
-        raise ValueError("need a positive time extent to build a history")
     t = np.linspace(0.0, grid.t_max, n_t + 1)
     arg = t[:, None] - grid.x[None, :]
     zp = np.asarray(profile.dzeta(arg), dtype=float)

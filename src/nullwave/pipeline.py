@@ -20,7 +20,7 @@ compared bit for bit between runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
@@ -130,7 +130,7 @@ def _geometry(scenario, p):
         "detj_min": float(np.min(coords.detj)),
         "detj_max": float(np.max(coords.detj)),
         "degeneracy": degen.as_dict(),
-    }, {"frame": frame, "coords": coords, "degen": degen}
+    }, {"frame": frame, "coords": coords}
 
 
 def _crossval(scenario, p):
@@ -151,17 +151,14 @@ def _crossval(scenario, p):
     if state is not None and coords is not None:
         comp = cv.pullback_compare(state, coords, rect, p["model"], p["profile"])
         try:
-            shift = cv.phase_shift(coords, p["profile"], p["model"])
+            shift = cv.phase_shift(coords)
         except InsufficientDomain as exc:
             shift = None
             sec["phase_shift_problem"] = str(exc)
-        comp = replace(comp, phase_shift=shift,
-                       degeneracy=p["degen"].as_dict())
-        sec["comparison"] = comp.as_dict()
-        sec["n_compared"] = comp.n_compared
-        sec["n_skipped"] = comp.n_skipped
-        sec["newton"] = comp.newton
-        sec["interp_error"] = comp.interp_error
+        sec["comparison"] = {"sup_diff": comp.pop("sup_diff"),
+                             "l1_diff": comp.pop("l1_diff"),
+                             "phase_shift": shift}
+        sec.update(comp)
     return sec, {}
 
 

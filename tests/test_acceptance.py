@@ -290,7 +290,7 @@ def test_criterion_08_chart_regularity_and_pullback(membrane, bump03):
         rg = cv.RectGrid(-8.0, 8.0, h, 2.0, cfl=0.45)
         rect = cv.rect_solve(rect_data, membrane, rg, bump03)
         comp = cv.pullback_compare(state, coords, rect, membrane, bump03)
-        sups[h] = max(comp.sup_diff.values())
+        sups[h] = max(comp["sup_diff"].values())
 
     pull_orders = [_order(sups[0.08], sups[0.04]),
                    _order(sups[0.04], sups[0.02])]

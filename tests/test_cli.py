@@ -231,6 +231,21 @@ def test_sweep_pool_path(tmp_path, monkeypatch):
     assert written[1] == written[2]
 
 
+@pytest.mark.parametrize("raw", ["two", "0", "-3", "1.5"])
+def test_sweep_refuses_a_bad_thread_count(tmp_path, capsys, monkeypatch, raw):
+    # a cap that is not a positive integer is refused before any run
+    monkeypatch.setenv("NULLWAVE_THREADS", raw)
+    template = write_scenario(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"perturbation.eps": [0.01]}))
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(template), str(grid),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "NULLWAVE_THREADS" in err and repr(raw) in err
+    assert not out.exists()
+
+
 def test_sweep_grid_creates_missing_section(tmp_path):
     template = write_scenario(tmp_path, perturbation=None)
     grid = tmp_path / "grid.json"

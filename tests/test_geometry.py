@@ -199,6 +199,9 @@ def test_background_coords_are_exact(membrane, bump03):
     coords = reconstruct_coords(state, frame, membrane, bump03)
     V = phase_relabel(bump03, membrane, grid.u)
     Z = phase_function(bump03, membrane, grid.ub)
+    # the map carries the relabeling and phase function it was built on
+    assert np.array_equal(coords.V.view(np.int64), V.view(np.int64))
+    assert np.array_equal(coords.Z.view(np.int64), Z.view(np.int64))
     t_ring = 0.5 * (V[:, None] - Z[None, :] + grid.ub[None, :])
     x_ring = 0.5 * (V[:, None] - Z[None, :] - grid.ub[None, :])
     assert np.max(np.abs(coords.t - t_ring)) < 1e-12
