@@ -387,12 +387,3 @@ def phase_relabel_velocity(profile: WaveProfile, model: Nonlinearity, u: ArrayLi
         return float(vp)
     return vp
 
-
-def phase_relabel(profile: WaveProfile, model: Nonlinearity, u: ArrayLike) -> ArrayLike:
-    """V(u) = u + Z(-u), the background-matched relabeling of the grid u."""
-    u_arr = np.asarray(u, dtype=float)
-    Z = phase_function(profile, model, -u_arr)
-    out = u_arr + Z
-    if np.ndim(u) == 0:
-        return float(out)
-    return out

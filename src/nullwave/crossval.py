@@ -297,8 +297,8 @@ def _newton_step(cmap: CoordMap, u, ub, cell, rt, rx):
 
 
 def _second_difference_sup(F: np.ndarray) -> float:
-    du = np.max(np.abs(F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :])) if F.shape[0] > 2 else 0.0
-    db = np.max(np.abs(F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2])) if F.shape[1] > 2 else 0.0
+    du = np.max(np.abs(F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]))
+    db = np.max(np.abs(F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]))
     return float(du + db)
 
 
@@ -440,14 +440,16 @@ def phase_shift(cmap: CoordMap) -> float:
     V(u) identically, so D = [t + x + Z(ub)] - V(u) vanishes.  After a
     perturbation crosses the background wave, D settles to different
     constants on the two ub-edges of the domain; the difference is the
-    phase shift.  V and Z are the CoordMap's own.  It is averaged over
+    phase shift.  V and Z are the CoordMap's own, and D is formed on
+    the two edge columns only.  It is averaged over
     the top PHASE_WINDOW fraction of u-rows and must have settled there
     (spread within PHASE_ATOL + PHASE_RTOL |mean|), otherwise
     InsufficientDomain is raised.
     """
     grid = cmap.grid
-    D = cmap.t + cmap.x + cmap.Z[None, :] - cmap.V[:, None]
-    per_row = D[:, -1] - D[:, 0]
+    last, first = (cmap.t[:, k] + cmap.x[:, k] + cmap.Z[k] - cmap.V
+                   for k in (-1, 0))
+    per_row = last - first
 
     rows = grid.u >= grid.u_max - PHASE_WINDOW * (grid.u_max - grid.u_min)
     if np.count_nonzero(rows) < 3:

@@ -21,8 +21,8 @@ where the correct roots are known in closed form.
 
 The grid coordinate u above is the t=0-anchored one.  Reported geometry
 uses the background-matched relabeling V(u) = u + Z(-u); this module also
-returns the relabeled covector component du_t = V'(x) * X_u and the frame
-vectors raised with that covector, which geometry integration consumes.
+returns V'(x) and the frame vectors raised with the relabeled covector
+component du_t = V'(x) * X_u, which geometry integration consumes.
 
 The perturbation fields handed to the march are measured against the
 travelling background: psi = Phi0 + Phi1, psib = Phi0 - Phi1 - 2 zeta'(-x),
@@ -269,15 +269,14 @@ def solve_eikonal_t0(
 class GaugeSlice:
     """Slice-gauge quantities at the diagonal nodes x = s.
 
-    du_t is the background-matched (relabeled) covector component
-    V'(x) d_t u; du_t_grid the t=0-anchored one used to invert slice
-    derivatives; L0..Lb1 the frame vectors raised from the relabeled du and
-    from dubar = (dub_t, -1).
+    du_t_grid is the t=0-anchored covector component d_t u, used to invert
+    slice derivatives; v_prime is V'(x), so v_prime * du_t_grid is the
+    background-matched (relabeled) one; L0..Lb1 the frame vectors raised
+    from the relabeled du and from dubar = (dub_t, -1).
     """
 
     x: np.ndarray
     v_prime: np.ndarray
-    du_t: np.ndarray
     du_t_grid: np.ndarray
     dub_t: np.ndarray
     phi_tt: np.ndarray
@@ -307,7 +306,7 @@ def build_gauge_slice(
     Lb0 = met.inv00 * Yb - met.inv01
     Lb1 = met.inv01 * Yb - met.inv11
     return GaugeSlice(
-        x=x, v_prime=vp, du_t=du_t, du_t_grid=Y, dub_t=Yb,
+        x=x, v_prime=vp, du_t_grid=Y, dub_t=Yb,
         phi_tt=phi_tt, L0=L0, L1=L1, Lb0=Lb0, Lb1=Lb1,
     )
 

@@ -56,13 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import (
-    background_L,
-    WaveProfile,
-    phase_function,
-    phase_relabel,
-    phase_relabel_velocity,
-)
+from .background import background_L, WaveProfile, phase_function
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, FrameTransportStall
 from .grid import DNGrid, cumsum_cols, cumtrap_rows, row_blocks
@@ -72,7 +66,7 @@ from .state import (DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of,
 
 __all__ = [
     "FRAME_TOL", "FRAME_MAX_ITER", "OMEGA_WINDOW", "FRAME_FLOOR", "DETJ_FLOOR",
-    "NullFrame", "CoordMap", "DegeneracyReport",
+    "NullFrame", "CoordMap",
     "full_field_jet", "integrate_frame", "reconstruct_coords",
     "nullity_residual", "degeneracy_monitor",
 ]
@@ -197,7 +191,9 @@ class NullFrame:
 
     L points along increasing ubar (tangent to the u-level curves), Lbar
     along increasing u.  Components are (t, x).  Omega is the conformal
-    factor 1 / g(L_B, Lbar_B); v_prime the per-row relabeling V'(u).
+    factor 1 / g(L_B, Lbar_B); v_prime the gauge slice's per-row V'(u);
+    ring the (2, N+1) background frame Lring_B(ubar) the transport deviates
+    from, by component, which the map and the monitor read too.
     """
 
     grid: DNGrid
@@ -207,6 +203,7 @@ class NullFrame:
     Lb1: np.ndarray
     Omega: np.ndarray
     v_prime: np.ndarray
+    ring: np.ndarray
 
 
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
@@ -228,7 +225,8 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     gathered with one index per front.  At the end the deviations become
     the frame in place, and the conformal factor is formed per row block.
     Publishes the background-matched frame; see the module docstring for
-    the normalization bookkeeping.
+    the normalization bookkeeping.  V'(u) is the gauge slice's, solved on
+    the grid's nodes (checked).
 
     Raises FrameTransportStall naming the node with the largest last
     update if a front stalls, FrameDegenerate naming the first node in
@@ -249,7 +247,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
     rbg = (-2.0 * H0) * (zp * zpp)                   # d_ub Lring_B, both comps
-    vp = np.asarray(phase_relabel_velocity(profile, model, grid.u), dtype=float)
+    vp = gauge.v_prime                               # V'(u) on the same nodes
     inv_vp = 1.0 / vp
 
     def deviation_rhs(i, j):
@@ -316,7 +314,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
                 f"({grid.u[blk.start + i]:.6g}, {grid.ub[j]:.6g})")
         np.divide(1.0, om_inv, out=Omega[blk])
 
-    return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp)
+    return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +329,12 @@ class CoordMap:
     sup-mismatch between the two integration routes, an O(h^2) consistency
     error of the reconstruction.  jac_* are the tangents in the *grid*
     chart, d(t,x)/du = Omega_A Lbar and d(t,x)/dubar = Omega_A L, kept for
-    Newton inversion of the map.  V = V(grid.u) and Z = Z(grid.ub) are the
-    background relabeling and phase function the map was built on, kept
-    for the pullback's seed and the phase shift.
+    Newton inversion of the map.  Z = Z(grid.ub) is the phase function
+    the map was built on, and V = grid.u + Z[::-1] the relabeling
+    V(u) = u + Z(-u) read off it: grid.ub is -grid.u reversed bit for bit,
+    and the quadrature depends only on the set of points, so this is
+    Z(-u) exactly.  Both are kept for the pullback's seed and the phase
+    shift.
     """
 
     grid: DNGrid
@@ -349,7 +350,7 @@ class CoordMap:
     Z: np.ndarray
 
 
-def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
+def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
                        profile: WaveProfile) -> CoordMap:
     """Integrate the inverse map (u, ubar) -> (t, x) from the data diagonal.
 
@@ -366,16 +367,16 @@ def reconstruct_coords(state: DNState, frame: NullFrame, model: Nonlinearity,
     (grid.cumsum_cols) with increments formed from the frame's rows; every
     row-local quantity, the background included, is formed in one row
     block pass, so the outputs and the column sums are the only full-size
-    arrays.
+    arrays.  V' and Lring_B are the frame's; model and profile enter only
+    through Z, which gives V as well (see CoordMap).
     """
     grid = frame.grid
-    grid.require_same(state.grid)
     n, h = grid.n_nodes, grid.h
     vp, Om = frame.v_prime, frame.Omega
 
-    V = np.asarray(phase_relabel(profile, model, grid.u), dtype=float)
     Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
-    _, ring0, ring1 = background_L(model, profile, grid.ub)
+    V = grid.u + Z[::-1]                             # u + Z(-u)
+    ring0, ring1 = frame.ring
 
     t, x, detj, jac_u_t, jac_u_x, jac_ub_t, jac_ub_x = (
         np.empty((n, n)) for _ in range(7))
@@ -449,45 +450,17 @@ def nullity_residual(state: DNState, frame: NullFrame, model: Nonlinearity,
     return {"L": float(gLL), "Lb": float(gBB)}
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
-    """Outcome of the frame/Jacobian window checks over the grid."""
-
-    ok: bool
-    first_failure: dict | None
-    sup_frame_deviation: float
-    omega_min: float
-    omega_max: float
-    min_abs_L0: float
-    min_abs_Lb0: float
-    min_abs_detj: float
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "first_failure": self.first_failure,
-            "sup_frame_deviation": self.sup_frame_deviation,
-            "omega_range": [self.omega_min, self.omega_max],
-            "min_abs_L0": self.min_abs_L0,
-            "min_abs_Lb0": self.min_abs_Lb0,
-            "min_abs_detj": self.min_abs_detj,
-            "thresholds": {
-                "omega_window": list(OMEGA_WINDOW),
-                "frame_floor": FRAME_FLOOR,
-                "detj_floor": DETJ_FLOOR,
-            },
-        }
-
-
-def degeneracy_monitor(frame: NullFrame, coords: CoordMap, model: Nonlinearity,
-                       profile: WaveProfile) -> DegeneracyReport:
+def degeneracy_monitor(frame: NullFrame, coords: CoordMap) -> dict:
     """Check the frame and Jacobian against the degeneracy thresholds.
 
-    A report with ok=True certifies that on every node Omega_B stays in
-    OMEGA_WINDOW, |L_B^0| and |Lbar^0| above FRAME_FLOOR and |detj| above
-    DETJ_FLOOR -- together: the null coordinates remain a nondegenerate
-    chart of the computed block.  The first failing node in row-major
-    (u, ubar) order is reported with every check it trips.
+    Returns the report's geometry.degeneracy section.  "ok": True
+    certifies that on every node Omega_B stays in OMEGA_WINDOW, |L_B^0|
+    and |Lbar^0| above FRAME_FLOOR and |detj| above DETJ_FLOOR --
+    together: the null coordinates remain a nondegenerate chart of the
+    computed block.  The first failing node in row-major (u, ubar) order
+    is reported with every check it trips.  sup_frame_deviation is the
+    frame's sup distance from the background frame it carries (ring) and
+    Lbar_ring = (-1, -1), NaN if the frame holds one.
     """
     grid = frame.grid
     bad = {
@@ -512,19 +485,21 @@ def degeneracy_monitor(frame: NullFrame, coords: CoordMap, model: Nonlinearity,
             "checks": [name for name, mask in bad.items() if mask[i, j]],
         }
 
-    _, ring0, ring1 = background_L(model, profile, grid.ub)
+    ring0, ring1 = frame.ring
     sup_dev = float(np.max([np.max(np.abs(frame.L0 - ring0[None, :])),
                             np.max(np.abs(frame.L1 - ring1[None, :])),
                             np.max(np.abs(frame.Lb0 + 1.0)),
                             np.max(np.abs(frame.Lb1 + 1.0))]))
 
-    return DegeneracyReport(
-        ok=first_failure is None,
-        first_failure=first_failure,
-        sup_frame_deviation=sup_dev,
-        omega_min=float(np.min(frame.Omega)),
-        omega_max=float(np.max(frame.Omega)),
-        min_abs_L0=float(np.min(np.abs(frame.L0))),
-        min_abs_Lb0=float(np.min(np.abs(frame.Lb0))),
-        min_abs_detj=float(np.min(np.abs(coords.detj))),
-    )
+    return {
+        "ok": first_failure is None,
+        "first_failure": first_failure,
+        "sup_frame_deviation": sup_dev,
+        "omega_range": [float(np.min(frame.Omega)),
+                        float(np.max(frame.Omega))],
+        "min_abs_L0": float(np.min(np.abs(frame.L0))),
+        "min_abs_Lb0": float(np.min(np.abs(frame.Lb0))),
+        "min_abs_detj": float(np.min(np.abs(coords.detj))),
+        "thresholds": {"omega_window": list(OMEGA_WINDOW),
+                       "frame_floor": FRAME_FLOOR, "detj_floor": DETJ_FLOOR},
+    }

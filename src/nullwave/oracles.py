@@ -11,7 +11,8 @@ different route:
   regenerates the tables so drift is visible;
 * array references, vectorized over their sample points: the metric's
   self-contraction identity, the background frame and slice gauge in
-  closed form, the frozen-coefficient model transport on a DNGrid
+  closed form, the relabeling V(u) = u + Z(-u) by its own phase
+  quadrature at -u, the frozen-coefficient model transport on a DNGrid
   (criterion 7) and the exact background on a rectangular history.
 
 sympy is imported lazily so importing nullwave never needs it.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import WaveProfile
+from .background import WaveProfile, phase_function
 from .crossval import RectGrid, RectState
 from .data_gauge import GaugeSlice
 from .grid import DNGrid, cumtrap_rows
@@ -152,6 +153,13 @@ def background_frame_exact(H0: float, zp) -> dict:
         "Lb": (-1.0, -1.0),
         "Omega": -0.5,
     }
+
+
+def phase_relabel(profile: WaveProfile, model: Nonlinearity, u):
+    """V(u) = u + Z(-u), the background-matched relabeling of the grid u,
+    from a phase quadrature at -u (geometry reads it off Z(grid.ub))."""
+    u = np.asarray(u, dtype=float)
+    return u + phase_function(profile, model, -u)
 
 
 def background_gauge_values(model: Nonlinearity, profile: WaveProfile, x) -> dict:

@@ -83,14 +83,14 @@ def _data_gauge(scenario, p):
 def _march(scenario, p):
     """Double-null solve and its a-priori envelope check."""
     state = march(p["data"], p["grid"], p["model"], p["profile"])
-    resid = sigma_wave_residual(state, p["model"], p["profile"])
+    resid_sup = sigma_wave_residual(state, p["model"], p["profile"])
     zp = np.asarray(p["profile"].dzeta(p["grid"].ub), dtype=float)
     fields = {name: getattr(state, name) for name in ("psi", "psib", "xi")}
     fields["sigma"] = sigma_of(state.psi, state.psib, zp)
     return {
         "backend": "numpy",
         "envelope_fits": verify_envelopes(state, p["profile"].gamma_bar),
-        "sigma_wave_residual_sup": float(np.max(np.abs(resid))),
+        "sigma_wave_residual_sup": resid_sup,
         "field_sup": {name: float(np.max(np.abs(f)))
                       for name, f in fields.items()},
     }, {"state": state}
@@ -122,14 +122,13 @@ def _geometry(scenario, p):
     """Frame transport, coordinate map and degeneracy monitor."""
     state, model, profile = p["state"], p["model"], p["profile"]
     frame = integrate_frame(state, p["gauge"], model, profile)
-    coords = reconstruct_coords(state, frame, model, profile)
-    degen = degeneracy_monitor(frame, coords, model, profile)
+    coords = reconstruct_coords(frame, model, profile)
     return {
         "nullity": nullity_residual(state, frame, model, profile),
         "curl_sup": coords.curl_sup,
         "detj_min": float(np.min(coords.detj)),
         "detj_max": float(np.max(coords.detj)),
-        "degeneracy": degen.as_dict(),
+        "degeneracy": degeneracy_monitor(frame, coords),
     }, {"frame": frame, "coords": coords}
 
 

@@ -14,7 +14,6 @@ from nullwave.background import (
     bump_profile,
     envelope_integral,
     phase_function,
-    phase_relabel,
     phase_relabel_velocity,
     profile_from_config,
     table_profile,
@@ -26,6 +25,7 @@ from nullwave.oracles import (
     background_frame_exact,
     envelope_integral_exact,
     gaussian_phase_values,
+    phase_relabel,
 )
 
 GAUSS_PHASE = {

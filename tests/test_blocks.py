@@ -13,6 +13,7 @@ from conftest import make_compatible_data
 
 from nullwave import grid as grid_mod
 from nullwave import pipeline
+from nullwave.crossval import phase_shift
 from nullwave.data_gauge import (background_data, build_diagonal_data,
                                  perturbed_data)
 from nullwave.dn_core import (march, rhs_wave, sigma_wave_residual,
@@ -228,7 +229,7 @@ def test_geometry_layers_are_block_invariant(monkeypatch, bump03):
         st_, gauge, POLY, bump03))
     _assert_all_equal({k: _fields(f) for k, f in frames.items()})
     coords = _across_blocks(monkeypatch, grid, lambda: reconstruct_coords(
-        st_, frames["whole"], POLY, bump03))
+        frames["whole"], POLY, bump03))
     _assert_all_equal({k: _fields(c) for k, c in coords.items()})
     assert coords["whole"].curl_sup > 0.0
     nulls = _across_blocks(monkeypatch, grid, lambda: nullity_residual(
@@ -309,10 +310,11 @@ def test_picard_fixed_point_memory_budget(peak_fields, radius3, membrane,
 
 def test_sigma_wave_residual_memory_budget(peak_fields, radius3, membrane,
                                            bump03):
-    # The (N-1, N+1) result and block-sized temporaries only.
+    # Block-sized temporaries only: the sup is reduced per block, so no
+    # (N-1, N+1) result is formed.
     grid, _, st_, _ = radius3
     assert peak_fields(lambda: sigma_wave_residual(
-        st_, membrane, bump03), grid, rows=8) <= 3.2
+        st_, membrane, bump03), grid, rows=8) <= 1.2
 
 
 def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
@@ -325,12 +327,21 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     frame = integrate_frame(st_, gauge, membrane, bump03)
     assert peak_fields(lambda: integrate_frame(
         st_, gauge, membrane, bump03), grid, rows=8) <= 19.5
-    reconstruct_coords(st_, frame, membrane, bump03)
+    reconstruct_coords(frame, membrane, bump03)
     assert peak_fields(lambda: reconstruct_coords(
-        st_, frame, membrane, bump03), grid, rows=8) <= 10.5
+        frame, membrane, bump03), grid, rows=8) <= 10.5
     nullity_residual(st_, frame, membrane, bump03)
     assert peak_fields(lambda: nullity_residual(
         st_, frame, membrane, bump03), grid, rows=8) <= 1.5
+
+
+def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):
+    # D is formed on the two ubar-edge columns only: a few u-rows' worth,
+    # not a field (2.57 fields when it was formed on the whole grid).
+    grid, _, st_, gauge = radius3
+    coords = reconstruct_coords(integrate_frame(st_, gauge, membrane, bump03),
+                                membrane, bump03)
+    assert peak_fields(lambda: phase_shift(coords), grid) <= 0.25
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import nullwave.crossval as crossval_mod
-from nullwave.background import (algebraic_profile, bump_profile,
-                                 phase_function, phase_relabel)
+from nullwave.background import algebraic_profile, bump_profile, phase_function
 from nullwave.crossval import (
     N_GHOST,
     RectGrid,
@@ -38,7 +37,7 @@ from nullwave.geometry import (full_field_jet, integrate_frame,
                                reconstruct_coords)
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import polynomial_model
-from nullwave.oracles import background_rect_state
+from nullwave.oracles import background_rect_state, phase_relabel
 
 
 def _dn_pipeline(model, profile, radius, h, rect_data):
@@ -46,7 +45,7 @@ def _dn_pipeline(model, profile, radius, h, rect_data):
     data, gauge = build_diagonal_data(rect_data, grid, model, profile)
     state = march(data, grid, model, profile)
     frame = integrate_frame(state, gauge, model, profile)
-    coords = reconstruct_coords(state, frame, model, profile)
+    coords = reconstruct_coords(frame, model, profile)
     return state, coords
 
 

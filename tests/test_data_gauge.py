@@ -56,7 +56,8 @@ def test_background_diagonal_data_vanishes_to_rounding(membrane, bump03):
     assert np.array_equal(gauge.dub_t, ref["dub_t"])
     assert np.array_equal(gauge.du_t_grid, ref["du_t_grid"])
     assert np.array_equal(gauge.v_prime, ref["v_prime"])
-    assert np.allclose(gauge.du_t, ref["du_t"], rtol=1e-14, atol=0)
+    assert np.allclose(gauge.v_prime * gauge.du_t_grid, ref["du_t"], rtol=1e-14,
+                       atol=0)
     zpp = bump03.d2zeta(-grid.u)
     assert np.allclose(gauge.phi_tt, zpp, rtol=1e-12, atol=1e-15)
     for key in ("L0", "L1", "Lb0", "Lb1"):
@@ -70,7 +71,8 @@ def test_frozen_membrane_gauge_at_half_slope(membrane):
     assert out["dub_t"][0] == MEMBRANE_GAUGE_AT_HALF["dub_t"]
     gauge = build_gauge_slice(background_data(prof), DNGrid(-0.5, 0.5, 0.25), membrane, prof)
     assert np.allclose(gauge.v_prime, MEMBRANE_GAUGE_AT_HALF["v_prime"], rtol=1e-15)
-    assert np.allclose(gauge.du_t, MEMBRANE_GAUGE_AT_HALF["du_t"], rtol=1e-15)
+    assert np.allclose(gauge.v_prime * gauge.du_t_grid,
+                       MEMBRANE_GAUGE_AT_HALF["du_t"], rtol=1e-15)
 
 
 def test_eikonal_roots_match_polynomial_oracle(membrane):

@@ -19,9 +19,9 @@ from nullwave.geometry import (
     nullity_residual,
     reconstruct_coords,
 )
-from nullwave.background import (algebraic_profile, bump_profile,
-                                 phase_function, phase_relabel,
-                                 phase_relabel_velocity)
+from nullwave.background import (algebraic_profile, background_L,
+                                 bump_profile, phase_function,
+                                 phase_relabel_velocity, table_profile)
 from nullwave.grid import DNGrid
 from nullwave.nonlinearity import (
     acoustic_metric,
@@ -29,8 +29,8 @@ from nullwave.nonlinearity import (
     membrane_model,
     polynomial_model,
 )
-from nullwave.oracles import (background_frame_exact, reduced_transport_exact,
-                              solve_model_system)
+from nullwave.oracles import (background_frame_exact, phase_relabel,
+                              reduced_transport_exact, solve_model_system)
 from nullwave.state import sigma_of
 
 
@@ -153,7 +153,7 @@ def test_transport_rhs_matches_christoffel_contraction(make_model, seed):
 
 
 def test_background_frame_is_exact(membrane, bump03):
-    grid, _, _, state, frame = _pipeline(membrane, bump03, 3.0, 0.1)
+    grid, _, gauge, state, frame = _pipeline(membrane, bump03, 3.0, 0.1)
     H0 = float(eval_coeffs(membrane, 0.0).H)
     zp2 = np.asarray(bump03.dzeta(grid.ub)) ** 2
     assert np.max(np.abs(frame.L0 - (-1.0 - H0 * zp2)[None, :])) < 1e-12
@@ -163,6 +163,12 @@ def test_background_frame_is_exact(membrane, bump03):
     assert np.max(np.abs(frame.Omega + 0.5)) < 1e-13
     vp = phase_relabel_velocity(bump03, membrane, grid.u)
     assert np.array_equal(frame.v_prime, vp)
+    # the frame hands on the gauge's V' and the Lring_B it deviates from
+    assert frame.v_prime is gauge.v_prime
+    _, ring0, ring1 = background_L(membrane, bump03, grid.ub)
+    assert frame.ring.shape == (2, grid.n_nodes)
+    assert np.array_equal(frame.ring.view(np.int64),
+                          np.array([ring0, ring1]).view(np.int64))
     res = nullity_residual(state, frame, membrane, bump03)
     assert res["L"] < 1e-12 and res["Lb"] < 1e-12
 
@@ -196,7 +202,7 @@ def test_background_exact_over_random_profiles(membrane, kind, A, center,
 
 def test_background_coords_are_exact(membrane, bump03):
     grid, _, _, state, frame = _pipeline(membrane, bump03, 3.0, 0.1)
-    coords = reconstruct_coords(state, frame, membrane, bump03)
+    coords = reconstruct_coords(frame, membrane, bump03)
     V = phase_relabel(bump03, membrane, grid.u)
     Z = phase_function(bump03, membrane, grid.ub)
     # the map carries the relabeling and phase function it was built on
@@ -208,11 +214,43 @@ def test_background_coords_are_exact(membrane, bump03):
     assert np.max(np.abs(coords.x - x_ring)) < 1e-12
     assert np.max(np.abs(coords.detj + 0.5)) < 1e-12
     assert coords.curl_sup < 1e-12
-    report = degeneracy_monitor(frame, coords, membrane, bump03)
-    assert report.ok and report.first_failure is None
-    assert report.sup_frame_deviation < 1e-12
-    d = report.as_dict()
-    assert d["ok"] is True and d["thresholds"]["detj_floor"] == 0.05
+    report = degeneracy_monitor(frame, coords)
+    assert report["ok"] is True and report["first_failure"] is None
+    assert report["sup_frame_deviation"] < 1e-12
+    assert report["thresholds"]["detj_floor"] == 0.05
+
+
+@given(data=st.data(), kind=st.sampled_from(["bump", "algebraic", "table"]),
+       poly=st.booleans(), u_min=st.floats(-3.0, 2.5),
+       h=st.floats(0.05, 0.5))
+@settings(max_examples=40)
+def test_relabeling_is_the_mirrored_phase(membrane, data, kind, poly, u_min,
+                                          h):
+    # reconstruct_coords forms V(u) = u + Z(-u) as grid.u + Z(grid.ub)[::-1]:
+    # grid.ub is -grid.u reversed bit for bit and the phase quadrature
+    # depends only on the set of points, so it is the reference's V bitwise,
+    # on grids that need not be symmetric about 0.
+    N = data.draw(st.integers(2, int((3.0 - u_min) / h)))
+    grid = DNGrid(u_min, u_min + N * h, h)
+    model = (polynomial_model(*data.draw(st.lists(
+        st.floats(-0.2, 0.2), min_size=1, max_size=3))) if poly else membrane)
+    A = data.draw(st.floats(-0.5, 0.5))
+    if kind == "bump":
+        prof = bump_profile(A, center=data.draw(st.floats(-1.5, 1.5)),
+                            width=data.draw(st.floats(0.5, 6.0)))
+    elif kind == "algebraic":
+        prof = algebraic_profile(A, gamma_bar=data.draw(st.floats(0.2, 2.0)))
+    else:
+        a = data.draw(st.floats(-4.0, 0.0))
+        xs = np.linspace(a, a + data.draw(st.floats(0.5, 6.0)),
+                         data.draw(st.integers(2, 9)))
+        column = st.lists(st.floats(-1.0, 1.0), min_size=xs.size,
+                          max_size=xs.size)
+        prof = table_profile(xs, np.zeros_like(xs), np.array(data.draw(column)),
+                             np.array(data.draw(column)))
+    V = grid.u + phase_function(prof, model, grid.ub)[::-1]
+    ref = phase_relabel(prof, model, grid.u)
+    assert np.array_equal(V.view(np.int64), ref.view(np.int64))
 
 
 def test_linear_model_geometry_is_flat(linear, zero_prof):
@@ -223,7 +261,7 @@ def test_linear_model_geometry_is_flat(linear, zero_prof):
     assert np.array_equal(frame.Lb0, np.full((n, n), -1.0))
     assert np.array_equal(frame.Lb1, np.full((n, n), -1.0))
     assert np.array_equal(frame.Omega, np.full((n, n), -0.5))
-    coords = reconstruct_coords(state, frame, linear, zero_prof)
+    coords = reconstruct_coords(frame, linear, zero_prof)
     assert np.array_equal(coords.t, 0.5 * (grid.u[:, None] + grid.ub[None, :]))
     assert np.array_equal(coords.x, 0.5 * (grid.u[:, None] - grid.ub[None, :]))
     assert np.array_equal(coords.detj, np.full((n, n), -0.5))
@@ -237,7 +275,7 @@ def test_linear_model_geometry_is_flat(linear, zero_prof):
 def test_published_diagonal_is_pinned(membrane, bump03):
     grid, _, _, state, frame = _pipeline(membrane, bump03, 2.0, 0.1,
                                          eps=1e-2, width=1.5)
-    coords = reconstruct_coords(state, frame, membrane, bump03)
+    coords = reconstruct_coords(frame, membrane, bump03)
     diag = grid.diagonal()
     assert np.all(coords.t[diag] == 0.0)
     assert np.array_equal(coords.x[diag], grid.u)
@@ -248,7 +286,7 @@ def test_curl_and_nullity_converge_second_order(membrane, bump03):
     for h in (0.1, 0.05):
         grid, _, _, state, frame = _pipeline(membrane, bump03, 2.0, h,
                                              eps=1e-2, width=1.5)
-        coords = reconstruct_coords(state, frame, membrane, bump03)
+        coords = reconstruct_coords(frame, membrane, bump03)
         res = nullity_residual(state, frame, membrane, bump03)
         sups[h] = (coords.curl_sup, max(res["L"], res["Lb"]))
     curl_ratio = sups[0.1][0] / sups[0.05][0]
@@ -368,29 +406,27 @@ def test_integrate_frame_memory_budget(peak_fields, membrane, bump03):
 
 def test_degeneracy_monitor_flags_first_bad_node(membrane, bump03):
     grid, _, _, state, frame = _pipeline(membrane, bump03, 1.0, 0.25)
-    coords = reconstruct_coords(state, frame, membrane, bump03)
+    coords = reconstruct_coords(frame, membrane, bump03)
 
     bad_omega = frame.Omega.copy()
     bad_omega[2, 3] = -0.05
     rep = degeneracy_monitor(dataclasses.replace(frame, Omega=bad_omega),
-                             coords, membrane, bump03)
-    assert not rep.ok
-    assert rep.first_failure["i"] == 2 and rep.first_failure["j"] == 3
-    assert rep.first_failure["checks"] == ["omega"]
-    assert rep.first_failure["u"] == grid.u[2]
+                             coords)
+    assert not rep["ok"]
+    assert rep["first_failure"]["i"] == 2 and rep["first_failure"]["j"] == 3
+    assert rep["first_failure"]["checks"] == ["omega"]
+    assert rep["first_failure"]["u"] == grid.u[2]
 
     bad_detj = coords.detj.copy()
     bad_detj[1, 1] = 0.01
-    rep = degeneracy_monitor(frame, dataclasses.replace(coords, detj=bad_detj),
-                             membrane, bump03)
-    assert not rep.ok and rep.first_failure["checks"] == ["detj"]
+    rep = degeneracy_monitor(frame, dataclasses.replace(coords, detj=bad_detj))
+    assert not rep["ok"] and rep["first_failure"]["checks"] == ["detj"]
 
     bad_l0 = frame.L0.copy()
     bad_l0[0, 0] = 0.05
-    rep = degeneracy_monitor(dataclasses.replace(frame, L0=bad_l0),
-                             coords, membrane, bump03)
-    assert not rep.ok and rep.first_failure["checks"] == ["L0"]
-    assert rep.min_abs_L0 == pytest.approx(0.05)
+    rep = degeneracy_monitor(dataclasses.replace(frame, L0=bad_l0), coords)
+    assert not rep["ok"] and rep["first_failure"]["checks"] == ["L0"]
+    assert rep["min_abs_L0"] == pytest.approx(0.05)
 
 
 def test_nan_in_the_frame_shows_in_curl_and_nullity(membrane, bump03):
@@ -400,7 +436,7 @@ def test_nan_in_the_frame_shows_in_curl_and_nullity(membrane, bump03):
     L1 = frame.L1.copy()
     L1[2, 3] = np.nan
     nan_frame = dataclasses.replace(frame, L1=L1)
-    coords = reconstruct_coords(state, nan_frame, membrane, bump03)
+    coords = reconstruct_coords(nan_frame, membrane, bump03)
     assert np.all(np.isfinite(coords.t))
     assert np.isnan(coords.curl_sup)
     nullity = nullity_residual(state, nan_frame, membrane, bump03)
@@ -427,20 +463,6 @@ def test_gauge_grid_mismatch(membrane, bump03):
     state_big = march(data_big, big, membrane, bump03)
     with pytest.raises(GridMismatch):
         integrate_frame(state_big, gauge_small, membrane, bump03)
-
-
-def test_coords_grid_mismatch(membrane, bump03):
-    # reconstruct_coords integrates on the frame's grid: a state marched on
-    # another grid is refused, one on an equal grid built apart is not
-    *_, state_small, _ = _pipeline(membrane, bump03, 1.0, 0.25)
-    *_, state, frame = _pipeline(membrane, bump03, 2.0, 0.25)
-    *_, state_twin, _ = _pipeline(membrane, bump03, 2.0, 0.25)
-    with pytest.raises(GridMismatch):
-        reconstruct_coords(state_small, frame, membrane, bump03)
-    assert state_twin.grid is not frame.grid
-    twin = reconstruct_coords(state_twin, frame, membrane, bump03)
-    assert np.array_equal(twin.t, reconstruct_coords(
-        state, frame, membrane, bump03).t)
 
 
 def test_frame_transport_stall_names_the_node(membrane, bump03, monkeypatch):
