@@ -22,8 +22,10 @@ map (t, x)(u, ub) by Newton refinement of a bilinear interpolant, pulls
 the double-null solution back onto the rectangular nodes, and returns sup
 and L1 differences in a plain dict.  Each Newton iteration locates the
 live walkers once and evaluates only them: a node leaves once its
-residual converges, or once a step leaves it bitwise in place (mostly a
-walker that the collar clip holds on one point).  flux_residual applies
+residual converges, or once a Brent checkpoint finds it on an exact cycle
+of the update (mostly a walker that the collar clip holds on one point or
+bounces between a few), after the steps that leave it where the iteration
+cap would.  flux_residual applies
 the divergence-form equation d_t(-e^f Phi0) + d_x(e^f Phi1) = 0 to any
 rectangular state by centered differences.  phase_shift extracts the
 asymptotic offset between the reconstructed u-level sets and the
@@ -296,6 +298,28 @@ def _newton_step(cmap: CoordMap, u, ub, cell, rt, rx):
     return u, ub
 
 
+def _cycle_stops(k, cap, pos, checkpoint, stop):
+    """Brent's cycle check of the pullback walkers after step k (from 1).
+
+    pos and checkpoint are (u, ub) pairs of int64 bit views: the walkers'
+    positions after step k, and at the checkpoint, the last power-of-two
+    step before k (step 0, the start, for k = 1).  stop holds the step at
+    which each walker retires, cap until it is found on a cycle; it is
+    updated in place.  A walker back at its checkpoint repeats a cycle
+    whose length divides lam = k - checkpoint step, so iterating it on to
+    step cap would leave it where step k + (cap - k) mod lam does: that
+    step becomes its stop.  Returns the next checkpoint (pos when k is a
+    power of two) and the mask of walkers that retire at step k.
+    """
+    lam = k - (0 if k == 1 else 1 << (k - 1).bit_length() - 1)
+    back = ((pos[0] == checkpoint[0]) & (pos[1] == checkpoint[1])
+            & (stop == cap))
+    stop[back] = k + (cap - k) % lam
+    if k & (k - 1) == 0:
+        checkpoint = pos
+    return checkpoint, stop == k
+
+
 def _second_difference_sup(F: np.ndarray) -> float:
     du = np.max(np.abs(F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]))
     db = np.max(np.abs(F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]))
@@ -324,15 +348,17 @@ def pullback_compare(
     Each iteration locates the live walkers in their cells once, starting
     from every node, and evaluates there the residual and, for the walkers
     still active, the Jacobian.  A walker leaves the live set when its
-    residual passes newton_tol * (1 + |t| + |x|), or when its clipped
-    (u, ub) come out of a step bitwise unchanged: the update is a pure
-    function of (u, ub, t, x) and the map, so it sits at a fixed
-    point and keeps the verdict of its last evaluation.  Such walkers
-    are mostly ones the collar clip holds on one point; walkers that
-    keep moving along the collar stay live.  At the max_newton cap a
-    live walker keeps its last verdict and its (u, ub) after the last
-    step, so the result is that of iterating every node max_newton
-    times.
+    residual passes newton_tol * (1 + |t| + |x|), or when it is found on a
+    cycle (_cycle_stops): the update is a pure function of (u, ub, t, x)
+    and the map, so a walker that a step returns bitwise to an earlier
+    point repeats that cycle, active, for ever.  It takes the steps that
+    bring it to the cycle's point at max_newton, and retires there with
+    its last verdict.  Such walkers are mostly ones the collar clip holds
+    on one point or bounces between a few.  At the max_newton cap a live
+    walker keeps its last verdict and its (u, ub) after the last step, so
+    the result is that of iterating every node max_newton times.
+    newton["iterations"] counts the iterations run, which can end below
+    the cap once no walker is live.
 
     Returns a dict: sup_diff and l1_diff per field (phi, Phi0, Phi1),
     interp_error (the bilinear sampling floor), n_compared, n_skipped and
@@ -360,6 +386,7 @@ def pullback_compare(
     active = np.ones(T.shape, dtype=bool)
     live = np.arange(T.size)
     n_live = []
+    stop = None
     while live.size and len(n_live) < max_newton:
         n_live.append(int(live.size))
         ul, bl = u[live], ub[live]
@@ -373,11 +400,19 @@ def pullback_compare(
         un, bn = _newton_step(cmap, ul, bl, cell, rt[a], rx[a])
         u[live] = un
         ub[live] = bn
-        # a walker whose step left it bitwise in place sits at a fixed
-        # point of the update: it retires with its last active flag
-        moved = ((un.view(np.int64) != ul.view(np.int64))
-                 | (bn.view(np.int64) != bl.view(np.int64)))
-        live = live[moved]
+        if stop is None:    # the start is the first checkpoint
+            checkpoint = ul.view(np.int64), bl.view(np.int64)
+            stop = np.full(live.size, max_newton,
+                           dtype=np.min_scalar_type(max_newton))
+        else:
+            checkpoint = tuple(c[a] for c in checkpoint)
+            stop = stop[a]
+        checkpoint, going = _cycle_stops(
+            len(n_live), max_newton,
+            (un.view(np.int64), bn.view(np.int64)), checkpoint, stop)
+        keep = ~going
+        live, stop = live[keep], stop[keep]
+        checkpoint = tuple(c[keep] for c in checkpoint)
 
     slack = 1e-9 * (1.0 + abs(grid.u_max))
     inside = (

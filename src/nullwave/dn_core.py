@@ -44,10 +44,14 @@ depends on the unknowns at P, so each front runs a small fixed-point loop
 vectorized over its cells and fields: plain iterations until every cell's
 update is within CELL_TOL of its size (N_PLAIN caps them), then a damped
 retry from the predictor for any cell that has not converged (N_DAMPED caps
-that).  The sweep fills a DNState in place and raises the named errors
-itself, at the first failing node of the front: HyperbolicityLoss where
-sigma leaves the model's admissible range, InnerFixedPointDivergence where a
-cell is still unconverged after the retry.
+that).  The stored F_P is the source at the last iterate, the one the
+final iteration started from, within CELL_TOL of the converged cell: the
+right side is not evaluated again at the stored unknowns, only their
+slaved sigma is checked admissible.  The sweep fills a DNState in place
+and raises the named errors itself, at the first failing node of the
+front: HyperbolicityLoss where sigma leaves the model's admissible range,
+InnerFixedPointDivergence where a cell is still unconverged after the
+retry.
 
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
@@ -117,6 +121,9 @@ def _sweep(grid, direction, model, zp, zpp, state):
     field (psi, psib, xi) by component (value, d_u, d_ub).  A finished
     front is one (4, 3, cells) array, component (value, d_u, d_ub, F) by
     field: W and S are slices of the last one, D is [1:-1] of the one before.
+    F is the sources of each cell's last fixed-point iteration (its damped
+    retry's, if it had one); only the diagonal's are evaluated at the
+    stored values.
     """
     h, d = grid.h, direction
     hh = 0.5 * h * d
@@ -129,16 +136,22 @@ def _sweep(grid, direction, model, zp, zpp, state):
         (p, pu, pub), (b, bu, bub), (_, xu, xub) = U
         return _rhs_arrays(model, zp[j], zpp[j], p, b, pu, pub, bu, bub, xu, xub)
 
-    def store(here, U):
-        """Write U into state at here; return the front with its sources."""
-        okm, _, *sources = rhs(here[1], U)
+    def store(here, U, F):
+        """Write U into state at here; return the front with its sources F.
+
+        The slaved sigma of U is checked admissible, so HyperbolicityLoss
+        names the first stored node outside the model's range.
+        """
+        (p, _, _), (b, _, _), _ = U
+        okm = coefficients(model, sigma_of(p, b, zp[here[1]])).ok
         _require_admissible(okm, grid, *here)
         for (V, VU, VUB), (v, vu, vub) in zip(fields, U):
             V[here], VU[here], VUB[here] = v, vu, vub
-        return np.concatenate((U.swapaxes(0, 1), [sources]))
+        return np.concatenate((U.swapaxes(0, 1), [F]))
 
     here = grid.diagonal()
-    prev = store(here, np.array([[A[here] for A in fld] for fld in fields]))
+    U = np.array([[A[here] for A in fld] for fld in fields])
+    prev = store(here, U, rhs(here[1], U)[2:])
 
     for m, (ii, jj) in enumerate(grid.fronts(d), 1):
         first = m == 1
@@ -156,7 +169,9 @@ def _sweep(grid, direction, model, zp, zpp, state):
             CELL_TOL * scale.  The stop is front-wide: a cell that converged
             early keeps iterating until the slowest cell has, so its result
             depends on the subset it runs in, but only below that tolerance.
-            Returns the unknowns and the mask of converged cells.
+            Returns the unknowns, the sources of the last iteration (at
+            the unknowns it started from, within CELL_TOL of the result)
+            and the mask of converged cells.
             """
             i, j = ii[sel], jj[sel]
             V_w, VU_w, VUB_w, F_w = W[..., sel]
@@ -186,12 +201,13 @@ def _sweep(grid, direction, model, zp, zpp, state):
                 good = change <= CELL_TOL * scale
                 if np.all(good):
                     break
-            return cur, good
+            return cur, f, good
 
-        sol, good = solve_subset(slice(None), 1.0, N_PLAIN)
+        sol, F, good = solve_subset(slice(None), 1.0, N_PLAIN)
         if not np.all(good):
             fail = ~good
-            sol[:, :, fail], good[fail] = solve_subset(fail, 0.5, N_DAMPED)
+            sol[:, :, fail], F[:, fail], good[fail] = solve_subset(
+                fail, 0.5, N_DAMPED)
             if not np.all(good):
                 bad = int(np.argmin(good))
                 raise InnerFixedPointDivergence(
@@ -199,7 +215,7 @@ def _sweep(grid, direction, model, zp, zpp, state):
                     f"{grid.where(ii[bad], jj[bad])}; "
                     "reduce h or the data amplitude"
                 )
-        older, prev = prev, store((ii, jj), sol)
+        older, prev = prev, store((ii, jj), sol, F)
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,

@@ -7,7 +7,8 @@ non-deterministic output and live in their own timings.json.
 
 state.csv and frame.csv come from state.write_grid_csv.  It writes them a
 row block at a time, and it reprs each distinct value of a block's column
-once.  The bytes are those of a csv.writer loop that reprs every value.
+once, reusing the previous block's string where that block held the value.
+The bytes are those of a csv.writer loop that reprs every value.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def write_run_outputs(out_dir, result) -> dict:
 def stage_value(report: dict, stage: str, *keys):
     """report["stages"][stage][keys[0]][keys[1]]..., None where a level is
     missing.  A per-field dict or a list at the end is reduced to its
-    largest entry (None if empty)."""
+    largest entry (None if empty), or to NaN if an entry is NaN."""
     node = report["stages"].get(stage)
     for key in keys:
         if not isinstance(node, dict):
@@ -104,6 +105,8 @@ def stage_value(report: dict, stage: str, *keys):
     if isinstance(node, dict):
         node = list(node.values())
     if isinstance(node, list):
+        if any(v != v for v in node):
+            return math.nan
         return max(node) if node else None
     return node
 

@@ -126,26 +126,39 @@ class DiagonalData:
 CSV_BLOCK_VALUES = 1024
 
 
-def _block_reprs(block: np.ndarray) -> list:
+def _block_reprs(block: np.ndarray, memo) -> tuple:
     """repr of every value of a float64 block, row-major, as a list.
 
     Each distinct value is repr'd once and its string shared by all its
     copies.  Values are keyed on their int64 bits, so -0.0 and 0.0 stay
-    apart.
+    apart.  memo is the previous block's (sorted keys, strings) of the same
+    column, or None: a value found there reuses its string, since values
+    repeat down the rows.  Returns the list and this block's memo.
     """
     flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
     keys, inv = np.unique(flat.view(np.int64), return_inverse=True)
-    strs = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
-    return strs[inv].tolist()
+    strs = np.empty(keys.size, dtype=object)
+    new = np.ones(keys.size, dtype=bool)
+    if memo is not None:
+        old_keys, old_strs = memo
+        at = np.minimum(np.searchsorted(old_keys, keys), old_keys.size - 1)
+        new = old_keys[at] != keys
+        strs[~new] = old_strs[at[~new]]
+    strs[new] = list(map(repr, keys[new].view(np.float64).tolist()))
+    return strs[inv].tolist(), (keys, strs)
 
 
-def _write_rows(fh, us, ub, blocks) -> None:
+def _write_rows(fh, us, ub, blocks, memos) -> None:
     """The lines of one row block: us are its u strings, blocks its columns.
 
-    The block's strings live only in this call, so no two blocks' strings
-    are alive at once.
+    memos holds each column's memo of _block_reprs and is updated in place.
+    Only those memos outlive the call: the strings of one block's lines
+    are never alive beside another block's.
     """
-    vals = [_block_reprs(b) for b in blocks]
+    vals = []
+    for c, b in enumerate(blocks):
+        strs, memos[c] = _block_reprs(b, memos[c])
+        vals.append(strs)
     lines = map(",".join, zip([u for u in us for _ in ub], ub * len(us), *vals))
     fh.write("\r\n".join(lines))
     fh.write("\r\n")
@@ -160,7 +173,8 @@ def write_grid_csv(path, grid: DNGrid, columns) -> None:
     here because no float repr and no column name holds a comma, a
     quote or a line break.  Rows go out in blocks of about
     CSV_BLOCK_VALUES values per column; each distinct value of a block's
-    column is repr'd once.
+    column is repr'd once, and not at all when the previous block of that
+    column held it (its sorted keys and strings are kept for the lookup).
     """
     n = grid.n_nodes
     us = list(map(repr, grid.u.tolist()))
@@ -168,6 +182,7 @@ def write_grid_csv(path, grid: DNGrid, columns) -> None:
     step = max(1, CSV_BLOCK_VALUES // n)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(("u", "ubar", *columns)) + "\r\n")
+        memos = [None] * len(columns)
         for a in range(0, n, step):
             _write_rows(fh, us[a:a + step], ub,
-                        [c[a:a + step] for c in columns.values()])
+                        [c[a:a + step] for c in columns.values()], memos)

@@ -13,7 +13,8 @@ from conftest import make_compatible_data
 
 from nullwave import grid as grid_mod
 from nullwave import pipeline
-from nullwave.crossval import phase_shift
+from nullwave.crossval import (RectGrid, phase_shift, pullback_compare,
+                               rect_solve)
 from nullwave.data_gauge import (background_data, build_diagonal_data,
                                  perturbed_data)
 from nullwave.dn_core import (march, rhs_wave, sigma_wave_residual,
@@ -342,6 +343,22 @@ def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):
     coords = reconstruct_coords(integrate_frame(st_, gauge, membrane, bump03),
                                 membrane, bump03)
     assert peak_fields(lambda: phase_shift(coords), grid) <= 0.25
+
+
+def test_pullback_memory_budget(peak_fields, radius3, membrane, bump03):
+    # The membrane_pulse template's rectangle at radius 3 (half-width 5,
+    # dx 0.05, t <= 2): 19,899 walkers against 14,641 nodes a field.  The
+    # phase quadrature on the walkers sets the peak (38.27 fields); the
+    # cycle checkpoints, allocated after the first step, stay below it.
+    grid, _, st_, gauge = radius3
+    coords = reconstruct_coords(integrate_frame(st_, gauge, membrane, bump03),
+                                membrane, bump03)
+    rect = rect_solve(perturbed_data(bump03, eps=1e-3, center=0.5, width=1.2),
+                      membrane, RectGrid(-5.0, 5.0, 0.05, 2.0), bump03)
+    assert rect.phi.size == 19899
+    pullback_compare(st_, coords, rect, membrane, bump03)
+    assert peak_fields(lambda: pullback_compare(
+        st_, coords, rect, membrane, bump03), grid) <= 38.5
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"

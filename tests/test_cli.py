@@ -11,8 +11,8 @@ import pytest
 
 import nullwave
 import nullwave.cli as cli
-from nullwave.report import (SUMMARY_COLUMNS, summary_row, write_json,
-                             write_summary_csv)
+from nullwave.report import (SUMMARY_COLUMNS, stage_value, summary_row,
+                             write_json, write_summary_csv)
 
 TINY = {
     "name": "tiny",
@@ -352,6 +352,18 @@ def test_summary_row_covers_columns():
     assert row["eps"] == 0.0
     assert row["error"] == "march: HyperbolicityLoss"
     assert row["sup_diff"] is None
+
+
+def test_stage_value_keeps_nan():
+    # max() drops a NaN that does not come first; the reduction must not
+    sup = {"phi": 1e-3, "Phi0": float("nan"), "Phi1": 2e-3}
+    ratios = [0.1, float("nan")]
+    report = {"stages": {"crossval": {"comparison": {"sup_diff": sup}},
+                         "picard": {"contraction": {"ratios": ratios}}}}
+    assert math.isnan(stage_value(report, "crossval", "comparison", "sup_diff"))
+    assert math.isnan(stage_value(report, "picard", "contraction", "ratios"))
+    sup["Phi0"] = 3e-3
+    assert stage_value(report, "crossval", "comparison", "sup_diff") == 3e-3
 
 
 def test_summary_csv_empty_has_header(tmp_path):

@@ -10,6 +10,7 @@ from nullwave.crossval import (
     RectGrid,
     RectState,
     _bilinear,
+    _cycle_stops,
     _second_difference_sup,
     flux_residual,
     phase_shift,
@@ -379,7 +380,9 @@ def _pullback_all_nodes(dn, cmap, rect, profile, model, max_newton,
     return n_compared, covered.size - n_compared, sup_diff, l1_diff
 
 
-@pytest.mark.parametrize("max_newton", [3, 40])
+# Caps 9-16, eight in a row, stop the cycling walkers at every phase of
+# cycles up to length 8.
+@pytest.mark.parametrize("max_newton", [3, 40, *range(9, 17)])
 def test_pullback_live_walkers_match_all_nodes(pinned_case, membrane, bump03,
                                                max_newton):
     state, coords, rect = pinned_case
@@ -393,8 +396,8 @@ def test_pullback_live_walkers_match_all_nodes(pinned_case, membrane, bump03,
 
 # Capped before convergence, and an unreachable tolerance: interior
 # walkers whose steps round to nothing retire still unconverged.
-@pytest.mark.parametrize("max_newton, newton_tol", [(1, 1e-11), (2, 1e-11),
-                                                    (40, 0.0)])
+@pytest.mark.parametrize("max_newton, newton_tol", [
+    (1, 1e-11), (2, 1e-11), (40, 0.0), *((cap, 0.0) for cap in range(9, 17))])
 def test_pullback_cap_fails_like_all_nodes(pinned_case, membrane, bump03,
                                            max_newton, newton_tol):
     state, coords, rect = pinned_case
@@ -417,6 +420,52 @@ def test_pullback_newton_counters(pinned_case, membrane, bump03):
     assert all(b <= a for a, b in zip(live, live[1:]))
     assert newton["iterations"] == len(live) <= 40
     assert all(isinstance(k, int) for k in live)
+    # the walkers that the collar holds on cycles retire before the cap
+    assert newton["iterations"] < 40
+
+
+def _orbit(start, transient, period, steps):
+    """Positions of a synthetic walker after 0..steps steps: transient
+    distinct points from start, then a cycle of the given period."""
+    s = np.arange(steps + 1)
+    return start + np.where(s < transient, s,
+                            transient + (s - transient) % period)
+
+
+def _retire_synthetic(orbits, cap):
+    """(step, position) at which each orbit retires, driving _cycle_stops
+    the way pullback_compare does; a walker still live at the cap retires
+    there."""
+    live = np.arange(len(orbits))
+    checkpoint = (orbits[:, 0], -orbits[:, 0])
+    stop = np.full(live.size, cap, dtype=np.min_scalar_type(cap))
+    out = {}
+    for k in range(1, cap + 1):
+        pos = orbits[live, k]
+        checkpoint, going = _cycle_stops(k, cap, (pos, -pos), checkpoint, stop)
+        out.update((int(w), (k, int(orbits[w, k]))) for w in live[going])
+        keep = ~going
+        live, stop = live[keep], stop[keep]
+        checkpoint = tuple(c[keep] for c in checkpoint)
+    out.update((int(w), (cap, int(orbits[w, cap]))) for w in live)
+    return out
+
+
+def test_cycle_stops_retire_in_phase():
+    # Periods 1-8 entered after 0-12 transient steps, each orbit on its own
+    # positions.  At every cap of a window of 8, each orbit retires at a
+    # step congruent to the cap modulo its period, where the cap would
+    # leave it, and before the cap: Brent's checkpoint at step 16 lies on
+    # every cycle, so each is found by step 24.
+    cases = [(t, p) for t in range(13) for p in range(1, 9)]
+    orbits = np.array([_orbit(1000 * n, t, p, 40)
+                       for n, (t, p) in enumerate(cases)], dtype=np.int64)
+    for cap in range(33, 41):
+        got = _retire_synthetic(orbits, cap)
+        for n, (t, p) in enumerate(cases):
+            step, where = got[n]
+            assert step < cap and (cap - step) % p == 0, (t, p, cap, step)
+            assert where == orbits[n, cap], (t, p, cap)
 
 
 # ------------------------------------------------------------- phase shift

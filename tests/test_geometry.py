@@ -465,6 +465,23 @@ def test_gauge_grid_mismatch(membrane, bump03):
         integrate_frame(state_big, gauge_small, membrane, bump03)
 
 
+def test_frame_transport_stall_names_the_earliest_front(membrane, bump03):
+    # A NaN in dxi_ub reaches only its own node's transport coefficients,
+    # so the fixed point stalls on that node's front.  Front m of both
+    # triangles goes in step, so a NaN on past front 2 is named before one
+    # on future front 5.
+    grid, _, gauge, state, _ = _pipeline(membrane, bump03, 1.0, 0.25)
+    N = grid.N
+    past, future = (1, N - 3), (5, N)
+    dxi_ub = state.dxi_ub.copy()
+    dxi_ub[past] = dxi_ub[future] = np.nan
+    nan_state = dataclasses.replace(state, dxi_ub=dxi_ub)
+    with pytest.raises(FrameTransportStall) as err:
+        integrate_frame(nan_state, gauge, membrane, bump03)
+    assert str(err.value) == (
+        f"frame transport stalled at {grid.where(*past)} (last update nan)")
+
+
 def test_frame_transport_stall_names_the_node(membrane, bump03, monkeypatch):
     grid, _, gauge, state, frame = _pipeline(membrane, bump03, 2.0, 0.05,
                                              eps=1e-2, width=1.5)

@@ -35,7 +35,11 @@ SPECIAL = np.array([
 
 
 def _columns(n, rng):
-    """Columns mixing the special values, repeats and all-distinct data."""
+    """Columns mixing the special values, repeats and all-distinct data.
+
+    down_rows repeats one row, -0.0 beside 0.0 in it, so every block's
+    values are all in the previous block.
+    """
     # distinct bit patterns, the two NaNs included
     assert np.unique(SPECIAL.view(np.int64)).size == SPECIAL.size
     size = n * n
@@ -47,6 +51,7 @@ def _columns(n, rng):
         "special": special, "mixed": mixed,
         "constant": np.full(size, 0.1 + 0.2), "distinct": distinct,
         "neg_zero": np.full(size, -0.0),
+        "down_rows": np.tile(np.resize(SPECIAL, n), n),
     }
     return {k: v.reshape(n, n) for k, v in cols.items()}
 
