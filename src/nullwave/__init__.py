@@ -14,8 +14,7 @@ from .data_gauge import (background_data, build_diagonal_data,
                          closeness_certificate, perturbed_data)
 from .dn_core import march, sigma_wave_residual, verify_envelopes
 from .errors import NullwaveError, ScenarioError
-from .geometry import (degeneracy_monitor, integrate_frame, nullity_residual,
-                       reconstruct_coords)
+from .geometry import degeneracy_monitor, integrate_frame, reconstruct_coords
 from .grid import DNGrid
 from .nonlinearity import (acoustic_metric, eval_coeffs, linear_model,
                            membrane_model, model_from_config, polynomial_model)
@@ -35,7 +34,7 @@ __all__ = [
     "contraction_ratio", "degeneracy_monitor", "delta_from_smallness",
     "eval_coeffs", "flux_residual", "integrate_frame", "linear_model",
     "load_scenario", "march", "materialize", "membrane_model",
-    "model_from_config", "nullity_residual", "perturbed_data", "phase_shift",
+    "model_from_config", "perturbed_data", "phase_shift",
     "picard_fixed_point", "picard_metric", "polynomial_model",
     "profile_from_config", "pullback_compare", "reconstruct_coords",
     "rect_solve", "run_pipeline", "save_scenario", "scenario_from_dict",

@@ -181,8 +181,8 @@ class WaveProfile:
     def envelope_fit(self, X_max: float = 100.0) -> float:
         """Measured minimal M for the three envelope bounds on [-X_max, X_max]."""
         x = np.linspace(-X_max, X_max, FIT_SAMPLES)
-        return max(decay_sup(fn(x), x, self.gamma_bar)
-                   for fn in (self.zeta, self.dzeta, self.d2zeta))
+        return float(np.max([decay_sup(fn(x), x, self.gamma_bar)
+                             for fn in (self.zeta, self.dzeta, self.d2zeta)]))
 
 
 def zero_profile(gamma_bar: float = 1.0) -> WaveProfile:

@@ -369,11 +369,11 @@ def pullback_compare(
     # bilinear sampling floor of phi, Phi0 and Phi1 on the null grid; each
     # field is freed as soon as its sup is taken
     zp = np.asarray(profile.dzeta(dn.grid.ub), dtype=float)[None, :]
-    interp = 0.125 * max(
+    interp = 0.125 * float(np.max([
         _second_difference_sup(dn.xi),
         _second_difference_sup(Phi0_of(dn.psi, dn.psib, zp)),
         _second_difference_sup(Phi1_of(dn.psi, dn.psib, zp)),
-    )
+    ]))
 
     T = np.repeat(rect.t, rect.x.size)
     X = np.tile(rect.x, rect.t.size)

@@ -143,16 +143,21 @@ def closeness_certificate(
     Samples each of the five field deviations on [-X_max, X_max] at
     spacing SAMPLE_H and reports their decay norms at the profile's
     gamma_bar and the max eps_bar — the amplitude entering the smallness
-    conditions.
+    conditions.  Raises DomainError naming the first field whose decay
+    norm is not finite: no radius can be sized from it.
     """
     gb = profile.gamma_bar
     x = np.arange(-X_max, X_max + 0.5 * SAMPLE_H, SAMPLE_H)
     bg = background_data(profile)
     out = {"gamma_bar": gb}
-    for name in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"):
+    names = ("phi0", "phi0p", "phi0pp", "phi1", "phi1p")
+    for name in names:
         dev = getattr(data, name)(x) - getattr(bg, name)(x)
         out[name] = decay_sup(dev, x, gb)
-    out["eps_bar"] = max(out[k] for k in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"))
+        if not np.isfinite(out[name]):
+            raise DomainError(f"initial data {name} has a non-finite decay "
+                              f"norm ({out[name]}) off the background")
+    out["eps_bar"] = float(np.max([out[k] for k in names]))
     return out
 
 

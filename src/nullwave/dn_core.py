@@ -310,13 +310,8 @@ def verify_envelopes(state: DNState, gamma_bar: float) -> dict:
     """
     g = state.grid
     out = {"gamma_bar": float(gamma_bar)}
-    for name, du, dub in (
-        ("psi", "dpsi_u", "dpsi_ub"),
-        ("psib", "dpsib_u", "dpsib_ub"),
-        ("xi", "dxi_u", "dxi_ub"),
-    ):
-        out[name] = jet_sup(g, getattr(state, name), getattr(state, du),
-                            getattr(state, dub), gamma_bar)
+    for name in ("psi", "psib", "xi"):
+        out[name] = jet_sup(g, *state.jet(name), gamma_bar)
     out["delta"] = float(np.max([out["psi"], out["psib"], out["xi"]]))
     return out
 

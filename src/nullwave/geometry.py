@@ -68,7 +68,7 @@ __all__ = [
     "FRAME_TOL", "FRAME_MAX_ITER", "OMEGA_WINDOW", "FRAME_FLOOR", "DETJ_FLOOR",
     "NullFrame", "CoordMap",
     "full_field_jet", "integrate_frame", "reconstruct_coords",
-    "nullity_residual", "degeneracy_monitor",
+    "degeneracy_monitor",
 ]
 
 FRAME_TOL = 1e-12       # relative tolerance of the per-node fixed point
@@ -193,7 +193,11 @@ class NullFrame:
     along increasing u.  Components are (t, x).  Omega is the conformal
     factor 1 / g(L_B, Lbar_B); v_prime the gauge slice's per-row V'(u);
     ring the (2, N+1) background frame Lring_B(ubar) the transport deviates
-    from, by component, which the map and the monitor read too.
+    from, by component, which the map and the monitor read too.  nullity
+    holds sup |g(L, L)| and sup |g(Lbar, Lbar)| over the grid as "L" and
+    "Lb": both vanish for the exact frame, and the discrete transport keeps
+    them only up to its own O(h^2) error, so they are a global consistency
+    check that needs no reference solution.
     """
 
     grid: DNGrid
@@ -204,6 +208,7 @@ class NullFrame:
     Omega: np.ndarray
     v_prime: np.ndarray
     ring: np.ndarray
+    nullity: dict
 
 
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
@@ -229,10 +234,13 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     march carries its fronts, and every cell costs one front sweep.  The
     13 coefficient grids of _transport_coeffs are stacked one row block at
     a time and gathered with one index per front.  At the end the
-    deviations become the frame in place, and the conformal factor is
-    formed per row block.  Publishes the background-matched frame; see the
-    module docstring for the normalization bookkeeping.  V'(u) is the gauge
-    slice's, solved on the grid's nodes (checked).
+    deviations become the frame in place, and one closing pass per row
+    block contracts the frame with the metric: g(L, Lbar) gives the
+    conformal factor, g(L, L) and g(Lbar, Lbar) the block's share of the
+    nullity sups (NullFrame.nullity), reduced by np.max.  Publishes the
+    background-matched frame; see the module docstring for the
+    normalization bookkeeping.  V'(u) is the gauge slice's, solved on the
+    grid's nodes (checked).
 
     Raises FrameTransportStall at the first m where either half of front
     m stalls, naming the node of that half with the largest last update
@@ -325,6 +333,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     L += ring[:, None, :]
     Lb += -1.0
     Omega = np.empty((n, n))
+    sups = []                                        # per block: g(L,L), g(Lb,Lb)
     for blk in row_blocks(n, n):
         Phi0, Phi1, *_, H = cf[:7, blk]              # see _CF_KEYS
         (L0, L1), (Lb0, Lb1) = L[:, blk], Lb[:, blk]
@@ -338,8 +347,12 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
                 f"g(L, Lbar) lost its sign at (u, ubar) = "
                 f"({grid.u[blk.start + i]:.6g}, {grid.ub[j]:.6g})")
         np.divide(1.0, om_inv, out=Omega[blk])
+        sups.append([np.max(np.abs(-(X0 ** 2) + X1 ** 2 + H * phiX ** 2))
+                     for X0, X1, phiX in ((L0, L1, phiL), (Lb0, Lb1, phiLb))])
+    gLL, gBB = np.max(sups, axis=0)
 
-    return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp, ring)
+    return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp, ring,
+                     {"L": float(gLL), "Lb": float(gBB)})
 
 
 # ---------------------------------------------------------------------------
@@ -448,31 +461,6 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
 
 # ---------------------------------------------------------------------------
 # diagnostics
-
-
-def nullity_residual(state: DNState, frame: NullFrame, model: Nonlinearity,
-                     profile: WaveProfile) -> dict:
-    """Sup of |g(L, L)| and |g(Lbar, Lbar)| over the grid.
-
-    Both vanish identically for the exact frame; the discrete transport
-    preserves them only up to its own O(h^2) error, so this is a cheap
-    global consistency check that needs no reference solution.  The
-    maxima are taken per row block and reduced by np.max, so a NaN shows.
-    """
-    n = state.grid.n_nodes
-    zp = np.asarray(profile.dzeta(state.grid.ub), dtype=float)[None, :]
-    sups = []
-    for blk in row_blocks(n, n):
-        psi, psib = state.psi[blk], state.psib[blk]
-        Phi0 = Phi0_of(psi, psib, zp)
-        Phi1 = Phi1_of(psi, psib, zp)
-        H = eval_coeffs(model, sigma_of(psi, psib, zp)).H
-        sups.append([np.max(np.abs(-(X0 ** 2) + X1 ** 2
-                                   + H * (Phi0 * X0 + Phi1 * X1) ** 2))
-                     for X0, X1 in ((frame.L0[blk], frame.L1[blk]),
-                                    (frame.Lb0[blk], frame.Lb1[blk]))])
-    gLL, gBB = np.max(sups, axis=0)
-    return {"L": float(gLL), "Lb": float(gBB)}
 
 
 def degeneracy_monitor(frame: NullFrame, coords: CoordMap) -> dict:

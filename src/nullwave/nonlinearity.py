@@ -254,7 +254,7 @@ def range_certificate(model: Nonlinearity, m0: float) -> dict:
         "fpp": float(np.max(np.abs(co.fpp))),
         "Hpp": float(np.max(np.abs(Hpp))),
     }
-    sups["M0"] = max(sups.values())
+    sups["M0"] = float(np.max(list(sups.values())))
     sups["m0"] = m0
     return sups
 

@@ -39,8 +39,11 @@ Iteration is controlled in the weighted sup metric
                  sup (1+|u|)^(1+gb) |d dpsi_u|,  sup (1+|u|)^(1+gb) |d dpsib_u|,
                  sup (1+|ub|)^(1+gb) |d dpsi_ub|, sup (1+|ub|)^(1+gb) |d dpsib_ub| )
 
-with gb the decay rate gamma_bar, and the iterates are expected to live in
-the ball X_delta:
+with gb the decay rate gamma_bar: grid.jet_sup of the psi and of the psib
+jet of a - b, the differences formed one row block at a time, so it is the
+decay norm of grid.py and has no reduction of its own.  The xi gap of the
+completion below is grid.abs_max of the same kind of difference.  The
+iterates are expected to live in the ball X_delta:
 
   |psi| <= delta^2,  |psib| <= delta,
   |dpsi_u|  <= delta^2 / (1+|u|)^(1+gb),   |dpsi_ub|  <= delta^2 / (1+|ub|)^(1+gb),
@@ -76,8 +79,8 @@ import numpy as np
 from .background import WaveProfile
 from .dn_core import rhs_wave
 from .errors import FixedPointDivergence
-from .grid import (DNGrid, cumsum_cols, cumtrap_cols, cumtrap_rows,
-                   decay_sup, jet_sup, row_blocks)
+from .grid import (DNGrid, abs_max, cumsum_cols, cumtrap_cols, cumtrap_rows,
+                   decay_sup, jet_sup)
 from .nonlinearity import Nonlinearity, range_certificate
 from .state import FIELD_NAMES, DiagonalData, DNState
 
@@ -115,41 +118,20 @@ class PicardConfig:
 def picard_metric(a: DNState, b: DNState, gamma_bar: float = 1.0) -> float:
     """Weighted sup distance between two iterates (psi/psib jets only).
 
-    The differences are formed one row block at a time and reduced there:
-    the value and d_u sups to row maxima, the d_ub sups to running column
-    maxima, whose grid.decay_sup weights them afterwards.  Maxima are
-    exact, so the distance does not depend on the block size.
+    grid.jet_sup of the difference of each jet, formed one row block at a
+    time, and the larger of the two by np.max, so a NaN in any of the six
+    arrays of either iterate gives NaN.
     """
     a.grid.require_same(b.grid)
-    g = a.grid
-    n = g.n_nodes
-    rows = np.empty((4, n))    # psi, psib, dpsi_u, dpsib_u
-    cols = np.zeros((2, n))    # dpsi_ub, dpsib_ub
-    for blk in row_blocks(n, n):
-        for k, name in enumerate(("psi", "psib", "dpsi_u", "dpsib_u",
-                                  "dpsi_ub", "dpsib_ub")):
-            d = getattr(a, name)[blk] - getattr(b, name)[blk]
-            np.abs(d, out=d)
-            if k < 4:
-                np.max(d, axis=1, out=rows[k, blk])
-            else:
-                np.maximum(cols[k - 4], np.max(d, axis=0), out=cols[k - 4])
-    return float(max(np.max(rows[0]), np.max(rows[1]),
-                     decay_sup(rows[2], g.u, gamma_bar),
-                     decay_sup(rows[3], g.u, gamma_bar),
-                     decay_sup(cols[0], g.ub, gamma_bar),
-                     decay_sup(cols[1], g.ub, gamma_bar)))
+    return float(np.max([jet_sup(a.grid, *a.jet(name), gamma_bar, b.jet(name))
+                         for name in ("psi", "psib")]))
 
 
 def in_ball(state: DNState, delta: float, gamma_bar: float = 1.0) -> bool:
     """Whether the psi/psib jets satisfy the X_delta envelope bounds."""
     g = state.grid
-    return bool(
-        jet_sup(g, state.psi, state.dpsi_u, state.dpsi_ub, gamma_bar)
-        <= delta * delta
-        and jet_sup(g, state.psib, state.dpsib_u, state.dpsib_ub, gamma_bar)
-        <= delta
-    )
+    return bool(jet_sup(g, *state.jet("psi"), gamma_bar) <= delta * delta
+                and jet_sup(g, *state.jet("psib"), gamma_bar) <= delta)
 
 
 def _smallness(eps0, gamma_bar):
@@ -307,12 +289,6 @@ def picard_apply(
     return out.freeze()
 
 
-def _sup_diff(a, b):
-    """max |a - b| over two full-grid arrays, taken one row block at a time."""
-    return float(np.max([np.max(np.abs(a[blk] - b[blk]))
-                         for blk in row_blocks(*a.shape)]))
-
-
 def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
     """Complete a converged (psi, psib) pair with the slaved xi transport.
 
@@ -338,7 +314,7 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
                           sources=("xi",))[0]
         new = _frozen_solve(grid, data, {"xi": f3})
         del f3
-        gap = max(_sup_diff(new[k], cur[k]) for k in cur)
+        gap = np.max([abs_max(new[k], cur[k]) for k in cur])
         cur = new
         if gap <= tol:
             return DNState(grid, **fields, **cur).freeze()

@@ -29,8 +29,8 @@ from . import crossval as cv
 from .data_gauge import build_diagonal_data, closeness_certificate
 from .dn_core import march, sigma_wave_residual, verify_envelopes
 from .errors import InsufficientDomain, NullwaveError
-from .geometry import (degeneracy_monitor, integrate_frame, nullity_residual,
-                       reconstruct_coords)
+from .geometry import degeneracy_monitor, integrate_frame, reconstruct_coords
+from .grid import abs_max
 from .picard import (PicardConfig, contraction_ratio, delta_from_smallness,
                      picard_fixed_point, picard_metric)
 from .report import stage_value
@@ -91,8 +91,7 @@ def _march(scenario, p):
         "backend": "numpy",
         "envelope_fits": verify_envelopes(state, p["profile"].gamma_bar),
         "sigma_wave_residual_sup": resid_sup,
-        "field_sup": {name: float(np.max(np.abs(f)))
-                      for name, f in fields.items()},
+        "field_sup": {name: float(abs_max(f)) for name, f in fields.items()},
     }, {"state": state}
 
 
@@ -124,7 +123,7 @@ def _geometry(scenario, p):
     frame = integrate_frame(state, p["gauge"], model, profile)
     coords = reconstruct_coords(frame, model, profile)
     return {
-        "nullity": nullity_residual(state, frame, model, profile),
+        "nullity": frame.nullity,
         "curl_sup": coords.curl_sup,
         "detj_min": float(np.min(coords.detj)),
         "detj_max": float(np.max(coords.detj)),

@@ -78,6 +78,10 @@ class DNState:
         n = grid.n_nodes
         return cls(grid, *[np.zeros((n, n)) for _ in FIELD_NAMES])
 
+    def jet(self, name):
+        """(name, d_u name, d_ub name): one field and its null derivatives."""
+        return tuple(getattr(self, k) for k in (name, f"d{name}_u", f"d{name}_ub"))
+
     def arrays(self):
         return {f.name: getattr(self, f.name) for f in dc_fields(self) if f.name != "grid"}
 
@@ -116,8 +120,9 @@ class DiagonalData:
             self.eps0 = self.measure_eps0()
 
     def measure_eps0(self) -> float:
-        return max(decay_sup(getattr(self, name), self.s, self.gamma_bar)
-                   for name in FIELD_NAMES + ("sigma",))
+        return float(np.max([decay_sup(getattr(self, name), self.s,
+                                       self.gamma_bar)
+                             for name in FIELD_NAMES + ("sigma",)]))
 
 
 # Values per column in one row block of write_grid_csv: 4 rows of a

@@ -20,8 +20,7 @@ from nullwave.data_gauge import (background_data, build_diagonal_data,
 from nullwave.dn_core import (march, rhs_wave, sigma_wave_residual,
                               verify_envelopes)
 from nullwave.errors import FrameDegenerate, HyperbolicityLoss
-from nullwave.geometry import (integrate_frame, nullity_residual,
-                               reconstruct_coords)
+from nullwave.geometry import integrate_frame, reconstruct_coords
 from nullwave.grid import (DNGrid, cumtrap_cols, cumtrap_rows, jet_sup,
                            row_blocks)
 from nullwave.nonlinearity import polynomial_model
@@ -220,8 +219,9 @@ def _fields(product):
 
 
 def test_geometry_layers_are_block_invariant(monkeypatch, bump03):
-    # The frame transport's coefficient stack and conformal factor, the
-    # coordinate map's row pass and column sums, and the nullity maxima.
+    # The frame transport's coefficient stack, its closing pass (conformal
+    # factor and nullity maxima), and the coordinate map's row pass and
+    # column sums.
     grid = DNGrid.square(2.0, 0.1)
     data, gauge = build_diagonal_data(
         perturbed_data(bump03, eps=1e-2, width=1.5), grid, POLY, bump03)
@@ -229,14 +229,12 @@ def test_geometry_layers_are_block_invariant(monkeypatch, bump03):
     frames = _across_blocks(monkeypatch, grid, lambda: integrate_frame(
         st_, gauge, POLY, bump03))
     _assert_all_equal({k: _fields(f) for k, f in frames.items()})
+    _assert_all_equal({k: f.nullity for k, f in frames.items()})
+    assert min(frames["whole"].nullity.values()) > 0.0
     coords = _across_blocks(monkeypatch, grid, lambda: reconstruct_coords(
         frames["whole"], POLY, bump03))
     _assert_all_equal({k: _fields(c) for k, c in coords.items()})
     assert coords["whole"].curl_sup > 0.0
-    nulls = _across_blocks(monkeypatch, grid, lambda: nullity_residual(
-        st_, frames["whole"], POLY, bump03))
-    _assert_all_equal(nulls)
-    assert min(nulls["whole"].values()) > 0.0
 
 
 def test_frame_degenerate_names_the_same_node_in_any_block(monkeypatch,
@@ -320,10 +318,10 @@ def test_sigma_wave_residual_memory_budget(peak_fields, radius3, membrane,
 
 def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
-    # deviations (4), which become the frame in place, and Omega.  The
-    # coordinate map: its 7 outputs and the two column sums.  The nullity
-    # residual: block-sized temporaries only.  Each call runs once untraced
-    # first, so one-time allocations do not count.
+    # deviations (4), which become the frame in place, and Omega; the
+    # nullity is reduced in the closing pass, per block.  The coordinate
+    # map: its 7 outputs and the two column sums.  Each call runs once
+    # untraced first, so one-time allocations do not count.
     grid, _, st_, gauge = radius3
     frame = integrate_frame(st_, gauge, membrane, bump03)
     assert peak_fields(lambda: integrate_frame(
@@ -331,9 +329,6 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     reconstruct_coords(frame, membrane, bump03)
     assert peak_fields(lambda: reconstruct_coords(
         frame, membrane, bump03), grid, rows=8) <= 10.5
-    nullity_residual(st_, frame, membrane, bump03)
-    assert peak_fields(lambda: nullity_residual(
-        st_, frame, membrane, bump03), grid, rows=8) <= 1.5
 
 
 def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):
@@ -364,7 +359,7 @@ def test_pullback_memory_budget(peak_fields, radius3, membrane, bump03):
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 LAYERS_FROM_FIXED_POINT = ("picard_fixed_point", "contraction_ratio",
                            "integrate_frame", "reconstruct_coords",
-                           "degeneracy_monitor", "nullity_residual")
+                           "degeneracy_monitor")
 
 
 def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):

@@ -1,5 +1,7 @@
 """Slice data, the t=0 gauge solves, and diagonal data assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,20 @@ def test_closeness_certificate_scales_linearly(bump03):
     for key in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"):
         assert 1.99 < c2[key] / c1[key] < 2.01
     assert c1["eps_bar"] == max(c1[k] for k in ("phi0", "phi0p", "phi0pp", "phi1", "phi1p"))
+
+
+def test_closeness_certificate_rejects_non_finite_data(bump03):
+    # A NaN in phi0' at the sample nearest x = 1: its decay norm is NaN,
+    # and no ball radius can be sized from the other four.
+    rect = perturbed_data(bump03, eps=1e-3)
+
+    def phi0p(x):
+        out = np.array(rect.phi0p(x), dtype=float)
+        out[np.argmin(np.abs(x - 1.0))] = np.nan
+        return out
+    bad = dataclasses.replace(rect, phi0p=phi0p)
+    with pytest.raises(DomainError, match="phi0p"):
+        closeness_certificate(bad, bump03, X_max=20.0)
 
 
 def test_algebraic_family_certificate(bump03):

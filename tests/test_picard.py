@@ -74,6 +74,19 @@ def test_metric_axioms():
     assert dab <= picard_metric(a, c, 0.7) + picard_metric(c, b, 0.7) + 1e-15
 
 
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("slot", ["psi", "psib", "dpsi_u", "dpsi_ub",
+                                  "dpsib_u", "dpsib_ub"])
+def test_nan_in_either_iterate_shows_in_the_metric(slot, side):
+    # The other five arrays differ by a finite amount, which a dropped NaN
+    # would read as the distance.
+    grid = DNGrid.square(2.0, 0.25)
+    rng = np.random.default_rng(11)
+    pair = {"a": _rand_state(grid, rng), "b": _rand_state(grid, rng)}
+    getattr(pair[side], slot)[4, 2] = np.nan
+    assert np.isnan(picard_metric(pair["a"], pair["b"], 0.7))
+
+
 def test_metric_rejects_grid_mismatch():
     a = DNState.zeros(DNGrid.square(2.0, 0.25))
     b = DNState.zeros(DNGrid.square(2.0, 0.125))

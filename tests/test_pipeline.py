@@ -1,6 +1,7 @@
 """End-to-end pipeline: stage orchestration, partial failure, refinement."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 
 import nullwave.cli as cli
 import nullwave.pipeline as pipeline
-from nullwave.background import profile_from_config
+from nullwave.background import SAMPLE_H, profile_from_config
 from nullwave.errors import (FixedPointDivergence, FrameDegenerate,
                              HyperbolicityLoss, InversionFailure,
                              SliceNotSpacelike)
 from nullwave.nonlinearity import eval_coeffs, model_from_config
 from nullwave.pipeline import MIN_PICARD_DELTA, STAGES, RunResult, run_pipeline
 from nullwave.report import write_run_outputs
-from nullwave.scenario import scenario_from_dict, scenario_to_dict
+from nullwave.scenario import materialize, scenario_from_dict, scenario_to_dict
 from nullwave.state import sigma_of
 
 BASE = {
@@ -233,6 +234,32 @@ def test_background_that_breaks_hyperbolicity_fails_in_data_gauge():
                                         "crossval": False}))
     assert [(e["stage"], e["type"]) for e in res.report["errors"]] == [
         ("data_gauge", "SliceNotSpacelike")]
+    assert [res.outcomes[s] for s in STAGES] == [
+        "failed", "skipped", "skipped", "skipped", "off"]
+
+
+def test_non_finite_data_fails_in_data_gauge(monkeypatch):
+    # A NaN in phi0' within SAMPLE_H / 2 of x = 1, between the grid's
+    # nodes, so only the closeness certificate samples it.  Dropped, it
+    # would size the ball from the other four fields and run on as pure
+    # background.
+    def nan_phi0p(sc):
+        model, profile, grid, rect = materialize(sc)
+
+        def phi0p(x):
+            out = np.array(rect.phi0p(x), dtype=float)
+            out[np.abs(x - 1.0) < 0.5 * SAMPLE_H] = np.nan
+            return out
+        return model, profile, grid, dataclasses.replace(rect, phi0p=phi0p)
+
+    monkeypatch.setattr(pipeline, "materialize", nan_phi0p)
+    res = run_pipeline(scenario(perturbation=None,
+                                grid={"radius": 2.0, "h": 0.4},
+                                solver={"contraction_seeds": 0,
+                                        "crossval": False}))
+    assert [(e["stage"], e["type"]) for e in res.report["errors"]] == [
+        ("data_gauge", "DomainError")]
+    assert "phi0p" in res.report["errors"][0]["message"]
     assert [res.outcomes[s] for s in STAGES] == [
         "failed", "skipped", "skipped", "skipped", "off"]
 
