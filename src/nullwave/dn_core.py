@@ -10,8 +10,8 @@ zpp = zeta''(ubar), the semilinear system integrated here is
                              c = s kappa H'/4
 
 (subscripts u, ub are the null derivatives), with sigma slaved
-algebraically, never integrated (state.sigma_of, dsigma_u_of,
-dsigma_ub_of):
+algebraically, never integrated (state.sigma_jet, which forms the shared
+factor 2 zp + psib once):
 
     s    = -psi (2 zp + psib)
     s_u  = -psi_u (2 zp + psib) - psi psib_u
@@ -38,20 +38,30 @@ taken as the average of the two one-leg trapezoid integrations instead.
 
 The fronts i + j = N +- m and the slices of the previous front that hold W
 and S come from DNGrid.fronts and DNGrid.predecessors, which the frame
-transport (geometry.integrate_frame) walks as well.  D lies on the front
-before, so the sweep carries its last two fronts, sources included.  F_P
-depends on the unknowns at P, so each front runs a small fixed-point loop
-vectorized over its cells and fields: plain iterations until every cell's
-update is within CELL_TOL of its size (N_PLAIN caps them), then a damped
-retry from the predictor for any cell that has not converged (N_DAMPED caps
-that).  The stored F_P is the source at the last iterate, the one the
+transport (geometry.integrate_frame) walks as well.  Front m of the future
+triangle and front m of the past one have the same size, and from m = 2 on
+the walk takes them as one array with a half axis, the future half first.
+The past half is held mirrored (u descending), so W and S are the same
+slices, DNGrid.predecessors(1), of both halves.  The first front is walked
+one half at a time, the future half first, because the past half's
+predictor reads the future's first front.  D lies on the front before, so
+the walk carries its last two fronts: the last one whole, sources
+included, and the one before only as the values and sources D reads.
+F_P depends on the unknowns at P, so each front runs a small fixed-point
+loop vectorized over its cells and fields: plain iterations until every
+cell's update is within CELL_TOL of its size (N_PLAIN caps them), then a
+damped retry from the predictor for any cell that has not converged
+(N_DAMPED caps that).  Each half has its own stop test and its own retry,
+so each half gets the result a walk of its triangle alone would give, bit
+for bit.  The stored F_P is the source at the last iterate, the one the
 final iteration started from, within CELL_TOL of the converged cell: the
 right side is not evaluated again at the stored unknowns, only their
-slaved sigma is checked admissible.  The sweep fills a DNState in place
-and raises the named errors itself, at the first failing node of the
-front: HyperbolicityLoss where sigma leaves the model's admissible range,
-InnerFixedPointDivergence where a cell is still unconverged after the
-retry.
+slaved sigma is checked admissible.  The walk fills a DNState in place
+and raises the named errors itself, at the first m where either half
+fails (the future half's error if both fail there), naming that half's
+failing node of least u: HyperbolicityLoss where sigma leaves the model's
+admissible range, InnerFixedPointDivergence where a cell is still
+unconverged after the retry.
 
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
@@ -66,8 +76,7 @@ from .background import WaveProfile
 from .errors import HyperbolicityLoss, InnerFixedPointDivergence
 from .grid import DNGrid, jet_sup, map_row_blocks, row_blocks
 from .nonlinearity import Nonlinearity, coefficients, eval_coeffs
-from .state import (FIELD_NAMES, DiagonalData, DNState, dsigma_u_of,
-                    dsigma_ub_of, sigma_of)
+from .state import FIELD_NAMES, DiagonalData, DNState, sigma_jet, sigma_of
 
 
 N_PLAIN = 8
@@ -88,9 +97,8 @@ def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub,
     Coefficients forms its quotients on first read: G only for the psi
     and psib sources, H' only for the xi source.
     """
-    sig = sigma_of(psi, psib, zp)
-    s_u = dsigma_u_of(psi, psib, psi_u, psib_u, zp)
-    s_ub = dsigma_ub_of(psi, psib, psi_ub, psib_ub, zp, zpp)
+    sig, s_u, s_ub = sigma_jet(psi, psib, psi_u, psi_ub, psib_u, psib_ub,
+                               zp, zpp)
     co = coefficients(model, sig)
     out = [co.ok, sig]
     if "psi" in sources:
@@ -103,119 +111,151 @@ def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub,
     return tuple(out)
 
 
-def _require_admissible(okm, grid, ii, jj):
-    """Raise HyperbolicityLoss at the first node (ii, jj) outside okm."""
-    if not np.all(okm):
-        bad = int(np.argmin(okm))
-        raise HyperbolicityLoss(
-            "sigma left the admissible range (domain wall or kappa <= 0) at "
-            + grid.where(ii[bad], jj[bad])
-        )
+def _least_u(mask, grid, i, j):
+    """grid.where of the node of least u among one half's cells in mask."""
+    at = np.flatnonzero(mask)
+    k = at[np.argmin(i[at])]
+    return grid.where(i[k], j[k])
 
 
-def _sweep(grid, direction, model, zp, zpp, state):
-    """Sweep one time direction front by front, filling state in place.
+def _inadmissible(ok, grid, i, j):
+    """HyperbolicityLoss at the node of least u outside ok, or None."""
+    if np.all(ok):
+        return None
+    return HyperbolicityLoss(
+        "sigma left the admissible range (domain wall or kappa <= 0) at "
+        + _least_u(~ok, grid, i, j))
 
-    direction = +1 fills the future triangle i+j > N, -1 the past one.
-    The unknowns of a set of cells are held as one (3, 3, cells) array:
-    field (psi, psib, xi) by component (value, d_u, d_ub).  A finished
-    front is one (4, 3, cells) array, component (value, d_u, d_ub, F) by
-    field: W and S are slices of the last one, D is [1:-1] of the one before.
-    F is the sources of each cell's last fixed-point iteration (its damped
-    retry's, if it had one); only the diagonal's are evaluated at the
-    stored values.
+
+def _front_rhs(model, zp, zpp, U):
+    """_rhs_arrays at the unknowns U, component (value, d_u, d_ub) by field."""
+    (p, b, _), (pu, bu, xu), (pub, bub, xub) = U
+    return _rhs_arrays(model, zp, zpp, p, b, pu, pub, bu, bub, xu, xub)
+
+
+def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
+    """At most n_it fixed-point iterations for the cells of each half.
+
+    Every array carries the half before the cell: cells = (i, j) and
+    z = (zeta'(ubar), zeta''(ubar)) at them are (halves, cells), hh the
+    signed half step h/2 of each half, (halves, 1).  W and S are the
+    (value, d_u, d_ub, F) of the cells' u- and ubar-predecessors, D the
+    (value, F) of their across-corners, each (3, halves, cells) by field.
+    On the first front D's F is None: the averaged one-leg rule replaces
+    the four-corner one there, and D only seeds the predictor.
+
+    A half stops once every one of its cells' update is within
+    CELL_TOL * scale, or at its first iterate outside the admissible
+    range, and the other half goes on alone.  The stop is half-wide: a
+    cell that converged early keeps iterating until the slowest cell of
+    its half has, so its result depends on the cells it runs with, but
+    only below that tolerance, and never on the other half.  Returns the
+    unknowns (3, 3, halves, cells), component (value, d_u, d_ub) by
+    field; the sources of each half's last iteration (at the unknowns it
+    started from, within CELL_TOL of the result); the mask of converged
+    cells; and each half's HyperbolicityLoss, or None.
     """
-    h, d = grid.h, direction
-    hh = 0.5 * h * d
-    qq = 0.25 * h * h
-    fields = [[getattr(state, n) for n in (name, f"d{name}_u", f"d{name}_ub")]
-              for name in ("psi", "psib", "xi")]
-    sW, sS = grid.predecessors(d)
+    i, j = cells
+    zp, zpp = z
+    qq = 0.25 * grid.h * grid.h
+    (V_w, VU_w, VUB_w, F_w), (V_s, VU_s, VUB_s, F_s), (V_c, F_c) = W, S, D
+    corner = V_w + V_s - V_c
+    cur = np.stack((corner, VU_s, VUB_w))
+    new = np.empty_like(cur)
+    F = np.empty_like(corner)
+    good = np.zeros(i.shape, dtype=bool)
+    errors = [None] * len(i)
+    live = list(range(len(i)))          # halves still iterating, contiguous
+    for _ in range(n_it):
+        a = slice(live[0], live[-1] + 1)
+        c, n, hs = cur[:, :, a], new[:, :, a], hh[a]
+        okm, _, *f = _front_rhs(model, zp[a], zpp[a], c)
+        f = np.array(f)
+        np.add(VU_s[:, a], hs * (F_s[:, a] + f), out=n[1])
+        np.add(VUB_w[:, a], hs * (F_w[:, a] + f), out=n[2])
+        if F_c is None:
+            n[0] = 0.5 * (V_s[:, a] + hs * (VUB_s[:, a] + n[2])) \
+                + 0.5 * (V_w[:, a] + hs * (VU_w[:, a] + n[1]))
+        else:
+            n[0] = corner[:, a] + qq * (f + F_w[:, a] + F_s[:, a] + F_c[:, a])
+        if damp != 1.0:
+            n[...] = c + damp * (n - c)
+        # |n - c| in c's place, which takes n next
+        change = np.max(np.abs(np.subtract(n, c, out=c), out=c), axis=(0, 1))
+        scale = 1.0 + np.max(np.abs(n[0]), axis=0)
+        c[...] = n
+        F[:, a] = f
+        good[a] = change <= CELL_TOL * scale
+        for h, ok in zip(live, okm):
+            errors[h] = _inadmissible(ok, grid, i[h], j[h])
+        live = [h for h in live if errors[h] is None and not good[h].all()]
+        if not live:
+            break
+    return cur, F, good, errors
 
-    def rhs(j, U):
-        (p, pu, pub), (b, bu, bub), (_, xu, xub) = U
-        return _rhs_arrays(model, zp[j], zpp[j], p, b, pu, pub, bu, bub, xu, xub)
 
-    def store(here, U, F):
-        """Write U into state at here; return the front with its sources F.
+def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
+    """Solve one front of each half in cells, check it and store it.
 
-        The slaved sigma of U is checked admissible, so HyperbolicityLoss
-        names the first stored node outside the model's range.
-        """
-        (p, _, _), (b, _, _), _ = U
-        okm = coefficients(model, sigma_of(p, b, zp[here[1]])).ok
-        _require_admissible(okm, grid, *here)
-        for (V, VU, VUB), (v, vu, vub) in zip(fields, U):
-            V[here], VU[here], VUB[here] = v, vu, vub
-        return np.concatenate((U.swapaxes(0, 1), [F]))
-
-    here = grid.diagonal()
-    U = np.array([[A[here] for A in fld] for fld in fields])
-    prev = store(here, U, rhs(here[1], U)[2:])
-
-    for m, (ii, jj) in enumerate(grid.fronts(d), 1):
-        first = m == 1
-        W, S = prev[..., sW], prev[..., sS]
-        # On the first front the corner (i - d, j - d) is on the other
-        # sweep's first front: 0 on the future sweep, which runs first, and
-        # that sweep's values on the past one.  Only the predictor reads it.
-        D = (np.array([[V[ii - d, jj - d] for V, *_ in fields]]) if first
-             else older[..., 1:-1])
-
-        def solve_subset(sel, damp, n_it):
-            """At most n_it fixed-point iterations for the selected cells.
-
-            The loop stops once every selected cell's update is within
-            CELL_TOL * scale.  The stop is front-wide: a cell that converged
-            early keeps iterating until the slowest cell has, so its result
-            depends on the subset it runs in, but only below that tolerance.
-            Returns the unknowns, the sources of the last iteration (at
-            the unknowns it started from, within CELL_TOL of the result)
-            and the mask of converged cells.
-            """
-            i, j = ii[sel], jj[sel]
-            V_w, VU_w, VUB_w, F_w = W[..., sel]
-            V_s, VU_s, VUB_s, F_s = S[..., sel]
-            V_c, F_c = D[0][..., sel], D[-1][..., sel]
-            corner = V_w + V_s - V_c
-            cur = np.stack((corner, VU_s, VUB_w), axis=1)
-            new = np.empty_like(cur)
-            good = np.zeros(i.shape, dtype=bool)
-            for _ in range(n_it):
-                okm, _, *sources = rhs(j, cur)
-                _require_admissible(okm, grid, i, j)
-                f = np.array(sources)
-                n_u = VU_s + hh * (F_s + f)
-                n_ub = VUB_w + hh * (F_w + f)
-                if first:
-                    new[:, 0] = 0.5 * (V_s + hh * (VUB_s + n_ub)) \
-                        + 0.5 * (V_w + hh * (VU_w + n_u))
-                else:
-                    new[:, 0] = corner + qq * (f + F_w + F_s + F_c)
-                new[:, 1], new[:, 2] = n_u, n_ub
-                if damp != 1.0:
-                    new = cur + damp * (new - cur)
-                change = np.max(np.abs(new - cur), axis=(0, 1))
-                cur, new = new, cur
-                scale = 1.0 + np.max(np.abs(cur[:, 0]), axis=0)
-                good = change <= CELL_TOL * scale
-                if np.all(good):
-                    break
-            return cur, f, good
-
-        sol, F, good = solve_subset(slice(None), 1.0, N_PLAIN)
-        if not np.all(good):
-            fail = ~good
-            sol[:, :, fail], F[:, fail], good[fail] = solve_subset(
-                fail, 0.5, N_DAMPED)
-            if not np.all(good):
-                bad = int(np.argmin(good))
-                raise InnerFixedPointDivergence(
+    prev is the last front, (value, d_u, d_ub, F) each (3, halves,
+    cells + 1), whose slices DNGrid.predecessors(1) hold the cells' u-
+    and ubar-predecessors; cells, hh and D are as _solve_front's.  The
+    cells that a half's plain iterations leave unconverged get a damped
+    retry from the predictor, run on that half's cells alone.  Each
+    half's first error -- HyperbolicityLoss in an iteration or at the
+    values to store, InnerFixedPointDivergence after the retry -- is the
+    one a walk of its triangle alone would raise, and the first half's
+    error is raised if there is one.  Otherwise the front is written into
+    fields, the state's (value, d_u, d_ub) arrays by field, and returned
+    in prev's layout, each component an array of its own, so that the
+    next front can keep the two D reads without the other two.
+    """
+    i, j = cells
+    z = (zp[j], zpp[j])
+    sW, sS = grid.predecessors(1)
+    W = [x[..., sW] for x in prev]
+    S = [x[..., sS] for x in prev]
+    sol, F, good, errors = _solve_front(model, grid, cells, z, hh, W, S, D,
+                                        1.0, N_PLAIN)
+    for h, fail in enumerate(~good):
+        if errors[h] is None and fail.any():
+            pick = (slice(None), slice(h, h + 1), fail)
+            s, f, g, (err,) = _solve_front(
+                model, grid, [x[pick[1:]] for x in cells],
+                [x[pick[1:]] for x in z], hh[h:h + 1],
+                [x[pick] for x in W], [x[pick] for x in S],
+                [None if x is None else x[pick] for x in D], 0.5, N_DAMPED)
+            sol[(slice(None),) + pick], F[pick], good[h, fail] = s, f, g[0]
+            if err is None and not good[h].all():
+                err = InnerFixedPointDivergence(
                     "cell fixed point did not converge at "
-                    f"{grid.where(ii[bad], jj[bad])}; "
-                    "reduce h or the data amplitude"
-                )
-        older, prev = prev, store((ii, jj), sol, F)
+                    f"{_least_u(~good[h], grid, i[h], j[h])}; "
+                    "reduce h or the data amplitude")
+            errors[h] = err
+    ok = coefficients(model, sigma_of(sol[0, 0], sol[0, 1], z[0])).ok
+    for err, o, ii, jj in zip(errors, ok, i, j):
+        err = err or _inadmissible(o, grid, ii, jj)
+        if err:
+            raise err
+    at = i * grid.n_nodes + j       # the state's arrays are C-ordered
+    for arrays, values in zip(fields, sol.swapaxes(0, 1)):
+        for A, x in zip(arrays, values):
+            A.reshape(-1)[at] = x
+    return (*map(np.array, sol), F)
+
+
+def _diagonal_front(grid, model, zp, zpp, fields):
+    """The diagonal as the front before the first, once as either half
+    (the past half mirrored); only its sources are evaluated at the stored
+    values, which are checked admissible."""
+    i, j = (x[None] for x in grid.diagonal())
+    U = np.array([[V[i, j] for V in comp] for comp in zip(*fields)])
+    ok, _, *F = _front_rhs(model, zp[j], zpp[j], U)
+    err = _inadmissible(ok[0], grid, i[0], j[0])
+    if err:
+        raise err
+    return [np.concatenate((x, x[..., ::-1]), axis=1)
+            for x in (*U, np.array(F))]
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
@@ -244,18 +284,50 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     GridMismatch
         If data.s are not the nodes of grid (DNGrid.require_nodes).
     HyperbolicityLoss, InnerFixedPointDivergence
-        From the sweep, naming the first failing node.
+        From the walk, at the first m where front m of either triangle
+        fails, the future one's if both fail there, naming that front's
+        failing node of least u.
     """
     grid.require_nodes(data.s, "diagonal data")
     state = DNState.zeros(grid)
-    diag = grid.diagonal()
     for name in FIELD_NAMES:
-        getattr(state, name)[diag] = getattr(data, name)
+        getattr(state, name)[grid.diagonal()] = getattr(data, name)
 
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
-    for direction in (1, -1):
-        _sweep(grid, direction, model, zp, zpp, state)
+    # The walk (module docstring): a front is (value, d_u, d_ub, F), each
+    # (3, halves, cells) by field, the past half mirrored (u descending).
+    fields = [[getattr(state, n) for n in (name, f"d{name}_u", f"d{name}_ub")]
+              for name in ("psi", "psib", "xi")]
+    hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])    # future, past
+
+    def joint(front):
+        (fi, fj), (pi, pj) = front
+        return np.array([fi, pi[::-1]]), np.array([fj, pj[::-1]])
+
+    diag = _diagonal_front(grid, model, zp, zpp, fields)
+    fronts = zip(grid.fronts(1), grid.fronts(-1))
+    i, j = joint(next(fronts))
+    # On the first front the corner (i - d, j - d) is on the other half's
+    # first front: 0 for the future half, which runs first, and that
+    # half's values for the past one.  Only the predictor reads it.
+    parts = []
+    for h, d in enumerate((1, -1)):
+        half = slice(h, h + 1)
+        ii, jj = i[half], j[half]
+        parts.append(_advance(
+            grid, model, zp, zpp, (ii, jj), hh[half],
+            [x[:, half] for x in diag],
+            (np.array([V[ii - d, jj - d] for V, _, _ in fields]), None),
+            fields))
+    older = diag[0], diag[3]
+    prev = [np.concatenate(x, axis=1) for x in zip(*parts)]
+    del diag, parts           # D reads the diagonal's values and sources only
+
+    for front in fronts:
+        D = tuple(x[..., 1:-1] for x in older)
+        older, prev = (prev[0], prev[3]), _advance(
+            grid, model, zp, zpp, joint(front), hh, prev, D, fields)
     return state.freeze()
 
 
@@ -342,14 +414,12 @@ def sigma_wave_residual(state: DNState, model: Nonlinearity,
     sups = []
     for blk in row_blocks(n, n, halo=1):
         mid = slice(blk.start + 1, blk.stop - 1)
-        psi, psib = state.psi[blk], state.psib[blk]
-        s_ub = dsigma_ub_of(psi, psib, state.dpsi_ub[blk], state.dpsib_ub[blk],
-                            zp, zpp)
-        s_u = dsigma_u_of(psi[1:-1], psib[1:-1], state.dpsi_u[mid],
-                          state.dpsib_u[mid], zp)
+        sig, s_u, s_ub = sigma_jet(
+            state.psi[blk], state.psib[blk], state.dpsi_u[blk],
+            state.dpsi_ub[blk], state.dpsib_u[blk], state.dpsib_ub[blk], zp, zpp)
         d_u_d_ub = (s_ub[2:, :] - s_ub[:-2, :]) / (2.0 * g.h)
-        G = eval_coeffs(model, sigma_of(psi, psib, zp)).G[1:-1]
-        null_form = (G * s_u * s_ub[1:-1]
+        G = eval_coeffs(model, sig).G[1:-1]
+        null_form = (G * s_u[1:-1] * s_ub[1:-1]
                      + state.dpsi_u[mid] * (state.dpsib_ub[mid] + 2.0 * zpp)
                      + state.dpsi_ub[mid] * state.dpsib_u[mid])
         sups.append(np.max(np.abs(d_u_d_ub + null_form)))

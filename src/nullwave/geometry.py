@@ -59,10 +59,9 @@ import numpy as np
 from .background import background_L, WaveProfile, phase_function
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, FrameTransportStall
-from .grid import DNGrid, cumsum_cols, cumtrap_rows, row_blocks
+from .grid import DNGrid, abs_max, cumsum_cols, cumtrap_rows, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
-from .state import (DNState, Phi0_of, Phi1_of, dsigma_u_of, dsigma_ub_of,
-                    sigma_of)
+from .state import DNState, Phi0_of, Phi1_of, sigma_jet
 
 __all__ = [
     "FRAME_TOL", "FRAME_MAX_ITER", "OMEGA_WINDOW", "FRAME_FLOOR", "DETJ_FLOOR",
@@ -112,9 +111,11 @@ def full_field_jet(state: DNState, model: Nonlinearity,
     dpsi_u, dpsib_u = state.dpsi_u[rows], state.dpsib_u[rows]
     dpsi_ub, dpsib_ub = state.dpsi_ub[rows], state.dpsib_ub[rows]
 
-    co = eval_coeffs(model, sigma_of(psi, psib, zp))
+    sig, sig_u, sig_ub = sigma_jet(psi, psib, dpsi_u, dpsi_ub, dpsib_u,
+                                   dpsib_ub, zp, zpp)
+    co = eval_coeffs(model, sig)
     H, Hp = co.H, co.Hp
-    del co  # the other coefficients are not needed while the jet is formed
+    del sig, co  # the other coefficients are not needed while the jet is formed
     return {
         "Phi0": Phi0_of(psi, psib, zp),
         "Phi1": Phi1_of(psi, psib, zp),
@@ -124,8 +125,8 @@ def full_field_jet(state: DNState, model: Nonlinearity,
         "dPhi1_ub": 0.5 * (dpsi_ub - dpsib_ub) - zpp,
         "phi_u": state.dxi_u[rows],
         "phi_ub": state.dxi_ub[rows] + zp,
-        "sig_u": dsigma_u_of(psi, psib, dpsi_u, dpsib_u, zp),
-        "sig_ub": dsigma_ub_of(psi, psib, dpsi_ub, dpsib_ub, zp, zpp),
+        "sig_u": sig_u,
+        "sig_ub": sig_ub,
         "H": H,
         "Hp": Hp,
     }
@@ -437,7 +438,8 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
             return (0.5 * h) * (F[1:] + F[:-1])
         return steps
 
-    r2 = [cumsum_cols(u_leg_steps(c[1]), (n, n), jd) for c in comps]
+    r2 = [cumsum_cols(u_leg_steps(c[1]), (n, n), jd, c[4][::-1])
+          for c in comps]
 
     curl = []
     for blk in row_blocks(n, n):
@@ -446,10 +448,10 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
                 comps, r2):
             jac_u[blk] = vpb * (Omb * Lb[blk])
             jac_ub[blk] = Omb * L[blk]
-            r1 = dev_diag[blk, None] + cumtrap_rows(
-                jac_ub[blk] + 0.5 * ring[None, :], h, jd[blk])
-            r2b = dev_diag[::-1][None, :] + S2[blk]
-            curl.append(np.max(np.abs(r1 - r2b)))
+            r1 = cumtrap_rows(jac_ub[blk] + 0.5 * ring[None, :], h, jd[blk],
+                              dev_diag[blk])
+            r2b = S2[blk]
+            curl.append(abs_max(r1, r2b))
             bg = 0.5 * (V[blk, None] - Z[None, :] + sign * grid.ub[None, :])
             out[blk] = bg + 0.5 * (r1 + r2b)
         detj[blk] = Omb ** 2 * (frame.Lb0[blk] * frame.L1[blk]
@@ -498,11 +500,11 @@ def degeneracy_monitor(frame: NullFrame, coords: CoordMap) -> dict:
             "checks": [name for name, mask in bad.items() if mask[i, j]],
         }
 
-    ring0, ring1 = frame.ring
-    sup_dev = float(np.max([np.max(np.abs(frame.L0 - ring0[None, :])),
-                            np.max(np.abs(frame.L1 - ring1[None, :])),
-                            np.max(np.abs(frame.Lb0 + 1.0)),
-                            np.max(np.abs(frame.Lb1 + 1.0))]))
+    shape = frame.Omega.shape
+    sup_dev = float(np.max([
+        abs_max(X, np.broadcast_to(ref, shape)) for X, ref in (
+            (frame.L0, frame.ring[0]), (frame.L1, frame.ring[1]),
+            (frame.Lb0, -1.0), (frame.Lb1, -1.0))]))
 
     return {
         "ok": first_failure is None,

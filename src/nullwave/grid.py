@@ -159,54 +159,70 @@ def map_row_blocks(fn, shape, *args):
     return out
 
 
-def cumsum_cols(increments, shape, anchor_i):
-    """Running sums down the columns, zeroed at per-column anchor rows.
+def cumsum_cols(increments, shape, anchor_i, start):
+    """Running sums down the columns, equal to start at per-column anchors.
 
     S[0] = 0 and S[i] = S[i-1] + increments(rows)[i-1 - rows.start], with
     increments(rows) a fresh (len(rows), n_cols) array of the increment
-    rows in the slice rows.  The sums are built one row block at a time:
-    a block's first increment row takes the carry from the row above
-    (inc[0] = carry + inc[0]) before np.cumsum runs down the block, so
-    every column is summed in the same sequential order as one np.cumsum
-    over the whole height.  The anchor values S[anchor_i[j], j] are only
-    known once the sweep has passed them, so they are subtracted in a
-    second, in-place pass.  Returns a C-ordered array.
+    rows in the slice rows, asked for one row block at a time.  Each row
+    is carried from the one above by one np.add into the output, so every
+    column is summed in the sequential order of one np.cumsum over the
+    whole height, bit for bit; row 1 is the first increment row itself,
+    as np.cumsum starts.  Column j of the result is
+    (S - S[anchor_i[j], j]) + start[j].  The anchor values are only known
+    once the sweep has passed them all, so a second pass subtracts them
+    and adds start, one row block at a time.  Returns a C-ordered array.
     """
     S = np.empty(shape)
     S[0] = 0.0
     for blk in row_blocks(*shape):
         a = max(blk.start, 1)
         inc = increments(slice(a - 1, blk.stop - 1))
-        if a > 1:
-            inc[0] = S[a - 1] + inc[0]
-        np.cumsum(inc, axis=0, out=S[a:blk.stop])
-    S -= S[anchor_i, np.arange(shape[1])]
+        for k, row in enumerate(inc, a):
+            if k == 1:
+                S[1] = row
+            else:
+                np.add(S[k - 1], row, out=S[k])
+    at = S[anchor_i, np.arange(shape[1])]
+    for blk in row_blocks(*shape):
+        S[blk] -= at
+        S[blk] += start
     return S
 
 
-def cumtrap_rows(F, h, anchor_j):
-    """Cumulative trapezoid along axis 1, zeroed at per-row anchor columns.
+def cumtrap_rows(F, h, anchor_j, start):
+    """Cumulative trapezoid along axis 1, equal to start at per-row anchors.
 
-    Row-local, so it is formed one row block at a time; returns C order.
+    Row i of the result is (S - S[i, anchor_j[i]]) + start[i], S the
+    running trapezoid sums from column 0.  Row-local, so it is formed,
+    anchored and started one row block at a time; returns C order.
     """
     S = np.empty(F.shape)
     S[:, 0] = 0.0
     for blk in row_blocks(*F.shape):
-        np.cumsum((0.5 * h) * (F[blk, 1:] + F[blk, :-1]), axis=1,
-                  out=S[blk, 1:])
-    S -= S[np.arange(F.shape[0]), anchor_j][:, None]
+        Sb = S[blk]
+        inc = F[blk, 1:] + F[blk, :-1]
+        inc *= 0.5 * h
+        np.cumsum(inc, axis=1, out=Sb[:, 1:])
+        Sb -= Sb[np.arange(len(Sb)), anchor_j[blk]][:, None]
+        Sb += start[blk, None]
     return S
 
 
-def cumtrap_cols(F, h, anchor_i):
-    """Cumulative trapezoid along axis 0, zeroed at per-column anchor rows.
+def cumtrap_cols(F, h, anchor_i, start):
+    """Cumulative trapezoid along axis 0, equal to start at per-column
+    anchors.
 
     Carried block by block (cumsum_cols) without a transpose; returns a
     C-ordered array, bitwise equal to one cumulative sum over the column.
     """
     half = 0.5 * h
-    return cumsum_cols(lambda r: half * (F[r.start + 1:r.stop + 1] + F[r]),
-                       F.shape, anchor_i)
+
+    def increments(r):
+        inc = F[r.start + 1:r.stop + 1] + F[r]
+        inc *= half
+        return inc
+    return cumsum_cols(increments, F.shape, anchor_i, start)
 
 
 def decay_weight(x, gamma):

@@ -284,7 +284,7 @@ def solve_model_system(gauge: GaugeSlice, grid: DNGrid, model: Nonlinearity,
     w = 2.0 + (w0 - 2.0)[:, None] * np.exp(expo)
 
     integrand = ((-H0) * (zp * zpp))[None, :] * (w - 2.0) * cbp[:, None]
-    y = y0[:, None] + cumtrap_rows(integrand, grid.h, jd)
+    y = cumtrap_rows(integrand, grid.h, jd, y0)
 
     L0 = 0.5 * (y + (w - 2.0))
     L1 = 0.5 * (y - (w - 2.0))

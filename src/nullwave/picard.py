@@ -21,17 +21,19 @@ front-by-front sweep.
 Every full-grid pass of the stage -- the source, the frozen solve, the
 metric below and the xi gap -- runs in row blocks of about
 grid.BLOCK_ELEMS elements, walked in row order, so its temporaries stay in
-L2 and only the outputs are full-size (C-ordered) arrays.  The sums down
-the columns carry each column's running total from one block into the
-first increment row of the next, which keeps one cumulative sum's
-sequential order; their anchors on the diagonal are subtracted in a second
-pass; and the one-leg values of the past first front, whose d_ub anchor
-lies one row ahead, are formed once d_ub is complete.  Every element goes
-through the same arithmetic whatever the block size, so the iterates do
-not depend on it bit for bit.  The map is applied by picard_apply; its
-fixed point satisfies exactly the same per-cell discrete equations as the
-nonlinear march, so the two routes must agree to rounding -- a genuinely
-independent cross-check of the solver.
+L2 and only the outputs are full-size (C-ordered) arrays.  The frozen
+solve integrates the source twice, into d_u and d_ub, and takes the field
+from its own d_u, a trapezoid step down each column.  The sums down the
+columns are carried row by row into the output, which keeps one
+cumulative sum's sequential order; their anchors on the diagonal are
+subtracted in a second pass; and the one-leg values of the past first
+front, whose d_ub anchor lies one row ahead, are formed once d_ub is
+complete.  Every element goes through the same arithmetic whatever the
+block size, so the iterates do not depend on it bit for bit.  The map is
+applied by picard_apply; its fixed point satisfies exactly the same
+per-cell discrete equations as the nonlinear march, so the two routes
+must agree to rounding -- a genuinely independent cross-check of the
+solver.
 
 Iteration is controlled in the weighted sup metric
 
@@ -80,7 +82,7 @@ from .background import WaveProfile
 from .dn_core import rhs_wave
 from .errors import FixedPointDivergence
 from .grid import (DNGrid, abs_max, cumsum_cols, cumtrap_cols, cumtrap_rows,
-                   decay_sup, jet_sup)
+                   decay_sup, jet_sup, row_blocks)
 from .nonlinearity import Nonlinearity, range_certificate
 from .state import FIELD_NAMES, DiagonalData, DNState
 
@@ -165,32 +167,33 @@ def _frozen_solve(grid, data, sources):
 
       * d_u field and d_ub field are trapezoid integrals of F along ubar
         and along u, anchored on the diagonal data;
-      * every cell's mixed difference is h^2/4 times the four-corner sum
-        of F.  On the strip of cells straddling the diagonal the march
-        takes both first-front corners from the averaged one-leg rule
-        instead, but with the two transports substituted that rule gives
-        the same four-corner sum;
-      * summing the mixed differences along ubar from the past first front
-        (one-leg rule) gives field[i] - field[i-1], and summing those along
-        u from the diagonal gives the field.
+      * the field comes from its own d_u: field[a+1] - field[a] is the
+        trapezoid h/2 (d_u field[a] + d_u field[a+1]) down each column,
+        pinned where row a is on the past first front (one-leg rule) and
+        row a+1 on the diagonal, and summing those steps along u from the
+        diagonal gives the field.  Along ubar a step changes by h^2/4
+        times the four-corner sum of F of the cell between, so in exact
+        arithmetic every cell's mixed difference is the march's.  On the
+        strip of cells straddling the diagonal the march takes both
+        first-front corners from the averaged one-leg rule instead, but
+        with the two transports substituted that rule gives the same
+        four-corner sum.
 
     Every full-grid pass runs in row blocks (grid.row_blocks), so its
     temporaries stay block-sized and the outputs are the only full-size
     arrays, all C-ordered.  d_u field is row-local.  d_ub field and the
-    field are sums down the columns (grid.cumsum_cols): each block's first
-    increment row takes the carry from the row above, which keeps the
-    sequential order of one cumulative sum, and the per-column anchors on
-    the diagonal (row N - j of column j) are subtracted in a second pass
-    once the sweep has passed them all.  The past first front reads d_ub
-    field at (a, N-1-a), whose anchor is row a+1, a row ahead of it; so the
-    one-leg values are formed after d_ub field is complete, before the
-    field's sweep starts.  The outputs are bitwise independent of the
-    block size.
+    field are sums down the columns (grid.cumsum_cols), carried row by row
+    in the sequential order of one cumulative sum, with the per-column
+    anchors on the diagonal (row N - j of column j) subtracted in a
+    second pass once the sweep has passed them all.  The past first front
+    reads d_ub field at (a, N-1-a), whose anchor is row a+1, a row ahead
+    of it; so the one-leg values are formed after d_ub field is complete,
+    before the field's sweep starts.  The outputs are bitwise independent
+    of the block size.
 
     Such a solve cannot fail.
     """
-    N, h = grid.N, grid.h
-    half, qq = 0.5 * h, 0.25 * h * h
+    half = 0.5 * grid.h
     ii, jd = grid.diagonal()
     lo = ii[:-1]
     out = {}
@@ -198,10 +201,8 @@ def _frozen_solve(grid, data, sources):
         f_d = getattr(data, name)
         du_d = getattr(data, f"d{name}_u")
         dub_d = getattr(data, f"d{name}_ub")
-        du = cumtrap_rows(F, h, jd)
-        du += du_d[:, None]
-        dub = cumtrap_cols(F, h, jd)
-        dub += dub_d[::-1]
+        du = cumtrap_rows(F, grid.h, jd, du_d)
+        dub = cumtrap_cols(F, grid.h, jd, dub_d[::-1])
 
         # one-leg rule on the past first front, node (i, N-1-i)
         past = 0.5 * (f_d[:-1] - half * (dub_d[:-1] + dub[lo, jd[:-1] - 1])) \
@@ -209,19 +210,16 @@ def _frozen_solve(grid, data, sources):
 
         def steps(r):
             # step[a] = field[a+1] - field[a] for the rows a in r: the
-            # running sum along ubar of the mixed differences of the cells
-            # with lower corner (a, b), pinned in column N-1-a, where row a
-            # is on the past first front and row a+1 on the diagonal
-            pair = F[r.start + 1:r.stop + 1] + F[r]
-            step = np.empty(pair.shape)
-            step[:, 0] = 0.0
-            np.cumsum(qq * (pair[:, 1:] + pair[:, :-1]), axis=1, out=step[:, 1:])
+            # trapezoid of d_u field from row a to row a+1, pinned in
+            # column N-1-a, where row a is on the past first front and row
+            # a+1 on the diagonal
+            step = du[r] + du[r.start + 1:r.stop + 1]
+            step *= half
             a = lo[r]
             step += (f_d[a + 1] - past[r] - step[a - r.start, jd[a + 1]])[:, None]
             return step
 
-        field = cumsum_cols(steps, F.shape, jd)
-        field += f_d[::-1]
+        field = cumsum_cols(steps, F.shape, jd, f_d[::-1])
         out[name] = field
         out[f"d{name}_u"] = du
         out[f"d{name}_ub"] = dub
@@ -364,19 +362,23 @@ def picard_fixed_point(
     )
 
 
-def _separable_jet_sup(grid, a, da, b, db, gamma_bar):
-    """jet_sup of the field a (x) b with d_u a' (x) b and d_ub a (x) b'.
+def _separable_jet_sup(grid, a, da, b, db, gamma_bar, scale=1.0):
+    """jet_sup of the field a (x) b with d_u a' (x) b and d_ub a (x) b',
+    each scaled by scale >= 0 after the product.
 
     Taken from the 1-D factors without forming the fields: |fl(a_i b_j)|
     is fl(|a_i| |b_j|), and rounding is monotone, so its max over j is
-    fl(|a_i| max|b|), and over both is fl(max|a| max|b|).  The same holds
-    for each derivative before it is weighted, so this equals jet_sup of
-    the formed fields bit for bit.
+    fl(|a_i| max|b|), and over both is fl(max|a| max|b|); scaling after
+    the product keeps the order, so the sup of the scaled field is
+    fl(fl(max|a| max|b|) scale).  The same holds for each derivative
+    before it is weighted, so this equals jet_sup of the formed fields bit
+    for bit.
     """
     A, B = np.max(np.abs(a)), np.max(np.abs(b))
-    return float(np.max([A * B,
-                         decay_sup(np.abs(da) * B, grid.u, gamma_bar),
-                         decay_sup(A * np.abs(db), grid.ub, gamma_bar)]))
+    return float(np.max([(A * B) * scale,
+                         decay_sup((np.abs(da) * B) * scale, grid.u, gamma_bar),
+                         decay_sup((A * np.abs(db)) * scale, grid.ub,
+                                   gamma_bar)]))
 
 
 def _seed_state(grid, delta, gamma_bar, rng):
@@ -386,11 +388,17 @@ def _seed_state(grid, delta, gamma_bar, rng):
     derivatives, rescaled as a group (field and both derivatives by the
     same factor) so the tightest of its three envelope bounds sits at 0.8
     of the ball boundary.  The scale is found from the bump's 1-D factors
-    (_separable_jet_sup), each field is formed once and scaled in place,
-    and xi and its derivatives share one read-only zero view.
+    (_separable_jet_sup), and each field is formed and scaled one row
+    block at a time, in one pass; xi and its derivatives share one
+    read-only zero view.  Returns the state and in_ball of it, read off
+    the same factors with the scale applied last (bit for bit in_ball of
+    the formed fields, without a pass over them).
     """
+    n = grid.n_nodes
+
     def bump(bound):
-        """A bump jet rescaled so that its jet_sup is bound."""
+        """A bump jet rescaled so that its jet_sup is bound, and that
+        jet_sup as formed."""
         mu_u, mu_b = rng.uniform(-0.5, 0.5, size=2) * grid.u_max
         w_u, w_b = rng.uniform(0.35, 0.9, size=2) * (grid.u_max + 1.0)
         sign = rng.choice((-1.0, 1.0))
@@ -400,19 +408,21 @@ def _seed_state(grid, delta, gamma_bar, rng):
         dgb = -2.0 * (grid.ub - mu_b) / w_b**2 * gb
         a, da = sign * gu, sign * dgu
         cap = bound / _separable_jet_sup(grid, a, da, gb, dgb, gamma_bar)
-        jet = (a[:, None] * gb[None, :], da[:, None] * gb[None, :],
-               a[:, None] * dgb[None, :])
-        for f in jet:
-            f *= cap
-        return jet
+        jet = tuple(np.empty((n, n)) for _ in range(3))
+        for x, y, out in zip((a, da, a), (gb, gb, dgb), jet):
+            for blk in row_blocks(n, n):
+                o = out[blk]
+                np.multiply(x[blk, None], y, out=o)
+                o *= cap
+        return jet, _separable_jet_sup(grid, a, da, gb, dgb, gamma_bar, cap)
 
-    psi, dpsi_u, dpsi_ub = bump(0.8 * delta * delta)
-    psib, dpsib_u, dpsib_ub = bump(0.8 * delta)
+    (psi, dpsi_u, dpsi_ub), psi_size = bump(0.8 * delta * delta)
+    (psib, dpsib_u, dpsib_ub), psib_size = bump(0.8 * delta)
 
     zeros = np.broadcast_to(0.0, psi.shape)  # the three xi jets share it
     state = DNState(grid, psi, psib, zeros,
                     dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zeros, zeros)
-    return state.freeze()
+    return state.freeze(), psi_size <= delta * delta and psib_size <= delta
 
 
 def contraction_ratio(
@@ -449,8 +459,8 @@ def contraction_ratio(
     # Each predecessor is dropped as soon as its distance is taken, before
     # the next large allocation, so its freed blocks can be reused.
     for _ in range(n_seeds):
-        a = _seed_state(grid, cfg.delta, gb, rng)
-        inside = inside and in_ball(a, cfg.delta, gb)
+        a, a_inside = _seed_state(grid, cfg.delta, gb, rng)
+        inside = inside and a_inside
         if a_prev is not None:
             den = picard_metric(a_prev, a, gb)
         a_prev = a

@@ -9,7 +9,8 @@ The null form is slaved algebraically to them,
     sigma = -psi (2 zeta'(ubar) + psib),
 
 so it is never stored or integrated: sigma_of forms it where it is read,
-and its coordinate derivatives follow by the product rule.
+and sigma_jet forms it with its coordinate derivatives, which follow by
+the product rule.
 """
 
 from __future__ import annotations
@@ -46,12 +47,15 @@ def Phi1_of(psi, psib, zp_ub):
     return 0.5 * (psi - psib) - zp_ub
 
 
-def dsigma_u_of(psi, psib, dpsi_u, dpsib_u, zp_ub):
-    return -dpsi_u * (2.0 * zp_ub + psib) - psi * dpsib_u
+def sigma_jet(psi, psib, dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, zp_ub, zpp_ub):
+    """(sigma, d_u sigma, d_ub sigma); zpp_ub = zeta''(ubar).
 
-
-def dsigma_ub_of(psi, psib, dpsi_ub, dpsib_ub, zp_ub, zpp_ub):
-    return -dpsi_ub * (2.0 * zp_ub + psib) - psi * (2.0 * zpp_ub + dpsib_ub)
+    The factor 2 zeta'(ubar) + psib that all three share is formed once;
+    sigma is sigma_of's bit for bit.
+    """
+    w = 2.0 * zp_ub + psib
+    return (-psi * w, -dpsi_u * w - psi * dpsib_u,
+            -dpsi_ub * w - psi * (2.0 * zpp_ub + dpsib_ub))
 
 
 @dataclass

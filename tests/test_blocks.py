@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_compatible_data
 
@@ -20,9 +22,10 @@ from nullwave.data_gauge import (background_data, build_diagonal_data,
 from nullwave.dn_core import (march, rhs_wave, sigma_wave_residual,
                               verify_envelopes)
 from nullwave.errors import FrameDegenerate, HyperbolicityLoss
-from nullwave.geometry import integrate_frame, reconstruct_coords
-from nullwave.grid import (DNGrid, cumtrap_cols, cumtrap_rows, jet_sup,
-                           row_blocks)
+from nullwave.geometry import (degeneracy_monitor, integrate_frame,
+                               reconstruct_coords)
+from nullwave.grid import (DNGrid, cumsum_cols, cumtrap_cols, cumtrap_rows,
+                           jet_sup, row_blocks)
 from nullwave.nonlinearity import polynomial_model
 from nullwave.picard import (
     PicardConfig,
@@ -98,26 +101,69 @@ def test_row_blocks_tile_the_interior(monkeypatch):
 
 def test_cumtraps_match_whole_array_sums(monkeypatch):
     # The reference is one cumulative sum over the whole array (through a
-    # transposed copy for the columns); the carried block sums must equal
-    # it bit for bit and come back C-ordered.
+    # transposed copy for the columns), zeroed at the anchors and then
+    # started; the carried block sums must equal it bit for bit and come
+    # back C-ordered.
     grid = DNGrid.square(2.0, 0.1)
-    F = np.random.default_rng(3).standard_normal((grid.n_nodes, grid.n_nodes))
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((grid.n_nodes, grid.n_nodes))
+    start_rows, start_cols = rng.standard_normal((2, grid.n_nodes))
     h = grid.h
     _, jd = grid.diagonal()
 
-    def ref_rows(A, anchor):
+    def ref_rows(A, anchor, start):
         S = np.zeros_like(A)
         np.cumsum((0.5 * h) * (A[:, 1:] + A[:, :-1]), axis=1, out=S[:, 1:])
-        return S - np.take_along_axis(S, anchor[:, None], axis=1)
+        return (S - np.take_along_axis(S, anchor[:, None], axis=1)) \
+            + start[:, None]
 
-    want_rows = ref_rows(F, jd)
-    want_cols = ref_rows(np.ascontiguousarray(F.T), jd).T
+    want_rows = ref_rows(F, jd, start_rows)
+    want_cols = ref_rows(np.ascontiguousarray(F.T), jd, start_cols).T
     for elems in _block_sizes(grid).values():
         monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", elems)
-        rows, cols = cumtrap_rows(F, h, jd), cumtrap_cols(F, h, jd)
+        rows = cumtrap_rows(F, h, jd, start_rows)
+        cols = cumtrap_cols(F, h, jd, start_cols)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(cols, want_cols)
         assert rows.flags.c_contiguous and cols.flags.c_contiguous
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def _column_sums_case(draw):
+    """(increments, anchor rows, start values, rows per block) of a random
+    shape."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 7))
+    values = st.one_of(SPECIAL, st.floats(-1e3, 1e3))
+    inc = draw(arrays(float, (rows - 1, cols), elements=values))
+    anchor = draw(arrays(np.intp, cols, elements=st.integers(0, rows - 1)))
+    start = draw(arrays(float, cols, elements=values))
+    return inc, anchor, start, draw(st.integers(1, rows))
+
+
+@given(case=_column_sums_case())
+@settings(max_examples=150)
+def test_cumsum_cols_is_one_cumulative_sum(case):
+    # Any block size, from one row to the whole array, and values with
+    # signed zeros, infinities and NaN: the carried rows equal one
+    # np.cumsum down the whole height minus the anchor rows plus start,
+    # NaN for NaN and with the same sign on every zero.
+    inc, anchor, start, block_rows = case
+    shape = (inc.shape[0] + 1, inc.shape[1])
+    want = np.zeros(shape)
+    with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as mp:
+        if shape[0] > 1:
+            want[1:] = np.cumsum(inc, axis=0)
+        want -= want[anchor, np.arange(shape[1])]
+        want += start
+        mp.setattr(grid_mod, "BLOCK_ELEMS", block_rows * shape[1])
+        got = cumsum_cols(lambda r: inc[r].copy(), shape, anchor, start)
+    assert np.array_equal(got, want, equal_nan=True)
+    zero = want == 0.0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
+    assert got.flags.c_contiguous
 
 
 # ------------------------------------------------- block-size invariance
@@ -275,8 +321,10 @@ def radius3(membrane, bump03):
 
 
 def test_march_memory_budget(peak_fields, radius3, membrane, bump03):
-    # The nine unknowns, plus the two fronts the sweep carries and the
-    # per-front arrays; neither the sources nor the slaved sigma are stored.
+    # The nine unknowns, plus the two fronts the walk carries (the older
+    # one as its values and sources only) and the per-front arrays, each
+    # for both triangles at once; neither the sources nor the slaved sigma
+    # are stored.
     grid, data, _, _ = radius3
     assert peak_fields(lambda: march(data, grid, membrane, bump03),
                        grid) <= 10.5
@@ -320,15 +368,21 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
     # deviations (4), which become the frame in place, and Omega; the
     # nullity is reduced in the closing pass, per block.  The coordinate
-    # map: its 7 outputs and the two column sums.  Each call runs once
-    # untraced first, so one-time allocations do not count.
+    # map: its 7 outputs and the two column sums.  The monitor: its five
+    # boolean masks and one full-size |X| at a time; the frame-deviation
+    # sups reduce per block (2.63 fields when each formed two full-size
+    # temporaries).  Each call runs once untraced first, so one-time
+    # allocations do not count.
     grid, _, st_, gauge = radius3
     frame = integrate_frame(st_, gauge, membrane, bump03)
     assert peak_fields(lambda: integrate_frame(
         st_, gauge, membrane, bump03), grid, rows=8) <= 19.5
-    reconstruct_coords(frame, membrane, bump03)
+    coords = reconstruct_coords(frame, membrane, bump03)
     assert peak_fields(lambda: reconstruct_coords(
         frame, membrane, bump03), grid, rows=8) <= 10.5
+    degeneracy_monitor(frame, coords)
+    assert peak_fields(lambda: degeneracy_monitor(frame, coords),
+                       grid, rows=8) <= 1.7
 
 
 def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):

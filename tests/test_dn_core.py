@@ -30,6 +30,14 @@ SINE_02 = (lambda v: 0.2 * np.sin(v),
            lambda v: -0.2 * np.sin(v))
 
 
+SOURCES = ("psi", "psib", "xi")
+
+
+def _jets(state):
+    return (state.psi, state.psib, state.dpsi_u, state.dpsi_ub,
+            state.dpsib_u, state.dpsib_ub, state.dxi_u, state.dxi_ub)
+
+
 def dalembert_data(grid, a=GAUSS_03, b=SINE_02):
     """Diagonal data of an exact flat-space solution psi = 2a'(u),
     psib = 2b'(ubar), xi = a(u) + b(ubar); a and b are (f, f', f'')."""
@@ -251,6 +259,124 @@ def test_march_into_custom_wall_names_the_node(zero_prof):
              re.search(r"u=(\S+), ubar=(\S+)\)", str(err.value)).groups())
     # the exact solution has sigma = bump(u) bump(ubar) past the wall there
     assert bump(u) * bump(ub) > 1e-6
+
+
+WALLED = Nonlinearity("custom", np.zeros_like, np.zeros_like, np.zeros_like,
+                      sigma_max=1e-6)
+
+
+def _wall_node(grid, zero_prof, psi_at, psib_at):
+    """(u, ubar) of the node march names on WALLED for a psi pulse along
+    u = psi_at and a psib pulse along each ubar in psib_at.  f = 0, so
+    the pulses travel unchanged and sigma = P(u) Q(ubar) crosses the wall
+    1e-6 only near where they meet, off the data slice; the named node
+    is checked to be past the wall in the exact solution."""
+    def bump(x, at):
+        return 0.2 * np.exp(-(((x - at) / 0.15) ** 2))
+
+    def dbump(x, at):
+        return -2.0 * (x - at) / 0.15**2 * bump(x, at)
+
+    def Q(ub):
+        return sum(bump(ub, at) for at in psib_at)
+
+    s, z = grid.u, np.zeros(grid.n_nodes)
+    P, dP = bump(s, psi_at), dbump(s, psi_at)
+    dQ = sum(dbump(-s, at) for at in psib_at)       # at ubar = -s
+    data = DiagonalData(
+        s=s.copy(), psi=P, psib=-Q(-s), xi=z.copy(), sigma=P * Q(-s),
+        dpsi_u=dP, dpsi_ub=z.copy(), dpsib_u=z.copy(), dpsib_ub=-dQ,
+        dxi_u=z.copy(), dxi_ub=z.copy(), gamma_bar=0.5,
+    )
+    assert np.max(data.sigma) < 1e-6
+    with pytest.raises(HyperbolicityLoss) as err:
+        march(data, grid, WALLED, zero_prof)
+    u, ub = (float(v) for v in
+             re.search(r"u=(\S+), ubar=(\S+)\)", str(err.value)).groups())
+    assert bump(u, psi_at) * Q(ub) > 1e-6
+    return u, ub
+
+
+@pytest.mark.parametrize("psi_at,past_at,future_at,first", [
+    (-0.2, -1.2, 1.8, "past"),     # the past half fails at an earlier front
+    (0.0, -1.2, 1.2, "future"),    # both fail at the same front
+])
+def test_march_raises_at_the_first_front_either_half_fails(
+        zero_prof, psi_at, past_at, future_at, first):
+    # Each half's failing node comes from a run where only that half
+    # fails; with both psib pulses the walk names the one on the earlier
+    # front m, the future one on a tie.  A walk of the whole future
+    # triangle first would name the future node in both cases.
+    grid = DNGrid.square(2.5, 0.025)
+    past = _wall_node(grid, zero_prof, psi_at, (past_at,))
+    future = _wall_node(grid, zero_prof, psi_at, (future_at,))
+    assert past[0] + past[1] < 0.0 < future[0] + future[1]
+    m_past, m_future = (round(abs(u + ub) / grid.h) for u, ub in (past, future))
+    assert (m_past < m_future) if first == "past" else (m_past == m_future)
+    both = _wall_node(grid, zero_prof, psi_at, (past_at, future_at))
+    assert both == (past if first == "past" else future)
+
+
+def test_solve_front_halves_match_their_solo_solves(membrane, bump03):
+    # Any front of both triangles, from the marched state, solved as one
+    # array and one half at a time: each half's unknowns, sources and
+    # converged mask agree bit for bit, plain and damped, also on fronts
+    # where the halves stop after different numbers of iterations.
+    grid = DNGrid.square(2.0, 0.1)
+    data = make_compatible_data(grid, bump03, amp=0.2)
+    st_ = march(data, grid, membrane, bump03)
+    zp, zpp = bump03.dzeta(grid.ub), bump03.d2zeta(grid.ub)
+    comps = [np.array([getattr(st_, f"{p}{n}{q}") for n in SOURCES])
+             for p, q in (("", ""), ("d", "_u"), ("d", "_ub"))]
+    comps.append(np.array(rhs_wave(membrane, zp[None, :], zpp[None, :],
+                                   *_jets(st_))))
+    hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])
+    sW, sS = grid.predecessors(1)
+
+    def joint(m):
+        """Front m of both halves, the past one mirrored; m = 0 is the
+        diagonal."""
+        if m == 0:
+            i, j = grid.diagonal()
+            return np.array([i, i[::-1]]), np.array([j, j[::-1]])
+        (fi, fj), (pi, pj) = (list(grid.fronts(d))[m - 1] for d in (1, -1))
+        return np.array([fi, pi[::-1]]), np.array([fj, pj[::-1]])
+
+    def solve(cells, z, hh, W, S, D, damp, n_it, half=slice(None)):
+        return dn_core._solve_front(
+            membrane, grid, [x[half] for x in cells], [x[half] for x in z],
+            hh[half], [x[:, half] for x in W], [x[:, half] for x in S],
+            [None if x is None else x[:, half] for x in D], damp, n_it)
+
+    def stop_count(*args, half):
+        return next(n for n in range(1, dn_core.N_PLAIN + 1)
+                    if solve(*args, 1.0, n, half=half)[2].all())
+
+    staggered = 0
+    for m in range(1, grid.N + 1):
+        cells = joint(m)
+        i, j = cells
+        prev = [c[:, i_, j_] for c in comps for i_, j_ in [joint(m - 1)]]
+        W, S = [x[..., sW] for x in prev], [x[..., sS] for x in prev]
+        if m == 1:
+            d = np.array([[1], [-1]])
+            D = (comps[0][:, i - d, j - d], None)
+        else:
+            oi, oj = joint(m - 2)
+            D = (comps[0][:, oi, oj][..., 1:-1], comps[3][:, oi, oj][..., 1:-1])
+        args = (cells, (zp[j], zpp[j]), hh, W, S, D)
+        for damp in (1.0, 0.5):
+            both = solve(*args, damp, dn_core.N_PLAIN)
+            assert both[3] == [None, None]
+            for h in (0, 1):
+                half = slice(h, h + 1)
+                one = solve(*args, damp, dn_core.N_PLAIN, half=half)
+                assert np.array_equal(one[0], both[0][:, :, half]), (m, h)
+                assert np.array_equal(one[1], both[1][:, half]), (m, h)
+                assert np.array_equal(one[2], both[2][half]), (m, h)
+        staggered += len({stop_count(*args, half=slice(h, h + 1))
+                          for h in (0, 1)}) == 2
+    assert staggered > 0
 
 
 def test_domain_of_dependence_two_quadrants(membrane, zero_prof):

@@ -9,8 +9,7 @@ from nullwave.state import (
     CSV_COLUMNS,
     DiagonalData,
     DNState,
-    dsigma_u_of,
-    dsigma_ub_of,
+    sigma_jet,
     sigma_of,
     write_grid_csv,
 )
@@ -127,10 +126,10 @@ def test_sigma_composition_values():
     # sigma = -psi (2 zp + psib) and its two derivative compositions
     psi, psib, zp, zpp = 0.2, -0.1, 0.3, 0.05
     assert sigma_of(psi, psib, zp) == pytest.approx(-0.2 * 0.5)
-    got = dsigma_u_of(psi, psib, 0.7, 0.4, zp)
-    assert got == pytest.approx(-0.7 * 0.5 - 0.2 * 0.4)
-    got = dsigma_ub_of(psi, psib, 0.7, 0.4, zp, zpp)
-    assert got == pytest.approx(-0.7 * 0.5 - 0.2 * (2 * 0.05 + 0.4))
+    sig, s_u, s_ub = sigma_jet(psi, psib, 0.7, 0.7, 0.4, 0.4, zp, zpp)
+    assert sig == sigma_of(psi, psib, zp)
+    assert s_u == pytest.approx(-0.7 * 0.5 - 0.2 * 0.4)
+    assert s_ub == pytest.approx(-0.7 * 0.5 - 0.2 * (2 * 0.05 + 0.4))
 
 
 def test_diagonal_data_measures_eps0():

@@ -404,7 +404,7 @@ def _contraction_reference(grid, data, profile, model, cfg, order, n_seeds, seed
     # Every seed drawn first, then every image formed, all held at once.
     gb = data.gamma_bar
     rng = np.random.default_rng(seed)
-    seeds = [_seed_state(grid, cfg.delta, gb, rng) for _ in range(n_seeds)]
+    seeds = [_seed_state(grid, cfg.delta, gb, rng)[0] for _ in range(n_seeds)]
     images = [picard_apply(s, data, grid, model, profile, order) for s in seeds]
     ratios = []
     for a, b, ta, tb in zip(seeds[:-1], seeds[1:], images[:-1], images[1:]):
@@ -474,14 +474,16 @@ def _seed_state_formed(grid, delta, gamma_bar, rng):
 @pytest.mark.parametrize("radius,h", [(2.0, 0.1), (3.0, 0.05)])
 def test_seed_states_match_formed_fields(radius, h):
     # Twenty draws from one generator, so the bumps' centres, widths and
-    # signs vary; every field equals the reference bit for bit.
+    # signs vary; every field equals the reference bit for bit, and the
+    # ball check read off the factors is in_ball of the formed fields.
     grid = DNGrid.square(radius, h)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(20):
-        got = _seed_state(grid, 0.3, 0.5, got_rng)
+        got, inside = _seed_state(grid, 0.3, 0.5, got_rng)
         want = _seed_state_formed(grid, 0.3, 0.5, want_rng)
         for name, arr in want.arrays().items():
             assert np.array_equal(getattr(got, name), arr), name
+        assert inside is in_ball(want, 0.3, 0.5) is True
     assert not got.xi.flags.writeable and got.xi.strides == (0, 0)
 
 
@@ -499,6 +501,12 @@ def test_separable_jet_sup_is_jet_sup_of_formed_fields(seed, gamma):
     want = jet_sup(grid, a[:, None] * b[None, :], da[:, None] * b[None, :],
                    a[:, None] * db[None, :], gamma)
     assert _separable_jet_sup(grid, a, da, b, db, gamma) == want
+    # a scale applied after the product, as the seeds apply theirs
+    scale = 10.0 ** rng.uniform(-3, 3)
+    want = jet_sup(grid, (a[:, None] * b[None, :]) * scale,
+                   (da[:, None] * b[None, :]) * scale,
+                   (a[:, None] * db[None, :]) * scale, gamma)
+    assert _separable_jet_sup(grid, a, da, b, db, gamma, scale) == want
 
 
 def test_reversed_order_degrades_contraction(membrane):
