@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
-from .grid import decay_sup, decay_weight
+from .grid import decay_sup, decay_weight, flat_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs, is_number
 
 ArrayLike = Union[float, np.ndarray]
@@ -98,9 +98,12 @@ def _cumulative_quadrature(f, points, breaks=()):
     The sorted unique points, 0, the breakpoints and the dyadic points
     +-2^k inside the range cut the line into intervals.  Each interval is
     split into equal panels no wider than 0.25 (1 + |nearer end|), so a
-    span out to |x| = X costs O(log X) panels, and f is evaluated once on
-    all panels' Gauss-Legendre nodes.  The interval integrals are summed
-    outward from 0 in both directions.
+    span out to |x| = X costs O(log X) panels.  f is evaluated on the
+    panels' Gauss-Legendre nodes a block of grid.BLOCK_ELEMS nodes at a
+    time (grid.flat_blocks), into one array that a single product with the
+    weights reduces to the panel integrals, so the result does not depend
+    on the block size.  The interval integrals are summed outward from 0
+    in both directions.
     """
     # the 8-point rule is exact for polynomials of degree <= 15, so for
     # zeta'^2 wherever zeta' is a polynomial of degree <= 7; imported on
@@ -121,12 +124,21 @@ def _cumulative_quadrature(f, points, breaks=()):
     a, b = nodes[:-1], nodes[1:]
     near = np.minimum(np.abs(a), np.abs(b))
     count = np.ceil((b - a) / (0.25 * (1.0 + near))).astype(np.intp)
+    del near
     first = np.concatenate([[0], np.cumsum(count)[:-1]])
     owner = np.repeat(np.arange(a.size), count)
     width = (b - a) / count
-    half = 0.5 * width[owner]
-    mid = a[owner] + width[owner] * (np.arange(owner.size) - first[owner]) + half
-    panels = half * (f(mid[:, None] + half[:, None] * gl_nodes) @ gl_weights)
+    vals = np.empty((owner.size, gl_nodes.size))
+    for s in flat_blocks(owner.size, gl_nodes.size):
+        o = owner[s]
+        half = 0.5 * width[o]
+        mid = a[o] + width[o] * (np.arange(s.start, s.stop) - first[o]) + half
+        vals[s] = f(mid[:, None] + half[:, None] * gl_nodes)
+    # one product over all panels: BLAS rounds a row by its place in the
+    # call, so a product per block would not be bitwise this one
+    panels = vals @ gl_weights
+    del vals
+    panels *= 0.5 * width[owner]
     segments = np.add.reduceat(panels, first) if a.size else a
 
     i0 = int(np.searchsorted(nodes, 0.0))

@@ -25,7 +25,10 @@ live walkers once and evaluates only them: a node leaves once its
 residual converges, or once a Brent checkpoint finds it on an exact cycle
 of the update (mostly a walker that the collar clip holds on one point or
 bounces between a few), after the steps that leave it where the iteration
-cap would.  flux_residual applies
+cap would.  The walkers are stepped and sampled in L2-sized chunks, each
+forming its nodes' (t, x) from their flat index, so the whole-size
+per-walker arrays are the positions, the live set and its checkpoints;
+the result does not depend on the chunk size.  flux_residual applies
 the divergence-form equation d_t(-e^f Phi0) + d_x(e^f Phi1) = 0 to any
 rectangular state by centered differences.  phase_shift extracts the
 asymptotic offset between the reconstructed u-level sets and the
@@ -52,6 +55,7 @@ from .errors import (
     OutOfImage,
 )
 from .geometry import CoordMap
+from .grid import flat_blocks, row_blocks
 from .nonlinearity import Nonlinearity, acoustic_metric
 from .state import DNState, Phi0_of, Phi1_of
 
@@ -68,6 +72,9 @@ N_GHOST = 3  # fourth-order stencil needs 2, the dissipation operator 3
 SPEED_MARGIN = 0.1  # rect_solve's headroom on the initial speed
 # phase_shift's late-u window (a fraction of the u-range) and settling test
 PHASE_WINDOW, PHASE_ATOL, PHASE_RTOL = 0.15, 1e-8, 0.05
+# the pullback's walker chunks hold grid.BLOCK_ELEMS // WALKER_WIDTH walkers:
+# a Newton step forms about this many temporaries per walker
+WALKER_WIDTH = 8
 
 
 @dataclass(frozen=True)
@@ -320,10 +327,36 @@ def _cycle_stops(k, cap, pos, checkpoint, stop):
     return checkpoint, stop == k
 
 
-def _second_difference_sup(F: np.ndarray) -> float:
-    du = np.max(np.abs(F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]))
-    db = np.max(np.abs(F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]))
-    return float(du + db)
+def _interp_floor(dn: DNState, profile: WaveProfile) -> float:
+    """Bilinear sampling floor: 0.125 times the largest, over xi, Phi0 and
+    Phi1 on the null grid, of sup |second u-difference| + sup |second
+    ubar-difference|.
+
+    Phi0 and Phi1 are formed one row block at a time, with one row of halo
+    on either side for the u-differences; the ubar-differences take each
+    row once, the first and last rows from the halo of the end blocks.
+    Maxima are exact and np.max keeps a NaN, so this is the whole-field
+    value bit for bit.
+    """
+    n = dn.grid.n_nodes
+    zp = np.asarray(profile.dzeta(dn.grid.ub), dtype=float)[None, :]
+    sups = []
+    for blk in row_blocks(n, n, halo=1):
+        rows = slice(0 if blk.start == 0 else 1, None if blk.stop == n else -1)
+        psi, psib = dn.psi[blk], dn.psib[blk]
+        sups.append([
+            (np.max(np.abs(F[2:] - 2.0 * F[1:-1] + F[:-2])),
+             np.max(np.abs(F[rows, 2:] - 2.0 * F[rows, 1:-1] + F[rows, :-2])))
+            for F in (dn.xi[blk], Phi0_of(psi, psib, zp),
+                      Phi1_of(psi, psib, zp))])
+    du, db = np.max(sups, axis=0).T
+    return 0.125 * float(np.max(du + db))
+
+
+def _rect_nodes(rect: RectState, k):
+    """(t, x) of the rectangular nodes at the row-major flat indices k."""
+    it, ix = np.divmod(k, rect.x.size)
+    return rect.t[it], rect.x[ix]
 
 
 def pullback_compare(
@@ -360,107 +393,118 @@ def pullback_compare(
     newton["iterations"] counts the iterations run, which can end below
     the cap once no walker is live.
 
+    Memory is bounded by the walkers' positions: an iteration walks the
+    live walkers in chunks of grid.BLOCK_ELEMS // WALKER_WIDTH, and
+    each chunk forms its nodes' (t, x) from their flat index, steps them
+    and writes its survivors back into the front of the live arrays, in
+    order.  Every walker sees the same arithmetic in any chunk, so the
+    result does not depend on the chunk size.  The compared nodes are
+    sampled chunk by chunk into one |difference| array per field, and each
+    l1_diff is one np.sum over that array.
+
     Returns a dict: sup_diff and l1_diff per field (phi, Phi0, Phi1),
     interp_error (the bilinear sampling floor), n_compared, n_skipped and
     newton ("live": walkers evaluated per iteration, "iterations": count).
     """
     grid = cmap.grid
+    interp = _interp_floor(dn, profile)
+    n_walkers = rect.phi.size
 
-    # bilinear sampling floor of phi, Phi0 and Phi1 on the null grid; each
-    # field is freed as soon as its sup is taken
-    zp = np.asarray(profile.dzeta(dn.grid.ub), dtype=float)[None, :]
-    interp = 0.125 * float(np.max([
-        _second_difference_sup(dn.xi),
-        _second_difference_sup(Phi0_of(dn.psi, dn.psib, zp)),
-        _second_difference_sup(Phi1_of(dn.psi, dn.psib, zp)),
-    ]))
-
-    T = np.repeat(rect.t, rect.x.size)
-    X = np.tile(rect.x, rect.t.size)
-
-    ub = np.clip(T - X, grid.ub_min, grid.ub_max)
+    ub = (rect.t[:, None] - rect.x).ravel()
+    np.clip(ub, grid.ub_min, grid.ub_max, out=ub)
     Zg = np.asarray(phase_function(profile, model, ub), dtype=float)
-    u = np.clip(np.interp(T + X + Zg, cmap.V, grid.u), grid.u_min, grid.u_max)
+    u = np.empty(n_walkers)
+    for c in flat_blocks(n_walkers, WALKER_WIDTH):
+        T, X = _rect_nodes(rect, np.arange(c.start, c.stop))
+        u[c] = np.interp(T + X + Zg[c], cmap.V, grid.u)
+    del Zg
+    np.clip(u, grid.u_min, grid.u_max, out=u)
 
-    tol = newton_tol * (1.0 + np.abs(T) + np.abs(X))
-    active = np.ones(T.shape, dtype=bool)
-    live = np.arange(T.size)
+    # live walkers, their stop steps and cycle checkpoints (_cycle_stops);
+    # the start is the first checkpoint
+    active = np.ones(n_walkers, dtype=bool)
+    live = np.arange(n_walkers)
+    stop = np.full(n_walkers, max_newton, dtype=np.min_scalar_type(max_newton))
+    checkpoint = u.view(np.int64).copy(), ub.view(np.int64).copy()
     n_live = []
-    stop = None
     while live.size and len(n_live) < max_newton:
         n_live.append(int(live.size))
-        ul, bl = u[live], ub[live]
-        cell = _locate(grid, ul, bl)
-        rt = _bilinear(cmap.t, *cell) - T[live]
-        rx = _bilinear(cmap.x, *cell) - X[live]
-        a = np.maximum(np.abs(rt), np.abs(rx)) > tol[live]
-        active[live] = a
-        live, ul, bl = live[a], ul[a], bl[a]
-        cell = [c[a] for c in cell]  # frees the full cells before the step
-        un, bn = _newton_step(cmap, ul, bl, cell, rt[a], rx[a])
-        u[live] = un
-        ub[live] = bn
-        if stop is None:    # the start is the first checkpoint
-            checkpoint = ul.view(np.int64), bl.view(np.int64)
-            stop = np.full(live.size, max_newton,
-                           dtype=np.min_scalar_type(max_newton))
-        else:
-            checkpoint = tuple(c[a] for c in checkpoint)
-            stop = stop[a]
-        checkpoint, going = _cycle_stops(
-            len(n_live), max_newton,
-            (un.view(np.int64), bn.view(np.int64)), checkpoint, stop)
-        keep = ~going
-        live, stop = live[keep], stop[keep]
-        checkpoint = tuple(c[keep] for c in checkpoint)
+        kept = 0
+        for c in flat_blocks(live.size, WALKER_WIDTH):
+            lc = live[c]
+            T, X = _rect_nodes(rect, lc)
+            ul, bl = u[lc], ub[lc]
+            cell = _locate(grid, ul, bl)
+            rt = _bilinear(cmap.t, *cell) - T
+            rx = _bilinear(cmap.x, *cell) - X
+            tol = newton_tol * (1.0 + np.abs(T) + np.abs(X))
+            a = np.maximum(np.abs(rt), np.abs(rx)) > tol
+            active[lc] = a
+            lc, ul, bl = lc[a], ul[a], bl[a]
+            cell = [q[a] for q in cell]  # frees the chunk's cells first
+            un, bn = _newton_step(cmap, ul, bl, cell, rt[a], rx[a])
+            u[lc] = un
+            ub[lc] = bn
+            sc = stop[c][a]
+            cp, going = _cycle_stops(
+                len(n_live), max_newton,
+                (un.view(np.int64), bn.view(np.int64)),
+                tuple(q[c][a] for q in checkpoint), sc)
+            keep = ~going
+            end = kept + int(np.count_nonzero(keep))
+            live[kept:end] = lc[keep]
+            stop[kept:end] = sc[keep]
+            for q, p in zip(checkpoint, cp):
+                q[kept:end] = p[keep]
+            kept = end
+        live, stop = live[:kept], stop[:kept]
+        checkpoint = tuple(q[:kept] for q in checkpoint)
 
     slack = 1e-9 * (1.0 + abs(grid.u_max))
     inside = (
         (u >= grid.u_min - slack) & (u <= grid.u_max + slack)
         & (ub >= grid.ub_min - slack) & (ub <= grid.ub_max + slack)
     )
-    converged = ~active
-    stuck = inside & ~converged
+    stuck = inside & active
     if np.any(stuck):
-        k = int(np.argmax(stuck))
+        t, x = _rect_nodes(rect, int(np.argmax(stuck)))
         raise InversionFailure(
-            f"map inversion stalled at (t, x) = ({T[k]:.4g}, {X[k]:.4g}); "
+            f"map inversion stalled at (t, x) = ({t:.4g}, {x:.4g}); "
             "the reconstructed map is close to degenerate there"
         )
-    covered = inside & converged
+    covered = inside & ~active
     n_compared = int(np.count_nonzero(covered))
     n_skipped = int(covered.size - n_compared)
     if n_compared == 0:
         raise OutOfImage("no rectangular node lies in the image of the map")
 
-    uc = np.clip(u[covered], grid.u_min, grid.u_max)
-    bc = np.clip(ub[covered], grid.ub_min, grid.ub_max)
-    at = _locate(grid, uc, bc)
-
-    zeta_b = np.asarray(profile.zeta(bc), dtype=float)
-    zp_b = np.asarray(profile.dzeta(bc), dtype=float)
-    psi_s = _bilinear(dn.psi, *at)
-    psib_s = _bilinear(dn.psib, *at)
-    samples = {
-        "phi": zeta_b + _bilinear(dn.xi, *at),
-        "Phi0": Phi0_of(psi_s, psib_s, zp_b),
-        "Phi1": Phi1_of(psi_s, psib_s, zp_b),
-    }
-    targets = {
-        "phi": rect.phi.ravel()[covered],
-        "Phi0": rect.Phi0.ravel()[covered],
-        "Phi1": rect.Phi1.ravel()[covered],
-    }
+    fields = ("phi", "Phi0", "Phi1")
+    d = {name: np.empty(n_compared) for name in fields}
+    done = 0
+    for c in flat_blocks(n_walkers, WALKER_WIDTH):
+        k = c.start + np.flatnonzero(covered[c])
+        part = slice(done, done + k.size)
+        done = part.stop
+        uc = np.clip(u[k], grid.u_min, grid.u_max)
+        bc = np.clip(ub[k], grid.ub_min, grid.ub_max)
+        at = _locate(grid, uc, bc)
+        zp_b = np.asarray(profile.dzeta(bc), dtype=float)
+        psi_s = _bilinear(dn.psi, *at)
+        psib_s = _bilinear(dn.psib, *at)
+        samples = {
+            "phi": np.asarray(profile.zeta(bc), dtype=float)
+                   + _bilinear(dn.xi, *at),
+            "Phi0": Phi0_of(psi_s, psib_s, zp_b),
+            "Phi1": Phi1_of(psi_s, psib_s, zp_b),
+        }
+        for name in fields:
+            diff = samples[name] - getattr(rect, name).ravel()[k]
+            np.abs(diff, out=d[name][part])
     cell = rect.dt * rect.dx
-    sup_diff, l1_diff = {}, {}
-    for name in ("phi", "Phi0", "Phi1"):
-        d = np.abs(samples[name] - targets[name])
-        sup_diff[name] = float(np.max(d))
-        l1_diff[name] = float(cell * np.sum(d))
 
     return {
-        "sup_diff": sup_diff,
-        "l1_diff": l1_diff,
+        "sup_diff": {name: float(np.max(d[name])) for name in fields},
+        "l1_diff": {name: float(cell * np.sum(d[name])) for name in fields},
         "interp_error": float(interp),
         "n_compared": n_compared,
         "n_skipped": n_skipped,

@@ -475,30 +475,35 @@ def degeneracy_monitor(frame: NullFrame, coords: CoordMap) -> dict:
     computed block.  The first failing node in row-major (u, ubar) order
     is reported with every check it trips.  sup_frame_deviation is the
     frame's sup distance from the background frame it carries (ring) and
-    Lbar_ring = (-1, -1), NaN if the frame holds one.
+    Lbar_ring = (-1, -1), NaN if the frame holds one.  The checks and the
+    min_abs_* minima are taken one row block at a time; minima are exact
+    and np.min keeps a NaN, so they are the whole-field values bit for bit.
     """
     grid = frame.grid
-    bad = {
-        "omega": ~((frame.Omega >= OMEGA_WINDOW[0])
-                   & (frame.Omega <= OMEGA_WINDOW[1])),
-        "L0": np.abs(frame.L0) < FRAME_FLOOR,
-        "Lb0": np.abs(frame.Lb0) < FRAME_FLOOR,
-        "detj": np.abs(coords.detj) < DETJ_FLOOR,
-    }
-    any_bad = np.zeros(frame.Omega.shape, dtype=bool)
-    for mask in bad.values():
-        any_bad |= mask
-
-    first_failure = None
-    if np.any(any_bad):
-        i, j = np.unravel_index(int(np.argmax(any_bad)), any_bad.shape)
-        first_failure = {
-            "u": float(grid.u[i]),
-            "ubar": float(grid.ub[j]),
-            "i": int(i),
-            "j": int(j),
-            "checks": [name for name, mask in bad.items() if mask[i, j]],
-        }
+    n = grid.n_nodes
+    floors = {"L0": (frame.L0, FRAME_FLOOR), "Lb0": (frame.Lb0, FRAME_FLOOR),
+              "detj": (coords.detj, DETJ_FLOOR)}
+    first_failure, mins = None, []
+    for blk in row_blocks(n, n):
+        om = frame.Omega[blk]
+        bad = {"omega": ~((om >= OMEGA_WINDOW[0]) & (om <= OMEGA_WINDOW[1]))}
+        block_mins = []
+        for name, (X, floor) in floors.items():
+            absx = np.abs(X[blk])
+            bad[name] = absx < floor
+            block_mins.append(np.min(absx))
+        mins.append(block_mins)
+        any_bad = np.logical_or.reduce(list(bad.values()))
+        if first_failure is None and np.any(any_bad):
+            i, j = np.unravel_index(int(np.argmax(any_bad)), any_bad.shape)
+            first_failure = {
+                "u": float(grid.u[blk.start + i]),
+                "ubar": float(grid.ub[j]),
+                "i": int(blk.start + i),
+                "j": int(j),
+                "checks": [name for name, mask in bad.items() if mask[i, j]],
+            }
+    min_L0, min_Lb0, min_detj = np.min(mins, axis=0)
 
     shape = frame.Omega.shape
     sup_dev = float(np.max([
@@ -512,9 +517,9 @@ def degeneracy_monitor(frame: NullFrame, coords: CoordMap) -> dict:
         "sup_frame_deviation": sup_dev,
         "omega_range": [float(np.min(frame.Omega)),
                         float(np.max(frame.Omega))],
-        "min_abs_L0": float(np.min(np.abs(frame.L0))),
-        "min_abs_Lb0": float(np.min(np.abs(frame.Lb0))),
-        "min_abs_detj": float(np.min(np.abs(coords.detj))),
+        "min_abs_L0": float(min_L0),
+        "min_abs_Lb0": float(min_Lb0),
+        "min_abs_detj": float(min_detj),
         "thresholds": {"omega_window": list(OMEGA_WINDOW),
                        "frame_floor": FRAME_FLOOR, "detj_floor": DETJ_FLOOR},
     }

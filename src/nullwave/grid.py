@@ -138,6 +138,16 @@ def row_blocks(n_rows, n_cols, halo=0):
         yield slice(a - halo, min(a + step, n_rows - halo) + halo)
 
 
+def flat_blocks(n, width=1):
+    """Yield slices of range(n) in order, each of BLOCK_ELEMS // width
+    items (at least one; the last may be shorter).  width is the number of
+    elements an item spans in the block's temporaries, so that a block's
+    temporaries hold about BLOCK_ELEMS elements each."""
+    step = max(1, BLOCK_ELEMS // width)
+    for a in range(0, n, step):
+        yield slice(a, min(a + step, n))
+
+
 def map_row_blocks(fn, shape, *args):
     """fn(*args) for an elementwise fn, evaluated one row block at a time.
 

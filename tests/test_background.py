@@ -2,12 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from nullwave import grid as grid_mod
 from nullwave.background import (
     WaveProfile,
+    _cumulative_quadrature,
     adaptive_simpson,
     algebraic_profile,
     background_L,
@@ -162,6 +164,26 @@ def test_table_phase_matches_closed_form(x0, gaps, data):
     exact, total = _table_phase_exact(xs, dv, d2v, H0, ubar)
     got = phase_function(prof, model, ubar)
     assert abs(got - exact) <= 1e-13 * total
+
+
+@given(
+    points=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=200),
+    breaks=st.lists(st.floats(-40.0, 40.0), max_size=5),
+    panels=st.integers(1, 600),
+)
+@settings(max_examples=60)
+def test_quadrature_is_panel_block_invariant(points, breaks, panels):
+    # Blocks of one panel up to all of them (grid.BLOCK_ELEMS // 8): the
+    # integrals are those of one block, bit for bit, on random points with
+    # breaks, whatever the number of panels modulo the BLAS kernel's rows.
+    prof = algebraic_profile(0.7)
+    f = lambda s: np.asarray(prof.dzeta(s)) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_mod, "BLOCK_ELEMS", 1 << 60)
+        want = _cumulative_quadrature(f, points, breaks)
+        mp.setattr(grid_mod, "BLOCK_ELEMS", 8 * panels)
+        got = _cumulative_quadrature(f, points, breaks)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import make_compatible_data
 
+from nullwave import crossval as crossval_mod
 from nullwave import grid as grid_mod
 from nullwave import pipeline
 from nullwave.crossval import (RectGrid, phase_shift, pullback_compare,
@@ -368,11 +369,11 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
     # deviations (4), which become the frame in place, and Omega; the
     # nullity is reduced in the closing pass, per block.  The coordinate
-    # map: its 7 outputs and the two column sums.  The monitor: its five
-    # boolean masks and one full-size |X| at a time; the frame-deviation
-    # sups reduce per block (2.63 fields when each formed two full-size
-    # temporaries).  Each call runs once untraced first, so one-time
-    # allocations do not count.
+    # map: its 7 outputs and the two column sums.  The monitor: block-sized
+    # masks and |X| temporaries only (0.27 fields; 1.64 when it formed
+    # them whole), and the frame-deviation sups reduce per block (2.63
+    # fields when each formed two full-size temporaries).  Each call runs
+    # once untraced first, so one-time allocations do not count.
     grid, _, st_, gauge = radius3
     frame = integrate_frame(st_, gauge, membrane, bump03)
     assert peak_fields(lambda: integrate_frame(
@@ -382,7 +383,7 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
         frame, membrane, bump03), grid, rows=8) <= 10.5
     degeneracy_monitor(frame, coords)
     assert peak_fields(lambda: degeneracy_monitor(frame, coords),
-                       grid, rows=8) <= 1.7
+                       grid, rows=8) <= 0.3
 
 
 def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):
@@ -397,8 +398,10 @@ def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):
 def test_pullback_memory_budget(peak_fields, radius3, membrane, bump03):
     # The membrane_pulse template's rectangle at radius 3 (half-width 5,
     # dx 0.05, t <= 2): 19,899 walkers against 14,641 nodes a field.  The
-    # phase quadrature on the walkers sets the peak (38.27 fields); the
-    # cycle checkpoints, allocated after the first step, stay below it.
+    # phase quadrature on the walkers sets the peak (21.42 fields; 38.27
+    # when it evaluated every panel at once): its 8 values per panel, for
+    # one BLAS product, and one 4,096-panel block's temporaries.  The
+    # Newton chunks and the sampling hold 4,096 walkers' temporaries.
     grid, _, st_, gauge = radius3
     coords = reconstruct_coords(integrate_frame(st_, gauge, membrane, bump03),
                                 membrane, bump03)
@@ -407,7 +410,7 @@ def test_pullback_memory_budget(peak_fields, radius3, membrane, bump03):
     assert rect.phi.size == 19899
     pullback_compare(st_, coords, rect, membrane, bump03)
     assert peak_fields(lambda: pullback_compare(
-        st_, coords, rect, membrane, bump03), grid) <= 38.5
+        st_, coords, rect, membrane, bump03), grid) <= 21.6
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -416,21 +419,19 @@ LAYERS_FROM_FIXED_POINT = ("picard_fixed_point", "contraction_ratio",
                            "degeneracy_monitor")
 
 
-def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
-    # Traced peak of each layer of run_pipeline while it runs, in fields,
-    # with everything alive at the time (the march state's 9 among them),
-    # 8-row blocks and the membrane_pulse template at radius 3.  The
-    # fixed point sets the run's peak; no picard or geometry layer after it
-    # rises above it.  crossval is off: at radius 3 its window t <= 1.2
-    # covers most of the square, so the pullback's per-node arrays, which
-    # at radius 20 cover a thin band only, would set the peak here.
-    raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
-    raw["solver"]["crossval"] = False
-    raw["grid"] = {"radius": 1.0, "h": 0.1}
-    pipeline.run_pipeline(scenario_from_dict(raw))  # one-time allocations
-    raw["grid"] = {"radius": 3.0, "h": 0.05}
-    grid = DNGrid.square(3.0, 0.05)
-    monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", 8 * grid.n_nodes)
+def _whole_run_peaks(monkeypatch, raw, layers, rows=None):
+    """Traced peak of each named layer of run_pipeline while it runs, in
+    fields of raw's grid, with everything alive at the time counted.
+
+    layers are (module, name) pairs that the pipeline calls through the
+    module.  A radius-1 run first makes the one-time allocations.  With
+    rows, the row blocks hold that many rows of the grid.
+    """
+    small = dict(raw, grid={"radius": 1.0, "h": 0.1})
+    pipeline.run_pipeline(scenario_from_dict(small))
+    grid = DNGrid.square(raw["grid"]["radius"], raw["grid"]["h"])
+    if rows is not None:
+        monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", rows * grid.n_nodes)
 
     peaks = {}
 
@@ -444,15 +445,42 @@ def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
                     / (8 * grid.n_nodes ** 2)
         return run
 
-    for name in LAYERS_FROM_FIXED_POINT:
-        monkeypatch.setattr(pipeline, name,
-                            traced(name, getattr(pipeline, name)))
+    for module, name in layers:
+        monkeypatch.setattr(module, name, traced(name, getattr(module, name)))
     tracemalloc.start()
     try:
         result = pipeline.run_pipeline(scenario_from_dict(raw))
     finally:
         tracemalloc.stop()
     assert result.report["ok"], result.report["errors"]
+    assert set(peaks) == {name for _, name in layers}
+    return peaks
+
+
+def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
+    # With everything alive at the time (the march state's 9 fields among
+    # them), 8-row blocks and the membrane_pulse template at radius 3, the
+    # fixed point sets the run's peak; no picard or geometry layer after it
+    # rises above it.  crossval is off: at radius 3 its window t <= 2
+    # covers most of the square, and flux_residual (36.6 fields) and
+    # pullback_compare (35.9, of which the phase quadrature's 8 values per
+    # walker) would set the peak against the fixed point's 29.8.
+    raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
+    raw["solver"]["crossval"] = False
+    raw["grid"] = {"radius": 3.0, "h": 0.05}
+    peaks = _whole_run_peaks(
+        monkeypatch, raw,
+        [(pipeline, name) for name in LAYERS_FROM_FIXED_POINT], rows=8)
     fixed = peaks.pop("picard_fixed_point")
-    assert set(peaks) == set(LAYERS_FROM_FIXED_POINT[1:])
     assert max(peaks.values()) <= fixed, (fixed, peaks)
+
+
+def test_shipped_pullback_peaks_below_the_fixed_point(monkeypatch):
+    # membrane_pulse as shipped (radius 6): the pullback, with everything
+    # alive at the time, peaks at 29.99 fields against the fixed point's
+    # 32.51 (38.05 when the Newton and the phase quadrature took every
+    # walker and panel at once).
+    raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
+    peaks = _whole_run_peaks(monkeypatch, raw, [
+        (pipeline, "picard_fixed_point"), (crossval_mod, "pullback_compare")])
+    assert peaks["pullback_compare"] <= peaks["picard_fixed_point"], peaks

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nullwave.crossval as crossval_mod
+from nullwave import grid as grid_mod
 from nullwave.background import algebraic_profile, bump_profile, phase_function
 from nullwave.crossval import (
     N_GHOST,
@@ -11,7 +13,6 @@ from nullwave.crossval import (
     RectState,
     _bilinear,
     _cycle_stops,
-    _second_difference_sup,
     flux_residual,
     phase_shift,
     pullback_compare,
@@ -259,8 +260,16 @@ def test_pullback_linear_within_combined_scheme_error(linear, zero_prof):
                         "n_skipped", "newton"}
 
 
+def _second_difference_sup(F):
+    """Whole-field reference for one field's term of the sampling floor."""
+    du = np.max(np.abs(F[2:, :] - 2.0 * F[1:-1, :] + F[:-2, :]))
+    db = np.max(np.abs(F[:, 2:] - 2.0 * F[:, 1:-1] + F[:, :-2]))
+    return float(du + db)
+
+
 def test_pullback_interp_error_reads_the_jet(membrane, bump03):
-    # the sampling floor forms Phi0 and Phi1 by full_field_jet's expressions
+    # the sampling floor forms Phi0 and Phi1 by full_field_jet's expressions,
+    # one row block at a time, and equals the whole-field value bit for bit
     data = perturbed_data(bump03, eps=1e-2, center=0.5, width=1.2)
     state, coords = _dn_pipeline(membrane, bump03, 3.0, 0.1, data)
     rect = rect_solve(data, membrane, RectGrid(-2.0, 2.0, 0.1, 0.6), bump03)
@@ -422,6 +431,63 @@ def test_pullback_newton_counters(pinned_case, membrane, bump03):
     assert all(isinstance(k, int) for k in live)
     # the walkers that the collar holds on cycles retire before the cap
     assert newton["iterations"] < 40
+
+
+@pytest.fixture(scope="module")
+def coarse_case(pinned_case, membrane, bump03):
+    # pinned_case's double-null solution against a coarse rectangle that is
+    # also wider than the image: few enough walkers to step one at a time.
+    state, coords, _ = pinned_case
+    data = perturbed_data(bump03, eps=1e-2, center=0.5, width=1.2)
+    rect = rect_solve(data, membrane, RectGrid(-4.0, 4.0, 0.2, 0.8), bump03)
+    return state, coords, rect
+
+
+# the converging run, and the caps and tolerance of the failing runs of
+# test_pullback_cap_fails_like_all_nodes that stop cycles at every phase
+NEWTON_RUNS = [(40, 1e-11), *((cap, 0.0) for cap in range(9, 17))]
+
+
+def _pullback_outcome(case, membrane, bump03, elems, max_newton, newton_tol):
+    """pullback_compare's dict, or its InversionFailure message, with
+    grid.BLOCK_ELEMS = elems."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid_mod, "BLOCK_ELEMS", elems)
+        try:
+            return pullback_compare(*case, membrane, bump03,
+                                    newton_tol=newton_tol,
+                                    max_newton=max_newton)
+        except InversionFailure as exc:
+            return str(exc)
+
+
+@pytest.fixture(scope="module")
+def one_chunk(coarse_case, membrane, bump03):
+    """Each NEWTON_RUNS outcome with every walker in one chunk, every
+    quadrature panel in one block and the whole grid in one row block."""
+    return {run: _pullback_outcome(coarse_case, membrane, bump03, 1 << 60,
+                                   *run) for run in NEWTON_RUNS}
+
+
+def test_chunk_reference_runs_converge_and_fail(one_chunk):
+    want = one_chunk[NEWTON_RUNS[0]]
+    assert want["n_skipped"] > 0 and want["newton"]["iterations"] < 40
+    assert all(isinstance(one_chunk[run], str) for run in NEWTON_RUNS[1:])
+
+
+@given(data=st.data())
+@settings(max_examples=30)
+def test_pullback_is_chunk_invariant(coarse_case, one_chunk, membrane, bump03,
+                                     data):
+    # Chunks of one walker up to all of them (grid.BLOCK_ELEMS // 8), which
+    # also block the phase quadrature's panels and the floor's rows: the
+    # dict, newton["live"] included, and the InversionFailure message are
+    # those of one chunk, bit for bit.
+    walkers = data.draw(st.integers(1, coarse_case[2].phi.size),
+                        label="walkers")
+    run = data.draw(st.sampled_from(NEWTON_RUNS), label="max_newton, tol")
+    got = _pullback_outcome(coarse_case, membrane, bump03, 8 * walkers, *run)
+    assert got == one_chunk[run]
 
 
 def _orbit(start, transient, period, steps):
