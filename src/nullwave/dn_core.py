@@ -36,32 +36,24 @@ with
 front off the diagonal the across-corner D is not available and the value is
 taken as the average of the two one-leg trapezoid integrations instead.
 
-The fronts i + j = N +- m and the slices of the previous front that hold W
-and S come from DNGrid.fronts and DNGrid.predecessors, which the frame
-transport (geometry.integrate_frame) walks as well.  Front m of the future
-triangle and front m of the past one have the same size, and from m = 2 on
-the walk takes them as one array with a half axis, the future half first.
-The past half is held mirrored (u descending), so W and S are the same
-slices, DNGrid.predecessors(1), of both halves.  The first front is walked
-one half at a time, the future half first, because the past half's
-predictor reads the future's first front.  D lies on the front before, so
-the walk carries its last two fronts: the last one whole, sources
-included, and the one before only as the values and sources D reads.
-F_P depends on the unknowns at P, so each front runs a small fixed-point
-loop vectorized over its cells and fields: plain iterations until every
-cell's update is within CELL_TOL of its size (N_PLAIN caps them), then a
-damped retry from the predictor for any cell that has not converged
-(N_DAMPED caps that).  Each half has its own stop test and its own retry,
-so each half gets the result a walk of its triangle alone would give, bit
-for bit.  The stored F_P is the source at the last iterate, the one the
-final iteration started from, within CELL_TOL of the converged cell: the
-right side is not evaluated again at the stored unknowns, only their
-slaved sigma is checked admissible.  The walk fills a DNState in place
-and raises the named errors itself, at the first m where either half
-fails (the future half's error if both fail there), naming that half's
-failing node of least u: HyperbolicityLoss where sigma leaves the model's
-admissible range, InnerFixedPointDivergence where a cell is still
-unconverged after the retry.
+The walk is DNGrid.joint_fronts, shared with the frame transport
+(geometry.integrate_frame), from m = 2 on.  The first front is walked one
+half at a time, the future half first, because the past half's predictor
+reads the future's first front.  D lies on the front before, so the walk
+carries its last two fronts: the last one whole, sources included, and the
+one before only as the values and sources D reads.  F_P depends on the
+unknowns at P, so each front runs a small fixed-point loop vectorized over
+its cells and fields: plain iterations until every cell's update is within
+CELL_TOL of its size (N_PLAIN caps them), then a damped retry from the
+predictor for any cell that has not converged (N_DAMPED caps that).  Each
+half has its own stop test (grid.iterate_halves) and its own retry.  The
+stored F_P is the source at the last iterate, the one the final iteration
+started from, within CELL_TOL of the converged cell: the right side is not
+evaluated again at the stored unknowns, only their slaved sigma is checked
+admissible.  The walk fills a DNState in place and raises, by the walk's
+rule, HyperbolicityLoss where sigma leaves the model's admissible range and
+InnerFixedPointDivergence where a cell is still unconverged after the
+retry.
 
 The linear solves of the global iteration (picard._frozen_solve) satisfy the
 same per-cell equations with F known on every node, which makes them closed
@@ -74,7 +66,8 @@ import numpy as np
 
 from .background import WaveProfile
 from .errors import HyperbolicityLoss, InnerFixedPointDivergence
-from .grid import DNGrid, jet_sup, map_row_blocks, row_blocks
+from .grid import (DNGrid, both_halves, iterate_halves, jet_sup,
+                   map_row_blocks, row_blocks)
 from .nonlinearity import Nonlinearity, coefficients, eval_coeffs
 from .state import FIELD_NAMES, DiagonalData, DNState, sigma_jet, sigma_of
 
@@ -111,20 +104,13 @@ def _rhs_arrays(model, zp, zpp, psi, psib, psi_u, psi_ub, psib_u, psib_ub,
     return tuple(out)
 
 
-def _least_u(mask, grid, i, j):
-    """grid.where of the node of least u among one half's cells in mask."""
-    at = np.flatnonzero(mask)
-    k = at[np.argmin(i[at])]
-    return grid.where(i[k], j[k])
-
-
 def _inadmissible(ok, grid, i, j):
     """HyperbolicityLoss at the node of least u outside ok, or None."""
     if np.all(ok):
         return None
     return HyperbolicityLoss(
         "sigma left the admissible range (domain wall or kappa <= 0) at "
-        + _least_u(~ok, grid, i, j))
+        + grid.where_least_u(~ok, i, j))
 
 
 def _front_rhs(model, zp, zpp, U):
@@ -146,10 +132,10 @@ def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
 
     A half stops once every one of its cells' update is within
     CELL_TOL * scale, or at its first iterate outside the admissible
-    range, and the other half goes on alone.  The stop is half-wide: a
-    cell that converged early keeps iterating until the slowest cell of
-    its half has, so its result depends on the cells it runs with, but
-    only below that tolerance, and never on the other half.  Returns the
+    range (grid.iterate_halves).  The stop is half-wide: a cell that
+    converged early keeps iterating until the slowest cell of its half
+    has, so its result depends on the cells it runs with, but only below
+    that tolerance, and never on the other half.  Returns the
     unknowns (3, 3, halves, cells), component (value, d_u, d_ub) by
     field; the sources of each half's last iteration (at the unknowns it
     started from, within CELL_TOL of the result); the mask of converged
@@ -165,9 +151,8 @@ def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
     F = np.empty_like(corner)
     good = np.zeros(i.shape, dtype=bool)
     errors = [None] * len(i)
-    live = list(range(len(i)))          # halves still iterating, contiguous
-    for _ in range(n_it):
-        a = slice(live[0], live[-1] + 1)
+
+    def step(a):
         c, n, hs = cur[:, :, a], new[:, :, a], hh[a]
         okm, _, *f = _front_rhs(model, zp[a], zpp[a], c)
         f = np.array(f)
@@ -186,11 +171,10 @@ def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
         c[...] = n
         F[:, a] = f
         good[a] = change <= CELL_TOL * scale
-        for h, ok in zip(live, okm):
+        for h, ok in zip(range(len(i))[a], okm):
             errors[h] = _inadmissible(ok, grid, i[h], j[h])
-        live = [h for h in live if errors[h] is None and not good[h].all()]
-        if not live:
-            break
+        return [e is not None or g.all() for e, g in zip(errors[a], good[a])]
+    iterate_halves(step, len(i), n_it)
     return cur, F, good, errors
 
 
@@ -229,7 +213,7 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
             if err is None and not good[h].all():
                 err = InnerFixedPointDivergence(
                     "cell fixed point did not converge at "
-                    f"{_least_u(~good[h], grid, i[h], j[h])}; "
+                    f"{grid.where_least_u(~good[h], i[h], j[h])}; "
                     "reduce h or the data amplitude")
             errors[h] = err
     ok = coefficients(model, sigma_of(sol[0, 0], sol[0, 1], z[0])).ok
@@ -245,17 +229,16 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
 
 
 def _diagonal_front(grid, model, zp, zpp, fields):
-    """The diagonal as the front before the first, once as either half
-    (the past half mirrored); only its sources are evaluated at the stored
-    values, which are checked admissible."""
-    i, j = (x[None] for x in grid.diagonal())
+    """The diagonal as the front before the first (grid.both_halves); only
+    its sources are evaluated at the stored values, which are checked
+    admissible."""
+    i, j = grid.diagonal()
     U = np.array([[V[i, j] for V in comp] for comp in zip(*fields)])
     ok, _, *F = _front_rhs(model, zp[j], zpp[j], U)
-    err = _inadmissible(ok[0], grid, i[0], j[0])
+    err = _inadmissible(ok, grid, i, j)
     if err:
         raise err
-    return [np.concatenate((x, x[..., ::-1]), axis=1)
-            for x in (*U, np.array(F))]
+    return [both_halves(x) for x in (*U, np.array(F))]
 
 
 def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
@@ -295,19 +278,13 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
 
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
-    # The walk (module docstring): a front is (value, d_u, d_ub, F), each
-    # (3, halves, cells) by field, the past half mirrored (u descending).
-    fields = [[getattr(state, n) for n in (name, f"d{name}_u", f"d{name}_ub")]
-              for name in ("psi", "psib", "xi")]
+    # The walk (grid.joint_fronts): a front is (value, d_u, d_ub, F), each
+    # (3, halves, cells) by field.
+    fields = [state.jet(name) for name in SOURCES]
     hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])    # future, past
-
-    def joint(front):
-        (fi, fj), (pi, pj) = front
-        return np.array([fi, pi[::-1]]), np.array([fj, pj[::-1]])
-
     diag = _diagonal_front(grid, model, zp, zpp, fields)
-    fronts = zip(grid.fronts(1), grid.fronts(-1))
-    i, j = joint(next(fronts))
+    fronts = grid.joint_fronts()
+    i, j = next(fronts)
     # On the first front the corner (i - d, j - d) is on the other half's
     # first front: 0 for the future half, which runs first, and that
     # half's values for the past one.  Only the predictor reads it.
@@ -324,10 +301,10 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     prev = [np.concatenate(x, axis=1) for x in zip(*parts)]
     del diag, parts           # D reads the diagonal's values and sources only
 
-    for front in fronts:
+    for cells in fronts:
         D = tuple(x[..., 1:-1] for x in older)
         older, prev = (prev[0], prev[3]), _advance(
-            grid, model, zp, zpp, joint(front), hh, prev, D, fields)
+            grid, model, zp, zpp, cells, hh, prev, D, fields)
     return state.freeze()
 
 

@@ -59,7 +59,8 @@ import numpy as np
 from .background import background_L, WaveProfile, phase_function
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, FrameTransportStall
-from .grid import DNGrid, abs_max, cumsum_cols, cumtrap_rows, row_blocks
+from .grid import (DNGrid, abs_max, both_halves, cumsum_cols, cumtrap_rows,
+                   iterate_halves, row_blocks)
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import DNState, Phi0_of, Phi1_of, sigma_jet
 
@@ -217,38 +218,31 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     """Transport the null frame from the data diagonal over the whole grid.
 
     Works on the deviations lam = L_A - Lring_A, lamb = Lbar - Lbar_ring in
-    the grid normalization, held as one (frame, component, cell) array:
-    frame (L, Lbar) by component (t, x).  The fronts are those of the march,
-    walked by DNGrid.fronts; front m of the future triangle and front m of
-    the past one have the same size and go as one (2, 2, 2k) array, the
-    future half first, so that one gather and one RHS call per iteration
-    serve both.  Each front is advanced by the trapezoid rule and the
-    implicit endpoint is resolved by a fixed point (the RHS is quadratic in
-    the frame, the cell coupling is O(h)).  Each half iterates until its
-    update is within FRAME_TOL of its own size, at most FRAME_MAX_ITER
-    times, and then stops while the other goes on, so a half's result is
-    the one a walk of its triangle alone would give.  Both predecessors of
-    a front's nodes lie on the previous front, in the slices
-    DNGrid.predecessors names, so its deviations and the RHS of each
-    half's last iteration (at the iterate before the converged one, within
-    FRAME_TOL of it) are carried per front, in the same layout, as the
-    march carries its fronts, and every cell costs one front sweep.  The
-    13 coefficient grids of _transport_coeffs are stacked one row block at
-    a time and gathered with one index per front.  At the end the
-    deviations become the frame in place, and one closing pass per row
-    block contracts the frame with the metric: g(L, Lbar) gives the
-    conformal factor, g(L, L) and g(Lbar, Lbar) the block's share of the
-    nullity sups (NullFrame.nullity), reduced by np.max.  Publishes the
-    background-matched frame; see the module docstring for the
-    normalization bookkeeping.  V'(u) is the gauge slice's, solved on the
-    grid's nodes (checked).
+    the grid normalization, held as one (frame, component, half, cell)
+    array: frame (L, Lbar) by component (t, x), over the halves of the
+    march's walk (DNGrid.joint_fronts).  Each front is advanced by the
+    trapezoid rule and the implicit endpoint is resolved by a fixed point
+    (the RHS is quadratic in the frame, the cell coupling is O(h)).  Each
+    half iterates until its update is within FRAME_TOL of its own size,
+    at most FRAME_MAX_ITER times.  The last front's deviations and the RHS
+    of each half's last iteration (at the iterate before the converged
+    one, within FRAME_TOL of it) are carried to the next, so every cell
+    costs one front sweep.  The 13 coefficient grids of _transport_coeffs
+    are stacked one row block at a time and gathered with one index per
+    front.  At the end the deviations become the frame in place, and one
+    closing pass per row block contracts the frame with the metric:
+    g(L, Lbar) gives the conformal factor, g(L, L) and g(Lbar, Lbar) the
+    block's share of the nullity sups (NullFrame.nullity), reduced by
+    np.max.  Publishes the background-matched frame; see the module
+    docstring for the normalization bookkeeping.  V'(u) is the gauge
+    slice's, solved on the grid's nodes (checked).
 
-    Raises FrameTransportStall at the first m where either half of front
-    m stalls, naming the node of that half with the largest last update
-    (the future half's if both stall there), so a past stall at an earlier
-    m wins over a future one at a later m; FrameDegenerate naming the
-    first node in row-major order where g(L, Lbar) reaches zero (the two
-    null directions collapse).
+    Raises FrameTransportStall by the walk's rule: at the first m where
+    either half of front m stalls, the future half's if both do, naming
+    the node of least u among that half's largest last updates (a NaN
+    update counts as the largest); FrameDegenerate naming the first node
+    in row-major order where g(L, Lbar) reaches zero (the two null
+    directions collapse).
     """
     grid = state.grid
     n = grid.n_nodes
@@ -269,7 +263,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
 
     def deviation_rhs(i, j):
         """The deviations' RHS on the nodes (i, j), as a function of them;
-        sel picks a slice of those nodes."""
+        sel picks a slice of the first axis of (i, j), the halves."""
         cfh = cf[:, i, j]
         bg = inv_vp[i] * ring[:, j]                  # Lring_A
         rbg_h = inv_vp[i] * rbg[j]                   # d_ub Lring_A
@@ -288,44 +282,34 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     dev[0] = dev[0] * inv_vp - bg
     dev[1] += 1.0
     lam[..., i, j] = dev
-    # Front m of the future triangle and front m of the past one have the
-    # same size and are walked as one: the future half first, the past
-    # half second.  Both halves of the first front start from the diagonal.
-    R = rhs(dev)
-    prev, prev_R = (np.concatenate((A, A), axis=-1) for A in (dev, R))
+    prev, prev_R = both_halves(dev), both_halves(rhs(dev))
+    hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])    # future, past
     # Lbar comes from the u-predecessor, L from the ubar-predecessor
-    (fB, fL), (pB, pL) = grid.predecessors(1), grid.predecessors(-1)
-    for (fi, fj), (pi, pj) in zip(grid.fronts(1), grid.fronts(-1)):
-        k = fi.size
-        fut, past = np.arange(k + 1), np.arange(k + 1, 2 * k + 2)
-        sB = np.concatenate((fut[fB], past[pB]))
-        sL = np.concatenate((fut[fL], past[pL]))
-        ii, jj = np.concatenate((fi, pi)), np.concatenate((fj, pj))
+    sB, sL = grid.predecessors(1)
+    for ii, jj in grid.joint_fronts():
         rhs, _ = deviation_rhs(ii, jj)
-        hh = np.repeat([0.5 * grid.h * d for d in (1, -1)], k)
-        cur = np.array([prev[0][:, sL], prev[1][:, sB]])
-        base = cur + hh * np.array([prev_R[0][:, sL], prev_R[1][:, sB]])
+        cur = np.array([prev[0][..., sL], prev[1][..., sB]])
+        base = cur + hh * np.array([prev_R[0][..., sL], prev_R[1][..., sB]])
         R = np.empty_like(cur)                       # each half's last RHS
-        change = np.empty(2 * k)
-        todo = [0, 1]                                # halves still iterating
-        for _ in range(FRAME_MAX_ITER):
-            sel = slice(todo[0] * k, (todo[-1] + 1) * k)
-            R[..., sel] = rhs(cur[..., sel], sel)
-            new = base[..., sel] + hh[sel] * R[..., sel]
-            change[sel] = np.max(np.abs(new - cur[..., sel]), axis=(0, 1))
-            cur[..., sel] = new
-            worst = change[sel].reshape(-1, k).max(axis=1)
-            size = np.abs(new).reshape(2, 2, -1, k).max(axis=(0, 1, 3))
-            todo = [t for t, c, s in zip(todo, worst, size)
-                    if not c <= FRAME_TOL * (1.0 + s)]
-            if not todo:
-                break
-        else:
-            stalled = change[todo[0] * k:][:k]
-            bad = todo[0] * k + int(np.argmax(stalled))
+        change = np.empty(ii.shape)
+
+        def step(a):
+            R[:, :, a] = rhs(cur[:, :, a], a)
+            new = base[:, :, a] + hh[a] * R[:, :, a]
+            change[a] = np.max(np.abs(new - cur[:, :, a]), axis=(0, 1))
+            cur[:, :, a] = new
+            size = np.max(np.abs(new), axis=(0, 1, 3))
+            return np.max(change[a], axis=1) <= FRAME_TOL * (1.0 + size)
+
+        stalled = iterate_halves(step, 2, FRAME_MAX_ITER)
+        if stalled:
+            h = stalled[0]
+            worst = np.max(change[h])
+            at = np.isnan(change[h]) | (change[h] == worst)
             raise FrameTransportStall(
-                f"frame transport stalled at {grid.where(ii[bad], jj[bad])} "
-                f"(last update {change[bad]:.3e})")
+                "frame transport stalled at "
+                f"{grid.where_least_u(at, ii[h], jj[h])} "
+                f"(last update {worst:.3e})")
         prev, prev_R = cur, R
         lam[..., ii, jj] = cur
 

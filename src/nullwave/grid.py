@@ -92,9 +92,34 @@ class DNGrid:
         (i - direction, j - direction) is [1:-1] of the front before."""
         return (slice(None, -1), slice(1, None))[::direction]
 
+    def joint_fronts(self):
+        """Yield (ii, jj) of front m of both triangles, m = 1..N.
+
+        The walk of the march (dn_core) and of the frame transport
+        (geometry.integrate_frame).  Front m of the future triangle and
+        front m of the past one have the same size, so they go as one
+        (2, k) array, and one gather and one right side per iteration
+        serve both: the future half, u ascending, then the past half
+        mirrored, u descending, so that predecessors(1) slices both
+        halves' u- and ubar-predecessors out of the previous joint front
+        (for m = 1 the diagonal, put in by both_halves), and [1:-1] of the
+        front before holds their across-corners.  Each half iterates to its
+        own stop (iterate_halves), so it gets the result of a walk of its
+        triangle alone, bit for bit.  A solver raises at the first m where
+        either half fails, the future half's error on a tie, naming that
+        half's failing node of least u (where_least_u).
+        """
+        for (fi, fj), (pi, pj) in zip(self.fronts(1), self.fronts(-1)):
+            yield np.array([fi, pi[::-1]]), np.array([fj, pj[::-1]])
+
     def where(self, i, j) -> str:
         """Name node (i, j) by its coordinates, for error messages."""
         return f"node (u={self.u[i]:.6g}, ubar={self.ub[j]:.6g})"
+
+    def where_least_u(self, mask, i, j) -> str:
+        """where() of the node of least u among the nodes (i, j) in mask,
+        whatever their order: a mirrored past half names the same node."""
+        return self.where(*min(zip(i[mask], j[mask])))
 
     def require_nodes(self, x, what: str) -> None:
         """Raise GridMismatch unless x, sampled on the t=0 diagonal, are
@@ -117,6 +142,31 @@ class DNGrid:
                 f"grids differ: [{self.u_min},{self.u_max}]/{self.N} vs "
                 f"[{other.u_min},{other.u_max}]/{other.N}"
             )
+
+
+def both_halves(x):
+    """x on the diagonal, last axis u ascending, as the front before the
+    first of joint_fronts: a half axis before the last, the future half
+    x and the past half x mirrored."""
+    return np.stack((x, x[..., ::-1]), axis=-2)
+
+
+def iterate_halves(step, n_halves, n_it):
+    """Iterate the halves of a joint front, each until it stops.
+
+    step(a) advances the halves in the slice a of the half axis by one
+    iteration and returns a stop flag for each.  A half that stops is left
+    out of the later calls, until none is left or step has run n_it times.
+    With at most two halves, those still iterating form one slice.
+    Returns the list of halves that never stopped, in order.
+    """
+    live = list(range(n_halves))
+    for _ in range(n_it):
+        stop = step(slice(live[0], live[-1] + 1))
+        live = [h for h, s in zip(live, stop) if not s]
+        if not live:
+            break
+    return live
 
 
 # Elements per row block of the full-grid passes (row_blocks).  A block's

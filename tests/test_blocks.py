@@ -16,8 +16,8 @@ from conftest import make_compatible_data
 from nullwave import crossval as crossval_mod
 from nullwave import grid as grid_mod
 from nullwave import pipeline
-from nullwave.crossval import (RectGrid, phase_shift, pullback_compare,
-                               rect_solve)
+from nullwave.crossval import (RectGrid, flux_residual, phase_shift,
+                               pullback_compare, rect_solve)
 from nullwave.data_gauge import (background_data, build_diagonal_data,
                                  perturbed_data)
 from nullwave.dn_core import (march, rhs_wave, sigma_wave_residual,
@@ -209,6 +209,28 @@ def test_picard_passes_are_block_invariant(monkeypatch, solved, bump03):
         sigma_wave_residual(st_, POLY, bump03),)))
 
 
+def test_flux_residual_is_block_invariant(monkeypatch, membrane, bump03):
+    # Time-row blocks with a one-row halo: the sup is the whole history's
+    # bit for bit, and a NaN shows in any block, on a first or last time
+    # row or a boundary column too.  The grid only sets the block sizes:
+    # its rows are as wide as the history's.
+    grid = DNGrid.square(2.0, 0.1)
+    rect = rect_solve(perturbed_data(bump03, eps=1e-2, center=0.5, width=1.2),
+                      membrane, RectGrid(-2.0, 2.0, 0.1, 1.0), bump03)
+    n_rows, n_x = rect.phi.shape
+    assert n_x == grid.n_nodes and n_rows > 7
+    sups = _across_blocks(monkeypatch, grid,
+                          lambda: flux_residual(rect, membrane))
+    assert len(set(sups.values())) == 1 and sups["whole"] > 0.0
+    for at in ((0, 7), (5, 0), (n_rows - 1, 20)):
+        Phi0 = rect.Phi0.copy()
+        Phi0[at] = np.nan
+        bad = dataclasses.replace(rect, Phi0=Phi0)
+        sups = _across_blocks(monkeypatch, grid,
+                              lambda: flux_residual(bad, membrane))
+        assert all(np.isnan(v) for v in sups.values()), at
+
+
 def test_decay_norms_are_block_invariant(monkeypatch, solved):
     # Row and column maxima taken block by block are exact, and a NaN in
     # any slot of a jet shows whichever block holds it.
@@ -365,6 +387,18 @@ def test_sigma_wave_residual_memory_budget(peak_fields, radius3, membrane,
         st_, membrane, bump03), grid, rows=8) <= 1.2
 
 
+def test_flux_residual_memory_budget(peak_fields, radius3, membrane, bump03):
+    # The membrane_pulse template's rectangle at radius 3 (see the pullback
+    # budget), with 8-row blocks: block-sized temporaries only (0.62
+    # fields; 10.72 when sig, w, At, Ax and the differences were formed
+    # over the whole history).
+    grid = radius3[0]
+    rect = rect_solve(perturbed_data(bump03, eps=1e-3, center=0.5, width=1.2),
+                      membrane, RectGrid(-5.0, 5.0, 0.05, 2.0), bump03)
+    assert peak_fields(lambda: flux_residual(rect, membrane),
+                       grid, rows=8) <= 0.7
+
+
 def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
     # deviations (4), which become the frame in place, and Omega; the
@@ -462,9 +496,10 @@ def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
     # them), 8-row blocks and the membrane_pulse template at radius 3, the
     # fixed point sets the run's peak; no picard or geometry layer after it
     # rises above it.  crossval is off: at radius 3 its window t <= 2
-    # covers most of the square, and flux_residual (36.6 fields) and
-    # pullback_compare (35.9, of which the phase quadrature's 8 values per
-    # walker) would set the peak against the fixed point's 29.8.
+    # covers most of the square, and pullback_compare (35.9 fields, of
+    # which the phase quadrature's 8 values per walker) would set the peak
+    # against the fixed point's 29.8.  flux_residual, reduced per block of
+    # time rows, peaks at 26.4 (36.6 when it formed its terms whole).
     raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
     raw["solver"]["crossval"] = False
     raw["grid"] = {"radius": 3.0, "h": 0.05}

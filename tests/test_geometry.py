@@ -479,6 +479,26 @@ def test_frame_transport_stall_names_the_earliest_front(membrane, bump03):
         f"frame transport stalled at {grid.where(*past)} (last update nan)")
 
 
+@pytest.mark.parametrize("nodes", [((1, -3), (3, -5)), ((4, -1), (6, -3))],
+                         ids=["past", "future"])
+def test_frame_transport_stall_names_the_least_u_on_a_tie(membrane, bump03,
+                                                          nodes):
+    # Two NaN updates on one front tie for the largest: the error names the
+    # one of least u, on the past front too, whose half the walk holds
+    # mirrored (u descending).
+    grid, _, gauge, state, _ = _pipeline(membrane, bump03, 1.0, 0.25)
+    (i0, dj0), (i1, dj1) = nodes
+    first, second = (i0, grid.N + dj0), (i1, grid.N + dj1)
+    assert sum(first) == sum(second)
+    dxi_ub = state.dxi_ub.copy()
+    dxi_ub[first] = dxi_ub[second] = np.nan
+    nan_state = dataclasses.replace(state, dxi_ub=dxi_ub)
+    with pytest.raises(FrameTransportStall) as err:
+        integrate_frame(nan_state, gauge, membrane, bump03)
+    assert str(err.value) == (
+        f"frame transport stalled at {grid.where(*first)} (last update nan)")
+
+
 def test_frame_transport_stall_names_the_node(membrane, bump03, monkeypatch):
     grid, _, gauge, state, frame = _pipeline(membrane, bump03, 2.0, 0.05,
                                              eps=1e-2, width=1.5)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from nullwave.errors import GridMismatch
-from nullwave.grid import DNGrid, decay_sup, decay_weight
+from nullwave.grid import (DNGrid, both_halves, decay_sup, decay_weight,
+                           iterate_halves)
 from nullwave.state import (
     CSV_COLUMNS,
     DiagonalData,
@@ -71,6 +72,60 @@ def test_predecessors_slice_the_previous_fronts(grid, d):
             assert np.array_equal(older[0][1:-1], ii - d)
             assert np.array_equal(older[1][1:-1], jj - d)
         prev, older = (ii, jj), prev
+
+
+@pytest.mark.parametrize("grid", [DNGrid.square(1.0, 0.25), DNGrid(-1.0, 2.0, 0.5)],
+                         ids=["N8", "N6"])
+def test_joint_fronts_share_the_predecessor_slices(grid):
+    # Front m of both triangles, the past half mirrored (u descending):
+    # predecessors(1) slices the previous joint front (the diagonal as both
+    # halves for m = 1) into both halves' u- and ubar-predecessors, and
+    # [1:-1] of the joint front before holds both halves' across-corners.
+    d = np.array([[1], [-1]])
+    sW, sS = grid.predecessors(1)
+    prev, older = both_halves(np.array(grid.diagonal())), None
+    joint = list(grid.joint_fronts())
+    assert len(joint) == grid.N
+    for m, ((ii, jj), fut, past) in enumerate(
+            zip(joint, grid.fronts(1), grid.fronts(-1)), 1):
+        assert np.array_equal(ii[0], fut[0]) and np.array_equal(jj[0], fut[1])
+        assert np.array_equal(ii[1], past[0][::-1])
+        assert np.array_equal(jj[1], past[1][::-1])
+        pi, pj = prev
+        assert np.array_equal(pi[:, sW], ii - d)
+        assert np.array_equal(pj[:, sW], jj)
+        assert np.array_equal(pi[:, sS], ii)
+        assert np.array_equal(pj[:, sS], jj - d)
+        if m >= 2:
+            assert np.array_equal(older[0][:, 1:-1], ii - d)
+            assert np.array_equal(older[1][:, 1:-1], jj - d)
+        prev, older = (ii, jj), prev
+
+
+@pytest.mark.parametrize("stops,calls,left", [
+    ((1, 3), [(0, 2), (1, 2), (1, 2)], []),
+    ((3, 1), [(0, 2), (0, 1), (0, 1)], []),
+    ((2, 2), [(0, 2), (0, 2)], []),
+    ((6, 2), [(0, 2), (0, 2), (0, 1), (0, 1)], [0]),
+    ((2, 6), [(0, 2), (0, 2), (1, 2), (1, 2)], [1]),
+    ((5, 6), [(0, 2)] * 4, [0, 1]),
+    ((3,), [(0, 1)] * 3, []),
+])
+def test_iterate_halves_stops_each_half_on_its_own(stops, calls, left):
+    # Half h asks to stop at its stops[h]-th step (n_it = 4): a stopped
+    # half is left out of the later calls, the other goes on alone, step
+    # runs at most n_it times, and the halves that never stopped return.
+    got, steps = [], [0] * len(stops)
+
+    def step(a):
+        got.append((a.start, a.stop))
+        for h in range(a.start, a.stop):
+            steps[h] += 1
+        return [steps[h] >= stops[h] for h in range(a.start, a.stop)]
+
+    assert iterate_halves(step, len(stops), 4) == left
+    assert got == calls
+    assert steps == [min(s, 4) for s in stops]
 
 
 def test_grid_rejects_uneven_spacing():
