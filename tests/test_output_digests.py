@@ -1,9 +1,12 @@
 """Committed sha256 digests of the shipped scenarios' run outputs.
 
 `nullwave run` on membrane_pulse, linear_check and background_only writes
-report.json, state.csv and frame.csv.  output_digests.json pins their
-sha256 digests, with the numpy version and the platform that produced
-them, so a change that moves any output byte fails here.  A change that
+report.json, state.csv and frame.csv, and `nullwave sweep` of
+membrane_pulse over eps_grid writes those for each of its runs plus
+summary.csv and grid.json.  output_digests.json pins the sha256 digest of
+every one of these files (not the wall-clock timings.json), with the numpy
+version and the platform that produced them, so a change that moves any
+output byte fails here.  A change that
 moves an output on purpose regenerates the file,
 
     PYTHONPATH=src python tests/test_output_digests.py
@@ -21,10 +24,15 @@ import numpy as np
 
 from nullwave import cli
 
-ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 DIGESTS = Path(__file__).with_name("output_digests.json")
 SCENARIOS = ("membrane_pulse", "linear_check", "background_only")
+SWEEP = ("membrane_pulse", "eps_grid")  # (template, grid)
 FILES = ("report.json", "state.csv", "frame.csv")
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def environment():
@@ -36,16 +44,25 @@ def environment():
 
 def output_digests(out_dir: Path) -> dict:
     """{"scenario/file": sha256} of `nullwave run` on the shipped
-    scenarios, run into out_dir."""
+    scenarios and {"sweep/path": sha256} of the shipped sweep, run into
+    out_dir."""
     digests = {}
     for name in SCENARIOS:
         run_dir = out_dir / name
-        code = cli.main(["run", str(ROOT / "scenarios" / f"{name}.json"),
+        code = cli.main(["run", str(SCENARIO_DIR / f"{name}.json"),
                          "--out", str(run_dir)])
         assert code == 0, f"nullwave run {name} exited {code}"
         for fname in FILES:
-            digests[f"{name}/{fname}"] = hashlib.sha256(
-                (run_dir / fname).read_bytes()).hexdigest()
+            digests[f"{name}/{fname}"] = sha256(run_dir / fname)
+    sweep_dir = out_dir / "sweep"
+    code = cli.main(["sweep", str(SCENARIO_DIR / f"{SWEEP[0]}.json"),
+                     str(SCENARIO_DIR / f"{SWEEP[1]}.json"),
+                     "--out", str(sweep_dir)])
+    assert code == 0, f"nullwave sweep {' '.join(SWEEP)} exited {code}"
+    for path in sorted(sweep_dir.rglob("*")):
+        if path.is_file() and path.name != "timings.json":
+            digests[f"sweep/{path.relative_to(sweep_dir).as_posix()}"] = \
+                sha256(path)
     return digests
 
 
