@@ -6,8 +6,8 @@ are reconstructed from the solution, and everything is cross-validated
 against an independent rectangular-coordinates solver.
 """
 
-from .background import (algebraic_profile, bump_profile, profile_from_config,
-                         table_profile, zero_profile)
+from .background import (algebraic_profile, bump_profile, table_profile,
+                         zero_profile)
 from .crossval import (RectGrid, flux_residual, phase_shift, pullback_compare,
                        rect_solve)
 from .data_gauge import (background_data, build_diagonal_data,
@@ -17,12 +17,13 @@ from .errors import NullwaveError, ScenarioError
 from .geometry import degeneracy_monitor, integrate_frame, reconstruct_coords
 from .grid import DNGrid
 from .nonlinearity import (acoustic_metric, eval_coeffs, linear_model,
-                           membrane_model, model_from_config, polynomial_model)
+                           membrane_model, polynomial_model)
 from .picard import (PicardConfig, contraction_ratio, delta_from_smallness,
                      picard_fixed_point, picard_metric)
 from .pipeline import RunResult, run_pipeline
-from .scenario import (Scenario, load_scenario, materialize, save_scenario,
-                       scenario_from_dict, scenario_to_dict, validate_scenario)
+from .scenario import (Scenario, load_scenario, materialize, model_from_config,
+                       profile_from_config, save_scenario, scenario_from_dict,
+                       scenario_to_dict, validate_scenario)
 
 __version__ = "0.1.0"
 

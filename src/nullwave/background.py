@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure
 from .grid import decay_sup, decay_weight, flat_blocks
-from .nonlinearity import Nonlinearity, eval_coeffs, is_number
+from .nonlinearity import Nonlinearity, eval_coeffs
 
 ArrayLike = Union[float, np.ndarray]
 SAMPLE_H = 0.01       # sample spacing of data_gauge.closeness_certificate
@@ -203,13 +203,9 @@ def zero_profile(gamma_bar: float = 1.0) -> WaveProfile:
     return WaveProfile("zero", z, z, z, M_zeta=0.0, gamma_bar=gamma_bar)
 
 
-def bump_profile(
-    amplitude: float,
-    center: float = 0.0,
-    width: float = 1.0,
-    gamma_bar: float = 1.0,
-) -> WaveProfile:
-    """Compactly supported C^3 bump zeta = A (1 - y^2)^4 on |y| < 1."""
+def bump_functions(amplitude: float, center: float = 0.0, width: float = 1.0):
+    """(zeta, zeta', zeta'') of the C^3 bump A (1 - y^2)^4 on |y| < 1, zero
+    outside, with y = (x - center) / width."""
     A, c, w = float(amplitude), float(center), float(width)
     if w <= 0:
         raise DomainError("bump width must be positive")
@@ -222,34 +218,43 @@ def bump_profile(
             return val if np.ndim(x) else float(val)
         return fn
 
-    prof = WaveProfile(
-        "bump", on_support(lambda y: A * (1.0 - y**2) ** 4),
-        on_support(lambda y: -8.0 * A * y * (1.0 - y**2) ** 3 / w),
-        on_support(lambda y: A * (1.0 - y**2) ** 2 * (56.0 * y**2 - 8.0) / w**2),
-        M_zeta=1.0, gamma_bar=gamma_bar, breaks=(c - w, c + w))
+    return (on_support(lambda y: A * (1.0 - y**2) ** 4),
+            on_support(lambda y: -8.0 * A * y * (1.0 - y**2) ** 3 / w),
+            on_support(lambda y: A * (1.0 - y**2) ** 2 * (56.0 * y**2 - 8.0) / w**2))
+
+
+def bump_profile(amplitude: float, center: float = 0.0, width: float = 1.0,
+                 gamma_bar: float = 1.0) -> WaveProfile:
+    """Compactly supported C^3 bump zeta = A (1 - y^2)^4 on |y| < 1."""
+    c, w = float(center), float(width)
+    prof = WaveProfile("bump", *bump_functions(amplitude, c, w), M_zeta=1.0,
+                       gamma_bar=gamma_bar, breaks=(c - w, c + w))
     return replace(prof, M_zeta=prof.envelope_fit(X_max=abs(c) + w + 10.0))
 
 
-def algebraic_profile(amplitude: float, gamma_bar: float = 1.0) -> WaveProfile:
-    """Globally supported profile zeta = A (1+x^2)^(-(1+gamma)/2)."""
-    A, g = float(amplitude), float(gamma_bar)
+def algebraic_functions(amplitude: float, gamma: float = 1.0,
+                        center: float = 0.0, width: float = 1.0):
+    """(zeta, zeta', zeta'') of A (1 + y^2)^(-(1+gamma)/2), with
+    y = (x - center) / width."""
+    A, g, c, w = float(amplitude), float(gamma), float(center), float(width)
     if g <= 0:
         raise DomainError("gamma_bar must be positive")
     p = -(1.0 + g) / 2.0
 
-    def zeta(x):
-        x = np.asarray(x, dtype=float)
-        return A * (1.0 + x**2) ** p
+    def scaled(shape):
+        """x -> shape(y) with y = (x - c) / w."""
+        return lambda x: shape((np.asarray(x, dtype=float) - c) / w)
 
-    def dzeta(x):
-        x = np.asarray(x, dtype=float)
-        return -A * (1.0 + g) * x * (1.0 + x**2) ** (p - 1.0)
+    return (scaled(lambda y: A * (1.0 + y**2) ** p),
+            scaled(lambda y: -A * (1.0 + g) * y * (1.0 + y**2) ** (p - 1.0) / w),
+            scaled(lambda y: -A * (1.0 + g) * (1.0 - (2.0 + g) * y**2)
+                   * (1.0 + y**2) ** (p - 2.0) / w**2))
 
-    def d2zeta(x):
-        x = np.asarray(x, dtype=float)
-        return -A * (1.0 + g) * (1.0 - (2.0 + g) * x**2) * (1.0 + x**2) ** (p - 2.0)
 
-    prof = WaveProfile("algebraic", zeta, dzeta, d2zeta, M_zeta=1.0, gamma_bar=g)
+def algebraic_profile(amplitude: float, gamma_bar: float = 1.0) -> WaveProfile:
+    """Globally supported profile zeta = A (1+x^2)^(-(1+gamma)/2)."""
+    prof = WaveProfile("algebraic", *algebraic_functions(amplitude, gamma_bar),
+                       M_zeta=1.0, gamma_bar=float(gamma_bar))
     return replace(prof, M_zeta=prof.envelope_fit())
 
 
@@ -300,52 +305,6 @@ def table_profile(x_nodes, zeta_vals, dzeta_vals, d2zeta_vals, gamma_bar: float 
     )
     return replace(prof, M_zeta=prof.envelope_fit(
         X_max=max(abs(xs[0]), abs(xs[-1])) + 1.0))
-
-
-def _config_numbers(kind, p, **defaults):
-    """The values of p at the keys of defaults, each a number (is_number).
-
-    A default of None marks a required key.  DomainError names the keys
-    of p that defaults does not know, or else the first key that is
-    missing or not a number.
-    """
-    if not isinstance(p, dict):
-        raise DomainError(
-            f"{kind} profile config must be a mapping, got {p!r}")
-    unknown = sorted(set(p) - set(defaults))
-    if unknown:
-        raise DomainError(f"unknown {kind} profile key(s) {unknown}")
-    vals = []
-    for key, default in defaults.items():
-        if key not in p and default is None:
-            raise DomainError(f"{kind} profile needs {key}")
-        v = p.get(key, default)
-        if not is_number(v):
-            raise DomainError(f"{kind} {key} must be a number, got {v!r}")
-        vals.append(v)
-    return vals
-
-
-def profile_from_config(cfg) -> WaveProfile:
-    """Build a profile from its JSON-able description."""
-    if isinstance(cfg, str):
-        if cfg == "zero":
-            return zero_profile()
-        raise DomainError(f"unknown profile name {cfg!r}")
-    if isinstance(cfg, dict) and len(cfg) == 1:
-        if "bump" in cfg:
-            return bump_profile(*_config_numbers(
-                "bump", cfg["bump"], A=None, center=0.0, width=1.0, gamma=1.0))
-        if "algebraic" in cfg:
-            return algebraic_profile(*_config_numbers(
-                "algebraic", cfg["algebraic"], A=None, gamma=1.0))
-    if isinstance(cfg, dict) and "table" in cfg:
-        gamma, = _config_numbers(
-            "table", {k: v for k, v in cfg.items() if k != "table"}, gamma=1.0)
-        cols = np.genfromtxt(cfg["table"], delimiter=",", names=True)
-        return table_profile(cols["x"], cols["zeta"], cols["dzeta"],
-                             cols["d2zeta"], gamma_bar=gamma)
-    raise DomainError(f"unrecognized profile config {cfg!r}")
 
 
 # ---------------------------------------------------------------------------

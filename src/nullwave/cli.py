@@ -116,7 +116,7 @@ def cmd_sweep(args) -> int:
     try:
         with open(args.grid) as f:
             grid = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"invalid grid: {exc}", file=sys.stderr)
         return 2
     if not isinstance(grid, dict) or not all(

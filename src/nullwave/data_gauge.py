@@ -40,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .background import SAMPLE_H, WaveProfile, phase_relabel_velocity
+from .background import (SAMPLE_H, WaveProfile, algebraic_functions,
+                         bump_functions, phase_relabel_velocity)
 from .errors import (
     DomainError,
     HyperbolicityLoss,
@@ -82,23 +83,14 @@ def background_data(profile: WaveProfile) -> RectInitialData:
     )
 
 
-def _pulse_profile(kind: str, eps: float, center: float, width: float, gamma: float):
-    # reuse the profile families as pulse shapes with amplitude eps
-    from .background import algebraic_profile, bump_profile
-
+def _pulse_functions(kind: str, eps: float, center: float, width: float,
+                     gamma: float):
+    """(zeta, zeta', zeta'') of a pulse: a profile family's shape with
+    amplitude eps, without the profile's envelope fit."""
     if kind == "bump":
-        return bump_profile(eps, center=center, width=width, gamma_bar=gamma)
+        return bump_functions(eps, center, width)
     if kind == "algebraic":
-        shape = algebraic_profile(eps, gamma_bar=gamma)
-        w = float(width)
-        return WaveProfile(
-            name="algebraic-pulse",
-            zeta=lambda x: shape.zeta((np.asarray(x, dtype=float) - center) / w),
-            dzeta=lambda x: shape.dzeta((np.asarray(x, dtype=float) - center) / w) / w,
-            d2zeta=lambda x: shape.d2zeta((np.asarray(x, dtype=float) - center) / w) / w**2,
-            M_zeta=shape.M_zeta,
-            gamma_bar=gamma,
-        )
+        return algebraic_functions(eps, gamma, center, width)
     raise DomainError(f"unknown perturbation family {kind!r}")
 
 
@@ -117,7 +109,7 @@ def perturbed_data(
     right-moving background), "right" (co-moving) or "standing" (zero
     initial velocity, splits both ways).
     """
-    pulse = _pulse_profile(kind, eps, center, width, gamma)
+    zeta, dzeta, d2zeta = _pulse_functions(kind, eps, center, width, gamma)
     vel = {"left": 1.0, "right": -1.0, "standing": 0.0}
     try:
         sgn = vel[direction]
@@ -125,11 +117,11 @@ def perturbed_data(
         raise DomainError(f"unknown pulse direction {direction!r}") from None
     bg = background_data(profile)
     return RectInitialData(
-        phi0=lambda x: bg.phi0(x) + pulse.zeta(x),
-        phi0p=lambda x: bg.phi0p(x) + pulse.dzeta(x),
-        phi0pp=lambda x: bg.phi0pp(x) + pulse.d2zeta(x),
-        phi1=lambda x: bg.phi1(x) + sgn * pulse.dzeta(x),
-        phi1p=lambda x: bg.phi1p(x) + sgn * pulse.d2zeta(x),
+        phi0=lambda x: bg.phi0(x) + zeta(x),
+        phi0p=lambda x: bg.phi0p(x) + dzeta(x),
+        phi0pp=lambda x: bg.phi0pp(x) + d2zeta(x),
+        phi1=lambda x: bg.phi1(x) + sgn * dzeta(x),
+        phi1p=lambda x: bg.phi1p(x) + sgn * d2zeta(x),
     )
 
 

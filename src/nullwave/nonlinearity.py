@@ -258,39 +258,3 @@ def range_certificate(model: Nonlinearity, m0: float) -> dict:
     sups["m0"] = m0
     return sups
 
-
-def is_number(v) -> bool:
-    """An int or a float, but not a bool (which Python counts as an int).
-
-    The rule for every number of a scenario file and its model and
-    profile configs.
-    """
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def model_from_config(cfg) -> Nonlinearity:
-    """Build a model from its JSON-able description.
-
-    Accepts "linear", "membrane", or {"polynomial": [a, b, c]} with 1-3
-    coefficients, each a number (is_number), and no other key.
-    """
-    if isinstance(cfg, str):
-        if cfg == "linear":
-            return linear_model()
-        if cfg == "membrane":
-            return membrane_model()
-        raise DomainError(f"unknown model name {cfg!r}")
-    if isinstance(cfg, dict) and "polynomial" in cfg:
-        unknown = sorted(set(cfg) - {"polynomial"})
-        if unknown:
-            raise DomainError(f"unknown polynomial model key(s) {unknown}")
-        coeffs = list(cfg["polynomial"])
-        if not 1 <= len(coeffs) <= 3:
-            raise DomainError("polynomial model needs 1-3 numeric coefficients")
-        for k, v in enumerate(coeffs):
-            if not is_number(v):
-                raise DomainError(
-                    f"polynomial coefficient {k} must be a number, got {v!r}")
-        coeffs += [0.0] * (3 - len(coeffs))
-        return polynomial_model(*coeffs)
-    raise DomainError(f"unrecognized model config {cfg!r}")

@@ -6,6 +6,12 @@ file, so a run is reproducible from one artifact plus a seed.  Parsing is
 strict: an unknown key is an error, not a warning, because a silently
 ignored option is the classic source of sweeps that change nothing.
 
+This module is also the one place where a scenario turns into run
+objects: the model and profile config parsers live here, and one
+construction pass builds the model, profile, null grid and t=0 data once
+while collecting every problem (validate_scenario returns the problems,
+materialize the objects).
+
 The normalized form fills every default, so
 
     scenario_from_dict(scenario_to_dict(s)) == s
@@ -19,12 +25,16 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .background import profile_from_config
+import numpy as np
+
+from .background import (WaveProfile, algebraic_profile, bump_profile,
+                         table_profile, zero_profile)
 from .crossval import RectGrid
 from .data_gauge import background_data, perturbed_data
 from .errors import DomainError, GridMismatch, ScenarioError
 from .grid import DNGrid
-from .nonlinearity import is_number, model_from_config
+from .nonlinearity import (Nonlinearity, linear_model, membrane_model,
+                           polynomial_model)
 
 SCHEMA_VERSION = 1
 
@@ -56,6 +66,89 @@ _TOP_KEYS = frozenset(
      "grid", "solver", "seed")
 )
 _GRID_KEYS = frozenset(("radius", "h"))
+
+
+def is_number(v) -> bool:
+    """An int or a float, but not a bool (which Python counts as an int).
+
+    The rule for every number of a scenario file and its model and
+    profile configs.
+    """
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def model_from_config(cfg) -> Nonlinearity:
+    """Build a model from its JSON-able description.
+
+    Accepts "linear", "membrane", or {"polynomial": [a, b, c]} with 1-3
+    coefficients, each a number (is_number), and no other key.
+    """
+    if isinstance(cfg, str):
+        if cfg == "linear":
+            return linear_model()
+        if cfg == "membrane":
+            return membrane_model()
+        raise DomainError(f"unknown model name {cfg!r}")
+    if isinstance(cfg, dict) and "polynomial" in cfg:
+        unknown = sorted(set(cfg) - {"polynomial"})
+        if unknown:
+            raise DomainError(f"unknown polynomial model key(s) {unknown}")
+        coeffs = list(cfg["polynomial"])
+        if not 1 <= len(coeffs) <= 3:
+            raise DomainError("polynomial model needs 1-3 numeric coefficients")
+        for k, v in enumerate(coeffs):
+            if not is_number(v):
+                raise DomainError(
+                    f"polynomial coefficient {k} must be a number, got {v!r}")
+        coeffs += [0.0] * (3 - len(coeffs))
+        return polynomial_model(*coeffs)
+    raise DomainError(f"unrecognized model config {cfg!r}")
+
+
+def _config_numbers(kind, p, **defaults):
+    """The values of p at the keys of defaults, each a number (is_number).
+
+    A default of None marks a required key.  DomainError names the keys
+    of p that defaults does not know, or else the first key that is
+    missing or not a number.
+    """
+    if not isinstance(p, dict):
+        raise DomainError(
+            f"{kind} profile config must be a mapping, got {p!r}")
+    unknown = sorted(set(p) - set(defaults))
+    if unknown:
+        raise DomainError(f"unknown {kind} profile key(s) {unknown}")
+    vals = []
+    for key, default in defaults.items():
+        if key not in p and default is None:
+            raise DomainError(f"{kind} profile needs {key}")
+        v = p.get(key, default)
+        if not is_number(v):
+            raise DomainError(f"{kind} {key} must be a number, got {v!r}")
+        vals.append(v)
+    return vals
+
+
+def profile_from_config(cfg) -> WaveProfile:
+    """Build a profile from its JSON-able description."""
+    if isinstance(cfg, str):
+        if cfg == "zero":
+            return zero_profile()
+        raise DomainError(f"unknown profile name {cfg!r}")
+    if isinstance(cfg, dict) and len(cfg) == 1:
+        if "bump" in cfg:
+            return bump_profile(*_config_numbers(
+                "bump", cfg["bump"], A=None, center=0.0, width=1.0, gamma=1.0))
+        if "algebraic" in cfg:
+            return algebraic_profile(*_config_numbers(
+                "algebraic", cfg["algebraic"], A=None, gamma=1.0))
+    if isinstance(cfg, dict) and "table" in cfg:
+        gamma, = _config_numbers(
+            "table", {k: v for k, v in cfg.items() if k != "table"}, gamma=1.0)
+        cols = np.genfromtxt(cfg["table"], delimiter=",", names=True)
+        return table_profile(cols["x"], cols["zeta"], cols["dzeta"],
+                             cols["d2zeta"], gamma_bar=gamma)
+    raise DomainError(f"unrecognized profile config {cfg!r}")
 
 
 # (key, test of the number, what it must be) for the numeric fields of each
@@ -208,7 +301,7 @@ def load_scenario(path) -> Scenario:
             raw = json.load(f)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(raw)
 
@@ -219,33 +312,36 @@ def save_scenario(s: Scenario, path) -> None:
         f.write("\n")
 
 
-def validate_scenario(s: Scenario) -> list:
-    """Range/consistency checks; returns a list of problems (empty = valid).
+def _build(s: Scenario):
+    """One construction pass: ((model, profile, grid, rect_data), problems).
 
-    Collects every problem instead of stopping at the first so the CLI
-    validate subcommand can print a complete diagnosis.
+    Builds each runtime object once and collects every problem on the way
+    instead of stopping at the first, so the CLI validate subcommand can
+    print a complete diagnosis; an object that could not be built is None.
     """
     problems = []
+    model = profile = grid = rect = None
 
     try:
-        model_from_config(s.model)
+        model = model_from_config(s.model)
     except DomainError as exc:
         problems.append(f"model: {exc}")
 
-    if isinstance(s.profile, dict) and "table" in s.profile:
-        table = s.profile["table"]
-        if not (isinstance(table, str) and os.path.exists(table)):
-            problems.append(f"profile: table file not found: {table!r}")
-    if not any(p.startswith("profile:") for p in problems):
+    if isinstance(s.profile, dict) and "table" in s.profile and not (
+            isinstance(s.profile["table"], str)
+            and os.path.exists(s.profile["table"])):
+        problems.append(
+            f"profile: table file not found: {s.profile['table']!r}")
+    else:
         try:
-            prof = profile_from_config(s.profile)
+            profile = profile_from_config(s.profile)
         except (DomainError, OSError, KeyError, TypeError, ValueError) as exc:
             problems.append(f"profile: {exc}")
         else:
-            if not prof.gamma_bar > 0.0:
+            if not profile.gamma_bar > 0.0:
                 problems.append(
                     f"profile: decay rate gamma_bar must be positive, "
-                    f"got {prof.gamma_bar}")
+                    f"got {profile.gamma_bar}")
 
     radius, h = s.grid["radius"], s.grid["h"]
     if not radius > 0.0:
@@ -254,7 +350,7 @@ def validate_scenario(s: Scenario) -> list:
         problems.append(f"grid: h must be positive, got {h}")
     if radius > 0.0 and h > 0.0:
         try:
-            DNGrid(-radius, radius, h)
+            grid = DNGrid(-radius, radius, h)
         except GridMismatch as exc:
             problems.append(f"grid: {exc}")
 
@@ -266,6 +362,10 @@ def validate_scenario(s: Scenario) -> list:
             problems.append(
                 f"perturbation: unknown direction {p['direction']!r}")
         problems += _number_problems("perturbation", p)
+    if profile is not None and not any(
+            q.startswith("perturbation:") for q in problems):
+        rect = (background_data(profile) if p is None
+                else perturbed_data(profile, **p))
 
     sv = s.solver
     if "backend" in sv:
@@ -277,7 +377,7 @@ def validate_scenario(s: Scenario) -> list:
             problems.append(f"solver: {key} must be true or false, "
                             f"got {sv[key]!r}")
     if sv["crossval"] and not any(
-            p.startswith(("grid:", "solver:")) for p in problems):
+            q.startswith(("grid:", "solver:")) for q in problems):
         half, t_max, dx = rect_extent(s)
         try:
             RectGrid(-half, half, dx, t_max, cfl=sv["cfl"])
@@ -285,26 +385,25 @@ def validate_scenario(s: Scenario) -> list:
             problems.append(f"solver: rect grid [{-half:g}, {half:g}] with "
                             f"dx {dx:g}: {exc}")
 
-    return problems
+    return (model, profile, grid, rect), problems
+
+
+def validate_scenario(s: Scenario) -> list:
+    """Range/consistency checks; returns a list of problems (empty = valid)."""
+    return _build(s)[1]
 
 
 def materialize(s: Scenario):
     """Build the runtime objects: (model, profile, grid, rect_data).
 
-    Raises ScenarioError listing every validation problem if the scenario
-    is invalid, so pipelines never start from half-checked input.
+    Raises ScenarioError listing every problem validate_scenario reports
+    if the scenario is invalid, so pipelines never start from half-checked
+    input.
     """
-    problems = validate_scenario(s)
+    objects, problems = _build(s)
     if problems:
         raise ScenarioError("; ".join(problems))
-    model = model_from_config(s.model)
-    profile = profile_from_config(s.profile)
-    grid = DNGrid(-s.grid["radius"], s.grid["radius"], s.grid["h"])
-    if s.perturbation is None:
-        rect = background_data(profile)
-    else:
-        rect = perturbed_data(profile, **s.perturbation)
-    return model, profile, grid, rect
+    return objects
 
 
 def rect_extent(s: Scenario):

@@ -17,7 +17,6 @@ from nullwave.background import (
     envelope_integral,
     phase_function,
     phase_relabel_velocity,
-    profile_from_config,
     table_profile,
     zero_profile,
 )
@@ -29,6 +28,7 @@ from nullwave.oracles import (
     gaussian_phase_values,
     phase_relabel,
 )
+from nullwave.scenario import profile_from_config
 
 GAUSS_PHASE = {
     "from_zero": -0.6266570686577501,

@@ -496,9 +496,9 @@ def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
     # them), 8-row blocks and the membrane_pulse template at radius 3, the
     # fixed point sets the run's peak; no picard or geometry layer after it
     # rises above it.  crossval is off: at radius 3 its window t <= 2
-    # covers most of the square, and pullback_compare (35.9 fields, of
-    # which the phase quadrature's 8 values per walker) would set the peak
-    # against the fixed point's 29.8.  flux_residual, reduced per block of
+    # covers most of the square, and pullback_compare (35.9 fields: 25.8
+    # alive when it starts, 10.0 its own) would set the peak against the
+    # fixed point's 29.8.  flux_residual, reduced per block of
     # time rows, peaks at 26.4 (36.6 when it formed its terms whole).
     raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
     raw["solver"]["crossval"] = False

@@ -94,6 +94,22 @@ def test_validate_and_run_refuse_a_rect_grid_h_does_not_divide(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+# a UTF-16 byte-order mark: not UTF-8, and not JSON in any 8-bit encoding
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_validate_and_run_refuse_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "sc.json"
+    path.write_bytes(NOT_UTF8)
+    assert cli.main(["validate", str(path)]) == 2
+    assert "invalid: scenario file is not valid JSON" in \
+        capsys.readouterr().out
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid: scenario file is not valid JSON" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "sc.json"
     raw = dict(TINY, typo=1)
@@ -293,6 +309,11 @@ def test_sweep_rejects_bad_grid_file(tmp_path, capsys):
 
     grid.write_text('{"perturbation.eps": 0.01}')
     assert cli.main(["sweep", str(template), str(grid)]) == 2
+
+    capsys.readouterr()
+    grid.write_bytes(NOT_UTF8)
+    assert cli.main(["sweep", str(template), str(grid)]) == 2
+    assert "invalid grid" in capsys.readouterr().err
 
 
 def test_sweep_rejects_invalid_template(tmp_path, capsys):

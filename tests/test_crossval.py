@@ -20,7 +20,7 @@ from nullwave.crossval import (
 )
 from nullwave.data_gauge import (
     RectInitialData,
-    _pulse_profile,
+    _pulse_functions,
     background_data,
     build_diagonal_data,
     perturbed_data,
@@ -88,12 +88,12 @@ def test_rect_grid_validation():
 
 def test_linear_pulse_matches_dalembert(linear, zero_prof):
     data = perturbed_data(zero_prof, eps=0.5, center=0.0, width=2.0, direction="left")
-    pulse = _pulse_profile("bump", 0.5, 0.0, 2.0, 1.0)
+    zeta, _, _ = _pulse_functions("bump", 0.5, 0.0, 2.0, 1.0)
     errs = {}
     for dx in (0.1, 0.05):
         st = rect_solve(data, linear, RectGrid(-8.0, 8.0, dx, 1.5), zero_prof,
                         dissipation=0.0)
-        exact = pulse.zeta(st.x[None, :] + st.t[:, None])
+        exact = zeta(st.x[None, :] + st.t[:, None])
         errs[dx] = np.max(np.abs(st.phi - exact))
     assert errs[0.1] <= 2e-3
     assert 1.6 <= np.log2(errs[0.1] / errs[0.05]) <= 2.4

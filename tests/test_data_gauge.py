@@ -4,9 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nullwave.background import WaveProfile, bump_profile, zero_profile
+from nullwave.background import (WaveProfile, algebraic_profile, bump_profile,
+                                 zero_profile)
 from nullwave.data_gauge import (
+    _pulse_functions,
     background_data,
     build_diagonal_data,
     build_gauge_slice,
@@ -226,3 +230,74 @@ def test_far_field_gauge_independent_of_background_size(membrane):
     ref = background_gauge_values(membrane, prof, grid.u[far])
     assert np.array_equal(gauge.du_t_grid[far], ref["du_t_grid"])
     assert np.array_equal(gauge.dub_t[far], ref["dub_t"])
+
+
+def _reference_bump(A, c, w):
+    """The bump's (zeta, zeta', zeta'') as bump_profile used to form them."""
+    A, c, w = float(A), float(c), float(w)
+
+    def on_support(poly):
+        def fn(x):
+            y = (np.asarray(x, dtype=float) - c) / w
+            val = np.where(np.abs(y) < 1.0, poly(y), 0.0)
+            return val if np.ndim(x) else float(val)
+        return fn
+
+    return (on_support(lambda y: A * (1.0 - y**2) ** 4),
+            on_support(lambda y: -8.0 * A * y * (1.0 - y**2) ** 3 / w),
+            on_support(lambda y: A * (1.0 - y**2) ** 2 * (56.0 * y**2 - 8.0) / w**2))
+
+
+def _reference_algebraic(A, g):
+    """algebraic_profile's (zeta, zeta', zeta''), centred at 0, width 1."""
+    A, g = float(A), float(g)
+    p = -(1.0 + g) / 2.0
+
+    def zeta(x):
+        x = np.asarray(x, dtype=float)
+        return A * (1.0 + x**2) ** p
+
+    def dzeta(x):
+        x = np.asarray(x, dtype=float)
+        return -A * (1.0 + g) * x * (1.0 + x**2) ** (p - 1.0)
+
+    def d2zeta(x):
+        x = np.asarray(x, dtype=float)
+        return -A * (1.0 + g) * (1.0 - (2.0 + g) * x**2) * (1.0 + x**2) ** (p - 2.0)
+
+    return zeta, dzeta, d2zeta
+
+
+def _reference_algebraic_pulse(A, g, c, w):
+    """The algebraic pulse as the unit-width shape, shifted and rescaled."""
+    zeta, dzeta, d2zeta = _reference_algebraic(A, g)
+    w = float(w)
+    y = lambda x: (np.asarray(x, dtype=float) - c) / w
+    return (lambda x: zeta(y(x)), lambda x: dzeta(y(x)) / w,
+            lambda x: d2zeta(y(x)) / w**2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=st.floats(0.0, 1.0), center=st.floats(-10.0, 10.0),
+       width=st.floats(0.05, 10.0), gamma=st.floats(0.05, 5.0))
+def test_pulse_functions_are_bitwise_the_profile_compositions(eps, center,
+                                                               width, gamma):
+    # the pulse is the profile family's shape without a WaveProfile or its
+    # envelope fit; every value, support edges included, keeps its bits
+    x = np.concatenate([np.linspace(center - 2.0 * width - 5.0,
+                                    center + 2.0 * width + 5.0, 401),
+                        [center - width, center, center + width, -0.0]])
+    prof = algebraic_profile(eps, gamma)
+    cases = (
+        (_pulse_functions("bump", eps, center, width, gamma),
+         _reference_bump(eps, center, width)),
+        (_pulse_functions("algebraic", eps, center, width, gamma),
+         _reference_algebraic_pulse(eps, gamma, center, width)),
+        ((prof.zeta, prof.dzeta, prof.d2zeta),
+         _reference_algebraic(eps, gamma)),
+    )
+    for got, ref in cases:
+        for f, g in zip(got, ref):
+            assert np.asarray(f(x)).tobytes() == np.asarray(g(x)).tobytes()
+            assert np.asarray(f(center)).tobytes() == \
+                np.asarray(g(center)).tobytes()

@@ -12,12 +12,12 @@ from nullwave.nonlinearity import (
     eval_coeffs,
     linear_model,
     membrane_model,
-    model_from_config,
     polynomial_model,
     range_certificate,
 )
 from nullwave.oracles import (coeffs_via_cas, contraction_identity_check,
                               metric_via_cas)
+from nullwave.scenario import model_from_config
 
 
 # frozen reference values (computed once via the symbolic route)

@@ -9,14 +9,16 @@ import pytest
 
 import nullwave.cli as cli
 import nullwave.pipeline as pipeline
-from nullwave.background import SAMPLE_H, profile_from_config
+from nullwave.background import SAMPLE_H
 from nullwave.errors import (FixedPointDivergence, FrameDegenerate,
                              HyperbolicityLoss, InversionFailure,
                              SliceNotSpacelike)
-from nullwave.nonlinearity import eval_coeffs, model_from_config
+from nullwave.nonlinearity import eval_coeffs
 from nullwave.pipeline import MIN_PICARD_DELTA, STAGES, RunResult, run_pipeline
 from nullwave.report import write_run_outputs
-from nullwave.scenario import materialize, scenario_from_dict, scenario_to_dict
+from nullwave.scenario import (materialize, model_from_config,
+                               profile_from_config, scenario_from_dict,
+                               scenario_to_dict)
 from nullwave.state import sigma_of
 
 BASE = {

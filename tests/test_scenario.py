@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nullwave import cli, pipeline
 from nullwave.background import WaveProfile
 from nullwave.data_gauge import RectInitialData, background_data
 from nullwave.errors import ScenarioError
@@ -105,7 +106,7 @@ def _with(section, **kw):
     return scenario_from_dict(raw)
 
 
-@pytest.mark.parametrize("section,override,fragment", [
+BAD_VALUES = [
     ("grid", {"radius": -1.0}, "radius"),
     ("grid", {"h": 0.0}, "h must be positive"),
     ("grid", {"h": 0.7}, "divide"),
@@ -140,13 +141,16 @@ def _with(section, **kw):
     ("profile", {"algebraic": {"A": 0.1}}, "unrecognized profile config"),
     ("model", {"_value": {"polynomial": [0.1], "extra": 1}},
      "unknown polynomial model key(s) ['extra']"),
-])
+]
+
+
+@pytest.mark.parametrize("section,override,fragment", BAD_VALUES)
 def test_validate_flags_bad_values(section, override, fragment):
     problems = validate_scenario(_with(section, **override))
     assert any(fragment in p for p in problems)
 
 
-@pytest.mark.parametrize("section,config,problem", [
+BAD_CONFIGS = [
     ("model", {"polynomial": [True]},
      "polynomial coefficient 0 must be a number, got True"),
     ("model", {"polynomial": [0.1, "0.2"]},
@@ -160,7 +164,10 @@ def test_validate_flags_bad_values(section, override, fragment):
      "bump profile config must be a mapping, got [0.1]"),
     ("profile", {"algebraic": {"A": 0.1, "gamma": False}},
      "algebraic gamma must be a number, got False"),
-])
+]
+
+
+@pytest.mark.parametrize("section,config,problem", BAD_CONFIGS)
 def test_validate_flags_non_numbers_in_configs(section, config, problem):
     # A bool or a string is not a number in a model or profile config
     # either; the problem names the key.
@@ -251,6 +258,73 @@ def test_materialize_rejects_invalid():
     raw["grid"] = {"radius": -2.0, "h": 0.25}
     with pytest.raises(ScenarioError, match="radius"):
         materialize(scenario_from_dict(raw))
+
+
+def _invalid_scenarios(tmp_path):
+    """Every invalid scenario that the validate tests above build."""
+    for section, override, _ in BAD_VALUES:
+        yield _with(section, **override)
+    table = tmp_path / "profile.csv"
+    table.write_text("x,zeta,dzeta,d2zeta\n-1,0,0,0\n1,0,0,0\n")
+    for base, changes in [
+        *((full_dict, {section: config}) for section, config, _ in BAD_CONFIGS),
+        (full_dict, {"profile": {"table": str(table), "gamma": "1"}}),
+        (full_dict, {"model": "cubic", "profile": {
+            "bump": {"A": 0.3, "width": 6.0, "gamma": -1.0}}}),
+        (full_dict, {"model": "cubic", "grid": {"radius": -1.0, "h": 0.1},
+                     "solver": dict(SOLVER_DEFAULTS, tol=0.0)}),
+        (minimal_dict, {"profile": {"table": str(tmp_path / "missing.csv")}}),
+        (minimal_dict, {"grid": {"radius": -2.0, "h": 0.25}}),
+        (full_dict, {"grid": {"radius": 1.5, "h": 0.3}}),
+    ]:
+        yield scenario_from_dict(dict(base(), **changes))
+
+
+def test_materialize_raises_what_validate_reports(tmp_path):
+    # one construction pass serves both: materialize's error is exactly
+    # validate_scenario's problems, joined
+    for s in _invalid_scenarios(tmp_path):
+        problems = validate_scenario(s)
+        assert problems
+        with pytest.raises(ScenarioError) as err:
+            materialize(s)
+        assert str(err.value) == "; ".join(problems)
+
+
+@pytest.fixture
+def envelope_fits(monkeypatch):
+    """The names of the profiles WaveProfile.envelope_fit fits, one entry
+    per call."""
+    calls, fit = [], WaveProfile.envelope_fit
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.name)
+        return fit(self, *args, **kwargs)
+
+    monkeypatch.setattr(WaveProfile, "envelope_fit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,fits", [
+    ("membrane_pulse", 1), ("linear_check", 0), ("background_only", 1)])
+def test_each_object_is_built_once(envelope_fits, name, fits):
+    # a bump background is fitted once per pass; a pulse is only its three
+    # functions, so it adds no fit, and the zero profile has none
+    s = load_scenario(SCENARIO_DIR / f"{name}.json")
+    assert validate_scenario(s) == []
+    assert len(envelope_fits) == fits
+    materialize(s)
+    assert len(envelope_fits) == 2 * fits
+
+
+def test_cli_run_fits_the_background_twice(envelope_fits, tmp_path,
+                                           monkeypatch, capsys):
+    # validate, then the pipeline's materialize; with no stage to run, a
+    # nullwave run is nothing else
+    monkeypatch.setattr(pipeline, "PIPELINE", ())
+    path = SCENARIO_DIR / "membrane_pulse.json"
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert envelope_fits == ["bump", "bump"]
 
 
 def test_rect_extent_defaults_and_overrides():
