@@ -264,17 +264,23 @@ def flux_residual(rect: RectState, model: Nonlinearity) -> float:
     return float(np.max(sups))
 
 
-def _bilinear(F: np.ndarray, iu, jb, su, rb):
-    f00 = F[iu, jb]
-    f10 = F[iu + 1, jb]
-    f01 = F[iu, jb + 1]
-    f11 = F[iu + 1, jb + 1]
+def _corners(iu, jb):
+    """The four corner nodes of the cells (iu, jb): 00, 10, 01, 11."""
+    return (iu, jb), (iu + 1, jb), (iu, jb + 1), (iu + 1, jb + 1)
+
+
+def _blend(f00, f10, f01, f11, su, rb):
+    """Bilinear blend of corner values at in-cell offsets (su, rb)."""
     return (
         f00 * (1 - su) * (1 - rb)
         + f10 * su * (1 - rb)
         + f01 * (1 - su) * rb
         + f11 * su * rb
     )
+
+
+def _bilinear(F: np.ndarray, iu, jb, su, rb):
+    return _blend(*(F[c] for c in _corners(iu, jb)), su, rb)
 
 
 def _locate(grid, u, ub):
@@ -290,13 +296,14 @@ def _newton_step(cmap: CoordMap, u, ub, cell, rt, rx):
     """Walkers at (u, ub), in cell = _locate(grid, u, ub) and with map
     residual (rt, rx), after one Newton step.
 
-    A singular Jacobian sends a walker to the collar corner.
+    The Jacobian is the bilinear blend of the frame's tangents
+    (NullFrame.tangents), formed at the cells' four corners.  A singular
+    Jacobian sends a walker to the collar corner.
     """
     grid, h = cmap.grid, cmap.grid.h
-    jut = _bilinear(cmap.jac_u_t, *cell)
-    jbt = _bilinear(cmap.jac_ub_t, *cell)
-    jux = _bilinear(cmap.jac_u_x, *cell)
-    jbx = _bilinear(cmap.jac_ub_x, *cell)
+    iu, jb, su, rb = cell
+    corners = [cmap.frame.tangents(*c) for c in _corners(iu, jb)]
+    jut, jux, jbt, jbx = (_blend(*f, su, rb) for f in zip(*corners))
     det = jut * jbx - jbt * jux
     det = np.where(np.abs(det) < 1e-300, np.nan, det)
     du = (jbx * rt - jbt * rx) / det

@@ -212,6 +212,20 @@ class NullFrame:
     ring: np.ndarray
     nullity: dict
 
+    def tangents(self, i, j):
+        """Tangents of the map (u, ubar) -> (t, x) in the grid chart at the
+        nodes (i, j): (dt/du, dx/du, dt/dubar, dx/dubar).
+
+        The u-leg is Omega_A Lbar = V' Omega_B Lbar_B, the ubar-leg
+        Omega_A L_A = Omega_B L_B.  i and j index the fields: index arrays
+        of one shape, or a row slice and slice(None) for a row block.
+        """
+        n = self.grid.n_nodes
+        vp = np.broadcast_to(self.v_prime[:, None], (n, n))[i, j]
+        Om = self.Omega[i, j]
+        return (vp * (Om * self.Lb0[i, j]), vp * (Om * self.Lb1[i, j]),
+                Om * self.L0[i, j], Om * self.L1[i, j])
+
 
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
                     profile: WaveProfile) -> NullFrame:
@@ -350,27 +364,27 @@ class CoordMap:
 
     detj is det d(t,x)/d(u_B, ubar) (background value -1/2); curl_sup the
     sup-mismatch between the two integration routes, an O(h^2) consistency
-    error of the reconstruction.  jac_* are the tangents in the *grid*
-    chart, d(t,x)/du = Omega_A Lbar and d(t,x)/dubar = Omega_A L, kept for
-    Newton inversion of the map.  Z = Z(grid.ub) is the phase function
-    the map was built on, and V = grid.u + Z[::-1] the relabeling
-    V(u) = u + Z(-u) read off it: grid.ub is -grid.u reversed bit for bit,
-    and the quadrature depends only on the set of points, so this is
-    Z(-u) exactly.  Both are kept for the pullback's seed and the phase
-    shift.
+    error of the reconstruction.  frame is the NullFrame the map was
+    integrated from; its tangents (NullFrame.tangents) are the map's
+    Jacobian, which the pullback's Newton inversion forms where it needs
+    it.  Z = Z(grid.ub) is the phase function the map was built on, and
+    V = grid.u + Z[::-1] the relabeling V(u) = u + Z(-u) read off it:
+    grid.ub is -grid.u reversed bit for bit, and the quadrature depends
+    only on the set of points, so this is Z(-u) exactly.  Both are kept
+    for the pullback's seed and the phase shift.
     """
 
-    grid: DNGrid
+    frame: NullFrame
     t: np.ndarray
     x: np.ndarray
     detj: np.ndarray
     curl_sup: float
-    jac_u_t: np.ndarray
-    jac_u_x: np.ndarray
-    jac_ub_t: np.ndarray
-    jac_ub_x: np.ndarray
     V: np.ndarray
     Z: np.ndarray
+
+    @property
+    def grid(self) -> DNGrid:
+        return self.frame.grid
 
 
 def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
@@ -388,9 +402,9 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
     are averaged; their sup-difference is returned as curl_sup (NaN if
     either route holds a NaN).  The column sums are carried down the rows
     (grid.cumsum_cols) with increments formed from the frame's rows; every
-    row-local quantity, the background included, is formed in one row
-    block pass, so the outputs and the column sums are the only full-size
-    arrays.  V' and Lring_B are the frame's; model and profile enter only
+    row-local quantity, the ubar-leg tangents (NullFrame.tangents) and the
+    background included, is formed in one row block pass, so the outputs
+    and the column sums are the only full-size arrays.  V' and Lring_B are the frame's; model and profile enter only
     through Z, which gives V as well (see CoordMap).
     """
     grid = frame.grid
@@ -401,18 +415,14 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
     V = grid.u + Z[::-1]                             # u + Z(-u)
     ring0, ring1 = frame.ring
 
-    t, x, detj, jac_u_t, jac_u_x, jac_ub_t, jac_ub_x = (
-        np.empty((n, n)) for _ in range(7))
-    # tangents in the grid chart; u-leg = Omega_A Lbar = vp Omega_B Lbar_B,
-    # ubar-leg = Omega_A L_A = Omega_B L_B.  Per component t (x): the
-    # frame's L and Lbar, Lring_B, the sign of ubar in tring (xring), the
-    # deviation that pins t = 0.0 (x = u) on the diagonal, and the outputs.
+    t, x, detj = (np.empty((n, n)) for _ in range(3))
+    # Per component t (x): the frame's Lbar, Lring_B, the sign of ubar in
+    # tring (xring), the deviation that pins t = 0.0 (x = u) on the
+    # diagonal, and the output.
     _, jd = grid.diagonal()
     VZ = V - Z[jd]
-    comps = ((frame.L0, frame.Lb0, ring0, 1.0,
-              0.0 - 0.5 * (VZ + grid.ub[jd]), jac_u_t, jac_ub_t, t),
-             (frame.L1, frame.Lb1, ring1, -1.0,
-              grid.u - 0.5 * (VZ - grid.ub[jd]), jac_u_x, jac_ub_x, x))
+    comps = ((frame.Lb0, ring0, 1.0, 0.0 - 0.5 * (VZ + grid.ub[jd]), t),
+             (frame.Lb1, ring1, -1.0, grid.u - 0.5 * (VZ - grid.ub[jd]), x))
 
     def u_leg_steps(Lb):
         """Trapezoid steps down the columns of vp (Omega Lbar - 1/2)."""
@@ -422,27 +432,23 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
             return (0.5 * h) * (F[1:] + F[:-1])
         return steps
 
-    r2 = [cumsum_cols(u_leg_steps(c[1]), (n, n), jd, c[4][::-1])
+    r2 = [cumsum_cols(u_leg_steps(c[0]), (n, n), jd, c[3][::-1])
           for c in comps]
 
     curl = []
     for blk in row_blocks(n, n):
-        Omb, vpb = Om[blk], vp[blk, None]
-        for (L, Lb, ring, sign, dev_diag, jac_u, jac_ub, out), S2 in zip(
-                comps, r2):
-            jac_u[blk] = vpb * (Omb * Lb[blk])
-            jac_ub[blk] = Omb * L[blk]
-            r1 = cumtrap_rows(jac_ub[blk] + 0.5 * ring[None, :], h, jd[blk],
-                              dev_diag[blk])
+        ub_legs = frame.tangents(blk, slice(None))[2:]
+        for (_, ring, sign, dev_diag, out), S2, F in zip(comps, r2, ub_legs):
+            F += 0.5 * ring[None, :]                 # the leg's deviation
+            r1 = cumtrap_rows(F, h, jd[blk], dev_diag[blk])
             r2b = S2[blk]
             curl.append(abs_max(r1, r2b))
             bg = 0.5 * (V[blk, None] - Z[None, :] + sign * grid.ub[None, :])
             out[blk] = bg + 0.5 * (r1 + r2b)
-        detj[blk] = Omb ** 2 * (frame.Lb0[blk] * frame.L1[blk]
-                                - frame.Lb1[blk] * frame.L0[blk])
+        detj[blk] = Om[blk] ** 2 * (frame.Lb0[blk] * frame.L1[blk]
+                                    - frame.Lb1[blk] * frame.L0[blk])
 
-    return CoordMap(grid, t, x, detj, float(np.max(curl)),
-                    jac_u_t, jac_u_x, jac_ub_t, jac_ub_x, V, Z)
+    return CoordMap(frame, t, x, detj, float(np.max(curl)), V, Z)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,7 @@ class RunResult:
     outcomes: dict         # stage -> "ok", "off", "skipped" or "failed"
     state: object = None   # DNState from the march
     profile: object = None  # WaveProfile, for the state's slaved sigma
-    frame: object = None   # NullFrame
-    coords: object = None  # CoordMap
+    coords: object = None  # CoordMap, with the NullFrame it was built from
 
 
 def _order(coarse: float, fine: float) -> float | None:
@@ -128,7 +127,7 @@ def _geometry(scenario, p):
         "detj_min": float(np.min(coords.detj)),
         "detj_max": float(np.max(coords.detj)),
         "degeneracy": degeneracy_monitor(frame, coords),
-    }, {"frame": frame, "coords": coords}
+    }, {"coords": coords}
 
 
 def _crossval(scenario, p):
@@ -219,7 +218,7 @@ def run_pipeline(scenario: Scenario) -> RunResult:
     timings["total"] = perf_counter() - t_start
     return RunResult(report=report, timings=timings, outcomes=outcomes,
                      state=products.get("state"), profile=profile,
-                     frame=products.get("frame"), coords=products.get("coords"))
+                     coords=products.get("coords"))
 
 
 def _refinement_table(scenario: Scenario, report: dict):

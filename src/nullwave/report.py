@@ -77,7 +77,7 @@ def write_run_outputs(out_dir, result) -> dict:
     paths["timings"] = os.path.join(out_dir, "timings.json")
     write_json(paths["timings"], result.timings)
 
-    state, frame, coords = result.state, result.frame, result.coords
+    state, coords = result.state, result.coords
     if state is not None:
         paths["state"] = os.path.join(out_dir, "state.csv")
         zp = np.asarray(result.profile.dzeta(state.grid.ub), dtype=float)
@@ -85,11 +85,11 @@ def write_run_outputs(out_dir, result) -> dict:
         write_grid_csv(paths["state"], state.grid, {
             c: sigma if c == "sigma" else getattr(state, c)
             for c in CSV_COLUMNS[2:]})
-    if frame is not None and coords is not None:
+    if coords is not None:
         paths["frame"] = os.path.join(out_dir, "frame.csv")
-        columns = {c: getattr(frame, c) for c in FRAME_COLUMNS[2:7]}
+        columns = {c: getattr(coords.frame, c) for c in FRAME_COLUMNS[2:7]}
         columns.update((c, getattr(coords, c)) for c in FRAME_COLUMNS[7:])
-        write_grid_csv(paths["frame"], frame.grid, columns)
+        write_grid_csv(paths["frame"], coords.grid, columns)
     return paths
 
 

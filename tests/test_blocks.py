@@ -282,9 +282,10 @@ def test_hyperbolicity_loss_names_the_same_node_in_any_block(monkeypatch,
 
 
 def _fields(product):
-    """A NullFrame's or CoordMap's fields but its grid."""
+    """A NullFrame's or CoordMap's fields but its grid and frame."""
     return {f.name: getattr(product, f.name)
-            for f in dataclasses.fields(product) if f.name != "grid"}
+            for f in dataclasses.fields(product)
+            if f.name not in ("grid", "frame")}
 
 
 def test_geometry_layers_are_block_invariant(monkeypatch, bump03):
@@ -403,7 +404,8 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
     # deviations (4), which become the frame in place, and Omega; the
     # nullity is reduced in the closing pass, per block.  The coordinate
-    # map: its 7 outputs and the two column sums.  The monitor: block-sized
+    # map: its 3 outputs and the two column sums (5.75 fields; 9.63 when
+    # it stored the four tangent grids too).  The monitor: block-sized
     # masks and |X| temporaries only (0.27 fields; 1.64 when it formed
     # them whole), and the frame-deviation sups reduce per block (2.63
     # fields when each formed two full-size temporaries).  Each call runs
@@ -496,10 +498,11 @@ def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
     # them), 8-row blocks and the membrane_pulse template at radius 3, the
     # fixed point sets the run's peak; no picard or geometry layer after it
     # rises above it.  crossval is off: at radius 3 its window t <= 2
-    # covers most of the square, and pullback_compare (35.9 fields: 25.8
+    # covers most of the square, and pullback_compare (31.8 fields: 21.8
     # alive when it starts, 10.0 its own) would set the peak against the
     # fixed point's 29.8.  flux_residual, reduced per block of
-    # time rows, peaks at 26.4 (36.6 when it formed its terms whole).
+    # time rows, peaks at 22.4 (36.6 when it formed its terms whole and
+    # the coordinate map still stored four tangent grids).
     raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
     raw["solver"]["crossval"] = False
     raw["grid"] = {"radius": 3.0, "h": 0.05}
@@ -512,10 +515,24 @@ def test_no_later_layer_peaks_above_the_fixed_point(monkeypatch):
 
 def test_shipped_pullback_peaks_below_the_fixed_point(monkeypatch):
     # membrane_pulse as shipped (radius 6): the pullback, with everything
-    # alive at the time, peaks at 29.99 fields against the fixed point's
-    # 32.51 (38.05 when the Newton and the phase quadrature took every
-    # walker and panel at once).
+    # alive at the time, peaks at 26.0 fields against the fixed point's
+    # 32.5 (30.0 while the coordinate map stored four tangent grids, 38.05
+    # when the Newton and the phase quadrature took every walker and
+    # panel at once).
     raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
     peaks = _whole_run_peaks(monkeypatch, raw, [
         (pipeline, "picard_fixed_point"), (crossval_mod, "pullback_compare")])
     assert peaks["pullback_compare"] <= peaks["picard_fixed_point"], peaks
+
+
+def test_radius3_pullback_whole_run_budget(monkeypatch):
+    # The case of test_no_later_layer_peaks_above_the_fixed_point with
+    # crossval on.  The coordinate map holds t, x and detj and forms the
+    # Newton tangents from its frame at the cells' corners, so the four
+    # tangent grids it stored are no longer alive: 31.8 fields (35.75 with
+    # them).
+    raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
+    raw["grid"] = {"radius": 3.0, "h": 0.05}
+    peaks = _whole_run_peaks(
+        monkeypatch, raw, [(crossval_mod, "pullback_compare")], rows=8)
+    assert peaks["pullback_compare"] <= 32.0, peaks

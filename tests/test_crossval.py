@@ -327,6 +327,13 @@ def _pullback_all_nodes(dn, cmap, rect, profile, model, max_newton,
     u = np.clip(np.interp(T + X + Zg, Vg, grid.u), grid.u_min, grid.u_max)
     ub = np.clip(ub0, grid.ub_min, grid.ub_max)
 
+    # the map's tangents in the grid chart as whole grids, formed from the
+    # frame: d(t,x)/du = V' Omega Lbar, d(t,x)/dubar = Omega L
+    fr = cmap.frame
+    jac_u_t, jac_u_x = (fr.v_prime[:, None] * (fr.Omega * Lb)
+                        for Lb in (fr.Lb0, fr.Lb1))
+    jac_ub_t, jac_ub_x = (fr.Omega * L for L in (fr.L0, fr.L1))
+
     scale = 1.0 + np.abs(T) + np.abs(X)
     active = np.ones(T.shape, dtype=bool)
     for _ in range(max_newton):
@@ -340,10 +347,10 @@ def _pullback_all_nodes(dn, cmap, rect, profile, model, max_newton,
         if not np.any(active):
             break
         a = active
-        jut = _bilinear(cmap.jac_u_t, iu[a], jb[a], su[a], rb[a])
-        jbt = _bilinear(cmap.jac_ub_t, iu[a], jb[a], su[a], rb[a])
-        jux = _bilinear(cmap.jac_u_x, iu[a], jb[a], su[a], rb[a])
-        jbx = _bilinear(cmap.jac_ub_x, iu[a], jb[a], su[a], rb[a])
+        jut = _bilinear(jac_u_t, iu[a], jb[a], su[a], rb[a])
+        jbt = _bilinear(jac_ub_t, iu[a], jb[a], su[a], rb[a])
+        jux = _bilinear(jac_u_x, iu[a], jb[a], su[a], rb[a])
+        jbx = _bilinear(jac_ub_x, iu[a], jb[a], su[a], rb[a])
         det = jut * jbx - jbt * jux
         det = np.where(np.abs(det) < 1e-300, np.nan, det)
         u[a] -= (jbx * rt[a] - jbt * rx[a]) / det

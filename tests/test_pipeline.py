@@ -60,8 +60,8 @@ def test_all_stages_present_and_clean(full_run):
 def test_run_result_carries_arrays(full_run):
     assert isinstance(full_run, RunResult)
     assert full_run.state is not None
-    assert full_run.frame is not None
     assert full_run.coords is not None
+    assert full_run.coords.frame is not None
     assert full_run.state.psi.shape == full_run.coords.t.shape
 
 
