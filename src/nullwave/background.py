@@ -100,10 +100,10 @@ def _cumulative_quadrature(f, points, breaks=()):
     split into equal panels no wider than 0.25 (1 + |nearer end|), so a
     span out to |x| = X costs O(log X) panels.  f is evaluated on the
     panels' Gauss-Legendre nodes a block of grid.BLOCK_ELEMS nodes at a
-    time (grid.flat_blocks), into one array that a single product with the
-    weights reduces to the panel integrals, so the result does not depend
-    on the block size.  The interval integrals are summed outward from 0
-    in both directions.
+    time (grid.flat_blocks), and each panel's weighted values are added
+    left to right, node by node, so the result does not depend on the
+    block size or on a BLAS library.  The interval integrals are summed
+    outward from 0 in both directions.
     """
     # the 8-point rule is exact for polynomials of degree <= 15, so for
     # zeta'^2 wherever zeta' is a polynomial of degree <= 7; imported on
@@ -128,16 +128,15 @@ def _cumulative_quadrature(f, points, breaks=()):
     first = np.concatenate([[0], np.cumsum(count)[:-1]])
     owner = np.repeat(np.arange(a.size), count)
     width = (b - a) / count
-    vals = np.empty((owner.size, gl_nodes.size))
+    panels = np.empty(owner.size)
     for s in flat_blocks(owner.size, gl_nodes.size):
         o = owner[s]
         half = 0.5 * width[o]
         mid = a[o] + width[o] * (np.arange(s.start, s.stop) - first[o]) + half
-        vals[s] = f(mid[:, None] + half[:, None] * gl_nodes)
-    # one product over all panels: BLAS rounds a row by its place in the
-    # call, so a product per block would not be bitwise this one
-    panels = vals @ gl_weights
-    del vals
+        vals = f(mid[:, None] + half[:, None] * gl_nodes)
+        panels[s] = vals[:, 0] * gl_weights[0]
+        for k in range(1, gl_nodes.size):
+            panels[s] += vals[:, k] * gl_weights[k]
     panels *= 0.5 * width[owner]
     segments = np.add.reduceat(panels, first) if a.size else a
 

@@ -61,13 +61,14 @@ def _print_stage_lines(result):
 
 
 def cmd_run(args) -> int:
-    s, problems = _load_checked(args.scenario)
-    if problems:
-        for p in problems:
+    try:
+        s = load_scenario(args.scenario)
+        result = run_pipeline(s)  # validates while it builds the run objects
+    except ScenarioError as exc:
+        for p in exc.problems:
             print(f"invalid: {p}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else os.path.join("runs", s.name)
-    result = run_pipeline(s)
     paths = write_run_outputs(out_dir, result)
     _print_stage_lines(result)
     print(f"report: {paths['report']}")

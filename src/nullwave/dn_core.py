@@ -182,7 +182,7 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
     """Solve one front of each half in cells, check it and store it.
 
     prev is the last front, (value, d_u, d_ub, F) each (3, halves,
-    cells + 1), whose slices DNGrid.predecessors(1) hold the cells' u-
+    cells + 1), whose slices DNGrid.predecessors() hold the cells' u-
     and ubar-predecessors; cells, hh and D are as _solve_front's.  The
     cells that a half's plain iterations leave unconverged get a damped
     retry from the predictor, run on that half's cells alone.  Each
@@ -196,7 +196,7 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
     """
     i, j = cells
     z = (zp[j], zpp[j])
-    sW, sS = grid.predecessors(1)
+    sW, sS = grid.predecessors()
     W = [x[..., sW] for x in prev]
     S = [x[..., sS] for x in prev]
     sol, F, good, errors = _solve_front(model, grid, cells, z, hh, W, S, D,

@@ -71,4 +71,12 @@ class InsufficientDomain(NullwaveError):
 
 
 class ScenarioError(NullwaveError):
-    """A scenario description failed validation."""
+    """A scenario description failed validation.
+
+    problems lists each problem found, one message each; the error's
+    message is their "; " join.
+    """
+
+    def __init__(self, *problems):
+        self.problems = list(problems)
+        super().__init__("; ".join(problems))

@@ -220,8 +220,7 @@ class NullFrame:
         Omega_A L_A = Omega_B L_B.  i and j index the fields: index arrays
         of one shape, or a row slice and slice(None) for a row block.
         """
-        n = self.grid.n_nodes
-        vp = np.broadcast_to(self.v_prime[:, None], (n, n))[i, j]
+        vp = np.broadcast_to(self.v_prime[:, None], self.Omega.shape)[i, j]
         Om = self.Omega[i, j]
         return (vp * (Om * self.Lb0[i, j]), vp * (Om * self.Lb1[i, j]),
                 Om * self.L0[i, j], Om * self.L1[i, j])
@@ -299,7 +298,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     prev, prev_R = both_halves(dev), both_halves(rhs(dev))
     hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])    # future, past
     # Lbar comes from the u-predecessor, L from the ubar-predecessor
-    sB, sL = grid.predecessors(1)
+    sB, sL = grid.predecessors()
     for ii, jj in grid.joint_fronts():
         rhs, _ = deviation_rhs(ii, jj)
         cur = np.array([prev[0][..., sL], prev[1][..., sB]])
@@ -404,8 +403,9 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
     (grid.cumsum_cols) with increments formed from the frame's rows; every
     row-local quantity, the ubar-leg tangents (NullFrame.tangents) and the
     background included, is formed in one row block pass, so the outputs
-    and the column sums are the only full-size arrays.  V' and Lring_B are the frame's; model and profile enter only
-    through Z, which gives V as well (see CoordMap).
+    and the column sums are the only full-size arrays.  V' and Lring_B are
+    the frame's; model and profile enter only through Z, which gives V as
+    well (see CoordMap).
     """
     grid = frame.grid
     n, h = grid.n_nodes, grid.h

@@ -86,11 +86,12 @@ class DNGrid:
             ii = np.arange(max(k - N, 0), min(k, N) + 1)
             yield ii, k - ii
 
-    def predecessors(self, direction: int):
-        """Slices (W, S) of the previous front that hold the u- and
-        ubar-predecessors of fronts(direction)'s nodes; the across-corner
-        (i - direction, j - direction) is [1:-1] of the front before."""
-        return (slice(None, -1), slice(1, None))[::direction]
+    def predecessors(self):
+        """Slices (W, S) of the previous joint front (joint_fronts) that
+        hold the u- and ubar-predecessors of both halves' nodes; the
+        across-corners are [1:-1] of the front before.  For fronts(1)
+        alone they are the same slices, for fronts(-1) (S, W)."""
+        return slice(None, -1), slice(1, None)
 
     def joint_fronts(self):
         """Yield (ii, jj) of front m of both triangles, m = 1..N.
@@ -100,7 +101,7 @@ class DNGrid:
         front m of the past one have the same size, so they go as one
         (2, k) array, and one gather and one right side per iteration
         serve both: the future half, u ascending, then the past half
-        mirrored, u descending, so that predecessors(1) slices both
+        mirrored, u descending, so that predecessors() slices both
         halves' u- and ubar-predecessors out of the previous joint front
         (for m = 1 the diagonal, put in by both_halves), and [1:-1] of the
         front before holds their across-corners.  Each half iterates to its

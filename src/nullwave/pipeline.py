@@ -63,12 +63,17 @@ def _order(coarse: float, fine: float) -> float | None:
 
 
 def _data_gauge(scenario, p):
-    """Diagonal data and gauge slice, with the smallness bookkeeping."""
+    """Diagonal data and gauge slice, with the smallness bookkeeping.
+
+    The Picard radius delta is sized from the diagonal data's measured
+    size eps0, the one the contraction check's data_ok tests; eps_bar is
+    reported as the closeness certificate.
+    """
     cert = closeness_certificate(p["rect_data"], p["profile"])
     data, gauge = build_diagonal_data(p["rect_data"], p["grid"], p["model"],
                                       p["profile"])
     gb = p["profile"].gamma_bar
-    delta = max(delta_from_smallness(cert["eps_bar"], gb), MIN_PICARD_DELTA)
+    delta = max(delta_from_smallness(data.eps0, gb), MIN_PICARD_DELTA)
     return {
         "closeness": cert,
         "eps_bar": cert["eps_bar"],

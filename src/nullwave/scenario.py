@@ -402,7 +402,7 @@ def materialize(s: Scenario):
     """
     objects, problems = _build(s)
     if problems:
-        raise ScenarioError("; ".join(problems))
+        raise ScenarioError(*problems)
     return objects
 
 

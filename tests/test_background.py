@@ -186,6 +186,55 @@ def test_quadrature_is_panel_block_invariant(points, breaks, panels):
     assert np.array_equal(got, want)
 
 
+def _left_to_right_quadrature(f, points, breaks):
+    """_cumulative_quadrature written out on whole arrays: the same cuts
+    and panels, f on every Gauss-Legendre node at once, and each panel's
+    eight weighted values added left to right."""
+    from numpy.polynomial.legendre import leggauss
+
+    pts = np.asarray(points, dtype=float).ravel()
+    x, w = leggauss(8)
+    lo, hi = min(pts.min(), 0.0), max(pts.max(), 0.0)
+    reach = max(-lo, hi)
+    dyadic = 2.0 ** np.arange(int(np.ceil(np.log2(reach))) if reach > 1.0 else 0)
+    extra = np.concatenate([np.asarray(breaks, dtype=float), dyadic, -dyadic])
+    nodes = np.unique(np.concatenate(
+        [pts, [0.0], extra[(extra > lo) & (extra < hi)]]))
+    a, b = nodes[:-1], nodes[1:]
+    count = np.ceil((b - a) / (0.25 * (1.0 + np.minimum(np.abs(a), np.abs(b))))
+                    ).astype(np.intp)
+    first = np.concatenate([[0], np.cumsum(count)[:-1]])
+    owner = np.repeat(np.arange(a.size), count)
+    width = (b - a) / count
+    half = 0.5 * width[owner]
+    mid = a[owner] + width[owner] * (np.arange(owner.size) - first[owner]) + half
+    vals = f(mid[:, None] + half[:, None] * x)
+    panels = vals[:, 0] * w[0]
+    for k in range(1, 8):
+        panels = panels + vals[:, k] * w[k]
+    panels = panels * (0.5 * width[owner])
+    segments = np.add.reduceat(panels, first) if a.size else a
+    i0 = int(np.searchsorted(nodes, 0.0))
+    cum = np.zeros(nodes.size)
+    cum[i0 + 1:] = np.cumsum(segments[i0:])
+    cum[:i0] = -np.cumsum(segments[:i0][::-1])[::-1]
+    return cum[np.searchsorted(nodes, pts)]
+
+
+@given(
+    points=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=200),
+    breaks=st.lists(st.floats(-40.0, 40.0), max_size=5),
+)
+@settings(max_examples=40)
+def test_quadrature_sums_each_panel_left_to_right(points, breaks):
+    # The panel sums are pinned bit for bit to a left-to-right sum of the
+    # weighted node values, not to whatever order a BLAS product picks.
+    prof = algebraic_profile(0.7)
+    f = lambda s: np.asarray(prof.dzeta(s)) ** 2
+    assert np.array_equal(_cumulative_quadrature(f, points, breaks),
+                          _left_to_right_quadrature(f, points, breaks))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_phase_function_rejects_non_finite_ubar(bad):
     prof = bump_profile(0.3, width=6.0)

@@ -434,10 +434,11 @@ def test_phase_shift_memory_budget(peak_fields, radius3, membrane, bump03):
 def test_pullback_memory_budget(peak_fields, radius3, membrane, bump03):
     # The membrane_pulse template's rectangle at radius 3 (half-width 5,
     # dx 0.05, t <= 2): 19,899 walkers against 14,641 nodes a field.  The
-    # phase quadrature on the walkers sets the peak (21.42 fields; 38.27
-    # when it evaluated every panel at once): its 8 values per panel, for
-    # one BLAS product, and one 4,096-panel block's temporaries.  The
-    # Newton chunks and the sampling hold 4,096 walkers' temporaries.
+    # phase quadrature on the walkers sets the peak (19.4 fields; 21.42
+    # when it kept 8 values per panel for one BLAS product, 38.27 when it
+    # evaluated every panel at once): its per-panel arrays and one
+    # 4,096-panel block's temporaries.  The Newton chunks and the sampling
+    # hold 4,096 walkers' temporaries.
     grid, _, st_, gauge = radius3
     coords = reconstruct_coords(integrate_frame(st_, gauge, membrane, bump03),
                                 membrane, bump03)

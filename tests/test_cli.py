@@ -151,6 +151,19 @@ def test_run_invalid_scenario(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_run_prints_each_problem_validate_finds(tmp_path, capsys):
+    # run builds the scenario once and reports what that pass found: one
+    # "invalid:" line per problem, as validate prints them
+    path = write_scenario(tmp_path, grid={"radius": -2.0, "h": 0.2},
+                          solver={"tol": "1e-12"})
+    assert cli.main(["validate", str(path)]) == 2
+    want = capsys.readouterr().out.splitlines()
+    assert len(want) == 2
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == want
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_deterministic_artifacts(tmp_path):
     path = write_scenario(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -331,7 +331,7 @@ def test_solve_front_halves_match_their_solo_solves(membrane, bump03):
     comps.append(np.array(rhs_wave(membrane, zp[None, :], zpp[None, :],
                                    *_jets(st_))))
     hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])
-    sW, sS = grid.predecessors(1)
+    sW, sS = grid.predecessors()
 
     def joint(m):
         """Front m of both halves, the past one mirrored; m = 0 is the

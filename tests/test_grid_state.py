@@ -60,9 +60,9 @@ def test_fronts_partition_the_square(grid):
 @pytest.mark.parametrize("d", [1, -1])
 def test_predecessors_slice_the_previous_fronts(grid, d):
     # W and S slice the previous front (the diagonal for m = 1) into each
-    # node's u- and ubar-predecessor; [1:-1] of the front before holds the
-    # across-corner
-    sW, sS = grid.predecessors(d)
+    # node's u- and ubar-predecessor, swapped for the past triangle; [1:-1]
+    # of the front before holds the across-corner
+    sW, sS = grid.predecessors()[::d]
     prev, older = grid.diagonal(), None
     for m, (ii, jj) in enumerate(grid.fronts(d), 1):
         pi, pj = prev
@@ -78,11 +78,11 @@ def test_predecessors_slice_the_previous_fronts(grid, d):
                          ids=["N8", "N6"])
 def test_joint_fronts_share_the_predecessor_slices(grid):
     # Front m of both triangles, the past half mirrored (u descending):
-    # predecessors(1) slices the previous joint front (the diagonal as both
+    # predecessors() slices the previous joint front (the diagonal as both
     # halves for m = 1) into both halves' u- and ubar-predecessors, and
     # [1:-1] of the joint front before holds both halves' across-corners.
     d = np.array([[1], [-1]])
-    sW, sS = grid.predecessors(1)
+    sW, sS = grid.predecessors()
     prev, older = both_halves(np.array(grid.diagonal())), None
     joint = list(grid.joint_fronts())
     assert len(joint) == grid.N

@@ -281,13 +281,14 @@ def _invalid_scenarios(tmp_path):
 
 
 def test_materialize_raises_what_validate_reports(tmp_path):
-    # one construction pass serves both: materialize's error is exactly
-    # validate_scenario's problems, joined
+    # one construction pass serves both: materialize's error carries
+    # exactly validate_scenario's problems, and its message joins them
     for s in _invalid_scenarios(tmp_path):
         problems = validate_scenario(s)
         assert problems
         with pytest.raises(ScenarioError) as err:
             materialize(s)
+        assert err.value.problems == problems
         assert str(err.value) == "; ".join(problems)
 
 
@@ -317,14 +318,14 @@ def test_each_object_is_built_once(envelope_fits, name, fits):
     assert len(envelope_fits) == 2 * fits
 
 
-def test_cli_run_fits_the_background_twice(envelope_fits, tmp_path,
-                                           monkeypatch, capsys):
-    # validate, then the pipeline's materialize; with no stage to run, a
-    # nullwave run is nothing else
+def test_cli_run_fits_the_background_once(envelope_fits, tmp_path,
+                                          monkeypatch, capsys):
+    # the pipeline's materialize validates as it builds, so with no stage
+    # to run a nullwave run is one construction pass
     monkeypatch.setattr(pipeline, "PIPELINE", ())
     path = SCENARIO_DIR / "membrane_pulse.json"
     assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
-    assert envelope_fits == ["bump", "bump"]
+    assert envelope_fits == ["bump"]
 
 
 def test_rect_extent_defaults_and_overrides():
