@@ -280,7 +280,11 @@ def _blend(f00, f10, f01, f11, su, rb):
 
 
 def _bilinear(F: np.ndarray, iu, jb, su, rb):
-    return _blend(*(F[c] for c in _corners(iu, jb)), su, rb)
+    """F blended at (su, rb) in the cells (iu, jb); the corners are read by
+    np.take at their flat indices in F's C order, in _corners' order."""
+    n = F.shape[1]
+    k = iu * n + jb
+    return _blend(*(np.take(F, k + d) for d in (0, n, 1, n + 1)), su, rb)
 
 
 def _locate(grid, u, ub):

@@ -217,13 +217,15 @@ class NullFrame:
         nodes (i, j): (dt/du, dx/du, dt/dubar, dx/dubar).
 
         The u-leg is Omega_A Lbar = V' Omega_B Lbar_B, the ubar-leg
-        Omega_A L_A = Omega_B L_B.  i and j index the fields: index arrays
-        of one shape, or a row slice and slice(None) for a row block.
+        Omega_A L_A = Omega_B L_B.  i and j are integer index arrays that
+        broadcast together; each field is read by np.take at the flat
+        index i (N+1) + j of its C-ordered array.
         """
-        vp = np.broadcast_to(self.v_prime[:, None], self.Omega.shape)[i, j]
-        Om = self.Omega[i, j]
-        return (vp * (Om * self.Lb0[i, j]), vp * (Om * self.Lb1[i, j]),
-                Om * self.L0[i, j], Om * self.L1[i, j])
+        k = i * self.grid.n_nodes + j
+        vp, Om = np.take(self.v_prime, i), np.take(self.Omega, k)
+        return (vp * (Om * np.take(self.Lb0, k)),
+                vp * (Om * np.take(self.Lb1, k)),
+                Om * np.take(self.L0, k), Om * np.take(self.L1, k))
 
 
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
@@ -437,7 +439,8 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
 
     curl = []
     for blk in row_blocks(n, n):
-        ub_legs = frame.tangents(blk, slice(None))[2:]
+        ub_legs = frame.tangents(np.arange(blk.start, blk.stop)[:, None],
+                                 np.arange(n))[2:]
         for (_, ring, sign, dev_diag, out), S2, F in zip(comps, r2, ub_legs):
             F += 0.5 * ring[None, :]                 # the leg's deviation
             r1 = cumtrap_rows(F, h, jd[blk], dev_diag[blk])
