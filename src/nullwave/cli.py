@@ -8,7 +8,7 @@ test suite pins.
 
 Exit codes: 0 success, 1 a run had a hard stage error (partial report
 still written), 2 configuration problems (bad file, invalid scenario,
-unknown oracle table).
+an --out that is not a directory, unknown oracle table).
 """
 
 from __future__ import annotations
@@ -52,6 +52,18 @@ def _load_checked(path):
     return s, validate_scenario(s)
 
 
+def _bad_out_dir(path) -> bool:
+    """Whether path, or the nearest of its ancestors that exists, is not a
+    directory, which stderr then names; nothing is created."""
+    at = os.path.abspath(path)
+    while not os.path.exists(at):
+        at = os.path.dirname(at)
+    if not os.path.isdir(at):
+        print(f"invalid output directory: {at} is not a directory",
+              file=sys.stderr)
+    return not os.path.isdir(at)
+
+
 def _print_stage_lines(result):
     for stage, outcome in result.outcomes.items():
         if outcome != "failed":  # printed with the error detail below
@@ -63,12 +75,14 @@ def _print_stage_lines(result):
 def cmd_run(args) -> int:
     try:
         s = load_scenario(args.scenario)
+        out_dir = args.out if args.out is not None else os.path.join("runs", s.name)
+        if _bad_out_dir(out_dir):
+            return 2
         result = run_pipeline(s)  # validates while it builds the run objects
     except ScenarioError as exc:
         for p in exc.problems:
             print(f"invalid: {p}", file=sys.stderr)
         return 2
-    out_dir = args.out if args.out is not None else os.path.join("runs", s.name)
     paths = write_run_outputs(out_dir, result)
     _print_stage_lines(result)
     print(f"report: {paths['report']}")
@@ -128,6 +142,8 @@ def cmd_sweep(args) -> int:
 
     out_dir = args.out if args.out is not None \
         else os.path.join("runs", f"{template.name}-sweep")
+    if _bad_out_dir(out_dir):
+        return 2
     os.makedirs(out_dir, exist_ok=True)
 
     keys = list(grid)

@@ -33,25 +33,26 @@ with
                      + h^2/4 (F_P + F_W + F_S + F_D)        (cell integral)
 
 (all signs flip on the backward sweep into the past triangle).  On the first
-front off the diagonal the across-corner D is not available and the value is
-taken as the average of the two one-leg trapezoid integrations instead.
+front off the diagonal the across-corner D is not on the walk, so the value
+is taken as the average of the two one-leg trapezoid integrations instead,
+and the predictor is W + S.
 
 The walk is DNGrid.joint_fronts, shared with the frame transport
-(geometry.integrate_frame), from m = 2 on.  The first front is walked one
-half at a time, the future half first, because the past half's predictor
-reads the future's first front.  D lies on the front before, so the walk
-carries its last two fronts: the last one whole, sources included, and the
-one before only as the values and sources D reads.  F_P depends on the
-unknowns at P, so each front runs a small fixed-point loop vectorized over
-its cells and fields: plain iterations until every cell's update is within
-CELL_TOL of its size (N_PLAIN caps them), then a damped retry from the
-predictor for any cell that has not converged (N_DAMPED caps that).  Each
-half has its own stop test (grid.iterate_halves) and its own retry.  The
-stored F_P is the source at the last iterate, the one the final iteration
-started from, within CELL_TOL of the converged cell: the right side is not
-evaluated again at the stored unknowns, only their slaved sigma is checked
-admissible.  The walk fills a DNState in place and raises, by the walk's
-rule, HyperbolicityLoss where sigma leaves the model's admissible range and
+(geometry.integrate_frame), from the first front on, so each triangle is
+walked from the diagonal alone and neither reads the other.  D lies on the
+front before, so the walk carries its last two fronts: the last one whole,
+sources included, and the one before only as the values and sources D
+reads.  F_P depends on the unknowns at P, so each front runs a small
+fixed-point loop vectorized over its cells and fields: plain iterations
+until every cell's update is within CELL_TOL of its size (N_PLAIN caps
+them), then a damped retry from the predictor for any cell that has not
+converged (N_DAMPED caps that).  Each half has its own stop test
+(grid.iterate_halves) and its own retry.  The stored F_P is the source at
+the last iterate, the one the final iteration started from, within
+CELL_TOL of the converged cell: the right side is not evaluated again at
+the stored unknowns, only their slaved sigma is checked admissible.  The
+walk fills a DNState in place and raises, by the walk's rule,
+HyperbolicityLoss where sigma leaves the model's admissible range and
 InnerFixedPointDivergence where a cell is still unconverged after the
 retry.
 
@@ -127,8 +128,8 @@ def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
     signed half step h/2 of each half, (halves, 1).  W and S are the
     (value, d_u, d_ub, F) of the cells' u- and ubar-predecessors, D the
     (value, F) of their across-corners, each (3, halves, cells) by field.
-    On the first front D's F is None: the averaged one-leg rule replaces
-    the four-corner one there, and D only seeds the predictor.
+    On the first front D is None: the predictor is W + S, and the averaged
+    one-leg rule replaces the four-corner one.
 
     A half stops once every one of its cells' update is within
     CELL_TOL * scale, or at its first iterate outside the admissible
@@ -144,8 +145,8 @@ def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
     i, j = cells
     zp, zpp = z
     qq = 0.25 * grid.h * grid.h
-    (V_w, VU_w, VUB_w, F_w), (V_s, VU_s, VUB_s, F_s), (V_c, F_c) = W, S, D
-    corner = V_w + V_s - V_c
+    (V_w, VU_w, VUB_w, F_w), (V_s, VU_s, VUB_s, F_s) = W, S
+    corner = V_w + V_s if D is None else V_w + V_s - D[0]
     cur = np.stack((corner, VU_s, VUB_w))
     new = np.empty_like(cur)
     F = np.empty_like(corner)
@@ -158,11 +159,12 @@ def _solve_front(model, grid, cells, z, hh, W, S, D, damp, n_it):
         f = np.array(f)
         np.add(VU_s[:, a], hs * (F_s[:, a] + f), out=n[1])
         np.add(VUB_w[:, a], hs * (F_w[:, a] + f), out=n[2])
-        if F_c is None:
+        if D is None:
             n[0] = 0.5 * (V_s[:, a] + hs * (VUB_s[:, a] + n[2])) \
                 + 0.5 * (V_w[:, a] + hs * (VU_w[:, a] + n[1]))
         else:
-            n[0] = corner[:, a] + qq * (f + F_w[:, a] + F_s[:, a] + F_c[:, a])
+            n[0] = corner[:, a] + qq * (f + F_w[:, a] + F_s[:, a]
+                                        + D[1][:, a])
         if damp != 1.0:
             n[...] = c + damp * (n - c)
         # |n - c| in c's place, which takes n next
@@ -183,13 +185,13 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
 
     prev is the last front, (value, d_u, d_ub, F) each (3, halves,
     cells + 1), whose slices DNGrid.predecessors() hold the cells' u-
-    and ubar-predecessors; cells, hh and D are as _solve_front's.  The
-    cells that a half's plain iterations leave unconverged get a damped
-    retry from the predictor, run on that half's cells alone.  Each
-    half's first error -- HyperbolicityLoss in an iteration or at the
-    values to store, InnerFixedPointDivergence after the retry -- is the
-    one a walk of its triangle alone would raise, and the first half's
-    error is raised if there is one.  Otherwise the front is written into
+    and ubar-predecessors; cells, hh and D are as _solve_front's, D None
+    on the first front.  The cells that a half's plain iterations leave
+    unconverged get a damped retry from the predictor, run on that half's
+    cells alone.  Each half's first error -- HyperbolicityLoss in an
+    iteration or at the values to store, InnerFixedPointDivergence after
+    the retry -- is the one a walk of its triangle alone would raise, and
+    the first half's error is raised if there is one.  Otherwise the front is written into
     fields, the state's (value, d_u, d_ub) arrays by field, and returned
     in prev's layout, each component an array of its own, so that the
     next front can keep the two D reads without the other two.
@@ -208,7 +210,7 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
                 model, grid, [x[pick[1:]] for x in cells],
                 [x[pick[1:]] for x in z], hh[h:h + 1],
                 [x[pick] for x in W], [x[pick] for x in S],
-                [None if x is None else x[pick] for x in D], 0.5, N_DAMPED)
+                None if D is None else [x[pick] for x in D], 0.5, N_DAMPED)
             sol[(slice(None),) + pick], F[pick], good[h, fail] = s, f, g[0]
             if err is None and not good[h].all():
                 err = InnerFixedPointDivergence(
@@ -245,6 +247,10 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
           profile: WaveProfile) -> DNState:
     """Solve the double-null system on the full square from diagonal data.
 
+    Each triangle is walked from the diagonal data alone (grid.joint_fronts),
+    so on a zero background the march commutes bit for bit with time
+    reversal, (i, j) -> (N - j, N - i).
+
     Parameters
     ----------
     data : DiagonalData
@@ -279,31 +285,13 @@ def march(data: DiagonalData, grid: DNGrid, model: Nonlinearity,
     zp = np.asarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.asarray(profile.d2zeta(grid.ub), dtype=float)
     # The walk (grid.joint_fronts): a front is (value, d_u, d_ub, F), each
-    # (3, halves, cells) by field.
+    # (3, halves, cells) by field.  D of the next front is [1:-1] of the
+    # values and sources of the one solved from; front 1 has no D.
     fields = [state.jet(name) for name in SOURCES]
     hh = 0.5 * grid.h * np.array([[1.0], [-1.0]])    # future, past
-    diag = _diagonal_front(grid, model, zp, zpp, fields)
-    fronts = grid.joint_fronts()
-    i, j = next(fronts)
-    # On the first front the corner (i - d, j - d) is on the other half's
-    # first front: 0 for the future half, which runs first, and that
-    # half's values for the past one.  Only the predictor reads it.
-    parts = []
-    for h, d in enumerate((1, -1)):
-        half = slice(h, h + 1)
-        ii, jj = i[half], j[half]
-        parts.append(_advance(
-            grid, model, zp, zpp, (ii, jj), hh[half],
-            [x[:, half] for x in diag],
-            (np.array([V[ii - d, jj - d] for V, _, _ in fields]), None),
-            fields))
-    older = diag[0], diag[3]
-    prev = [np.concatenate(x, axis=1) for x in zip(*parts)]
-    del diag, parts           # D reads the diagonal's values and sources only
-
-    for cells in fronts:
-        D = tuple(x[..., 1:-1] for x in older)
-        older, prev = (prev[0], prev[3]), _advance(
+    prev, D = _diagonal_front(grid, model, zp, zpp, fields), None
+    for cells in grid.joint_fronts():
+        D, prev = tuple(x[..., 1:-1] for x in (prev[0], prev[3])), _advance(
             grid, model, zp, zpp, cells, hh, prev, D, fields)
     return state.freeze()
 

@@ -151,6 +151,25 @@ def test_run_invalid_scenario(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+def test_run_and_sweep_refuse_a_file_as_out(tmp_path, capsys, monkeypatch):
+    # run checks --out before the pipeline starts, sweep before any run
+    def no_pipeline(scenario):
+        raise AssertionError("run_pipeline was called")
+    monkeypatch.setattr(cli, "run_pipeline", no_pipeline)
+    path = write_scenario(tmp_path)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"seed": [1, 2]}))
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    for out in (taken, taken / "below"):
+        for argv in (["run", str(path)], ["sweep", str(path), str(grid)]):
+            assert cli.main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == (f"invalid output directory: {taken} "
+                           "is not a directory\n")
+    assert taken.read_text() == "keep me"
+
+
 def test_run_prints_each_problem_validate_finds(tmp_path, capsys):
     # run builds the scenario once and reports what that pass found: one
     # "invalid:" line per problem, as validate prints them

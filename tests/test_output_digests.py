@@ -11,11 +11,26 @@ moves an output on purpose regenerates the file,
 
     PYTHONPATH=src python tests/test_output_digests.py
 
-and names each changed value, with its size, in CHANGES.md.
+and names each changed value, with its size, in CHANGES.md.  To find
+those values, keep the outputs of both versions and compare them:
+
+    PYTHONPATH=src python tests/test_output_digests.py --keep OLD
+    (change the code)
+    PYTHONPATH=src python tests/test_output_digests.py --keep NEW
+    PYTHONPATH=src python tests/test_output_digests.py --diff OLD NEW
+
+--keep writes the runs into its directory instead of a temporary one (and
+rewrites the digests as before); --diff prints each report.json leaf that
+differs, with its old and new value and relative change, and each CSV
+column that differs, with its max |delta| and the number of rows that
+differ.
 """
 
+import argparse
+import csv
 import hashlib
 import json
+import math
 import platform
 import tempfile
 from pathlib import Path
@@ -81,8 +96,110 @@ def test_shipped_outputs_match_the_committed_digests(tmp_path):
                          f"{', '.join(changed)}; {why}")
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        record = dict(environment(), sha256=output_digests(Path(tmp)))
+def _leaves(node, path=""):
+    """{"a.b.0": value} of every leaf of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: node}
+    out = {}
+    for key, value in items:
+        out.update(_leaves(value, f"{path}.{key}" if path else str(key)))
+    return out
+
+
+def _relative(old, new) -> str:
+    """|new - old| / |old| of two numbers, or "" for anything else."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (old, new))
+    if not numbers or old == 0 or not math.isfinite(old - new):
+        return ""
+    return f" ({abs(new - old) / abs(old):.2g} relative)"
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def diff_report(old: Path, new: Path) -> list:
+    """One line per report.json leaf that differs between old and new."""
+    a, b = (_leaves(json.loads(p.read_text())) for p in (old, new))
+    return [f"  {key}: {a.get(key, '(absent)')!r} -> "
+            f"{b.get(key, '(absent)')!r}{_relative(a.get(key), b.get(key))}"
+            for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
+def diff_csv(old: Path, new: Path) -> list:
+    """The number of rows of a CSV that differ, and one line per column
+    that differs, with its max |delta| where both values are numbers."""
+    (head_a, *rows_a), (head_b, *rows_b) = (
+        list(csv.reader(p.open(newline=""))) for p in (old, new))
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return [f"  header or row count differs: {len(head_a)} columns, "
+                f"{len(rows_a)} rows -> {len(head_b)} columns, "
+                f"{len(rows_b)} rows"]
+    pairs = [(ra, rb) for ra, rb in zip(rows_a, rows_b) if ra != rb]
+    lines = [f"  {len(pairs)} of {len(rows_a)} rows differ"]
+    for c, name in enumerate(head_a):
+        moved = [(ra[c], rb[c]) for ra, rb in pairs if ra[c] != rb[c]]
+        if not moved:
+            continue
+        deltas = [abs(y - x) for x, y in
+                  ((_float(p), _float(q)) for p, q in moved)
+                  if x is not None and y is not None]
+        size = f"max |delta| {max(deltas):.2g}" if deltas else "not numbers"
+        lines.append(f"  {name}: {len(moved)} values, {size}")
+    return lines
+
+
+def diff_outputs(old_dir: Path, new_dir: Path) -> list:
+    """What differs between two output trees written by --keep."""
+    files = sorted({p.relative_to(d).as_posix() for d in (old_dir, new_dir)
+                    for p in d.rglob("*")
+                    if p.is_file() and p.name != "timings.json"})
+    lines = []
+    for rel in files:
+        old, new = old_dir / rel, new_dir / rel
+        if not (old.is_file() and new.is_file()):
+            lines.append(f"{rel}: only in "
+                         f"{old_dir if old.is_file() else new_dir}")
+        elif old.read_bytes() != new.read_bytes():
+            lines.append(rel)
+            if rel.endswith(".json"):
+                lines += diff_report(old, new)
+            elif rel.endswith(".csv"):
+                lines += diff_csv(old, new)
+    return lines
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description="Rewrite tests/output_digests.json, or compare two "
+                    "kept output trees.")
+    parser.add_argument("--keep", metavar="DIR", type=Path,
+                        help="write the runs into DIR, not a temporary "
+                             "directory")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), type=Path,
+                        help="print what differs between two --keep trees")
+    args = parser.parse_args(argv)
+    if args.diff:
+        print("\n".join(diff_outputs(*args.diff)) or "no output differs")
+        return
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
+        digests = output_digests(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = output_digests(Path(tmp))
+    record = dict(environment(), sha256=digests)
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
+
+
+if __name__ == "__main__":
+    main()
