@@ -8,7 +8,7 @@ test suite pins.
 
 Exit codes: 0 success, 1 a run had a hard stage error (partial report
 still written), 2 configuration problems (bad file, invalid scenario,
-an --out that is not a directory, unknown oracle table).
+an --out that cannot be a directory, unknown oracle table).
 """
 
 from __future__ import annotations
@@ -53,15 +53,17 @@ def _load_checked(path):
 
 
 def _bad_out_dir(path) -> bool:
-    """Whether path, or the nearest of its ancestors that exists, is not a
-    directory, which stderr then names; nothing is created."""
+    """Whether path cannot be made an output directory: it is empty, or it
+    or the nearest of its ancestors that exists is not a directory.  Says
+    why on stderr; creates nothing."""
     at = os.path.abspath(path)
     while not os.path.exists(at):
         at = os.path.dirname(at)
-    if not os.path.isdir(at):
-        print(f"invalid output directory: {at} is not a directory",
-              file=sys.stderr)
-    return not os.path.isdir(at)
+    why = ("the path is empty" if not path else
+           None if os.path.isdir(at) else f"{at} is not a directory")
+    if why:
+        print(f"invalid output directory: {why}", file=sys.stderr)
+    return why is not None
 
 
 def _print_stage_lines(result):

@@ -39,20 +39,19 @@ and the predictor is W + S.
 
 The walk is DNGrid.joint_fronts, shared with the frame transport
 (geometry.integrate_frame), from the first front on, so each triangle is
-walked from the diagonal alone and neither reads the other.  D lies on the
-front before, so the walk carries its last two fronts: the last one whole,
-sources included, and the one before only as the values and sources D
-reads.  F_P depends on the unknowns at P, so each front runs a small
-fixed-point loop vectorized over its cells and fields: plain iterations
-until every cell's update is within CELL_TOL of its size (N_PLAIN caps
-them), then a damped retry from the predictor for any cell that has not
-converged (N_DAMPED caps that).  Each half has its own stop test
-(grid.iterate_halves) and its own retry.  The stored F_P is the source at
-the last iterate, the one the final iteration started from, within
-CELL_TOL of the converged cell: the right side is not evaluated again at
-the stored unknowns, only their slaved sigma is checked admissible.  The
-walk fills a DNState in place and raises, by the walk's rule,
-HyperbolicityLoss where sigma leaves the model's admissible range and
+walked from the diagonal alone.  D lies on the front before, so the walk
+carries its last two fronts: the last one whole, sources included, and the
+one before only as the values and sources D reads.  F_P depends on the
+unknowns at P, so each front runs a small fixed-point loop vectorized over
+its cells and fields: plain iterations until every cell's update is within
+CELL_TOL of its size (N_PLAIN caps them), then a damped retry from the
+predictor for any cell that has not converged (N_DAMPED caps that).  Each
+half has its own stop test (grid.iterate_halves) and its own retry.  The
+stored F_P is the source at the last iterate, the one the final iteration
+started from, within CELL_TOL of the converged cell: the right side is not
+evaluated again at the stored unknowns, only their slaved sigma is checked
+admissible.  The walk fills a DNState in place and raises, by the walk's
+rule, HyperbolicityLoss where sigma leaves the model's admissible range and
 InnerFixedPointDivergence where a cell is still unconverged after the
 retry.
 
@@ -185,13 +184,14 @@ def _advance(grid, model, zp, zpp, cells, hh, prev, D, fields):
 
     prev is the last front, (value, d_u, d_ub, F) each (3, halves,
     cells + 1), whose slices DNGrid.predecessors() hold the cells' u-
-    and ubar-predecessors; cells, hh and D are as _solve_front's, D None
-    on the first front.  The cells that a half's plain iterations leave
-    unconverged get a damped retry from the predictor, run on that half's
-    cells alone.  Each half's first error -- HyperbolicityLoss in an
-    iteration or at the values to store, InnerFixedPointDivergence after
-    the retry -- is the one a walk of its triangle alone would raise, and
-    the first half's error is raised if there is one.  Otherwise the front is written into
+    and ubar-predecessors; cells, hh and D are as _solve_front's (D None
+    on the first front).  The
+    cells that a half's plain iterations leave unconverged get a damped
+    retry from the predictor, run on that half's cells alone.  Each
+    half's first error -- HyperbolicityLoss in an iteration or at the
+    values to store, InnerFixedPointDivergence after the retry -- is the
+    one a walk of its triangle alone would raise, and the first half's
+    error is raised if there is one.  Otherwise the front is written into
     fields, the state's (value, d_u, d_ub) arrays by field, and returned
     in prev's layout, each component an array of its own, so that the
     next front can keep the two D reads without the other two.

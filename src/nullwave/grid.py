@@ -104,13 +104,12 @@ class DNGrid:
         mirrored, u descending, so that predecessors() slices both
         halves' u- and ubar-predecessors out of the previous joint front
         (for m = 1 the diagonal, put in by both_halves), and [1:-1] of the
-        front before holds their across-corners; front 1 has no
-        across-corner on the walk.  Each half iterates to its own stop
-        (iterate_halves) and reads only its own triangle and the diagonal,
-        so it gets the result of a walk of its triangle alone, bit for
-        bit.  A solver raises at the first m where either half fails, the
-        future half's error on a tie, naming that half's failing node of
-        least u (where_least_u).
+        front before holds their across-corners; front 1 has none.  Each
+        half iterates to its own stop (iterate_halves) and reads only its
+        triangle and the diagonal, so it gets the result of a walk of that
+        triangle alone, bit for bit.  A solver raises at the first m where
+        either half fails, the future half's error on a tie, naming that
+        half's failing node of least u (where_least_u).
         """
         for (fi, fj), (pi, pj) in zip(self.fronts(1), self.fronts(-1)):
             yield np.array([fi, pi[::-1]]), np.array([fj, pj[::-1]])

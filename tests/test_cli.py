@@ -151,8 +151,10 @@ def test_run_invalid_scenario(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
-def test_run_and_sweep_refuse_a_file_as_out(tmp_path, capsys, monkeypatch):
-    # run checks --out before the pipeline starts, sweep before any run
+def test_run_and_sweep_refuse_an_out_that_cannot_be_a_directory(
+        tmp_path, capsys, monkeypatch):
+    # a file, a path under a file, or an empty path; run checks --out
+    # before the pipeline starts, sweep before any run
     def no_pipeline(scenario):
         raise AssertionError("run_pipeline was called")
     monkeypatch.setattr(cli, "run_pipeline", no_pipeline)
@@ -161,12 +163,13 @@ def test_run_and_sweep_refuse_a_file_as_out(tmp_path, capsys, monkeypatch):
     grid.write_text(json.dumps({"seed": [1, 2]}))
     taken = tmp_path / "taken"
     taken.write_text("keep me")
-    for out in (taken, taken / "below"):
+    for out, why in ((taken, f"{taken} is not a directory"),
+                     (taken / "below", f"{taken} is not a directory"),
+                     ("", "the path is empty")):
         for argv in (["run", str(path)], ["sweep", str(path), str(grid)]):
             assert cli.main(argv + ["--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err == (f"invalid output directory: {taken} "
-                           "is not a directory\n")
+            assert capsys.readouterr().err == \
+                f"invalid output directory: {why}\n"
     assert taken.read_text() == "keep me"
 
 

@@ -19,8 +19,8 @@ those values, keep the outputs of both versions and compare them:
     PYTHONPATH=src python tests/test_output_digests.py --keep NEW
     PYTHONPATH=src python tests/test_output_digests.py --diff OLD NEW
 
---keep writes the runs into its directory instead of a temporary one (and
-rewrites the digests as before); --diff prints each report.json leaf that
+--keep writes the runs into its directory, which must not exist yet,
+instead of a temporary one (and rewrites the digests as before); --diff prints each report.json leaf that
 differs, with its old and new value and relative change, and each CSV
 column that differs, with its max |delta| and the number of rows that
 differ.
@@ -96,6 +96,27 @@ def test_shipped_outputs_match_the_committed_digests(tmp_path):
                          f"{', '.join(changed)}; {why}")
 
 
+def test_diff_names_changed_leaves_and_columns(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, x, rows in ((old, 1.0, "0.5,1\r\n0.25,2\r\n"),
+                          (new, 1.5, "0.5,1\r\n0.125,2\r\n")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "report.json").write_text(json.dumps(
+            {"stages": {"march": {"sup": x, "ok": True}}, "n": [1, 2]}))
+        (root / "run" / "state.csv").write_text("a,b\r\n" + rows)
+        (root / "run" / "timings.json").write_text(json.dumps({"s": x}))
+    (new / "extra.csv").write_text("a\r\n1\r\n")
+    assert diff_outputs(old, new) == [
+        f"extra.csv: only in {new}",
+        "run/report.json",
+        "  stages.march.sup: 1.0 -> 1.5 (0.5 relative)",
+        "run/state.csv",
+        "  1 of 2 rows differ",
+        "  a: 1 values, max |delta| 0.12",
+    ]
+    assert diff_outputs(old, old) == []
+
+
 def _leaves(node, path=""):
     """{"a.b.0": value} of every leaf of a JSON document."""
     if isinstance(node, dict):
@@ -138,7 +159,7 @@ def diff_csv(old: Path, new: Path) -> list:
     """The number of rows of a CSV that differ, and one line per column
     that differs, with its max |delta| where both values are numbers."""
     (head_a, *rows_a), (head_b, *rows_b) = (
-        list(csv.reader(p.open(newline=""))) for p in (old, new))
+        list(csv.reader(p.read_text().splitlines())) for p in (old, new))
     if head_a != head_b or len(rows_a) != len(rows_b):
         return [f"  header or row count differs: {len(head_a)} columns, "
                 f"{len(rows_a)} rows -> {len(head_b)} columns, "
@@ -191,7 +212,8 @@ def main(argv=None):
         print("\n".join(diff_outputs(*args.diff)) or "no output differs")
         return
     if args.keep:
-        args.keep.mkdir(parents=True, exist_ok=True)
+        if args.keep.exists():
+            parser.error(f"--keep {args.keep}: already exists")
         digests = output_digests(args.keep)
     else:
         with tempfile.TemporaryDirectory() as tmp:
