@@ -9,9 +9,9 @@ perturbation fields.  This module rebuilds the geometry on top of it:
 * the characteristic frame (L, Lbar): (t, x)-components of the two null
   directions of the perturbed acoustic metric, transported along ubar
   (resp. u) by first-order ODEs quadratic in the frame,
-* the inverse coordinate map: d(t,x)/du = Omega Lbar and d(t,x)/dubar =
-  Omega L are integrated along both coordinate families and averaged; the
-  route mismatch ("curl") is reported as a consistency error,
+* the inverse coordinate map: its legs d(t,x)/du = V' Omega_B Lbar_B and
+  d(t,x)/dubar = Omega_B L_B (NullFrame.legs) are integrated along both
+  coordinate families and averaged, the mismatch ("curl") a consistency error,
 * degeneracy monitoring: window checks on Omega, the frame components and
   the Jacobian determinant certifying that (u, ubar) -> (t, x) stays a
   diffeomorphism on the computed block.
@@ -53,6 +53,7 @@ The same expression is valid in both normalizations with their own Om_inv.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -164,6 +165,13 @@ def _transport_coeffs(jet: dict, cf: np.ndarray) -> None:
     cf[12] = Hp * pu * (0.5 * su * pu)
 
 
+def _g_L_Lbar(Phi0, Phi1, H, L, Lb):
+    """(Phi.L, Phi.Lbar, g(L, Lbar)) of (t, x)-stacked frames L and Lb."""
+    phiL = Phi0 * L[0] + Phi1 * L[1]
+    phiLb = Phi0 * Lb[0] + Phi1 * Lb[1]
+    return phiL, phiLb, -(L[0] * Lb[0]) + L[1] * Lb[1] + H * phiL * phiLb
+
+
 def _frame_rhs(cf, L, Lb):
     """Full transport RHS from stacked coefficients and (t, x)-stacked frames.
 
@@ -171,9 +179,7 @@ def _frame_rhs(cf, L, Lb):
     """
     Phi0, Phi1, dPhi0_u, dPhi1_u, dPhi0_ub, dPhi1_ub, H, \
         HU, HUB, q1_ub, q2_ub, q1_u, q2_u = cf
-    phiL = Phi0 * L[0] + Phi1 * L[1]
-    phiLb = Phi0 * Lb[0] + Phi1 * Lb[1]
-    om_inv = -(L[0] * Lb[0]) + L[1] * Lb[1] + H * phiL * phiLb
+    om_inv = _g_L_Lbar(Phi0, Phi1, H, L, Lb)[2]
     SL = L[0] * dPhi0_ub + L[1] * dPhi1_ub
     SB = Lb[0] * dPhi0_u + Lb[1] * dPhi1_u
     aL = SL * HU + om_inv * q1_ub
@@ -212,20 +218,24 @@ class NullFrame:
     ring: np.ndarray
     nullity: dict
 
-    def tangents(self, i, j):
-        """Tangents of the map (u, ubar) -> (t, x) in the grid chart at the
-        nodes (i, j): (dt/du, dx/du, dt/dubar, dx/dubar).
-
-        The u-leg is Omega_A Lbar = V' Omega_B Lbar_B, the ubar-leg
-        Omega_A L_A = Omega_B L_B.  i and j are integer index arrays that
-        broadcast together; each field is read by np.take at the flat
-        index i (N+1) + j of its C-ordered array.
-        """
+    def legs(self, names, i, j=None):
+        """[Omega_B X for X in names], X frame components such as "Lb0": the
+        map's legs d(t,x)/dubar = Omega_B L_B, d(t,x)/du_B = Omega_B Lbar_B.
+        With j None, i slices rows, read as views; else i and j are index
+        arrays that broadcast, read by np.take at the flat i (N+1) + j."""
+        if j is None:
+            Om = self.Omega[i]
+            return [Om * getattr(self, X)[i] for X in names]
         k = i * self.grid.n_nodes + j
-        vp, Om = np.take(self.v_prime, i), np.take(self.Omega, k)
-        return (vp * (Om * np.take(self.Lb0, k)),
-                vp * (Om * np.take(self.Lb1, k)),
-                Om * np.take(self.L0, k), Om * np.take(self.L1, k))
+        Om = np.take(self.Omega, k)
+        return [Om * np.take(getattr(self, X), k) for X in names]
+
+    def tangents(self, i, j):
+        """(dt/du, dx/du, dt/dubar, dx/dubar) in the grid chart at the nodes
+        (i, j): V' times the Lbar legs, then the L legs (NullFrame.legs)."""
+        ut, ux, bt, bx = self.legs(("Lb0", "Lb1", "L0", "L1"), i, j)
+        vp = np.take(self.v_prime, i)
+        return vp * ut, vp * ux, bt, bx
 
 
 def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
@@ -336,10 +346,7 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
     sups = []                                        # per block: g(L,L), g(Lb,Lb)
     for blk in row_blocks(n, n):
         Phi0, Phi1, *_, H = cf[:7, blk]              # see _CF_KEYS
-        (L0, L1), (Lb0, Lb1) = L[:, blk], Lb[:, blk]
-        phiL = Phi0 * L0 + Phi1 * L1
-        phiLb = Phi0 * Lb0 + Phi1 * Lb1
-        om_inv = -(L0 * Lb0) + L1 * Lb1 + H * phiL * phiLb
+        phiL, phiLb, om_inv = _g_L_Lbar(Phi0, Phi1, H, L[:, blk], Lb[:, blk])
         ok = np.isfinite(om_inv) & (om_inv < 0.0)
         if not np.all(ok):
             i, j = np.unravel_index(np.argmin(ok), ok.shape)
@@ -347,8 +354,8 @@ def integrate_frame(state: DNState, gauge: GaugeSlice, model: Nonlinearity,
                 f"g(L, Lbar) lost its sign at (u, ubar) = "
                 f"({grid.u[blk.start + i]:.6g}, {grid.ub[j]:.6g})")
         np.divide(1.0, om_inv, out=Omega[blk])
-        sups.append([np.max(np.abs(-(X0 ** 2) + X1 ** 2 + H * phiX ** 2))
-                     for X0, X1, phiX in ((L0, L1, phiL), (Lb0, Lb1, phiLb))])
+        sups.append([np.max(np.abs(-(X[0] ** 2) + X[1] ** 2 + H * p ** 2))
+                     for X, p in ((L[:, blk], phiL), (Lb[:, blk], phiLb))])
     gLL, gBB = np.max(sups, axis=0)
 
     return NullFrame(grid, L[0], L[1], Lb[0], Lb[1], Omega, vp, ring,
@@ -366,9 +373,9 @@ class CoordMap:
     detj is det d(t,x)/d(u_B, ubar) (background value -1/2); curl_sup the
     sup-mismatch between the two integration routes, an O(h^2) consistency
     error of the reconstruction.  frame is the NullFrame the map was
-    integrated from; its tangents (NullFrame.tangents) are the map's
-    Jacobian, which the pullback's Newton inversion forms where it needs
-    it.  Z = Z(grid.ub) is the phase function the map was built on, and
+    integrated from; its legs (NullFrame.legs) are the map's Jacobian, which
+    the pullback's Newton forms where it needs it (NullFrame.tangents).
+    Z = Z(grid.ub) is the phase function the map was built on, and
     V = grid.u + Z[::-1] the relabeling V(u) = u + Z(-u) read off it:
     grid.ub is -grid.u reversed bit for bit, and the quadrature depends
     only on the set of points, so this is Z(-u) exactly.  Both are kept
@@ -397,59 +404,52 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
         tring = (V(u) - Z(ubar) + ubar) / 2,
         xring = (V(u) - Z(ubar) - ubar) / 2,
 
-    and only the deviation of the tangents from their background values is
-    integrated (trapezoid), once along rows and once along columns, both
-    anchored on the diagonal where t = 0 and x = u exactly.  The two routes
-    are averaged; their sup-difference is returned as curl_sup (NaN if
-    either route holds a NaN).  The column sums are carried down the rows
-    (grid.cumsum_cols) with increments formed from the frame's rows; every
-    row-local quantity, the ubar-leg tangents (NullFrame.tangents) and the
-    background included, is formed in one row block pass, so the outputs
-    and the column sums are the only full-size arrays.  V' and Lring_B are
-    the frame's; model and profile enter only through Z, which gives V as
-    well (see CoordMap).
+    and only the legs' deviations from their background values are
+    integrated (trapezoid): Omega_B L_B + Lring_B / 2 along rows and
+    V' (Omega_B Lbar_B - 1/2) down columns (NullFrame.legs, read as row
+    views), both anchored on the diagonal where t = 0 and x = u exactly.
+    The routes are averaged; their sup-difference is curl_sup (NaN if
+    either holds a NaN).  The column sums are carried down the rows
+    (grid.cumsum_cols) one component at a time, and every row-local
+    quantity is formed in one row block pass, so the outputs and the
+    column sums are the only full-size arrays.  V' and Lring_B are the
+    frame's; model and profile enter only through Z, which gives V too.
     """
     grid = frame.grid
     n, h = grid.n_nodes, grid.h
-    vp, Om = frame.v_prime, frame.Omega
 
     Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
     V = grid.u + Z[::-1]                             # u + Z(-u)
-    ring0, ring1 = frame.ring
 
     t, x, detj = (np.empty((n, n)) for _ in range(3))
-    # Per component t (x): the frame's Lbar, Lring_B, the sign of ubar in
-    # tring (xring), the deviation that pins t = 0.0 (x = u) on the
-    # diagonal, and the output.
+    # Per component t (x): its u-leg, the sign of ubar in tring (xring),
+    # the diagonal deviation pinning t = 0.0 (x = u), and the output.
     _, jd = grid.diagonal()
     VZ = V - Z[jd]
-    comps = ((frame.Lb0, ring0, 1.0, 0.0 - 0.5 * (VZ + grid.ub[jd]), t),
-             (frame.Lb1, ring1, -1.0, grid.u - 0.5 * (VZ - grid.ub[jd]), x))
+    comps = (("Lb0", 1.0, 0.0 - 0.5 * (VZ + grid.ub[jd]), t),
+             ("Lb1", -1.0, grid.u - 0.5 * (VZ - grid.ub[jd]), x))
 
-    def u_leg_steps(Lb):
-        """Trapezoid steps down the columns of vp (Omega Lbar - 1/2)."""
-        def steps(r):
-            s = slice(r.start, r.stop + 1)
-            F = vp[s, None] * (Om[s] * Lb[s] - 0.5)
-            return (0.5 * h) * (F[1:] + F[:-1])
-        return steps
+    def u_leg_steps(X, r):
+        """Trapezoid steps down the columns of the u-leg's deviation."""
+        s = slice(r.start, r.stop + 1)
+        F = frame.v_prime[s, None] * (frame.legs([X], s)[0] - 0.5)
+        return (0.5 * h) * (F[1:] + F[:-1])
 
-    r2 = [cumsum_cols(u_leg_steps(c[0]), (n, n), jd, c[3][::-1])
+    r2 = [cumsum_cols(partial(u_leg_steps, c[0]), (n, n), jd, c[2][::-1])
           for c in comps]
 
     curl = []
     for blk in row_blocks(n, n):
-        ub_legs = frame.tangents(np.arange(blk.start, blk.stop)[:, None],
-                                 np.arange(n))[2:]
-        for (_, ring, sign, dev_diag, out), S2, F in zip(comps, r2, ub_legs):
+        for (_, sign, dev, out), S2, ring, F in zip(
+                comps, r2, frame.ring, frame.legs(("L0", "L1"), blk)):
             F += 0.5 * ring[None, :]                 # the leg's deviation
-            r1 = cumtrap_rows(F, h, jd[blk], dev_diag[blk])
+            r1 = cumtrap_rows(F, h, jd[blk], dev[blk])
             r2b = S2[blk]
             curl.append(abs_max(r1, r2b))
             bg = 0.5 * (V[blk, None] - Z[None, :] + sign * grid.ub[None, :])
             out[blk] = bg + 0.5 * (r1 + r2b)
-        detj[blk] = Om[blk] ** 2 * (frame.Lb0[blk] * frame.L1[blk]
-                                    - frame.Lb1[blk] * frame.L0[blk])
+        detj[blk] = frame.Omega[blk] ** 2 * (frame.Lb0[blk] * frame.L1[blk]
+                                             - frame.Lb1[blk] * frame.L0[blk])
 
     return CoordMap(frame, t, x, detj, float(np.max(curl)), V, Z)
 

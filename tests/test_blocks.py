@@ -404,19 +404,21 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
     # deviations (4), which become the frame in place, and Omega; the
     # nullity is reduced in the closing pass, per block.  The coordinate
-    # map: its 3 outputs and the two column sums (5.75 fields; 9.63 when
-    # it stored the four tangent grids too).  The monitor: block-sized
-    # masks and |X| temporaries only (0.27 fields; 1.64 when it formed
-    # them whole), and the frame-deviation sups reduce per block (2.63
-    # fields when each formed two full-size temporaries).  Each call runs
-    # once untraced first, so one-time allocations do not count.
+    # map: its 3 outputs, the two column sums and block-sized legs read
+    # from row views (5.64-5.67 fields; 5.84 when each block gathered both
+    # legs by np.take, 9.63 when it stored the four tangent grids too).
+    # The monitor: block-sized masks and |X| temporaries only (0.27 fields;
+    # 1.64 when it formed them whole), and the frame-deviation sups reduce
+    # per block (2.63 fields when each formed two full-size temporaries).
+    # Each call runs once untraced first, so one-time allocations do not
+    # count.
     grid, _, st_, gauge = radius3
     frame = integrate_frame(st_, gauge, membrane, bump03)
     assert peak_fields(lambda: integrate_frame(
         st_, gauge, membrane, bump03), grid, rows=8) <= 19.5
     coords = reconstruct_coords(frame, membrane, bump03)
     assert peak_fields(lambda: reconstruct_coords(
-        frame, membrane, bump03), grid, rows=8) <= 10.5
+        frame, membrane, bump03), grid, rows=8) <= 6.5
     degeneracy_monitor(frame, coords)
     assert peak_fields(lambda: degeneracy_monitor(frame, coords),
                        grid, rows=8) <= 0.3
@@ -528,10 +530,10 @@ def test_shipped_pullback_peaks_below_the_fixed_point(monkeypatch):
 
 def test_radius3_pullback_whole_run_budget(monkeypatch):
     # The case of test_no_later_layer_peaks_above_the_fixed_point with
-    # crossval on.  The coordinate map holds t, x and detj and forms the
-    # Newton tangents from its frame at the cells' corners, so the four
-    # tangent grids it stored are no longer alive: 31.8 fields (35.75 with
-    # them).
+    # crossval on.  The coordinate map holds t, x and detj; the Newton
+    # tangents are the frame's legs (NullFrame.legs), gathered at the
+    # cells' corners, so no tangent grid is alive: 31.8 fields (35.75 when
+    # the map stored four of them).
     raw = json.loads((SCENARIOS / "membrane_pulse.json").read_text())
     raw["grid"] = {"radius": 3.0, "h": 0.05}
     peaks = _whole_run_peaks(

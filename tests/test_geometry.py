@@ -1,14 +1,17 @@
 """Frame transport, coordinate reconstruction and degeneracy monitoring."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SEED_PHASES, reversal_pair, time_reversed
 from nullwave import geometry
-from nullwave.data_gauge import background_data, build_diagonal_data, perturbed_data
+from nullwave.data_gauge import (background_data, build_diagonal_data,
+                                 build_gauge_slice, perturbed_data)
 from nullwave.dn_core import march
 from nullwave.errors import (FrameDegenerate, FrameTransportStall, GridMismatch,
                              InnerFixedPointDivergence)
@@ -30,7 +33,7 @@ from nullwave.nonlinearity import (
 )
 from nullwave.oracles import (background_frame_exact, phase_relabel,
                               reduced_transport_exact, solve_model_system)
-from nullwave.state import sigma_of
+from nullwave.state import Phi0_of, Phi1_of, sigma_of
 
 
 def _pipeline(model, profile, radius, h, eps=0.0, **pulse):
@@ -395,6 +398,84 @@ def test_integrate_frame_memory_budget(peak_fields, membrane, bump03):
                                          eps=1e-3, width=1.5)
     assert peak_fields(lambda: integrate_frame(state, gauge, membrane, bump03),
                        grid) <= 32
+
+
+def test_legs_read_rows_and_index_pairs_alike(membrane, bump03):
+    # A row slice is read through views, an index pair by np.take at its
+    # flat index: the same nodes give the same bits either way, one
+    # component at a time or several, and tangents' u-leg is V' times the
+    # Lbar leg, its ubar-leg the L leg.
+    grid, _, _, _, frame = _pipeline(membrane, bump03, 2.0, 0.1,
+                                     eps=1e-2, width=1.5)
+    names = ("Lb0", "Lb1", "L0", "L1")
+    rows = slice(3, 11)
+    i, j = np.mgrid[rows, 0:grid.n_nodes]
+    by_rows, by_pairs = frame.legs(names, rows), frame.legs(names, i, j)
+    for k, X in enumerate(names):
+        assert np.array_equal(by_rows[k], by_pairs[k]), X
+        assert np.array_equal(frame.legs([X], rows)[0], by_rows[k]), X
+        assert np.array_equal(by_rows[k],
+                              frame.Omega[rows] * getattr(frame, X)[rows]), X
+    rng = np.random.default_rng(5)
+    iu = rng.integers(0, grid.n_nodes, 50)
+    jb = rng.integers(0, grid.n_nodes, 50)
+    legs = frame.legs(names, iu, jb)
+    vp = frame.v_prime[iu]
+    for got, want in zip(frame.tangents(iu, jb),
+                         (vp * legs[0], vp * legs[1], legs[2], legs[3])):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("model", [membrane_model(),
+                                   polynomial_model(0.15, -0.05, 0.02)],
+                         ids=["membrane", "polynomial"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, phases=SEED_PHASES)
+def test_frame_and_map_commute_with_time_reversal(zero_prof, model, seed):
+    # Time reversal (i, j) -> (N - j, N - i), t -> -t, on the march of
+    # reversal_pair's data and of its reversal (test_dn_core's
+    # test_march_commutes_with_time_reversal): the mirror's L is
+    # (Lb0, -Lb1) at the image node and its Lbar is (L0, -L1); Omega, detj
+    # and x are invariant, t changes sign and the two nullity sups trade
+    # places.  The gauge slice is build_gauge_slice's for the data's Phi on
+    # the diagonal, which the map fixes; its mirror maps the frame so and
+    # trades d_t u for d_t ubar.  Worst cases over 40 seeds a model: L and
+    # Lbar bit for bit; Omega 1.1e-16 (one ulp, in 4 of 80 draws: g(L,
+    # Lbar) forms H phiL phiLb left to right, and the reflection swaps the
+    # last two factors; with H (phiL phiLb) Omega is bitwise too), detj
+    # 2.2e-16; t and x 2.2e-16 (the column route sums each column from
+    # row 0, the row route each row from column 0).
+    tol = 1e-15
+    grid = DNGrid.square(2.0, 0.05)
+    data, reversed_data = reversal_pair(grid.u, seed)
+    Phi0 = Phi0_of(data.psi, data.psib, 0.0)
+    Phi1 = Phi1_of(data.psi, data.psib, 0.0)
+    zero = np.zeros_like(grid.u)
+    gauge = build_gauge_slice(SimpleNamespace(
+        sample=lambda x: (zero, Phi1, zero, Phi0, zero)),
+        grid, model, zero_prof)
+    frame = integrate_frame(march(data, grid, model, zero_prof), gauge,
+                            model, zero_prof)
+    mirrored = dataclasses.replace(
+        gauge, du_t_grid=gauge.dub_t, dub_t=gauge.du_t_grid,
+        L0=gauge.Lb0, L1=-gauge.Lb1, Lb0=gauge.L0, Lb1=-gauge.L1)
+    mirror = integrate_frame(march(reversed_data, grid, model, zero_prof),
+                             mirrored, model, zero_prof)
+    coords, mirror_coords = (reconstruct_coords(f, model, zero_prof)
+                             for f in (frame, mirror))
+    images = {"L0": (frame.Lb0, 1.0), "L1": (frame.Lb1, -1.0),
+              "Lb0": (frame.L0, 1.0), "Lb1": (frame.L1, -1.0),
+              "Omega": (frame.Omega, 1.0)}
+    maps = {"t": (coords.t, -1.0), "x": (coords.x, 1.0),
+            "detj": (coords.detj, 1.0)}
+    for got, table in ((mirror, images), (mirror_coords, maps)):
+        for name, (F, sign) in table.items():
+            assert np.max(np.abs(getattr(got, name)
+                                 - time_reversed(F, sign))) <= tol, name
+    assert mirror.nullity["L"] == pytest.approx(frame.nullity["Lb"],
+                                                rel=0, abs=tol)
+    assert mirror.nullity["Lb"] == pytest.approx(frame.nullity["L"],
+                                                 rel=0, abs=tol)
 
 
 # ---------------------------------------------------------------------------
