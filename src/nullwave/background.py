@@ -29,7 +29,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure
-from .grid import decay_sup, decay_weight, flat_blocks
+from .grid import decay_sup, decay_weight, row_blocks
 from .nonlinearity import Nonlinearity, eval_coeffs
 
 ArrayLike = Union[float, np.ndarray]
@@ -100,7 +100,7 @@ def _cumulative_quadrature(f, points, breaks=()):
     split into equal panels no wider than 0.25 (1 + |nearer end|), so a
     span out to |x| = X costs O(log X) panels.  f is evaluated on the
     panels' Gauss-Legendre nodes a block of grid.BLOCK_ELEMS nodes at a
-    time (grid.flat_blocks), and each panel's weighted values are added
+    time (grid.row_blocks), and each panel's weighted values are added
     left to right, node by node, so the result does not depend on the
     block size or on a BLAS library.  The interval integrals are summed
     outward from 0 in both directions.
@@ -129,7 +129,7 @@ def _cumulative_quadrature(f, points, breaks=()):
     owner = np.repeat(np.arange(a.size), count)
     width = (b - a) / count
     panels = np.empty(owner.size)
-    for s in flat_blocks(owner.size, gl_nodes.size):
+    for s in row_blocks(owner.size, gl_nodes.size):
         o = owner[s]
         half = 0.5 * width[o]
         mid = a[o] + width[o] * (np.arange(s.start, s.stop) - first[o]) + half

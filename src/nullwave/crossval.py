@@ -55,7 +55,7 @@ from .errors import (
     OutOfImage,
 )
 from .geometry import CoordMap
-from .grid import flat_blocks, row_blocks
+from .grid import row_blocks
 from .nonlinearity import Nonlinearity, acoustic_metric
 from .state import DNState, Phi0_of, Phi1_of
 
@@ -432,7 +432,7 @@ def pullback_compare(
     np.clip(ub, grid.ub_min, grid.ub_max, out=ub)
     Zg = np.asarray(phase_function(profile, model, ub), dtype=float)
     u = np.empty(n_walkers)
-    for c in flat_blocks(n_walkers, WALKER_WIDTH):
+    for c in row_blocks(n_walkers, WALKER_WIDTH):
         T, X = _rect_nodes(rect, np.arange(c.start, c.stop))
         u[c] = np.interp(T + X + Zg[c], cmap.V, grid.u)
     del Zg
@@ -448,7 +448,7 @@ def pullback_compare(
     while live.size and len(n_live) < max_newton:
         n_live.append(int(live.size))
         kept = 0
-        for c in flat_blocks(live.size, WALKER_WIDTH):
+        for c in row_blocks(live.size, WALKER_WIDTH):
             lc = live[c]
             T, X = _rect_nodes(rect, lc)
             ul, bl = u[lc], ub[lc]
@@ -499,7 +499,7 @@ def pullback_compare(
     fields = ("phi", "Phi0", "Phi1")
     d = {name: np.empty(n_compared) for name in fields}
     done = 0
-    for c in flat_blocks(n_walkers, WALKER_WIDTH):
+    for c in row_blocks(n_walkers, WALKER_WIDTH):
         k = c.start + np.flatnonzero(covered[c])
         part = slice(done, done + k.size)
         done = part.stop

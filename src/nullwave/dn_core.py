@@ -67,7 +67,7 @@ import numpy as np
 from .background import WaveProfile
 from .errors import HyperbolicityLoss, InnerFixedPointDivergence
 from .grid import (DNGrid, both_halves, iterate_halves, jet_sup,
-                   map_row_blocks, row_blocks)
+                   row_blocks)
 from .nonlinearity import Nonlinearity, coefficients, eval_coeffs
 from .state import FIELD_NAMES, DiagonalData, DNState, sigma_jet, sigma_of
 
@@ -306,35 +306,33 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
     default; sources names a subset of ("psi", "psib", "xi") to form only
     those, and the return is then the selected sources in that order, each
     bitwise equal to its full-selection value.  The slaved sigma is formed
-    block by block for the coefficients but not returned (state.sigma_of).
-    Fields on a 2-D grid are evaluated one row block at a time
-    (grid.map_row_blocks), so the temporaries stay block-sized; every
-    element sees the same arithmetic, so the result does not depend on the
-    block size.  Raises
-    HyperbolicityLoss where the slaved sigma leaves the admissible range,
-    naming the first bad value in row-major order; ValueError for an
-    unknown source name.
+    for the coefficients but not returned (state.sigma_of).  A 2-D result
+    is formed one row block at a time (grid.row_blocks), fields with a row
+    per row of it sliced to the block, scalars and broadcast rows whole,
+    so the temporaries stay block-sized and the result does not depend on
+    the block size.  Raises HyperbolicityLoss where the slaved sigma leaves
+    the admissible range, naming the first bad value in row-major order;
+    ValueError for an unknown source name.
     """
     if not set(sources) <= set(SOURCES):
         raise ValueError(f"sources must be drawn from {SOURCES}, got {sources!r}")
     args = [np.asarray(a, dtype=float) for a in (
         zp, zpp, psi, psib, dpsi_u, dpsi_ub, dpsib_u, dpsib_ub, dxi_u, dxi_ub)]
     shape = np.broadcast_shapes(*(a.shape for a in args))
-    if len(shape) == 2:
-        return map_row_blocks(lambda *a: _checked_rhs(model, a, sources),
-                              shape, *args)
-    return _checked_rhs(model, args, sources)
-
-
-def _checked_rhs(model, args, sources):
-    """The sources F of _rhs_arrays, raising at the first inadmissible node."""
-    okm, sig, *formed = _rhs_arrays(model, *args, sources)
-    if not np.all(okm):
-        bad = np.asarray(sig)[~okm]
-        raise HyperbolicityLoss(
-            f"sigma outside admissible range in rhs_wave (first bad value {bad.flat[0]:.6g})"
-        )
-    return tuple(formed)
+    out = [np.empty(shape) for name in SOURCES if name in sources]
+    for blk in row_blocks(*shape) if len(shape) == 2 else [...]:
+        ok, sig, *formed = _rhs_arrays(model, *(
+            a[blk] if a.ndim == 2 and len(a) > 1 else a for a in args),
+            sources)
+        if not np.all(ok):
+            raise HyperbolicityLoss(
+                "sigma outside admissible range in rhs_wave (first bad value "
+                f"{np.asarray(sig)[~ok].flat[0]:.6g})")
+        if blk is ...:
+            return tuple(formed)
+        for o, f in zip(out, formed):
+            o[blk] = f
+    return tuple(out)
 
 
 def verify_envelopes(state: DNState, gamma_bar: float) -> dict:

@@ -180,7 +180,9 @@ BLOCK_ELEMS = 32768
 def row_blocks(n_rows, n_cols, halo=0):
     """Yield row slices of about BLOCK_ELEMS elements, in row order.
 
-    The interiors of the blocks tile rows halo .. n_rows - halo - 1; each
+    n_cols is the number of elements a row spans in a block's
+    temporaries; a 1-D walk passes the elements an item spans.  The
+    interiors of the blocks tile rows halo .. n_rows - halo - 1; each
     yielded slice adds halo rows of context on either side, so consecutive
     slices overlap by 2 * halo rows.  A block holds at least one interior
     row.
@@ -188,37 +190,6 @@ def row_blocks(n_rows, n_cols, halo=0):
     step = max(1, BLOCK_ELEMS // max(1, n_cols))
     for a in range(halo, n_rows - halo, step):
         yield slice(a - halo, min(a + step, n_rows - halo) + halo)
-
-
-def flat_blocks(n, width=1):
-    """Yield slices of range(n) in order, each of BLOCK_ELEMS // width
-    items (at least one; the last may be shorter).  width is the number of
-    elements an item spans in the block's temporaries, so that a block's
-    temporaries hold about BLOCK_ELEMS elements each."""
-    step = max(1, BLOCK_ELEMS // width)
-    for a in range(0, n, step):
-        yield slice(a, min(a + step, n))
-
-
-def map_row_blocks(fn, shape, *args):
-    """fn(*args) for an elementwise fn, evaluated one row block at a time.
-
-    shape is the 2-D shape of the result.  Arguments with one row per
-    row of shape are sliced to the block; the others (scalars, and rows
-    that broadcast down the columns) pass whole.  fn returns a tuple of
-    arrays; each is gathered into a fresh C-ordered array of shape.  Every
-    element sees the same arithmetic as in one call on the whole arrays,
-    so the result does not depend on the block size.
-    """
-    out = None
-    for blk in row_blocks(*shape):
-        part = fn(*(a[blk] if np.ndim(a) == 2 and np.shape(a)[0] > 1 else a
-                    for a in args))
-        if out is None:
-            out = tuple(np.empty(shape) for _ in part)
-        for o, p in zip(out, part):
-            o[blk] = p
-    return out
 
 
 def cumsum_cols(increments, shape, anchor_i, start):

@@ -66,10 +66,10 @@ once; only the xi source and the xi solve repeat until xi settles.
 
 The order of the two stages matters for the *rate*, not the limit: stage 2
 feeding on the fresh psi is what makes the composition contract on a
-single application for small data.  Running the stages reversed (psib
-first, then psi from the stale pair) keeps the same fixed point but
-degrades the measured ratios; picard_apply exposes order="reversed" so the
-effect can be demonstrated.
+single application for small data.  picard_apply and contraction_ratio
+take order="reversed" (psib first, then psi from the stale psi and the
+fresh psib), which keeps the same fixed point but degrades the measured
+ratios; picard_fixed_point iterates the forward order.
 """
 
 from __future__ import annotations
@@ -226,6 +226,11 @@ def _frozen_solve(grid, data, sources):
     return out
 
 
+# The stages of each order; the psi/psib jets in rhs_wave's argument order
+_STAGES = {"forward": ("psi", "psib"), "reversed": ("psib", "psi")}
+_PAIR_JETS = ("psi", "psib", "dpsi_u", "dpsi_ub", "dpsib_u", "dpsib_ub")
+
+
 def picard_apply(
     state: DNState,
     data: DiagonalData,
@@ -236,11 +241,11 @@ def picard_apply(
 ) -> DNState:
     """One application of the two-stage substitution map to (psi, psib).
 
-    order="forward" solves psi from the current pair and then psib from
-    the fresh psi; order="reversed" swaps the stages (psib from the
-    current pair, then psi from the stale psi and fresh psib).  Both
-    orders share the same fixed point; the forward order is the one that
-    contracts at the advertised rate.  xi and its derivatives pass
+    The stages run in the order _STAGES[order], psi then psib for
+    "forward".  Each forms its own source from the latest jets, the other
+    stage's fresh ones once that stage has run, and solves it frozen.
+    Both orders share the same fixed point; the forward order is the one
+    that contracts at the advertised rate.  xi and its derivatives pass
     through unchanged, as the input's own (read-only) arrays.
 
     Errors: as dn_core.march -- GridMismatch for data on a different
@@ -249,42 +254,21 @@ def picard_apply(
     """
     grid.require_same(state.grid)
     grid.require_nodes(data.s, "diagonal data")
-    if order not in ("forward", "reversed"):
+    if order not in _STAGES:
         raise ValueError(f"order must be 'forward' or 'reversed', got {order!r}")
 
     zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.ascontiguousarray(profile.d2zeta(grid.ub), dtype=float)
+    fields = {}
+    for name in _STAGES[order]:
+        latest = [fields.get(k, getattr(state, k)) for k in _PAIR_JETS]
+        source = rhs_wave(model, zp, zpp, *latest, state.dxi_u, state.dxi_ub,
+                          sources=(name,))[0]
+        fields.update(_frozen_solve(grid, data, {name: source}))
+        del source
 
-    def stage_psi(psib_src, dpsib_u_src, dpsib_ub_src):
-        # Source for psi, every ingredient taken from the supplied jets.
-        f1 = rhs_wave(
-            model, zp, zpp, state.psi, psib_src,
-            state.dpsi_u, state.dpsi_ub, dpsib_u_src, dpsib_ub_src,
-            state.dxi_u, state.dxi_ub, sources=("psi",),
-        )[0]
-        return _frozen_solve(grid, data, {"psi": f1})
-
-    def stage_psib(psi_src, dpsi_u_src, dpsi_ub_src):
-        # Source for psib: sigma mixes the supplied psi with the current
-        # psib, while the differentiated psib jets stay at the current
-        # iterate -- the substitution is linear in the unknown stage.
-        f2 = rhs_wave(
-            model, zp, zpp, psi_src, state.psib,
-            dpsi_u_src, dpsi_ub_src, state.dpsib_u, state.dpsib_ub,
-            state.dxi_u, state.dxi_ub, sources=("psib",),
-        )[0]
-        return _frozen_solve(grid, data, {"psib": f2})
-
-    if order == "forward":
-        fields = stage_psi(state.psib, state.dpsib_u, state.dpsib_ub)
-        fields.update(stage_psib(fields["psi"], fields["dpsi_u"], fields["dpsi_ub"]))
-    else:
-        fields = stage_psib(state.psi, state.dpsi_u, state.dpsi_ub)
-        fields.update(stage_psi(fields["psib"], fields["dpsib_u"], fields["dpsib_ub"]))
-
-    out = DNState(grid, xi=state.xi, dxi_u=state.dxi_u, dxi_ub=state.dxi_ub,
-                  **fields)
-    return out.freeze()
+    return DNState(grid, xi=state.xi, dxi_u=state.dxi_u, dxi_ub=state.dxi_ub,
+                   **fields).freeze()
 
 
 def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
@@ -300,8 +284,7 @@ def _solve_xi(pair, data, grid, model, profile, tol, max_iter):
     """
     zp = np.ascontiguousarray(profile.dzeta(grid.ub), dtype=float)
     zpp = np.ascontiguousarray(profile.d2zeta(grid.ub), dtype=float)
-    jets = (pair.psi, pair.psib,
-            pair.dpsi_u, pair.dpsi_ub, pair.dpsib_u, pair.dpsib_ub)
+    jets = [getattr(pair, k) for k in _PAIR_JETS]
     f1, f2, f3 = rhs_wave(model, zp, zpp, *jets, pair.dxi_u, pair.dxi_ub)
     fields = _frozen_solve(grid, data, {"psi": f1, "psib": f2})
     del f1, f2
@@ -327,7 +310,6 @@ def picard_fixed_point(
     model: Nonlinearity,
     profile: WaveProfile,
     cfg: PicardConfig,
-    order: str = "forward",
 ):
     """Iterate the substitution map from zero until the metric stalls.
 
@@ -341,7 +323,7 @@ def picard_fixed_point(
     cur = DNState(grid, *[zero] * len(FIELD_NAMES)).freeze()
     residuals = []
     for step in range(cfg.max_iter):
-        new = picard_apply(cur, data, grid, model, profile, order)
+        new = picard_apply(cur, data, grid, model, profile)
         dist = picard_metric(new, cur, data.gamma_bar)
         residuals.append(float(dist))
         cur = new
@@ -349,7 +331,6 @@ def picard_fixed_point(
             info = {
                 "iterations": step + 1,
                 "residuals": residuals,
-                "order": order,
                 "converged": True,
             }
             cur = _solve_xi(
