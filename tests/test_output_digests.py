@@ -19,11 +19,12 @@ those values, keep the outputs of both versions and compare them:
     PYTHONPATH=src python tests/test_output_digests.py --keep NEW
     PYTHONPATH=src python tests/test_output_digests.py --diff OLD NEW
 
---keep writes the runs into its directory, which must not exist yet,
-instead of a temporary one (and rewrites the digests as before); --diff prints each report.json leaf that
-differs, with its old and new value and relative change, and each CSV
-column that differs, with its max |delta| and the number of rows that
-differ.
+--keep writes the runs into its directory, which must not exist yet, and
+prints each file whose digest differs from output_digests.json; it leaves
+that file as it is, so only the bare call rewrites it.  --diff prints
+each report.json leaf that differs, with its old and new value and
+relative change, and each CSV column that differs, with its max |delta|
+and the number of rows that differ.
 """
 
 import argparse
@@ -32,6 +33,7 @@ import hashlib
 import json
 import math
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -117,6 +119,25 @@ def test_diff_names_changed_leaves_and_columns(tmp_path):
     assert diff_outputs(old, old) == []
 
 
+def test_keep_lists_moved_digests_and_leaves_the_file(tmp_path, monkeypatch,
+                                                     capsys):
+    # A stubbed run: the bare call writes the digests file, --keep only
+    # names the files whose digest moved, and leaves the file as it was.
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "DIGESTS", tmp_path / "digests.json")
+    runs = {"a/report.json": "1", "b/state.csv": "2"}
+    monkeypatch.setattr(module, "output_digests", lambda out: dict(runs))
+    main([])
+    written = DIGESTS.read_text()
+    assert json.loads(written)["sha256"] == runs
+    main(["--keep", str(tmp_path / "same")])
+    runs["b/state.csv"] = "3"
+    main(["--keep", str(tmp_path / "moved")])
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "every digest matches digests.json", "b/state.csv"]
+    assert DIGESTS.read_text() == written
+
+
 def _leaves(node, path=""):
     """{"a.b.0": value} of every leaf of a JSON document."""
     if isinstance(node, dict):
@@ -200,11 +221,12 @@ def diff_outputs(old_dir: Path, new_dir: Path) -> list:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Rewrite tests/output_digests.json, or compare two "
-                    "kept output trees.")
+        description="Rewrite tests/output_digests.json, or keep the runs "
+                    "and list the digests that differ, or compare two kept "
+                    "output trees.")
     parser.add_argument("--keep", metavar="DIR", type=Path,
-                        help="write the runs into DIR, not a temporary "
-                             "directory")
+                        help="write the runs into DIR and list the files "
+                             "whose digest differs, without rewriting")
     parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), type=Path,
                         help="print what differs between two --keep trees")
     args = parser.parse_args(argv)
@@ -214,10 +236,14 @@ def main(argv=None):
     if args.keep:
         if args.keep.exists():
             parser.error(f"--keep {args.keep}: already exists")
-        digests = output_digests(args.keep)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            digests = output_digests(Path(tmp))
+        got = output_digests(args.keep)
+        pinned = json.loads(DIGESTS.read_text())["sha256"]
+        print("\n".join(sorted(k for k in set(got) | set(pinned)
+                               if got.get(k) != pinned.get(k)))
+              or f"every digest matches {DIGESTS.name}")
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = output_digests(Path(tmp))
     record = dict(environment(), sha256=digests)
     DIGESTS.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS}")
