@@ -166,10 +166,11 @@ def _transport_coeffs(jet: dict, cf: np.ndarray) -> None:
 
 
 def _g_L_Lbar(Phi0, Phi1, H, L, Lb):
-    """(Phi.L, Phi.Lbar, g(L, Lbar)) of (t, x)-stacked frames L and Lb."""
+    """(Phi.L, Phi.Lbar, g(L, Lbar)) of (t, x)-stacked frames L and Lb;
+    g is symmetric in L and Lb bit for bit, so time reversal keeps it."""
     phiL = Phi0 * L[0] + Phi1 * L[1]
     phiLb = Phi0 * Lb[0] + Phi1 * Lb[1]
-    return phiL, phiLb, -(L[0] * Lb[0]) + L[1] * Lb[1] + H * phiL * phiLb
+    return phiL, phiLb, -(L[0] * Lb[0]) + L[1] * Lb[1] + H * (phiL * phiLb)
 
 
 def _frame_rhs(cf, L, Lb):

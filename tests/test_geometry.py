@@ -439,13 +439,11 @@ def test_frame_and_map_commute_with_time_reversal(zero_prof, model, seed):
     # and x are invariant, t changes sign and the two nullity sups trade
     # places.  The gauge slice is build_gauge_slice's for the data's Phi on
     # the diagonal, which the map fixes; its mirror maps the frame so and
-    # trades d_t u for d_t ubar.  Worst cases over 40 seeds a model: L and
-    # Lbar bit for bit; Omega 1.1e-16 (one ulp, in 4 of 80 draws: g(L,
-    # Lbar) forms H phiL phiLb left to right, and the reflection swaps the
-    # last two factors; with H (phiL phiLb) Omega is bitwise too), detj
-    # 2.2e-16; t and x 2.2e-16 (the column route sums each column from
-    # row 0, the row route each row from column 0).
-    tol = 1e-15
+    # trades d_t u for d_t ubar.  The frame, Omega, detj and the nullity
+    # sups hold bit for bit (g(L, Lbar) forms H (phiL phiLb), which the
+    # reflection leaves alone); t and x are within 2.2e-16 over 40 seeds a
+    # model (the column route sums each column from row 0, the row route
+    # each row from column 0).
     grid = DNGrid.square(2.0, 0.05)
     data, reversed_data = reversal_pair(grid.u, seed)
     Phi0 = Phi0_of(data.psi, data.psib, 0.0)
@@ -463,19 +461,17 @@ def test_frame_and_map_commute_with_time_reversal(zero_prof, model, seed):
                              mirrored, model, zero_prof)
     coords, mirror_coords = (reconstruct_coords(f, model, zero_prof)
                              for f in (frame, mirror))
-    images = {"L0": (frame.Lb0, 1.0), "L1": (frame.Lb1, -1.0),
-              "Lb0": (frame.L0, 1.0), "Lb1": (frame.L1, -1.0),
-              "Omega": (frame.Omega, 1.0)}
-    maps = {"t": (coords.t, -1.0), "x": (coords.x, 1.0),
-            "detj": (coords.detj, 1.0)}
-    for got, table in ((mirror, images), (mirror_coords, maps)):
-        for name, (F, sign) in table.items():
-            assert np.max(np.abs(getattr(got, name)
-                                 - time_reversed(F, sign))) <= tol, name
-    assert mirror.nullity["L"] == pytest.approx(frame.nullity["Lb"],
-                                                rel=0, abs=tol)
-    assert mirror.nullity["Lb"] == pytest.approx(frame.nullity["L"],
-                                                 rel=0, abs=tol)
+    bitwise = [(mirror, "L0", frame.Lb0, 1.0), (mirror, "L1", frame.Lb1, -1.0),
+               (mirror, "Lb0", frame.L0, 1.0), (mirror, "Lb1", frame.L1, -1.0),
+               (mirror, "Omega", frame.Omega, 1.0),
+               (mirror_coords, "detj", coords.detj, 1.0)]
+    for got, name, F, sign in bitwise:
+        assert np.array_equal(getattr(got, name), time_reversed(F, sign)), name
+    for name, sign in (("t", -1.0), ("x", 1.0)):
+        assert np.max(np.abs(getattr(mirror_coords, name) - time_reversed(
+            getattr(coords, name), sign))) <= 1e-15, name
+    assert mirror.nullity == {"L": frame.nullity["Lb"],
+                              "Lb": frame.nullity["L"]}
 
 
 # ---------------------------------------------------------------------------
