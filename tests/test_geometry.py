@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SEED_PHASES, reversal_pair, time_reversed
@@ -174,17 +174,27 @@ def test_background_frame_is_exact(membrane, bump03):
     assert frame.nullity["L"] < 1e-12 and frame.nullity["Lb"] < 1e-12
 
 
-@given(kind=st.sampled_from(["bump", "algebraic"]), A=st.floats(-0.5, 0.5),
-       center=st.floats(-1.5, 1.5), width=st.floats(1.0, 6.0),
-       gamma=st.floats(0.2, 2.0), radius=st.sampled_from([2.0, 3.0]),
-       poly=st.booleans())
-@settings(max_examples=20)
-def test_background_exact_over_random_profiles(membrane, kind, A, center,
-                                               width, gamma, radius, poly):
+def _background_draw(seed):
+    """(kind, A, center, width, gamma, radius, poly) of the test below,
+    from one integer seed (SEED_PHASES)."""
+    rng = np.random.default_rng(seed)
+    return (("bump", "algebraic")[rng.integers(2)], rng.uniform(-0.5, 0.5),
+            rng.uniform(-1.5, 1.5), rng.uniform(1.0, 6.0),
+            rng.uniform(0.2, 2.0), (2.0, 3.0)[rng.integers(2)],
+            bool(rng.integers(2)))
+
+
+@given(draw=st.integers(0, 2**32 - 1).map(_background_draw))
+@example(draw=("bump", -0.5, -1.5, 1.0, 0.2, 2.0, False))
+@example(draw=("algebraic", 0.5, 1.5, 6.0, 2.0, 3.0, True))
+@settings(max_examples=20, phases=SEED_PHASES)
+def test_background_exact_over_random_profiles(membrane, draw):
     # Criterion 3 over random backgrounds, at its tolerances: the exact
     # travelling wave marches to zero perturbation, its slaved sigma
     # included, and the transported frame is the closed-form one.  The
-    # polynomial model has H(0) != 0 and H' != 0.
+    # polynomial model has H(0) != 0 and H' != 0.  The examples are the
+    # ranges' ends.
+    kind, A, center, width, gamma, radius, poly = draw
     model = polynomial_model(0.15, -0.05, 0.02) if poly else membrane
     prof = (bump_profile(A, center=center, width=width, gamma_bar=gamma)
             if kind == "bump" else algebraic_profile(A, gamma_bar=gamma))
