@@ -310,9 +310,10 @@ def rhs_wave(model: Nonlinearity, zp, zpp, psi, psib,
     is formed one row block at a time (grid.row_blocks), fields with a row
     per row of it sliced to the block, scalars and broadcast rows whole,
     so the temporaries stay block-sized and the result does not depend on
-    the block size.  Raises HyperbolicityLoss where the slaved sigma leaves
-    the admissible range, naming the first bad value in row-major order;
-    ValueError for an unknown source name.
+    the block size; anything else is one block, returned as formed.
+    Raises HyperbolicityLoss where the slaved sigma leaves the admissible
+    range, naming the first bad value in row-major order; ValueError for
+    an unknown source name.
     """
     if not set(sources) <= set(SOURCES):
         raise ValueError(f"sources must be drawn from {SOURCES}, got {sources!r}")

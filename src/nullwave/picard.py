@@ -242,8 +242,9 @@ def picard_apply(
     """One application of the two-stage substitution map to (psi, psib).
 
     The stages run in the order _STAGES[order], psi then psib for
-    "forward".  Each forms its own source from the latest jets, the other
-    stage's fresh ones once that stage has run, and solves it frozen.
+    "forward".  Each forms its own source from the latest jets -- its own
+    at the current iterate, the other stage's fresh once that stage has
+    run, so the stage is linear in its unknown -- and solves it frozen.
     Both orders share the same fixed point; the forward order is the one
     that contracts at the advertised rate.  xi and its derivatives pass
     through unchanged, as the input's own (read-only) arrays.
