@@ -53,14 +53,13 @@ The same expression is valid in both normalizations with their own Om_inv.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .background import background_L, WaveProfile, phase_function
 from .data_gauge import GaugeSlice
 from .errors import FrameDegenerate, FrameTransportStall
-from .grid import (DNGrid, abs_max, both_halves, cumsum_cols, cumtrap_rows,
+from .grid import (DNGrid, abs_max, both_halves, cumtrap_cols, cumtrap_rows,
                    iterate_halves, row_blocks)
 from .nonlinearity import Nonlinearity, eval_coeffs
 from .state import DNState, Phi0_of, Phi1_of, sigma_jet
@@ -410,11 +409,13 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
     V' (Omega_B Lbar_B - 1/2) down columns (NullFrame.legs, read as row
     views), both anchored on the diagonal where t = 0 and x = u exactly.
     The routes are averaged; their sup-difference is curl_sup (NaN if
-    either holds a NaN).  The column sums are carried down the rows
-    (grid.cumsum_cols) one component at a time, and every row-local
-    quantity is formed in one row block pass, so the outputs and the
-    column sums are the only full-size arrays.  V' and Lring_B are the
-    frame's; model and profile enter only through Z, which gives V too.
+    either holds a NaN).  The column route is grid.cumtrap_cols of the
+    u-leg, formed a row block at a time, one component at a time.  Every
+    row-local quantity is formed in one row block pass, which reads each
+    block of a column sum for the curl and the average and then
+    overwrites it, so the column sums become t and x, and detj is the
+    only other full-size array.  V' and Lring_B are the frame's; model
+    and profile enter only through Z, which gives V too.
     """
     grid = frame.grid
     n, h = grid.n_nodes, grid.h
@@ -422,33 +423,30 @@ def reconstruct_coords(frame: NullFrame, model: Nonlinearity,
     Z = np.asarray(phase_function(profile, model, grid.ub), dtype=float)
     V = grid.u + Z[::-1]                             # u + Z(-u)
 
-    t, x, detj = (np.empty((n, n)) for _ in range(3))
-    # Per component t (x): its u-leg, the sign of ubar in tring (xring),
-    # the diagonal deviation pinning t = 0.0 (x = u), and the output.
+    # Per component t (x): its u-leg, the sign of ubar in tring (xring)
+    # and the diagonal deviation pinning t = 0.0 (x = u).
     _, jd = grid.diagonal()
     VZ = V - Z[jd]
-    comps = (("Lb0", 1.0, 0.0 - 0.5 * (VZ + grid.ub[jd]), t),
-             ("Lb1", -1.0, grid.u - 0.5 * (VZ - grid.ub[jd]), x))
+    comps = (("Lb0", 1.0, 0.0 - 0.5 * (VZ + grid.ub[jd])),
+             ("Lb1", -1.0, grid.u - 0.5 * (VZ - grid.ub[jd])))
 
-    def u_leg_steps(X, r):
-        """Trapezoid steps down the columns of the u-leg's deviation."""
-        s = slice(r.start, r.stop + 1)
-        F = frame.v_prime[s, None] * (frame.legs([X], s)[0] - 0.5)
-        return (0.5 * h) * (F[1:] + F[:-1])
+    def u_leg(X):
+        """The rows s of the u-leg's deviation V' (Omega_B Lbar_B - 1/2)."""
+        return lambda s: frame.v_prime[s, None] * (frame.legs([X], s)[0] - 0.5)
 
-    r2 = [cumsum_cols(partial(u_leg_steps, c[0]), (n, n), jd, c[2][::-1])
-          for c in comps]
-
+    # the column sums, which the row block pass turns into t and x in place
+    t, x = (cumtrap_cols(u_leg(X), (n, n), h, jd, dev[::-1])
+            for X, _, dev in comps)
+    detj = np.empty((n, n))
     curl = []
     for blk in row_blocks(n, n):
-        for (_, sign, dev, out), S2, ring, F in zip(
-                comps, r2, frame.ring, frame.legs(("L0", "L1"), blk)):
+        for (_, sign, dev), out, ring, F in zip(
+                comps, (t, x), frame.ring, frame.legs(("L0", "L1"), blk)):
             F += 0.5 * ring[None, :]                 # the leg's deviation
-            r1 = cumtrap_rows(F, h, jd[blk], dev[blk])
-            r2b = S2[blk]
-            curl.append(abs_max(r1, r2b))
+            r1, r2 = cumtrap_rows(F, h, jd[blk], dev[blk]), out[blk]
+            curl.append(abs_max(r1, r2))
             bg = 0.5 * (V[blk, None] - Z[None, :] + sign * grid.ub[None, :])
-            out[blk] = bg + 0.5 * (r1 + r2b)
+            out[blk] = bg + 0.5 * (r1 + r2)
         detj[blk] = frame.Omega[blk] ** 2 * (frame.Lb0[blk] * frame.L1[blk]
                                              - frame.Lb1[blk] * frame.L0[blk])
 

@@ -242,20 +242,24 @@ def cumtrap_rows(F, h, anchor_j, start):
     return S
 
 
-def cumtrap_cols(F, h, anchor_i, start):
+def cumtrap_cols(F, shape, h, anchor_i, start):
     """Cumulative trapezoid along axis 0, equal to start at per-column
     anchors.
 
-    Carried block by block (cumsum_cols) without a transpose; returns a
-    C-ordered array, bitwise equal to one cumulative sum over the column.
+    F(rows) gives the integrand's rows in the slice rows; it is asked for
+    one row block at a time, with one row of lookahead, so the integrand
+    is never formed whole.  Carried block by block (cumsum_cols) without a
+    transpose; returns a C-ordered array of the given shape, bitwise
+    equal to one cumulative sum over the column.
     """
     half = 0.5 * h
 
     def increments(r):
-        inc = F[r.start + 1:r.stop + 1] + F[r]
+        f = F(slice(r.start, r.stop + 1))
+        inc = f[1:] + f[:-1]
         inc *= half
         return inc
-    return cumsum_cols(increments, F.shape, anchor_i, start)
+    return cumsum_cols(increments, shape, anchor_i, start)
 
 
 def decay_weight(x, gamma):

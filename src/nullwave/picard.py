@@ -202,7 +202,7 @@ def _frozen_solve(grid, data, sources):
         du_d = getattr(data, f"d{name}_u")
         dub_d = getattr(data, f"d{name}_ub")
         du = cumtrap_rows(F, grid.h, jd, du_d)
-        dub = cumtrap_cols(F, grid.h, jd, dub_d[::-1])
+        dub = cumtrap_cols(lambda r: F[r], F.shape, grid.h, jd, dub_d[::-1])
 
         # one-leg rule on the past first front, node (i, N-1-i)
         past = 0.5 * (f_d[:-1] - half * (dub_d[:-1] + dub[lo, jd[:-1] - 1])) \

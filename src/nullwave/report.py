@@ -26,16 +26,6 @@ FRAME_COLUMNS = (
     "u", "ubar", "L0", "L1", "Lb0", "Lb1", "Omega", "t", "x", "detj",
 )
 
-SUMMARY_COLUMNS = (
-    "run", "name", "seed", "h", "radius", "eps", "ok", "n_errors",
-    "eps_bar", "gamma_bar", "delta",
-    "envelope_delta", "sigma_wave_residual_sup", "backend",
-    "picard_iterations", "metric_vs_march", "contraction_max",
-    "curl_sup", "nullity_sup", "degeneracy_ok", "min_abs_detj",
-    "flux_residual", "sup_diff", "l1_diff", "phase_shift",
-    "error",
-)
-
 
 def _jsonable(obj):
     """Recursively convert to strict-JSON types (no NaN/Infinity literals)."""
@@ -131,6 +121,9 @@ STAGE_COLUMNS = {
     "l1_diff": ("crossval", "comparison", "l1_diff"),
     "phase_shift": ("crossval", "comparison", "phase_shift"),
 }
+
+SUMMARY_COLUMNS = ("run", "name", "seed", "h", "radius", "eps", "ok",
+                   "n_errors", *STAGE_COLUMNS, "error")
 
 
 def summary_row(report: dict) -> dict:

@@ -123,7 +123,7 @@ def test_cumtraps_match_whole_array_sums(monkeypatch):
     for elems in _block_sizes(grid).values():
         monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", elems)
         rows = cumtrap_rows(F, h, jd, start_rows)
-        cols = cumtrap_cols(F, h, jd, start_cols)
+        cols = cumtrap_cols(lambda r: F[r], F.shape, h, jd, start_cols)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(cols, want_cols)
         assert rows.flags.c_contiguous and cols.flags.c_contiguous
@@ -404,9 +404,11 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
     # With 8-row blocks.  The transport: the 13 stacked coefficients, the
     # deviations (4), which become the frame in place, and Omega; the
     # nullity is reduced in the closing pass, per block.  The coordinate
-    # map: its 3 outputs, the two column sums and block-sized legs read
-    # from row views (5.64-5.67 fields; 5.84 when each block gathered both
-    # legs by np.take, 9.63 when it stored the four tangent grids too).
+    # map: the two column sums, which become t and x in place, detj and
+    # block-sized legs read from row views (3.67 fields; 5.64-5.67 when t
+    # and x were stored beside the column sums, 5.84 when each block
+    # gathered both legs by np.take, 9.63 when it stored the four tangent
+    # grids too).
     # The monitor: block-sized masks and |X| temporaries only (0.27 fields;
     # 1.64 when it formed them whole), and the frame-deviation sups reduce
     # per block (2.63 fields when each formed two full-size temporaries).
@@ -418,7 +420,7 @@ def test_geometry_memory_budgets(peak_fields, radius3, membrane, bump03):
         st_, gauge, membrane, bump03), grid, rows=8) <= 19.5
     coords = reconstruct_coords(frame, membrane, bump03)
     assert peak_fields(lambda: reconstruct_coords(
-        frame, membrane, bump03), grid, rows=8) <= 6.5
+        frame, membrane, bump03), grid, rows=8) <= 4.0
     degeneracy_monitor(frame, coords)
     assert peak_fields(lambda: degeneracy_monitor(frame, coords),
                        grid, rows=8) <= 0.3

@@ -106,14 +106,18 @@ def _dalembert_draw(seed):
 @example(draw=(0.0, -1.0, 0.7, 0.05, 0.5, 0.0, 2.0))
 @example(draw=(-0.5, -1.0, 2.0, 0.05, 0.5, 0.0, 2.0))
 @example(draw=(0.5, 1.0, 2.0, 0.5, 2.0, 6.3, 3.0))
+@example(draw=(0.5, -1.0, 0.7, 0.05, 0.5, 0.0, 2.0))
+@example(draw=(-0.5, 1.0, 0.7, 0.05, 0.5, 0.0, 3.0))
 @settings(max_examples=10, phases=SEED_PHASES)
 def test_march_linear_exact_over_random_data(linear, zero_prof, draw):
     # Criterion 1 over random smooth solutions a(u) + b(ubar), a a
     # Gaussian A exp(-((u - c) / w)^2), b a sine B sin(k ubar + p): with
     # F == 0 the derivative transports are bitwise copies of the data, and
-    # the fields meet d'Alembert at second order.  The examples put every
-    # range at its ends, but not |A| = 0.5 with w = 0.7: that steepest
-    # Gaussian's error at h 0.05 is 2.4e-3, above the bound.
+    # the fields meet d'Alembert at second order.  The error at h 0.05 is
+    # held to h^2 times sup|a''| + sup|b''| = 2|A|/w^2 + B k^2, scaled by
+    # 0.6: over the examples and seeds 0-149 it was at most 0.461 of that,
+    # at the steepest Gaussians (|A| = 0.5, w = 0.7; error 2.37e-3).  The
+    # examples put every range at its ends.
     A, c, w, B, k, p, radius = draw
 
     def gauss(u):
@@ -137,7 +141,7 @@ def test_march_linear_exact_over_random_data(linear, zero_prof, draw):
         U, UB = grid.u[:, None], grid.ub[None, :]
         errs[h] = max(np.max(np.abs(getattr(st_, name) - f(U, UB)))
                       for name, f in exact.items())
-    assert errs[0.05] < 2e-3
+    assert errs[0.05] < 0.6 * 0.05 ** 2 * (2 * abs(A) / w ** 2 + B * k ** 2)
     assert 1.7 < np.log2(errs[0.05] / errs[0.025]) < 2.3
 
 

@@ -22,9 +22,9 @@ those values, keep the outputs of both versions and compare them:
 --keep writes the runs into its directory, which must not exist yet, and
 prints each file whose digest differs from output_digests.json; it leaves
 that file as it is, so only the bare call rewrites it.  --diff prints
-each report.json leaf that differs, with its old and new value and
-relative change, and each CSV column that differs, with its max |delta|
-and the number of rows that differ.
+each report.json leaf that differs, with its old and new value, its
+|delta| and its relative change, and each CSV column that differs, with
+its max |delta| and the number of rows that differ.
 """
 
 import argparse
@@ -111,7 +111,7 @@ def test_diff_names_changed_leaves_and_columns(tmp_path):
     assert diff_outputs(old, new) == [
         f"extra.csv: only in {new}",
         "run/report.json",
-        "  stages.march.sup: 1.0 -> 1.5 (0.5 relative)",
+        "  stages.march.sup: 1.0 -> 1.5 (|delta| 0.5, 0.5 relative)",
         "run/state.csv",
         "  1 of 2 rows differ",
         "  a: 1 values, max |delta| 0.12",
@@ -152,13 +152,16 @@ def _leaves(node, path=""):
     return out
 
 
-def _relative(old, new) -> str:
-    """|new - old| / |old| of two numbers, or "" for anything else."""
+def _change(old, new) -> str:
+    """|new - old| of two numbers and, unless old is 0, its ratio to
+    |old|; "" for anything else."""
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
                   for v in (old, new))
-    if not numbers or old == 0 or not math.isfinite(old - new):
+    if not numbers or not math.isfinite(old - new):
         return ""
-    return f" ({abs(new - old) / abs(old):.2g} relative)"
+    delta = abs(new - old)
+    relative = f", {delta / abs(old):.2g} relative" if old != 0 else ""
+    return f" (|delta| {delta:.2g}{relative})"
 
 
 def _float(text):
@@ -172,7 +175,7 @@ def diff_report(old: Path, new: Path) -> list:
     """One line per report.json leaf that differs between old and new."""
     a, b = (_leaves(json.loads(p.read_text())) for p in (old, new))
     return [f"  {key}: {a.get(key, '(absent)')!r} -> "
-            f"{b.get(key, '(absent)')!r}{_relative(a.get(key), b.get(key))}"
+            f"{b.get(key, '(absent)')!r}{_change(a.get(key), b.get(key))}"
             for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
 
 

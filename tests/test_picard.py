@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_compatible_data, make_zero_data
+from conftest import SEED_PHASES, make_compatible_data, make_zero_data
 
 from nullwave.background import bump_profile
 from nullwave.data_gauge import build_diagonal_data, perturbed_data
@@ -284,13 +284,23 @@ def test_fixed_point_matches_march(membrane, bump03):
     assert np.max(np.abs(fp.dxi_ub - sol.dxi_ub)) <= 1e-12
 
 
-@given(eps=st.floats(1e-5, 1e-2), center=st.floats(-1.5, 1.5),
-       radius=st.sampled_from([2.0, 3.0]))
-@settings(max_examples=12)
-def test_routes_agree_over_random_small_data(membrane, bump03, eps, center,
-                                             radius):
+def _pulse_draw(seed):
+    """(eps, center, radius) of the test below, from one integer seed
+    (SEED_PHASES)."""
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(1e-5, 1e-2), rng.uniform(-1.5, 1.5),
+            (2.0, 3.0)[rng.integers(2)])
+
+
+@given(draw=st.integers(0, 2**32 - 1).map(_pulse_draw))
+@example(draw=(1e-5, -1.5, 2.0))
+@example(draw=(1e-2, 1.5, 3.0))
+@settings(max_examples=12, phases=SEED_PHASES)
+def test_routes_agree_over_random_small_data(membrane, bump03, draw):
     # Criterion 5 over random pulses: the Picard fixed point and the march
-    # solve the same discrete equations, at the criterion's tolerance.
+    # solve the same discrete equations, at the criterion's tolerance.  The
+    # examples put each range at its ends.
+    eps, center, radius = draw
     grid = DNGrid.square(radius, 0.1)
     rect = perturbed_data(bump03, eps=eps, center=center, width=1.2)
     data, _ = build_diagonal_data(rect, grid, membrane, bump03)
