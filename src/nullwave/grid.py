@@ -193,29 +193,32 @@ def row_blocks(n_rows, n_cols, halo=0):
 
 
 def cumsum_cols(increments, shape, anchor_i, start):
-    """Running sums down the columns, equal to start at per-column anchors.
+    """Running sums up the columns, equal to start at per-column anchors.
 
-    S[0] = 0 and S[i] = S[i-1] + increments(rows)[i-1 - rows.start], with
+    S[N] = 0 and S[i] = S[i+1] - increments(rows)[i - rows.start], with
     increments(rows) a fresh (len(rows), n_cols) array of the increment
-    rows in the slice rows, asked for one row block at a time.  Each row
-    is carried from the one above by one np.add into the output, so every
-    column is summed in the sequential order of one np.cumsum over the
-    whole height, bit for bit; row 1 is the first increment row itself,
-    as np.cumsum starts.  Column j of the result is
-    (S - S[anchor_i[j], j]) + start[j].  The anchor values are only known
-    once the sweep has passed them all, so a second pass subtracts them
-    and adds start, one row block at a time.  Returns a C-ordered array.
+    rows in the slice rows, asked for one row block at a time from the
+    bottom up.  Each row is carried from the one below by one np.subtract
+    into the output, in the order of one np.cumsum of the negated
+    increments up the whole height, bit for bit; row N-1 is the negated
+    increment, as np.cumsum starts.  So a column sum is, up to sign, the
+    mirror of a row sum (cumtrap_rows) under (i, j) -> (N - j, N - i).
+    Column j of the result is (S - S[anchor_i[j], j]) + start[j].  The
+    anchor values are only known once the sweep has passed them all, so a
+    second pass subtracts them and adds start, one row block at a time.
+    Returns a C-ordered array.
     """
     S = np.empty(shape)
-    S[0] = 0.0
-    for blk in row_blocks(*shape):
-        a = max(blk.start, 1)
-        inc = increments(slice(a - 1, blk.stop - 1))
-        for k, row in enumerate(inc, a):
-            if k == 1:
-                S[1] = row
+    last = shape[0] - 1
+    S[last] = 0.0
+    for blk in reversed(list(row_blocks(*shape))):
+        b = min(blk.stop, last)
+        inc = increments(slice(blk.start, b))
+        for k, row in reversed(list(enumerate(inc, blk.start))):
+            if k == last - 1:
+                np.negative(row, out=S[k])
             else:
-                np.add(S[k - 1], row, out=S[k])
+                np.subtract(S[k + 1], row, out=S[k])
     at = S[anchor_i, np.arange(shape[1])]
     for blk in row_blocks(*shape):
         S[blk] -= at
@@ -248,9 +251,9 @@ def cumtrap_cols(F, shape, h, anchor_i, start):
 
     F(rows) gives the integrand's rows in the slice rows; it is asked for
     one row block at a time, with one row of lookahead, so the integrand
-    is never formed whole.  Carried block by block (cumsum_cols) without a
-    transpose; returns a C-ordered array of the given shape, bitwise
-    equal to one cumulative sum over the column.
+    is never formed whole.  Carried block by block up from the last row
+    (cumsum_cols) without a transpose; returns a C-ordered array of the
+    given shape, bitwise equal to one cumulative sum up the column.
     """
     half = 0.5 * h
 

@@ -23,9 +23,9 @@ metric below and the xi gap -- runs in row blocks of about
 grid.BLOCK_ELEMS elements, walked in row order, so its temporaries stay in
 L2 and only the outputs are full-size (C-ordered) arrays.  The frozen
 solve integrates the source twice, into d_u and d_ub, and takes the field
-from its own d_u, a trapezoid step down each column.  The sums down the
-columns are carried row by row into the output, which keeps one
-cumulative sum's sequential order; their anchors on the diagonal are
+from its own d_u, a trapezoid step down each column.  The sums along the
+columns are carried row by row into the output, up from the last row in
+one cumulative sum's order; their anchors on the diagonal are
 subtracted in a second pass; and the one-leg values of the past first
 front, whose d_ub anchor lies one row ahead, are formed once d_ub is
 complete.  Every element goes through the same arithmetic whatever the
@@ -182,8 +182,8 @@ def _frozen_solve(grid, data, sources):
     Every full-grid pass runs in row blocks (grid.row_blocks), so its
     temporaries stay block-sized and the outputs are the only full-size
     arrays, all C-ordered.  d_u field is row-local.  d_ub field and the
-    field are sums down the columns (grid.cumsum_cols), carried row by row
-    in the sequential order of one cumulative sum, with the per-column
+    field are sums up the columns from the last row (grid.cumsum_cols),
+    carried row by row in one cumulative sum's order, with the per-column
     anchors on the diagonal (row N - j of column j) subtracted in a
     second pass once the sweep has passed them all.  The past first front
     reads d_ub field at (a, N-1-a), whose anchor is row a+1, a row ahead

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_compatible_data
+from conftest import SEED_PHASES, make_compatible_data, time_reversed
 
 from nullwave import crossval as crossval_mod
 from nullwave import grid as grid_mod
@@ -101,10 +101,10 @@ def test_row_blocks_tile_the_interior(monkeypatch):
 
 
 def test_cumtraps_match_whole_array_sums(monkeypatch):
-    # The reference is one cumulative sum over the whole array (through a
-    # transposed copy for the columns), zeroed at the anchors and then
-    # started; the carried block sums must equal it bit for bit and come
-    # back C-ordered.
+    # The reference is one cumulative sum over the whole array, along each
+    # row from column 0 and of the negated steps up each column from the
+    # last row, zeroed at the anchors and then started; the carried block
+    # sums must equal it bit for bit and come back C-ordered.
     grid = DNGrid.square(2.0, 0.1)
     rng = np.random.default_rng(3)
     F = rng.standard_normal((grid.n_nodes, grid.n_nodes))
@@ -118,8 +118,13 @@ def test_cumtraps_match_whole_array_sums(monkeypatch):
         return (S - np.take_along_axis(S, anchor[:, None], axis=1)) \
             + start[:, None]
 
+    def ref_cols(A, anchor, start):
+        S = np.zeros_like(A)
+        S[:-1] = np.cumsum(-((0.5 * h) * (A[1:] + A[:-1]))[::-1], axis=0)[::-1]
+        return (S - S[anchor, np.arange(A.shape[1])]) + start
+
     want_rows = ref_rows(F, jd, start_rows)
-    want_cols = ref_rows(np.ascontiguousarray(F.T), jd, start_cols).T
+    want_cols = ref_cols(F, jd, start_cols)
     for elems in _block_sizes(grid).values():
         monkeypatch.setattr(grid_mod, "BLOCK_ELEMS", elems)
         rows = cumtrap_rows(F, h, jd, start_rows)
@@ -149,14 +154,15 @@ def _column_sums_case(draw):
 def test_cumsum_cols_is_one_cumulative_sum(case):
     # Any block size, from one row to the whole array, and values with
     # signed zeros, infinities and NaN: the carried rows equal one
-    # np.cumsum down the whole height minus the anchor rows plus start,
-    # NaN for NaN and with the same sign on every zero.
+    # np.cumsum of the negated increments up the whole height minus the
+    # anchor rows plus start, NaN for NaN and with the same sign on every
+    # zero.
     inc, anchor, start, block_rows = case
     shape = (inc.shape[0] + 1, inc.shape[1])
     want = np.zeros(shape)
     with np.errstate(invalid="ignore"), pytest.MonkeyPatch.context() as mp:
         if shape[0] > 1:
-            want[1:] = np.cumsum(inc, axis=0)
+            want[:-1] = np.cumsum(-inc[::-1], axis=0)[::-1]
         want -= want[anchor, np.arange(shape[1])]
         want += start
         mp.setattr(grid_mod, "BLOCK_ELEMS", block_rows * shape[1])
@@ -165,6 +171,27 @@ def test_cumsum_cols_is_one_cumulative_sum(case):
     zero = want == 0.0
     assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero]))
     assert got.flags.c_contiguous
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, phases=SEED_PHASES)
+def test_column_sums_mirror_row_sums(seed):
+    # Under (i, j) -> (N - j, N - i) a row is summed from column 0, the
+    # image of the last row, where the column sums start: the row
+    # trapezoid of the reflected field, started at the reflected values,
+    # is the negated reflection of the column trapezoid bit for bit, at
+    # any block size.
+    grid = DNGrid.square(2.0, 0.1)
+    rng = np.random.default_rng(seed)
+    F = rng.standard_normal((grid.n_nodes, grid.n_nodes))
+    start = rng.standard_normal(grid.n_nodes)
+    _, jd = grid.diagonal()
+    mirrored = cumtrap_rows(time_reversed(F), grid.h, jd, -start[::-1])
+    with pytest.MonkeyPatch.context() as mp:
+        for rows in (1, 2, 3, 4, grid.n_nodes):
+            mp.setattr(grid_mod, "BLOCK_ELEMS", rows * grid.n_nodes)
+            cols = cumtrap_cols(lambda r: F[r], F.shape, grid.h, jd, start)
+            assert np.array_equal(mirrored, time_reversed(cols, -1.0)), rows
 
 
 # ------------------------------------------------- block-size invariance
